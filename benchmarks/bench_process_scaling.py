@@ -3,13 +3,13 @@
 Two measurements, one JSON, both on the `repro.parallel` process tier
 and both checked for *exact* output identity against the serial path:
 
-- **Serving** — ``concurrent_serving_throughput(tier="process")``: K
-  open-loop client threads submit onto the shared micro-batcher, whose
+- **Serving** — ``concurrent_serving_throughput(process_workers=...)``:
+  K open-loop client threads submit onto the shared micro-batcher, whose
   flushed batches are partitioned into contiguous chunks across
   predictor processes.  Same baseline (``predict_one`` per request) and
-  same row-for-row identity check as the thread-tier benchmark
-  (``BENCH_serving_concurrency.json``), so the two tiers compare like
-  for like.  Micro-batches are merged into one contiguous column-dict
+  same row-for-row identity check as the in-process benchmark
+  (``benchmarks/bench_serving_concurrency.py``), so the two compare
+  like for like.  Micro-batches are merged into one contiguous column-dict
   per chunk before crossing the process boundary, so the win survives
   even a single-core host — it comes from cross-client coalescing and
   per-chunk vectorisation, not from core count.
@@ -68,10 +68,9 @@ def run_serving(args) -> dict:
         rows=args.rows,
         batch_size=args.batch_size,
         clients=args.clients,
-        worker_counts=tuple(args.workers),
+        process_workers=tuple(args.workers),
         max_wait_s=args.max_wait_s,
         scale=scale,
-        tier="process",
     )
     print(report.render())
     top = max(report.rates)

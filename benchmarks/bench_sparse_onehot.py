@@ -5,10 +5,14 @@ synthetic fact table with one FK-like feature of growing closed domain
 size plus two small home features — exactly the regime where the dense
 one-hot encoding explodes: its ``(n, |D_FK| + 8)`` float64 matrix and
 every product against it cost ``O(n · |D_FK|)``, while the implicit
-engine (:mod:`repro.ml.sparse`) stays ``O(n · 3)`` per pass.
+:class:`~repro.ml.sparse.OneHotMatrix` view stays ``O(n · 3)`` per pass.
 
-Both engines run the same fixed number of FISTA iterations (``tol=0``)
-so the comparison is work-for-work.  Timing runs are separated from
+The benchmark builds both operands itself — ``OneHotMatrix(X)`` and the
+dense ``X.onehot()`` array — and hands each to the model's FISTA loop
+through the pass-runner protocol of
+:meth:`~repro.ml.linear.logistic.L1LogisticRegression.fit_stream`, so
+both run the same fixed number of iterations (``tol=0``) on exactly
+that operand: the comparison is work-for-work.  Timing runs are separated from
 ``tracemalloc`` peak-memory runs to keep timings honest.  Results land
 in ``BENCH_sparse_onehot.json``; the committed copy at the repo root
 records a full run at domain sizes 10^2..10^5.
@@ -35,8 +39,12 @@ import tracemalloc
 
 import numpy as np
 
+from repro.data import MatrixSource
+from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
+from repro.ml.linear.logistic import _sigmoid
+from repro.ml.sparse import OneHotMatrix
 from repro.obs import machine_info
 from repro.rng import ensure_rng
 
@@ -56,33 +64,66 @@ def make_dataset(n_rows: int, fk_domain: int, seed: int = 0):
     return X, y
 
 
-def _fit(X, y, engine: str, max_iter: int) -> L1LogisticRegression:
-    # tol=0 disables early convergence so both engines run max_iter
+#: The two operands compared: the implicit view and the dense array.
+OPERANDS = {"implicit": OneHotMatrix, "dense": CategoricalMatrix.onehot}
+
+
+class OperandPasses:
+    """FISTA's two data sweeps over one prebuilt operand.
+
+    A pass runner for :meth:`L1LogisticRegression.fit_stream` that skips
+    the model's own encoding: every product runs on the operand given.
+    """
+
+    def __init__(self, operand, y: np.ndarray):
+        self.operand = operand
+        self.signed = np.where(y > 0, 1.0, -1.0)
+
+    def power_step(self, v: np.ndarray) -> np.ndarray:
+        return sparse.rmatmul(self.operand, sparse.matmul(self.operand, v))
+
+    def gradient(self, z_w, z_b: float, n: int, fit_intercept: bool):
+        margin = self.signed * (sparse.matmul(self.operand, z_w) + z_b)
+        residual = -(self.signed * _sigmoid(-margin)) / n
+        grad_b = residual.sum() if fit_intercept else 0.0
+        return sparse.rmatmul(self.operand, residual), grad_b
+
+
+def _fit(X, y, operand: str, max_iter: int) -> L1LogisticRegression:
+    # tol=0 disables early convergence so both operands run max_iter
     # FISTA iterations: identical work, directly comparable wall-clock.
-    return L1LogisticRegression(
-        lam=1e-4, max_iter=max_iter, tol=0.0, engine=engine
-    ).fit(X, y)
+    model = L1LogisticRegression(lam=1e-4, max_iter=max_iter, tol=0.0)
+    passes = OperandPasses(OPERANDS[operand](X), y)
+    return model.fit_stream(MatrixSource(X, y), passes=passes)
 
 
-def measure_engine(X, y, engine: str, max_iter: int, predict_repeats: int = 3):
-    """Train/predict wall-clock and tracemalloc peaks for one engine."""
+def _decision(model: L1LogisticRegression, X, operand: str) -> np.ndarray:
+    return sparse.matmul(OPERANDS[operand](X), model.coef_) + model.intercept_
+
+
+def measure_operand(X, y, operand: str, max_iter: int, predict_repeats: int = 3):
+    """Train/predict wall-clock and tracemalloc peaks for one operand.
+
+    Building the operand is part of both timings: for the dense path
+    the allocation is most of the cost.
+    """
     started = time.perf_counter()
-    model = _fit(X, y, engine, max_iter)
+    model = _fit(X, y, operand, max_iter)
     train_s = time.perf_counter() - started
 
     predict_s = float("inf")
     for _ in range(predict_repeats):
         started = time.perf_counter()
-        model.decision_function(X)
+        _decision(model, X, operand)
         predict_s = min(predict_s, time.perf_counter() - started)
 
     tracemalloc.start()
-    _fit(X, y, engine, max_iter)
+    _fit(X, y, operand, max_iter)
     train_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
     tracemalloc.start()
-    model.decision_function(X)
+    _decision(model, X, operand)
     predict_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
@@ -96,15 +137,11 @@ def measure_engine(X, y, engine: str, max_iter: int, predict_repeats: int = 3):
 
 def check_equivalence(model: L1LogisticRegression, X) -> float:
     """Max |implicit - dense| decision-function gap of one fitted model."""
-    engine = model.engine
-    try:
-        model.engine = "implicit"
-        implicit = model.decision_function(X)
-        model.engine = "dense"
-        dense = model.decision_function(X)
-    finally:
-        model.engine = engine
-    return float(np.max(np.abs(implicit - dense))) if X.n_rows else 0.0
+    if not X.n_rows:
+        return 0.0
+    implicit = _decision(model, X, "implicit")
+    dense = _decision(model, X, "dense")
+    return float(np.max(np.abs(implicit - dense)))
 
 
 def run(sizes, n_rows, max_iter, dense_limit, seed=0):
@@ -121,10 +158,10 @@ def run(sizes, n_rows, max_iter, dense_limit, seed=0):
         X, y = make_dataset(n_rows, fk_domain, seed=seed)
         entry = {"fk_domain": fk_domain, "onehot_width": X.onehot_width}
 
-        model, entry["implicit"] = measure_engine(X, y, "implicit", max_iter)
+        model, entry["implicit"] = measure_operand(X, y, "implicit", max_iter)
         run_dense = fk_domain <= dense_limit
         if run_dense:
-            _, entry["dense"] = measure_engine(X, y, "dense", max_iter)
+            _, entry["dense"] = measure_operand(X, y, "dense", max_iter)
             entry["train_speedup"] = (
                 entry["dense"]["train_seconds"]
                 / max(entry["implicit"]["train_seconds"], 1e-12)
@@ -141,7 +178,7 @@ def run(sizes, n_rows, max_iter, dense_limit, seed=0):
             entry["dense"] = None
             entry["skipped_dense"] = (
                 f"dense path skipped above --dense-limit {dense_limit} "
-                f"(the point of the implicit engine)"
+                f"(the point of the implicit view)"
             )
 
         gap = check_equivalence(model, X)
@@ -185,7 +222,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--dense-limit", type=int, default=100_000,
-        help="largest domain size at which the dense engine is measured",
+        help="largest domain size at which the dense operand is measured",
     )
     parser.add_argument(
         "--out", default="BENCH_sparse_onehot.json", help="JSON output path"

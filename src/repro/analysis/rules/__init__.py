@@ -13,7 +13,6 @@ from typing import Sequence
 
 from repro.analysis.engine import AnalysisConfig, Rule
 from repro.analysis.rules.determinism import UnseededRandomRule
-from repro.analysis.rules.engines import EngineConformanceRule
 from repro.analysis.rules.exceptions import ExceptionHygieneRule
 from repro.analysis.rules.hygiene import BarePrintRule, RawSleepRule, WallClockRule
 from repro.analysis.rules.locks import LockDisciplineRule
@@ -33,7 +32,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ExceptionHygieneRule(),
     ProcessDisciplineRule(),
     FeatureSourceRule(),
-    EngineConformanceRule(),
 )
 
 #: The sanctioned chokepoints.  Patterns match the end of the scanned

@@ -111,16 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument(
-        "--engine",
-        choices=["implicit", "dense", "factorized"],
-        default="implicit",
-        help=(
-            "execution engine for the tuned model's kernels "
-            "(lr_l1 only; 'factorized' pushes linear algebra through "
-            "the KFK join)"
-        ),
-    )
 
     p_fit = sub.add_parser(
         "fit",
@@ -206,16 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
             "through an N-process pool"
         ),
     )
-    p_fit.add_argument(
-        "--engine",
-        choices=["implicit", "dense", "factorized"],
-        default="implicit",
-        help=(
-            "execution engine: 'factorized' keeps each shard's KFK "
-            "join factorized and pushes the training kernels through "
-            "it (lr_l1, nb, ann for non-factorized engines)"
-        ),
-    )
     p_fit.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument(
@@ -290,16 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
-        "--engine",
-        choices=["implicit", "factorized"],
-        default="implicit",
-        help=(
-            "serving engine: 'factorized' precomputes per-dimension "
-            "score contributions at model load (lr_l1 only among the "
-            "tunable models)"
-        ),
-    )
-    p_bench.add_argument(
         "--clients",
         type=int,
         default=0,
@@ -307,13 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
             "client threads for the concurrent-runtime benchmark; 0 "
             "(default) runs the single-threaded single-vs-batched report"
         ),
-    )
-    p_bench.add_argument(
-        "--workers",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="worker-pool sizes to sweep (with --clients > 0)",
     )
     p_bench.add_argument(
         "--arrival-rate",
@@ -344,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "benchmark the process-sharded serving tier "
             "(repro.parallel.ProcessPredictorPool) with an N-process "
-            "pool instead of the --workers thread sweep (requires "
+            "pool instead of the in-process server (requires "
             "--clients > 0)"
         ),
     )
@@ -443,21 +406,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.engine != "implicit" and args.model != "lr_l1":
-        emit(
-            f"error: --engine {args.engine} is supported for the tuned "
-            f"'lr_l1' model only; {args.model!r} does not take an "
-            f"execution engine",
-            error=True,
-        )
-        return 2
     dataset = generate_real_world(
         args.dataset, n_fact=get_scale(args.scale).n_fact, seed=args.seed
     )
     strategy = _STRATEGIES[args.strategy]()
     result = run_experiment(
-        dataset, args.model, strategy, scale=get_scale(args.scale),
-        engine=args.engine,
+        dataset, args.model, strategy, scale=get_scale(args.scale)
     )
     emit(result)
     return 0
@@ -503,25 +457,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             error=True,
         )
         return 2
-    if args.engine == "factorized":
-        from repro.experiments.runner import FACTORIZABLE_MODELS
-
-        if args.model not in FACTORIZABLE_MODELS:
-            emit(
-                f"error: --engine factorized supports "
-                f"{'/'.join(FACTORIZABLE_MODELS)}; {args.model!r} "
-                f"consumes raw codes or dense hidden layers",
-                error=True,
-            )
-            return 2
-        if args.spill_cache is not None:
-            emit(
-                "error: --spill-cache stores gathered code tables and "
-                "cannot hold factorized shards; drop it or use "
-                "--engine implicit",
-                error=True,
-            )
-            return 2
     if args.stream:
         n_shards = args.shards
         if args.shard_rows is None and n_shards is None:
@@ -533,10 +468,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             n_shards=n_shards,
             prefetch=args.prefetch,
             spill_cache=args.spill_cache or False,
-            engine=args.engine,
         )
     else:
-        spec = SourceSpec(engine=args.engine)
+        spec = SourceSpec()
 
     def run() -> int:
         scale = get_scale(args.scale)
@@ -717,22 +651,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 error=True,
             )
             return 2
-    if args.engine == "factorized":
-        if args.model != "lr_l1":
-            emit(
-                f"error: --engine factorized serves linear/NB score "
-                f"tables; {args.model!r} is not a factorizable tuned "
-                f"model (use --model lr_l1)",
-                error=True,
-            )
-            return 2
-        if args.inject_faults is not None:
-            emit(
-                "error: --inject-faults runs its own implicit-engine "
-                "verification servers; run it without --engine",
-                error=True,
-            )
-            return 2
     if args.parallel:
         if args.clients <= 0:
             emit(
@@ -782,13 +700,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 rows=args.rows,
                 batch_size=args.batch_size,
                 clients=args.clients,
-                worker_counts=(
-                    (args.parallel,) if args.parallel else tuple(args.workers)
-                ),
+                process_workers=(args.parallel,),
                 arrival_rate=args.arrival_rate,
                 scale=scale,
-                tier="process" if args.parallel else "thread",
-                engine=args.engine,
             )
             emit(report.render())
             return 0 if report.identical else 2
@@ -798,7 +712,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             rows=args.rows,
             batch_size=args.batch_size,
             scale=scale,
-            engine=args.engine,
         )
         emit(report.render())
         return 0

@@ -1,12 +1,11 @@
 """The one encode path from fact rows to feature matrices.
 
-Every consumer that turns raw fact rows into a strategy's
-:class:`~repro.ml.encoding.CategoricalMatrix` — the serving layer per
-micro-batch, the streaming layer per shard — does the same work:
-resolve each joined dimension's foreign-key codes to dimension rows,
-gather the foreign-feature code columns, and stack them with the fact
-features in strategy order.  :class:`ShardEncoder` is that path, stated
-once and shared:
+Every consumer that turns raw fact rows into a strategy's feature
+matrix — the serving layer per micro-batch, the streaming layer per
+shard — does the same work: resolve each joined dimension's foreign-key
+codes to dimension rows, lay out the foreign features, and stack them
+with the fact features in strategy order.  :class:`ShardEncoder` is
+that path, stated once and shared:
 
 - :class:`repro.serving.FeatureService` *is* a ``ShardEncoder`` (it
   subclasses it, adding nothing but serving docs), so the request path
@@ -15,6 +14,14 @@ once and shared:
   through one, so out-of-core training reuses the same cached
   dimension indexes a server would — each shard costs O(1) numpy
   gathers per joined dimension instead of a fresh hash join.
+
+How each joined dimension is laid out is read from the data, one
+dimension at a time, by :func:`factorize_dimension`: a dimension whose
+rows are shared by enough fact rows stays a ``(|D|, d_R)`` code block
+behind an FK indirection (a :class:`~repro.ml.sparse.FactorizedMatrix`
+group); any other is gathered into per-row code columns.  A batch with
+no blocked dimension is a plain
+:class:`~repro.ml.encoding.CategoricalMatrix`.
 
 Correctness notes: the gather-based assembly is byte-identical to the
 offline ``kfk_join`` + project path (``tests/test_serving_feature_service.py``
@@ -188,6 +195,39 @@ class DimensionIndexCache:
             return len(self._entries)
 
 
+#: Per-pass cost of a blocked dimension, in gathered codes (see
+#: :func:`factorize_dimension`): a fixed part, and per kept feature a
+#: per-column part plus a part per dimension row.  A least-squares fit to
+#: the fit times of ``benchmarks/bench_factorized.py``, rounded.
+BLOCK_FIXED_COST = 12_000
+BLOCK_COLUMN_COST = 1_300
+BLOCK_ROW_COST = 2
+
+
+def factorize_dimension(n_rows: int, dim_rows: int, kept_features: int) -> bool:
+    """Whether a joined dimension stays a ``(|D|, d_R)`` block in a shard.
+
+    Gathering the dimension into a shard of ``n_rows`` fact rows makes
+    every kernel pass touch ``n·d_R`` codes.  Keeping it as a block
+    costs a fixed ``BLOCK_FIXED_COST`` per pass, ``BLOCK_COLUMN_COST``
+    per block column (one numpy call each) and ``BLOCK_ROW_COST`` per
+    block cell (a strided column read), all in gathered-code units; the
+    dimension blocks when that is no more than the gather.  The tuple
+    ratio ``n/|D|`` alone cannot decide: at ``|D| = 100`` the block wins
+    from ratio 20 with ``d_R = 40`` but only from ratio 40 with
+    ``d_R = 8``, and at ``|D| = 1000`` from ratio 5.  The rule sits on
+    the right side of every point of the sweep (README,
+    "Factorize-or-gather plan").
+
+    Pure, and looked up at call time: tests and the benchmark force a
+    layout by substituting this function.
+    """
+    blocked = BLOCK_FIXED_COST + kept_features * (
+        BLOCK_COLUMN_COST + BLOCK_ROW_COST * dim_rows
+    )
+    return n_rows * kept_features >= blocked
+
+
 class ShardEncoder:
     """Encode blocks of fact rows into one (schema, strategy)'s features.
 
@@ -223,8 +263,8 @@ class ShardEncoder:
         self.cache = DimensionIndexCache(
             schema, capacity=cache_capacity, registry=self.metrics
         )
-        # (|D|, d_R) code blocks for factorized assembly, stacked once
-        # per dimension (see _dimension_block).
+        # (|D|, d_R) code blocks, stacked once per dimension (see
+        # dimension_block).
         self._block_cache: dict[str, np.ndarray] = {}
         self.feature_names: tuple[str, ...] = tuple(strategy.feature_names(schema))
         self.joined_dimensions: tuple[str, ...] = tuple(
@@ -249,6 +289,19 @@ class ShardEncoder:
                     f"strategy feature {feature!r} is neither a fact column "
                     f"nor a foreign feature of a joined dimension"
                 )
+        # The plan's per-dimension inputs: |D| and the kept features d_R,
+        # in feature order (the block's column order).
+        self._dimension_features: dict[str, list[str]] = {}
+        for feature in self.feature_names:
+            owner = self._foreign_of.get(feature)
+            if owner is not None:
+                self._dimension_features.setdefault(owner[0], []).append(
+                    feature
+                )
+        self._dimension_rows: dict[str, int] = {
+            name: schema.dimension(name).n_rows
+            for name in self._dimension_features
+        }
         needed = list(self._fact_features)
         for name in self.joined_dimensions:
             fk = schema.constraint(name).fk_column
@@ -298,14 +351,24 @@ class ShardEncoder:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def assemble(self, fact_codes: Mapping[str, np.ndarray]) -> CategoricalMatrix:
+    def assemble(
+        self, fact_codes: Mapping[str, np.ndarray]
+    ) -> "CategoricalMatrix | FactorizedMatrix":
         """Assemble the feature matrix for pre-encoded fact columns.
 
         ``fact_codes`` maps each :attr:`required_columns` entry to an
-        ``(n,)`` int code vector.  Foreign features are gathered from the
-        cached dimension indexes; a foreign key with no dimension row
-        raises :class:`repro.errors.ReferentialIntegrityError` loudly
-        rather than gathering garbage.
+        ``(n,)`` int code vector.  Each joined dimension's FK is
+        resolved to dimension rows once; a foreign key with no dimension
+        row raises :class:`repro.errors.ReferentialIntegrityError`
+        loudly rather than gathering garbage.  :func:`factorize_dimension`
+        then decides, from ``n``, ``|D|`` and ``d_R``, whether the
+        dimension's features are gathered from the cached dimension
+        index into per-row columns or kept as its ``(|D|, d_R)`` block
+        (memoised, so a blocked dimension costs ``O(n)`` here).  With no
+        blocked dimension the result is a
+        :class:`~repro.ml.encoding.CategoricalMatrix`, otherwise a
+        :class:`~repro.ml.sparse.FactorizedMatrix` with the same column
+        layout.
         """
         n = None
         for column, codes in fact_codes.items():
@@ -320,98 +383,13 @@ class ShardEncoder:
         if n is None:
             raise ValueError("cannot assemble an empty request batch")
 
-        # One cache lookup and one FK resolution per dimension per batch,
-        # however many of its foreign features the strategy keeps.
+        # One cache lookup, one FK resolution and one layout decision per
+        # dimension per batch, however many of its features are kept.
         entries: dict[str, _DimensionIndex] = {}
         dim_rows: dict[str, np.ndarray] = {}
+        blocks: dict[str, list[int]] = {}
         columns: list[np.ndarray] = []
-        levels: list[int] = []
-        for feature in self.feature_names:
-            owner = self._foreign_of.get(feature)
-            if owner is None:
-                try:
-                    codes = np.asarray(fact_codes[feature], dtype=np.int64)
-                except KeyError:
-                    raise SchemaError(
-                        f"request batch lacks fact column {feature!r}"
-                    ) from None
-                n_levels = len(self.schema.fact.domain(feature))
-                # Caller-supplied codes are the one unverified input here
-                # (encode_requests/assemble_table pre-validate, direct
-                # assemble() callers may not); check before they reach
-                # the implicit engine's gathers.
-                check_code_ranges(
-                    codes[:, np.newaxis], (n_levels,), (feature,)
-                )
-                levels.append(n_levels)
-            else:
-                name, fk = owner
-                if name not in entries:
-                    entries[name] = self.cache.get(name)
-                    try:
-                        fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
-                    except KeyError:
-                        raise SchemaError(
-                            f"request batch lacks foreign key {fk!r} needed "
-                            f"to resolve dimension {name!r}"
-                        ) from None
-                    dim_rows[name] = resolve_dimension_rows(
-                        self.schema,
-                        name,
-                        fk_codes,
-                        row_of_code=entries[name].row_of_code,
-                    )
-                codes = entries[name].feature_codes[feature][dim_rows[name]]
-                levels.append(
-                    len(self.schema.dimension(name).domain(feature))
-                )
-            columns.append(codes)
-        if not columns:
-            return CategoricalMatrix.empty(n)
-        # Fact codes were validated by Domain.encode and dimension codes
-        # come from validated tables, so skip the per-batch range scan.
-        return CategoricalMatrix(
-            np.stack(columns, axis=1), levels, self.feature_names,
-            validate=False,
-        )
-
-    def assemble_factorized(
-        self, fact_codes: Mapping[str, np.ndarray]
-    ) -> FactorizedMatrix:
-        """Assemble pre-encoded fact columns *without* the dimension gather.
-
-        The factorized sibling of :meth:`assemble`: fact feature columns
-        are stacked exactly as there and each joined dimension's FK is
-        resolved to dimension rows once (the same ``O(n)``
-        :func:`~repro.relational.join.resolve_dimension_rows` call, with
-        the same :class:`~repro.errors.ReferentialIntegrityError` on
-        dangling keys) — but the per-feature
-        ``feature_codes[feature][dim_rows]`` gather is skipped entirely.
-        Instead the dimension's cached per-feature code columns are
-        stacked once into a ``(|D|, d_R)`` block (memoised per
-        dimension, so steady-state assembly does zero per-dimension-row
-        work) and handed to the :class:`~repro.ml.sparse.FactorizedMatrix`
-        along with the resolved rows.
-        """
-        n = None
-        for column, codes in fact_codes.items():
-            codes = np.asarray(codes)
-            if n is None:
-                n = codes.shape[0]
-            elif codes.shape[0] != n:
-                raise SchemaError(
-                    f"ragged request batch: column {column!r} has "
-                    f"{codes.shape[0]} rows, expected {n}"
-                )
-        if n is None:
-            raise ValueError("cannot assemble an empty request batch")
-
-        entries: dict[str, _DimensionIndex] = {}
-        dim_rows: dict[str, np.ndarray] = {}
-        group_positions: dict[str, list[int]] = {}
-        group_features: dict[str, list[str]] = {}
-        fact_positions: list[int] = []
-        fact_columns: list[np.ndarray] = []
+        positions: list[int] = []
         for position, feature in enumerate(self.feature_names):
             owner = self._foreign_of.get(feature)
             if owner is None:
@@ -421,76 +399,119 @@ class ShardEncoder:
                     raise SchemaError(
                         f"request batch lacks fact column {feature!r}"
                     ) from None
+                # Caller-supplied codes are the one unverified input here
+                # (encode_requests/assemble_table pre-validate, direct
+                # assemble() callers may not); check before they reach
+                # the kernels' gathers.
                 check_code_ranges(
-                    codes[:, np.newaxis],
-                    (self.n_levels[position],),
-                    (feature,),
+                    codes[:, np.newaxis], (self.n_levels[position],), (feature,)
                 )
-                fact_positions.append(position)
-                fact_columns.append(codes)
             else:
-                name, fk = owner
+                name = owner[0]
                 if name not in entries:
-                    entries[name] = self.cache.get(name)
-                    try:
-                        fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
-                    except KeyError:
-                        raise SchemaError(
-                            f"request batch lacks foreign key {fk!r} needed "
-                            f"to resolve dimension {name!r}"
-                        ) from None
-                    dim_rows[name] = resolve_dimension_rows(
-                        self.schema,
-                        name,
-                        fk_codes,
-                        row_of_code=entries[name].row_of_code,
+                    entries[name], dim_rows[name] = self._resolve(
+                        name, owner[1], fact_codes
                     )
-                group_positions.setdefault(name, []).append(position)
-                group_features.setdefault(name, []).append(feature)
-        groups = [
-            FactorizedGroup(
-                name,
-                np.asarray(group_positions[name], dtype=np.int64),
-                dim_rows[name],
-                self._dimension_block(
-                    name, entries[name], group_features[name]
-                ),
+                    if factorize_dimension(
+                        n,
+                        self._dimension_rows[name],
+                        len(self._dimension_features[name]),
+                    ):
+                        blocks[name] = []
+                if name in blocks:
+                    blocks[name].append(position)
+                    continue
+                codes = entries[name].feature_codes[feature][dim_rows[name]]
+            columns.append(codes)
+            positions.append(position)
+        if not blocks:
+            if not columns:
+                return CategoricalMatrix.empty(n)
+            # Fact codes were range-checked above and dimension codes
+            # come from validated tables, so skip the per-batch scan.
+            return CategoricalMatrix(
+                np.stack(columns, axis=1), self.n_levels, self.feature_names,
+                validate=False,
             )
-            for name in group_positions
-        ]
-        stacked = (
-            np.stack(fact_columns, axis=1)
-            if fact_columns
-            else np.zeros((n, 0), dtype=np.int64)
-        )
         return FactorizedMatrix(
             self.feature_names,
             self.n_levels,
-            np.asarray(fact_positions, dtype=np.int64),
-            stacked,
-            groups,
+            np.asarray(positions, dtype=np.int64),
+            (
+                np.stack(columns, axis=1)
+                if columns
+                else np.zeros((n, 0), dtype=np.int64)
+            ),
+            [
+                FactorizedGroup(
+                    name, block_positions, dim_rows[name],
+                    self.dimension_block(name),
+                )
+                for name, block_positions in blocks.items()
+            ],
         )
 
-    def _dimension_block(
-        self, name: str, entry: _DimensionIndex, features: list[str]
-    ) -> np.ndarray:
-        """The dimension's ``(|D|, d_R)`` code block, memoised by name.
+    def _resolve(
+        self, name: str, fk: str, fact_codes: Mapping[str, np.ndarray]
+    ) -> tuple[_DimensionIndex, np.ndarray]:
+        """A joined dimension's cached index and resolved row per fact row."""
+        entry = self.cache.get(name)
+        try:
+            fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
+        except KeyError:
+            raise SchemaError(
+                f"request batch lacks foreign key {fk!r} needed "
+                f"to resolve dimension {name!r}"
+            ) from None
+        return entry, resolve_dimension_rows(
+            self.schema, name, fk_codes, row_of_code=entry.row_of_code
+        )
 
-        Stacking the cached per-feature code columns costs
-        ``O(|D|·d_R)`` once; afterwards a factorized assembly does no
-        per-dimension-row work at all.  Entries are immutable and the
-        stack is deterministic, so racing threads writing the same key
-        is benign.
+    def dimension_rows(
+        self, fact_codes: Mapping[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Each joined dimension's resolved row per fact row, no layout.
+
+        The FK-resolution half of :meth:`assemble` (same cache lookups,
+        same :class:`~repro.errors.ReferentialIntegrityError` on
+        dangling keys), for consumers that fold a dimension's features
+        into a per-dimension-row table ahead of time and need nothing
+        per row but the row itself
+        (:class:`~repro.serving.factorized.FactorizedScorer`).
+        """
+        return {
+            name: self._resolve(
+                name, self._foreign_of[features[0]][1], fact_codes
+            )[1]
+            for name, features in self._dimension_features.items()
+        }
+
+    def dimension_block(self, name: str) -> np.ndarray:
+        """A joined dimension's ``(|D|, d_R)`` code block, memoised.
+
+        Column ``c`` holds the codes of the dimension's ``c``-th kept
+        feature (feature order) for every dimension row.  Stacking the
+        cached per-feature code columns costs ``O(|D|·d_R)`` once;
+        afterwards a blocked dimension costs no per-dimension-row work
+        at assembly.  Entries are immutable and the stack is
+        deterministic, so racing threads writing the same key is benign.
         """
         block = self._block_cache.get(name)
         if block is None:
+            entry = self.cache.get(name)
             block = np.stack(
-                [entry.feature_codes[feature] for feature in features], axis=1
+                [
+                    entry.feature_codes[feature]
+                    for feature in self._dimension_features[name]
+                ],
+                axis=1,
             ).astype(np.int64, copy=False)
             self._block_cache[name] = block
         return block
 
-    def assemble_table(self, fact_rows: Table) -> CategoricalMatrix:
+    def assemble_table(
+        self, fact_rows: Table
+    ) -> "CategoricalMatrix | FactorizedMatrix":
         """Assemble features for rows shaped like the fact table."""
         return self.assemble(
             {column: fact_rows.codes(column) for column in self.required_columns}
@@ -498,16 +519,19 @@ class ShardEncoder:
 
     def assemble_rows(
         self, rows: Sequence[Mapping[str, object]]
-    ) -> CategoricalMatrix:
+    ) -> "CategoricalMatrix | FactorizedMatrix":
         """Encode label-valued request rows and assemble their features."""
         return self.assemble(self.encode_requests(rows))
 
-    def encode_shard(self, fact_rows: Table) -> tuple[CategoricalMatrix, np.ndarray]:
+    def encode_shard(
+        self, fact_rows: Table
+    ) -> "tuple[CategoricalMatrix | FactorizedMatrix, np.ndarray]":
         """One block of fact rows as an encoded ``(X, y)`` pair.
 
         The training-side entry point: the same assembly the serving
-        path runs per micro-batch, plus the target codes read straight
-        off the fact block (labels never pass through a join).
+        path runs per micro-batch (so the same per-dimension layout
+        plan), plus the target codes read straight off the fact block
+        (labels never pass through a join).
 
         Each call lands one observation in the ``data.encode.shard_s``
         histogram and one merged ``encode.shard`` span, so multi-pass
@@ -518,34 +542,6 @@ class ShardEncoder:
         with trace("encode.shard", merge=True):
             encoded = (
                 self.assemble_table(fact_rows),
-                fact_rows.codes(self.schema.target),
-            )
-        self._encode_seconds.observe(time.perf_counter() - started)
-        self._encoded_shards.inc()
-        self._encoded_rows.inc(len(fact_rows))
-        return encoded
-
-    def encode_shard_factorized(
-        self, fact_rows: Table
-    ) -> tuple[FactorizedMatrix, np.ndarray]:
-        """One block of fact rows as a factorized ``(X, y)`` pair.
-
-        :meth:`encode_shard` with the gather skipped: same required
-        columns, same referential-integrity errors, same telemetry
-        (``data.encode.shard_s`` histogram and merged ``encode.shard``
-        span), but the features come back as a
-        :class:`~repro.ml.sparse.FactorizedMatrix` whose per-shard cost
-        is ``O(n)`` past the memoised dimension blocks.
-        """
-        started = time.perf_counter()
-        with trace("encode.shard", merge=True):
-            encoded = (
-                self.assemble_factorized(
-                    {
-                        column: fact_rows.codes(column)
-                        for column in self.required_columns
-                    }
-                ),
                 fact_rows.codes(self.schema.target),
             )
         self._encode_seconds.observe(time.perf_counter() - started)

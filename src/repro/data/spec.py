@@ -44,34 +44,22 @@ class SourceSpec:
         :class:`SpillCacheSource` in a private temporary directory, or
         an explicit directory path.  Spill before prefetch, so the
         background thread reads through the cache.
-    engine:
-        Execution engine for the streams and models this spec feeds.
-        ``"factorized"`` makes the streaming path assemble
-        :class:`~repro.ml.sparse.FactorizedMatrix` shards (the KFK join
-        stays factorized end to end); the in-memory path is unaffected
-        by the spec (models factorize an already-gathered matrix into
-        the degenerate all-fact form, bit-identical to implicit).
+
+    How each shard lays out its joined dimensions is not part of the
+    spec: the encoder decides per dimension from the shard's size
+    (:func:`repro.data.encoder.factorize_dimension`).
     """
 
     shard_rows: int | None = None
     n_shards: int | None = None
     prefetch: int | None = None
     spill_cache: bool | str | Path = False
-    engine: str = "implicit"
 
     def __post_init__(self) -> None:
-        from repro.ml.sparse import check_engine
-
-        check_engine(self.engine)
         if self.shard_rows is not None and self.n_shards is not None:
             raise ValueError(
                 "shard_rows and n_shards are two ways to lay out the same "
                 "shards; pass exactly one"
-            )
-        if self.engine == "factorized" and self.spill_cache:
-            raise ValueError(
-                "spill_cache stores gathered code tables and cannot hold "
-                "factorized shards; drop spill_cache or use engine='implicit'"
             )
         for name in ("shard_rows", "n_shards", "prefetch"):
             value = getattr(self, name)
@@ -125,7 +113,6 @@ class SourceSpec:
                     ),
                     strategy,
                     encoder=encoder,
-                    engine=self.engine,
                 )
                 for split in splits
             }
@@ -177,8 +164,6 @@ class SourceSpec:
     def describe(self) -> dict:
         """The spec as flat result metadata (for ``RunResult.best_params``)."""
         described: dict = {"streaming": self.streaming}
-        if self.engine != "implicit":
-            described["engine"] = self.engine
         if self.prefetch is not None:
             described["prefetch"] = self.prefetch
         if self.spill_cache:

@@ -6,8 +6,10 @@ hundreds of times.  For a CSV-backed source each production is a seek,
 a text parse, a per-column domain encode and a KFK join; all of it
 yields the same bytes every time.  :class:`SpillCacheSource` intercepts
 :meth:`shard` and keeps each shard's encoded form — the integer code
-matrix and the label vector, exactly the arrays training consumes — in
-an ``.npz`` file, bounded by an LRU byte budget.  Re-reads become one
+matrix (or, for a factorized shard, its per-row codes plus each
+blocked dimension's resolved rows and code block) and the label vector,
+exactly the arrays training consumes — in an ``.npz`` file, bounded by
+an LRU byte budget.  Re-reads become one
 ``np.load`` instead of a re-parse and re-join, while peak *memory*
 stays one shard: the cache spills to disk, not to RAM.
 
@@ -18,7 +20,8 @@ cache or the source.
 
 Cache entries are crash-safe and self-verifying: each ``.npz`` is
 written to a temp file and ``os.replace``-d into place (a mid-write
-kill leaves no torn entry), and carries a CRC-32 of its arrays.  A
+kill leaves no torn entry), and carries a CRC-32 over every array it
+stores.  A
 corrupt entry — torn write survived from an older format, bit rot, an
 injected ``corrupt_spill`` fault — fails verification on load and is
 transparently dropped and re-encoded from the wrapped source instead
@@ -43,12 +46,34 @@ from repro.errors import SpillCorruptionError
 from repro.obs import MetricsRegistry
 
 
-def _checksum(codes: np.ndarray, y: np.ndarray) -> int:
-    """CRC-32 over a shard's exact array bytes (shape/dtype included)."""
-    crc = zlib.crc32(str((codes.shape, str(codes.dtype))).encode())
-    crc = zlib.crc32(np.ascontiguousarray(codes).tobytes(), crc)
-    crc = zlib.crc32(str((y.shape, str(y.dtype))).encode(), crc)
-    return zlib.crc32(np.ascontiguousarray(y).tobytes(), crc)
+def _checksum(arrays: dict[str, np.ndarray]) -> int:
+    """CRC-32 over every stored array's name, shape, dtype and bytes."""
+    crc = 0
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        header = str((name, array.shape, str(array.dtype))).encode()
+        crc = zlib.crc32(header, crc)
+        crc = zlib.crc32(array.tobytes(), crc)
+    return crc
+
+
+def _shard_arrays(X, y: np.ndarray) -> dict[str, np.ndarray]:
+    """A shard of either layout as named arrays for one ``.npz`` entry."""
+    from repro.ml.sparse import FactorizedMatrix
+
+    if not isinstance(X, FactorizedMatrix):
+        return {"codes": X.codes, "y": y}
+    arrays = {
+        "codes": X.fact_codes,
+        "positions": X.fact_positions,
+        "group_names": np.array([group.name for group in X.groups], dtype=str),
+        "y": y,
+    }
+    for i, group in enumerate(X.groups):
+        arrays[f"group{i}_positions"] = group.positions
+        arrays[f"group{i}_rows"] = group.dim_rows
+        arrays[f"group{i}_block"] = group.block
+    return arrays
 
 
 @dataclass
@@ -204,32 +229,49 @@ class SpillCacheSource(SourceDecorator):
         # Local import: keeps repro.data.source importable from within
         # repro.ml's own module initialisation (see repro.data.__init__).
         from repro.ml.encoding import CategoricalMatrix
+        from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 
         path = self._path(index)
         try:
             with np.load(path) as archive:
-                codes = archive["codes"]
-                y = archive["y"]
-                stored = int(archive["crc"][()]) if "crc" in archive else None
+                arrays = {name: archive[name] for name in archive.files}
+            stored = int(arrays.pop("crc")[()]) if "crc" in arrays else None
+            valid = stored is not None and _checksum(arrays) == stored
         except (OSError, ValueError, KeyError, EOFError,
                 zipfile.BadZipFile) as error:
             raise SpillCorruptionError(
                 f"{path}: spill entry unreadable ({error})"
             ) from error
-        if stored is None or _checksum(codes, y) != stored:
+        if not valid:
             raise SpillCorruptionError(
                 f"{path}: spill entry failed checksum verification"
             )
-        # Codes round-trip exactly and were validated when the source
-        # produced them, so skip the range re-scan.
-        X = CategoricalMatrix(
-            codes, self.n_levels, self.feature_names, validate=False
+        codes, y = arrays["codes"], arrays["y"]
+        if "positions" not in arrays:
+            # Codes round-trip exactly and were validated when the
+            # source produced them, so skip the range re-scan.
+            X = CategoricalMatrix(
+                codes, self.n_levels, self.feature_names, validate=False
+            )
+            return X, y
+        groups = [
+            FactorizedGroup(
+                str(name),
+                arrays[f"group{i}_positions"],
+                arrays[f"group{i}_rows"],
+                arrays[f"group{i}_block"],
+            )
+            for i, name in enumerate(arrays["group_names"])
+        ]
+        X = FactorizedMatrix(
+            self.feature_names, self.n_levels, arrays["positions"], codes,
+            groups,
         )
         return X, y
 
     def _store(self, index: int, X, y) -> None:
         path = self._path(index)
-        y = np.asarray(y)
+        arrays = _shard_arrays(X, np.asarray(y))
         # Temp file in the cache directory + os.replace: a kill at any
         # instant leaves either no entry or a complete one, never a
         # torn .npz that np.load chokes on next pass.
@@ -239,10 +281,7 @@ class SpillCacheSource(SourceDecorator):
         try:
             with os.fdopen(fd, "wb") as handle:
                 np.savez(
-                    handle,
-                    codes=X.codes,
-                    y=y,
-                    crc=np.uint32(_checksum(X.codes, y)),
+                    handle, **arrays, crc=np.uint32(_checksum(arrays))
                 )
             os.replace(tmp, path)
         except BaseException:

@@ -24,11 +24,11 @@ split drives :class:`~repro.ml.selection.GridSearch` and
 unified bias-variance decomposition used for the net-variance plots.
 
 All estimators consume a :class:`~repro.ml.encoding.CategoricalMatrix`
-(integer-coded categorical features with closed domains).  Numeric
-models one-hot encode internally through the implicit execution engine
-(:mod:`repro.ml.sparse`): gathers, scatter-adds and code-equality counts
-stand in for every product against the one-hot matrix, which is never
-materialised unless a model is given ``engine="dense"``.
+(integer-coded categorical features with closed domains) or its
+KFK-factorized form, :class:`~repro.ml.sparse.FactorizedMatrix`.
+Numeric models one-hot encode internally through :mod:`repro.ml.sparse`:
+gathers, scatter-adds and code-equality counts stand in for every
+product against the one-hot matrix, which is never materialised.
 """
 
 from repro.ml.base import Estimator, check_fitted

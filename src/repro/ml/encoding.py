@@ -15,15 +15,14 @@ paths:
   matrix is never allocated, so cost scales with ``n × d`` instead of
   ``n × Σ levels`` — the difference between feasible and infeasible for
   foreign keys with domains in the thousands to millions.
-- **Dense (fallback)** — :meth:`CategoricalMatrix.onehot` materialises
-  the full float64 one-hot matrix.  Kept as the reference
-  implementation: models accept ``engine="dense"``, tests assert the
-  two paths agree to 1e-10, and small-domain callers that genuinely
-  want an array (e.g. ad-hoc analysis) can still get one.
+- **Dense (test oracle)** — :meth:`CategoricalMatrix.onehot`
+  materialises the full float64 one-hot matrix.  Kept as the reference
+  implementation: tests substitute
+  :func:`repro.ml.sparse.encode_features` to run the models on it and
+  assert the two paths agree to 1e-10, and small-domain callers that
+  genuinely want an array (e.g. ad-hoc analysis) can still get one.
 
-Choose dense only when the encoded width is small or an external
-consumer needs a real ``np.ndarray``; everything inside :mod:`repro.ml`
-defaults to the implicit path.
+Everything inside :mod:`repro.ml` runs the implicit path.
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ interface: fit a geometric sequence of ``nlambda`` penalties from
 ``lambda_max`` (smallest penalty with an all-zero solution) downward,
 warm-starting each fit from the previous solution.
 
-All matrix work goes through :mod:`repro.ml.sparse`: under the default
-``engine="implicit"`` the margins are per-feature gathers of ``w`` and
-the gradient is a scatter-add into the active one-hot columns, so one
-FISTA iteration costs ``O(n·d)`` regardless of the encoded width.
+All matrix work goes through :mod:`repro.ml.sparse`: on a gathered
+shard the margins are per-feature gathers of ``w`` and the gradient is
+a scatter-add into the active one-hot columns, so one FISTA iteration
+costs ``O(n·d)`` regardless of the encoded width; on a factorized shard
+each blocked dimension costs ``O(n + |D|·d_R)`` instead.
 
 Because the logistic gradient is a sum over examples, FISTA streams:
 :meth:`L1LogisticRegression.fit_stream` runs the *exact* full-batch
@@ -52,9 +53,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
     """Upper bound on the logistic-loss gradient Lipschitz constant.
 
-    ``X`` may be a dense array or an implicit
-    :class:`~repro.ml.sparse.OneHotMatrix`; power iteration only needs
-    the two matrix-vector products, which both engines provide.
+    ``X`` may be any :mod:`repro.ml.sparse` operand (or a dense array);
+    power iteration only needs the two matrix-vector products, which
+    every layout provides.
     """
     n = X.shape[0]
     rng = ensure_rng(seed)
@@ -85,17 +86,16 @@ class _EncodingMemo:
     they must: holding every shard's encoding would unbound memory.
     """
 
-    __slots__ = ("engine", "_X", "_encoded")
+    __slots__ = ("_X", "_encoded")
 
-    def __init__(self, engine: str):
-        self.engine = engine
+    def __init__(self):
         self._X = None
         self._encoded = None
 
     def __call__(self, X: CategoricalMatrix):
         if X is not self._X:
             self._X = X
-            self._encoded = sparse.encode_features(X, self.engine)
+            self._encoded = sparse.encode_features(X)
         return self._encoded
 
 
@@ -114,9 +114,9 @@ class _SerialPasses:
 
     __slots__ = ("stream", "encode")
 
-    def __init__(self, stream, engine: str):
+    def __init__(self, stream):
         self.stream = stream
-        self.encode = _EncodingMemo(engine)
+        self.encode = _EncodingMemo()
 
     def power_step(self, v: np.ndarray) -> np.ndarray:
         """``Σ_s X_sᵀ (X_s v)`` accumulated over one shard pass."""
@@ -185,13 +185,9 @@ class L1LogisticRegression(Estimator):
         Relative-change convergence threshold (glmnet's ``thresh``).
     fit_intercept:
         Whether to learn an unpenalised bias term.
-    engine:
-        ``"implicit"`` (default) trains on the gather/scatter one-hot
-        view; ``"dense"`` materialises the encoding — the reference
-        fallback, numerically equivalent.
     """
 
-    _param_names = ("lam", "max_iter", "tol", "fit_intercept", "engine")
+    _param_names = ("lam", "max_iter", "tol", "fit_intercept")
 
     def __init__(
         self,
@@ -199,13 +195,11 @@ class L1LogisticRegression(Estimator):
         max_iter: int = 1000,
         tol: float = 1e-5,
         fit_intercept: bool = True,
-        engine: str = "implicit",
     ):
         self.lam = lam
         self.max_iter = max_iter
         self.tol = tol
         self.fit_intercept = fit_intercept
-        self.engine = engine
 
     def fit(
         self,
@@ -226,8 +220,8 @@ class L1LogisticRegression(Estimator):
 
         ``stream`` is any :class:`repro.data.FeatureSource` (the exact
         attributes used: ``n_rows``, ``onehot_width``, ``n_features``
-        and a re-iterable ``__iter__`` of ``(CategoricalMatrix, labels)``
-        pairs in stable order).  Each FISTA iteration makes one pass over
+        and a re-iterable ``__iter__`` of ``(X, labels)`` pairs in
+        stable order, each ``X`` gathered or factorized).  Each FISTA iteration makes one pass over
         the shards, accumulating the full-batch gradient; between shards
         only width-sized state is held, so peak memory is bounded by the
         largest shard regardless of ``n_rows``.  The iterates are the
@@ -243,7 +237,6 @@ class L1LogisticRegression(Estimator):
         """
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        sparse.check_engine(self.engine)
         self._reset()  # a fresh fit owes nothing to earlier sessions
         n = int(stream.n_rows)
         if n == 0:
@@ -255,9 +248,7 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        runner = passes if passes is not None else _SerialPasses(
-            stream, self.engine
-        )
+        runner = passes if passes is not None else _SerialPasses(stream)
         L = _power_lipschitz(runner.power_step, n, width) + (
             0.25 if self.fit_intercept else 0.0
         )
@@ -306,7 +297,7 @@ class L1LogisticRegression(Estimator):
         (:class:`repro.streaming.StreamingTrainer`'s incremental mode)
         compute it once per shard and pass it to :meth:`partial_fit`.
         """
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X)
         return _lipschitz_bound(encoded) + (0.25 if self.fit_intercept else 0.0)
 
     def partial_fit(
@@ -338,7 +329,7 @@ class L1LogisticRegression(Estimator):
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         if n_iter < 1:
             raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X)
         n, d = encoded.shape
         if hasattr(self, "coef_"):
             if self.coef_.shape[0] != d:
@@ -404,7 +395,7 @@ class L1LogisticRegression(Estimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.n_features}"
             )
-        encoded = sparse.encode_features(X, getattr(self, "engine", "dense"))
+        encoded = sparse.encode_features(X)
         return sparse.matmul(encoded, self.coef_) + self.intercept_
 
     def predict_proba(self, X: CategoricalMatrix) -> np.ndarray:
@@ -434,8 +425,6 @@ class LogisticRegressionPath:
     max_iter, tol:
         Passed through to each path fit (paper: ``maxit=10000``,
         ``thresh=0.001``).
-    engine:
-        Execution engine passed through to each path fit.
     """
 
     def __init__(
@@ -444,7 +433,6 @@ class LogisticRegressionPath:
         lambda_min_ratio: float = 1e-3,
         max_iter: int = 10_000,
         tol: float = 1e-3,
-        engine: str = "implicit",
     ):
         if nlambda < 1:
             raise ValueError(f"nlambda must be >= 1, got {nlambda}")
@@ -452,12 +440,11 @@ class LogisticRegressionPath:
         self.lambda_min_ratio = lambda_min_ratio
         self.max_iter = max_iter
         self.tol = tol
-        self.engine = sparse.check_engine(engine)
 
     def lambda_max(self, X: CategoricalMatrix, y: np.ndarray) -> float:
         """Smallest penalty at which the all-zero solution is optimal."""
         y = np.asarray(y, dtype=np.float64)
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(X)
         n = encoded.shape[0]
         centred = y - y.mean()
         if encoded.shape[1] == 0:
@@ -479,7 +466,6 @@ class LogisticRegressionPath:
                 lam=float(lam),
                 max_iter=self.max_iter,
                 tol=self.tol,
-                engine=self.engine,
             )
             model.fit(X, y, warm_start=warm)
             warm = (model.coef_, model.intercept_)

@@ -8,7 +8,8 @@ code-equality kernel shared with the SVM Gram computation —
 mathematically identical to one-hot Euclidean 1-NN but linear rather
 than quadratic in total domain size.  Section 5's analysis of why FK
 memorisation does not hurt 1-NN generalisation rests on this distance
-structure.
+structure.  Distances compare codes row by row, so factorized shards
+are gathered first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
-from repro.ml.sparse import OneHotMatrix
+from repro.ml.sparse import OneHotMatrix, gathered
 
 
 class KNeighborsClassifier(Estimator):
@@ -46,7 +47,7 @@ class KNeighborsClassifier(Estimator):
             raise ValueError(
                 f"n_neighbors={self.n_neighbors} exceeds training size {X.n_rows}"
             )
-        self.X_ = X
+        self.X_ = gathered(X)
         self.y_ = y
         self.n_classes_ = max(int(y.max()) + 1, 2)
         return self
@@ -58,7 +59,7 @@ class KNeighborsClassifier(Estimator):
                 f"expected {self.X_.n_features} features, got {X.n_features}"
             )
         train = OneHotMatrix(self.X_)
-        test = OneHotMatrix(X)
+        test = OneHotMatrix(gathered(X))
         out = np.empty(X.n_rows, dtype=np.int64)
         k = self.n_neighbors
         for start in range(0, X.n_rows, self.chunk_size):

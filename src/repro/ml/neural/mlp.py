@@ -5,12 +5,14 @@ ReLU activations, softmax output, cross-entropy loss, L2 weight penalty,
 Adam optimizer.  Hidden sizes, epochs and batch size are configurable so
 the scaled experiment profiles can trade fidelity for runtime.
 
-The input layer runs on the implicit one-hot engine by default: the
-forward product gathers first-layer weight rows by code and the backward
-weight gradient scatter-adds each batch row's delta into the one-hot
-columns it activates (:mod:`repro.ml.sparse`), so neither pass touches
-the ``sum(n_levels)``-wide zero structure.  Label one-hot targets are
-built per minibatch rather than materialised for the full training set.
+The input layer runs on the implicit one-hot view: the forward product
+gathers first-layer weight rows by code and the backward weight
+gradient scatter-adds each batch row's delta into the one-hot columns
+it activates (:mod:`repro.ml.sparse`), so neither pass touches the
+``sum(n_levels)``-wide zero structure.  A factorized shard is gathered
+first: every minibatch step would otherwise pay each blocked
+dimension's whole ``|D|``-row block.  Label one-hot targets are built
+per minibatch rather than materialised for the full training set.
 
 Training is resumable: :meth:`MLPClassifier.partial_fit` runs one
 shuffled minibatch epoch over whatever rows it is handed, carrying the
@@ -60,10 +62,6 @@ class MLPClassifier(Estimator):
         Minibatch size.
     random_state:
         Seed for weight initialisation and batch shuffling.
-    engine:
-        ``"implicit"`` (default) runs the input layer on the
-        gather/scatter one-hot view; ``"dense"`` materialises the
-        encoding — the reference fallback, numerically equivalent.
     """
 
     _param_names = (
@@ -73,7 +71,6 @@ class MLPClassifier(Estimator):
         "epochs",
         "batch_size",
         "random_state",
-        "engine",
     )
 
     def __init__(
@@ -84,7 +81,6 @@ class MLPClassifier(Estimator):
         epochs: int = 30,
         batch_size: int = 128,
         random_state: int | None = 0,
-        engine: str = "implicit",
     ):
         self.hidden_sizes = tuple(hidden_sizes)
         self.l2 = l2
@@ -92,7 +88,6 @@ class MLPClassifier(Estimator):
         self.epochs = epochs
         self.batch_size = batch_size
         self.random_state = random_state
-        self.engine = engine
 
     def _validate_params(self) -> None:
         if any(h < 1 for h in self.hidden_sizes):
@@ -116,7 +111,7 @@ class MLPClassifier(Estimator):
     def _initialize(self, X: CategoricalMatrix, n_classes: int) -> None:
         """Allocate weights, optimiser and RNG for the first data seen."""
         self._rng = ensure_rng(self.random_state)
-        d = X.onehot_width  # both engines encode to the same width
+        d = X.onehot_width
         self.n_classes_ = int(n_classes)
         self.n_features_ = X.n_features
         sizes = [d, *self.hidden_sizes, self.n_classes_]
@@ -138,7 +133,7 @@ class MLPClassifier(Estimator):
         self._initialize(X, max(int(y.max()) + 1, 2))
         # Encode once for all epochs; each epoch is the same pass that
         # partial_fit runs, so single-shard streaming reproduces fit.
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(sparse.gathered(X))
         for _ in range(self.epochs):
             self._run_epoch(encoded, y)
         return self
@@ -185,7 +180,7 @@ class MLPClassifier(Estimator):
             raise ValueError(
                 f"label {int(y.max())} out of range for {self.n_classes_} classes"
             )
-        self._run_epoch(sparse.encode_features(X, self.engine), y)
+        self._run_epoch(sparse.encode_features(sparse.gathered(X)), y)
         return self
 
     def _run_epoch(self, encoded, y: np.ndarray) -> None:
@@ -206,8 +201,9 @@ class MLPClassifier(Estimator):
         self.loss_curve_.append(epoch_loss / n)
 
     def _forward(self, inputs) -> tuple[list, np.ndarray]:
-        # inputs is a dense array or an implicit OneHotMatrix view; only
-        # the first layer's product dispatches, hidden layers are dense.
+        # inputs is an implicit OneHotMatrix view (or the dense oracle);
+        # only the first layer's product dispatches, hidden layers are
+        # dense.
         activations = [inputs]
         for i, (W, b) in enumerate(zip(self.weights_, self.biases_)):
             z = sparse.matmul(activations[-1], W) + b
@@ -228,7 +224,7 @@ class MLPClassifier(Estimator):
         delta = (probs - targets) / m
         for i in range(len(self.weights_) - 1, -1, -1):
             # The input layer's gradient (i == 0) scatter-adds delta rows
-            # into the one-hot columns under the implicit engine.
+            # into the one-hot columns.
             grads_w[i] = sparse.rmatmul(hidden[i], delta) + self.l2 * self.weights_[i]
             grads_b[i] = delta.sum(axis=0)
             if i > 0:
@@ -243,8 +239,7 @@ class MLPClassifier(Estimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.n_features}"
             )
-        encoded = sparse.encode_features(X, getattr(self, "engine", "dense"))
-        _, probs = self._forward(encoded)
+        _, probs = self._forward(sparse.encode_features(sparse.gathered(X)))
         return probs
 
     def predict(self, X: CategoricalMatrix) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 from repro.errors import ModelSelectionError
 from repro.ml.base import Estimator, check_fitted
 from repro.ml.encoding import CategoricalMatrix
+from repro.ml.sparse import gathered
 
 
 @dataclass
@@ -190,7 +191,9 @@ class BackwardSelection:
         return self
 
     def _project(self, X: CategoricalMatrix) -> CategoricalMatrix:
-        return X.select_features(list(self.selected_indices_))
+        # A factorized shard is gathered first: the subset may split a
+        # blocked dimension's features.
+        return gathered(X).select_features(list(self.selected_indices_))
 
     def predict(self, X: CategoricalMatrix) -> np.ndarray:
         """Predict with the final model on the selected feature subset."""

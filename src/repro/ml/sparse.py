@@ -1,4 +1,4 @@
-"""Sparse categorical execution engines: implicit one-hot and factorized.
+"""Sparse categorical kernels: implicit one-hot and factorized.
 
 A one-hot encoded categorical matrix has exactly one nonzero per feature
 per row, so every product the numeric models compute against it is a
@@ -28,25 +28,27 @@ is the difference between training being dominated by multiplying zeros
 and running at code-array speed.
 
 :class:`FactorizedMatrix` goes one step further and factorizes the KFK
-*join* itself out of the hot path.  The implicit engine still stores a
-gathered ``(n, d)`` code table, so every kernel pass re-touches each
-fact row's copy of its dimension row — ``O(n·d)`` work even though a
-joined dimension has only ``|D|`` distinct rows.  The factorized layout
-keeps the fact-local code columns as ``(n, d_fact)`` plus, per joined
-dimension, one ``(n,)`` FK-resolved row vector and one ``(|D|, d_R)``
-code block; kernels run the per-dimension work once over the block
-(``O(|D|·d_R)``) and touch the fact rows only through a single gather
-or ``bincount`` by FK code (``O(n)`` per dimension).  Total per pass:
-``O(n + |D|·d_R)`` instead of ``O(n·d)`` — the win grows with the
-``n/|D|`` fan-out, exactly the regime where the paper's join-avoidance
-question bites.
+*join* itself out of the hot path.  A gathered code table stores every
+fact row's copy of its dimension row, so every kernel pass re-touches
+``O(n·d)`` codes even though a joined dimension has only ``|D|``
+distinct rows.  The factorized layout keeps the per-row code columns
+as ``(n, d_fact)`` plus, per blocked dimension, one ``(n,)``
+FK-resolved row vector and one ``(|D|, d_R)`` code block; kernels run
+the per-dimension work once over the block (``O(|D|·d_R)``) and touch
+the fact rows only through a single gather or ``bincount`` by FK code
+(``O(n)`` per dimension).  Total per pass: ``O(n + |D|·d_R)`` instead
+of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out, exactly the
+regime where the paper's join-avoidance question bites.
 
-Every numeric model accepts ``engine="implicit"`` (the default),
-``engine="dense"``, or ``engine="factorized"``; the module-level
-:func:`matmul` / :func:`rmatmul` / :func:`take_rows` helpers dispatch on
-the operand type so model code is written once for all paths, and tests
-assert the paths agree to 1e-10 (bit-identical where summation order
-is unchanged).
+Which layout a shard gets is decided per dimension by the encoder
+(:func:`repro.data.encoder.factorize_dimension`), not by the models:
+:func:`encode_features` turns either layout into its kernel operand,
+:func:`gathered` gives code-reading models the gathered table, and the
+:func:`matmul` / :func:`rmatmul` / :func:`take_rows` helpers dispatch
+on the operand type so model code is written once for every layout.
+Tests run the dense one-hot oracle by substituting
+:func:`encode_features`, and assert every path agrees to 1e-10
+(bit-identical where summation order is unchanged).
 """
 
 from __future__ import annotations
@@ -54,16 +56,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.encoding import CategoricalMatrix
-
-#: Execution engines accepted by the numeric models.
-ENGINES = ("implicit", "dense", "factorized")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an ``engine=`` hyper-parameter value."""
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    return engine
 
 
 class OneHotMatrix:
@@ -370,14 +362,15 @@ class FactorizedMatrix:
     """A KFK-factorized encoded shard: fact codes + per-dimension blocks.
 
     Where :class:`OneHotMatrix` views one gathered ``(n, d)`` code
-    table, this keeps the join factorized: the fact-local feature
-    columns as ``(n, d_fact)`` codes, and per joined dimension a
+    table, this keeps the join factorized: the per-row feature columns
+    (fact features and any dimension the encoder chose to gather) as
+    ``(n, d_fact)`` codes, and per blocked dimension a
     :class:`FactorizedGroup` holding the ``(n,)`` resolved dimension
     rows plus the dimension's ``(|D|, d_R)`` code block.  The column
     layout (``names`` / ``n_levels`` / ``offsets``) is identical to the
     gathered matrix's one-hot layout, so every kernel here computes the
-    same value the implicit engine would — it just never expands the
-    dimension side per fact row:
+    same value :class:`OneHotMatrix` would — it just never expands the
+    blocked dimensions per fact row:
 
     - :meth:`matmul` runs ``O(|D|·d_R)`` per dimension over the block,
       then one ``O(n)`` gather by resolved row;
@@ -386,14 +379,14 @@ class FactorizedMatrix:
       totals through the block;
     - :meth:`column_counts` multiplies per-dimension-row group *sizes*
       into the block's level counts (integer-exact);
-    - :meth:`gather` / :meth:`toarray` are the escape hatches back to
-      the gathered representations for kernels that genuinely need
-      per-row codes (Gram blocks, distances).
+    - :meth:`gather` is the escape hatch back to the gathered code
+      table, for models that need per-row codes (Gram blocks,
+      distances, tree routing, minibatches).
 
-    Float results match the implicit engine to 1e-10 (summation
-    grouping differs); integer-valued results are bit-identical.  A
-    matrix with no groups (see :meth:`from_categorical`) degenerates to
-    the implicit engine's exact arithmetic, bit for bit.
+    Float results match :class:`OneHotMatrix` to 1e-10 (summation
+    grouping differs); integer-valued results are bit-identical.  The
+    per-row columns run :class:`OneHotMatrix`'s exact arithmetic, so a
+    matrix with no groups matches it bit for bit.
     """
 
     __slots__ = (
@@ -453,24 +446,6 @@ class FactorizedMatrix:
                     f"dim_rows, expected {n}"
                 )
 
-    @classmethod
-    def from_categorical(cls, source: CategoricalMatrix) -> "FactorizedMatrix":
-        """The degenerate all-fact factorization of a gathered matrix.
-
-        With no groups every kernel runs the implicit engine's exact
-        arithmetic, so ``engine="factorized"`` on an already-gathered
-        matrix is bit-identical to ``engine="implicit"`` — in-memory
-        callers pay nothing for asking for the factorized engine.
-        """
-        codes = np.ascontiguousarray(source.codes, dtype=np.int64)
-        return cls(
-            tuple(source.names),
-            tuple(source.n_levels),
-            np.arange(codes.shape[1], dtype=np.int64),
-            codes,
-            (),
-        )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -504,9 +479,9 @@ class FactorizedMatrix:
     def nbytes(self) -> int:
         """Resident bytes: fact codes, offsets, groups, flat-code cache.
 
-        The number to compare against the implicit engine's
-        ``n·d·8``-byte gathered code table — the factorized layout is
-        smaller by roughly the dimension fan-out.
+        The number to compare against the gathered layout's
+        ``n·d·8``-byte code table — the factorized layout is smaller by
+        roughly the dimension fan-out.
         """
         flat = self._fact_flat.nbytes if self._fact_flat is not None else 0
         return int(
@@ -549,7 +524,7 @@ class FactorizedMatrix:
     def matmul(self, W: np.ndarray) -> np.ndarray:
         """``X @ W`` with per-dimension work on the block, not the rows.
 
-        The fact part is the implicit engine's gather-sum; each
+        The per-row part is :class:`OneHotMatrix`'s gather-sum; each
         dimension contributes ``block @ w`` evaluated once over its
         ``|D|`` rows and broadcast to the fact rows by one gather.
         """
@@ -628,26 +603,6 @@ class FactorizedMatrix:
                     )
         return out.reshape((self.width,) + V.shape[1:])
 
-    def match_counts(self, other, chunk_size: int = 512) -> np.ndarray:
-        """Pairwise matching-feature counts, via the gathered view.
-
-        Gram blocks need per-row code comparisons, so this is one of
-        the two kernels that genuinely gathers (the other is
-        :meth:`squared_distances`); SVM/k-NN callers wanting the
-        factorized win should stay on matmul/rmatmul-shaped paths.
-        """
-        if isinstance(other, FactorizedMatrix):
-            other = other.gather().onehot_view()
-        return self.gather().onehot_view().match_counts(
-            other, chunk_size=chunk_size
-        )
-
-    def squared_distances(self, other, chunk_size: int = 512) -> np.ndarray:
-        """Pairwise squared Euclidean distances in one-hot space."""
-        return 2.0 * (
-            self.n_features - self.match_counts(other, chunk_size=chunk_size)
-        )
-
     # ------------------------------------------------------------------
     # Column statistics (preprocessing)
     # ------------------------------------------------------------------
@@ -656,7 +611,7 @@ class FactorizedMatrix:
 
         Each dimension needs only its FK group sizes (one ``bincount``
         over the resolved rows) scattered through the block — integer
-        arithmetic, bit-identical to the implicit engine's full scan.
+        arithmetic, bit-identical to the gathered layout's full scan.
         """
         out = np.zeros(self.width, dtype=np.float64)
         if self.n_features == 0:
@@ -689,14 +644,15 @@ class FactorizedMatrix:
         return np.sqrt(p * (1.0 - p))
 
     # ------------------------------------------------------------------
-    # Gathered escape hatches
+    # Gathered escape hatch
     # ------------------------------------------------------------------
     def gather(self) -> CategoricalMatrix:
         """Materialise the gathered ``(n, d)`` categorical matrix.
 
         The ``O(n·d_R)`` per-dimension gather the factorized kernels
-        exist to avoid — only escape hatches (Gram blocks, dense
-        conversion, engine downgrades) pay it.
+        exist to avoid — only consumers that read raw codes or take
+        minibatch rows (trees, k-NN, SVC, the MLP) and the dense
+        conversion pay it.
         """
         codes = np.empty((self.n_rows, self.n_features), dtype=np.int64)
         if len(self.fact_positions):
@@ -707,10 +663,6 @@ class FactorizedMatrix:
             codes, self.n_levels, self.names, validate=False
         )
 
-    def toarray(self) -> np.ndarray:
-        """Materialise the dense one-hot equivalent (via the gather)."""
-        return self.gather().onehot_view().toarray()
-
     def __repr__(self) -> str:
         return (
             f"FactorizedMatrix(n={self.n_rows}, d={self.n_features}, "
@@ -720,37 +672,41 @@ class FactorizedMatrix:
 
 
 # ----------------------------------------------------------------------
-# Engine dispatch
+# Layout dispatch
 # ----------------------------------------------------------------------
 def encode_features(
-    X: "CategoricalMatrix | FactorizedMatrix", engine: str = "implicit"
-) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
-    """Encode a feature matrix under the chosen execution engine.
+    X: "CategoricalMatrix | FactorizedMatrix",
+) -> "OneHotMatrix | FactorizedMatrix":
+    """The kernel operand for an encoded shard of either layout.
 
-    A :class:`FactorizedMatrix` shard passes straight through under the
-    factorized engine; under implicit/dense it is gathered first, so a
-    factorized-encoded stream still feeds engine-mismatched models
-    correctly (at the gather's cost).  A gathered
-    :class:`~repro.ml.encoding.CategoricalMatrix` under the factorized
-    engine becomes the degenerate all-fact factorization, which is
-    bit-identical to the implicit engine.
+    A :class:`FactorizedMatrix` is its own operand; a gathered
+    :class:`~repro.ml.encoding.CategoricalMatrix` gets the implicit
+    :class:`OneHotMatrix` view.  Every numeric model encodes through
+    this one function, which is what lets tests run the dense one-hot
+    oracle by substituting it.
     """
-    check_engine(engine)
     if isinstance(X, FactorizedMatrix):
-        if engine == "factorized":
-            return X
-        X = X.gather()
-    if engine == "factorized":
-        return FactorizedMatrix.from_categorical(X)
-    if engine == "implicit":
-        return OneHotMatrix(X)
-    return X.onehot()
+        return X
+    return OneHotMatrix(X)
+
+
+def gathered(X: "CategoricalMatrix | FactorizedMatrix") -> CategoricalMatrix:
+    """The gathered code table of an encoded shard of either layout.
+
+    For models that read raw codes or take minibatch rows (a minibatch
+    would otherwise pay a whole ``|D|``-row block per step): the same
+    per-row gather the encoder performs for a dimension it does not
+    block.
+    """
+    if isinstance(X, FactorizedMatrix):
+        return X.gather()
+    return X
 
 
 def matmul(
     A: "OneHotMatrix | FactorizedMatrix | np.ndarray", W: np.ndarray
 ) -> np.ndarray:
-    """``A @ W`` for any engine's operand."""
+    """``A @ W`` for any layout's operand."""
     if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
         return A.matmul(W)
     return A @ W
@@ -759,7 +715,7 @@ def matmul(
 def rmatmul(
     A: "OneHotMatrix | FactorizedMatrix | np.ndarray", V: np.ndarray
 ) -> np.ndarray:
-    """``A.T @ V`` for any engine's operand."""
+    """``A.T @ V`` for any layout's operand."""
     if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
         return A.rmatmul(V)
     return A.T @ V
@@ -768,7 +724,7 @@ def rmatmul(
 def take_rows(
     A: "OneHotMatrix | FactorizedMatrix | np.ndarray", rows: np.ndarray | slice
 ) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
-    """Row subset of any engine's operand."""
+    """Row subset of any layout's operand."""
     if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
         return A.take_rows(rows)
     return A[rows]

@@ -5,10 +5,11 @@ encodes internally, matching the paper's treatment of categorical
 features for SVMs (Section 5 relies on this encoding in its distance
 analysis: a foreign key contributes at most 2 to any squared distance).
 
-Under the default ``engine="implicit"`` the Gram matrix comes straight
-from code-equality counts (:mod:`repro.ml.sparse`) and the support
-vectors are kept as an implicit view over their code rows, so neither
-training nor prediction materialises the one-hot encoding.
+The Gram matrix comes straight from code-equality counts
+(:mod:`repro.ml.sparse`) and the support vectors are kept as an
+implicit view over their code rows, so neither training nor prediction
+materialises the one-hot encoding.  Gram blocks compare codes row by
+row, so a factorized shard is gathered first.
 """
 
 from __future__ import annotations
@@ -45,10 +46,6 @@ class KernelSVC(Estimator):
         SMO solver controls (see :func:`repro.ml.svm.smo.solve_smo`).
     random_state:
         Seed for the solver's second-choice fallback.
-    engine:
-        ``"implicit"`` (default) computes Gram blocks from code-equality
-        counts; ``"dense"`` one-hot encodes — the reference fallback,
-        numerically equivalent.
     """
 
     _param_names = (
@@ -61,7 +58,6 @@ class KernelSVC(Estimator):
         "max_passes",
         "max_iterations",
         "random_state",
-        "engine",
     )
 
     def __init__(
@@ -75,7 +71,6 @@ class KernelSVC(Estimator):
         max_passes: int = 3,
         max_iterations: int = 20_000,
         random_state: int | None = 0,
-        engine: str = "implicit",
     ):
         self.kernel = kernel
         self.C = C
@@ -86,7 +81,6 @@ class KernelSVC(Estimator):
         self.max_passes = max_passes
         self.max_iterations = max_iterations
         self.random_state = random_state
-        self.engine = engine
 
     def _kernel(self):
         return kernel_function(
@@ -101,7 +95,7 @@ class KernelSVC(Estimator):
                 f"KernelSVC is a binary classifier; got {classes.size} classes"
             )
         self.classes_ = classes if classes.size == 2 else np.array([0, 1])
-        encoded = sparse.encode_features(X, self.engine)
+        encoded = sparse.encode_features(sparse.gathered(X))
         if classes.size == 1:
             # Degenerate but legal: everything is one class.  Index with
             # an array (copy, not a slice view) so the one stored row
@@ -141,8 +135,9 @@ class KernelSVC(Estimator):
             raise ValueError(
                 f"expected {self.n_features_} features, got {X.n_features}"
             )
-        # Encode with whichever engine produced the stored support
-        # vectors, so artifacts fitted under either engine keep working.
+        # Encode like the stored support vectors, so artifacts fitted on
+        # the dense one-hot encoding keep working.
+        X = sparse.gathered(X)
         if isinstance(self.support_vectors_, OneHotMatrix):
             encoded = OneHotMatrix(X)
         else:

@@ -30,7 +30,8 @@ accumulating each frontier node's histograms with one ``bincount`` per
 Integer histograms are associative over shards, so the streamed tree's
 splits are **identical** to the in-memory tree's — ``fit`` and
 ``fit_stream`` share one split-scoring routine
-(:meth:`_best_split_from_stats`) on the same counts.
+(:meth:`_best_split_from_stats`) on the same counts.  Routing reads raw
+codes row by row, so factorized shards are gathered first.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from repro.errors import UnseenCategoryError
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
+from repro.ml.sparse import gathered
 from repro.ml.tree.criteria import entropy, impurity_function, split_information
 from repro.rng import ensure_rng
 
@@ -146,6 +148,7 @@ class DecisionTreeClassifier(Estimator):
     # ------------------------------------------------------------------
     def fit(self, X: CategoricalMatrix, y: np.ndarray) -> "DecisionTreeClassifier":
         y = check_X_y(X, y)
+        X = gathered(X)
         self._validate_hyperparameters()
         self.n_classes_ = int(y.max()) + 1 if y.size else 2
         if self.n_classes_ < 2:
@@ -193,6 +196,7 @@ class DecisionTreeClassifier(Estimator):
         n_total = 0
         for X, y in source:
             y = check_X_y(X, y)
+            X = gathered(X)
             if tuple(X.n_levels) != n_levels:
                 raise ValueError(
                     f"shard has feature levels {X.n_levels}, source "
@@ -238,7 +242,8 @@ class DecisionTreeClassifier(Estimator):
             }
             for X, y in source:
                 self._accumulate_stats(
-                    root, X, np.asarray(y), np.arange(X.n_rows), stats
+                    root, gathered(X), np.asarray(y), np.arange(X.n_rows),
+                    stats,
                 )
             next_frontier: list[TreeNode] = []
             for node in frontier:
@@ -476,6 +481,7 @@ class DecisionTreeClassifier(Estimator):
             raise ValueError(
                 f"expected {len(self.n_levels_)} features, got {X.n_features}"
             )
+        X = gathered(X)
         self._enforce_unseen_policy(X)
         out = np.zeros((X.n_rows, self.n_classes_), dtype=np.float64)
         rng = (

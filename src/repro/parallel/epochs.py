@@ -102,7 +102,7 @@ def _pack_shard(index: int, X, y) -> tuple:
     )
 
 
-def _prepare(shard, engine: str):
+def _prepare(shard):
     """Encode one shipped shard into the worker's resident form."""
     index, packed, y = shard
     if isinstance(packed, sparse.FactorizedMatrix):
@@ -110,12 +110,12 @@ def _prepare(shard, engine: str):
     else:
         codes, n_levels, names = packed
         X = CategoricalMatrix(codes, n_levels, names, validate=False)
-    encoded = sparse.encode_features(X, engine)
+    encoded = sparse.encode_features(X)
     signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
     return index, encoded, signed, y
 
 
-def _epoch_worker(shards, engine: str, tasks, results) -> None:
+def _epoch_worker(shards, tasks, results) -> None:
     """Worker entry point: evaluate per-shard partials on demand.
 
     Module-level so ``spawn`` can pickle it.  ``shards`` is the
@@ -123,7 +123,7 @@ def _epoch_worker(shards, engine: str, tasks, results) -> None:
     tuples; the encodings are built once here and stay resident.
     """
     try:
-        resident = [_prepare(shard, engine) for shard in shards]
+        resident = [_prepare(shard) for shard in shards]
         while True:
             op, *args = tasks.get()
             if op == "stop":
@@ -176,10 +176,7 @@ class ProcessFISTAPasses:
     ----------
     source:
         Any :class:`FeatureSource`; its natural shard order defines the
-        reduction order.
-    engine:
-        The model's sparse engine (``"implicit"``/``"dense"``/
-        ``"factorized"`` — factorized stripes ship compact: fact codes
+        reduction order.  Factorized shards ship compact (per-row codes
         plus per-dimension blocks, never the gathered ``n×d`` table).
     workers:
         Worker processes; each holds ``~n_shards / workers`` encoded
@@ -194,7 +191,6 @@ class ProcessFISTAPasses:
     def __init__(
         self,
         source: FeatureSource,
-        engine: str = "implicit",
         workers: int = 2,
         registry: MetricsRegistry | None = None,
         start_method: str | None = None,
@@ -202,7 +198,6 @@ class ProcessFISTAPasses:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.source = source
-        self.engine = engine
         self.n_rows = int(source.n_rows)
         self.onehot_width = int(source.onehot_width)
         self.n_features = int(source.n_features)
@@ -229,7 +224,7 @@ class ProcessFISTAPasses:
         self._procs = [
             ctx.Process(
                 target=_epoch_worker,
-                args=(stripes[w], engine, self._tasks[w], self._results[w]),
+                args=(stripes[w], self._tasks[w], self._results[w]),
                 name=f"repro-pepoch-{w}",
                 daemon=False,
             )
@@ -326,7 +321,7 @@ class ProcessFISTAPasses:
         for index in self._stripe_indexes[w]:
             self._fallbacks.inc()
             X, y = self.source.shard(index)
-            encoded = sparse.encode_features(X, self.engine)
+            encoded = sparse.encode_features(X)
             if op == "power":
                 (v,) = args
                 out[index] = _shard_power(encoded, v)
@@ -384,5 +379,5 @@ class ProcessFISTAPasses:
     def __repr__(self) -> str:
         return (
             f"ProcessFISTAPasses({len(self._order)} shards, "
-            f"workers={len(self._procs)}, engine={self.engine!r})"
+            f"workers={len(self._procs)})"
         )

@@ -1,10 +1,8 @@
 """Process-sharded prediction: micro-batches fanned across predictors.
 
-The thread-pool serving tier hit the GIL ceiling
-(``BENCH_serving_concurrency.json``: 5.5x at 2 workers *falling* to
-3.2x at 4 — numpy gathers on small micro-batches don't release the GIL
-long enough).  :class:`ProcessPredictorPool` moves the assemble+predict
-stage into worker processes: each worker loads its own copy of the
+:class:`ProcessPredictorPool` moves the assemble+predict stage of a
+:class:`~repro.serving.server.PredictionServer` out of the GIL and into
+worker processes: each worker loads its own copy of the
 model artifact and feature service at startup, a flushed micro-batch's
 payloads are partitioned into contiguous chunks dispatched one per
 worker, and the chunk results are gathered back in order — per-row
@@ -78,13 +76,13 @@ def _merge_payloads(payloads: Sequence) -> dict:
 
 
 def _predictor_worker(
-    artifact, schema, cache_capacity: int, engine: str, tasks, results
+    artifact, schema, cache_capacity: int, tasks, results
 ) -> None:
     """Worker entry point: serve chunks through a private server.
 
     Module-level so ``spawn`` can pickle it.  The worker's server is
-    the plain single-worker, inline-flush configuration — the same
-    assemble/predict path the parent would have run — with its own
+    the plain inline-flush configuration — the same assemble/predict
+    path the parent would have run — with its own
     registry accumulating the worker's telemetry between ``stats``
     drains.  The fingerprint was validated by the parent; revalidating
     here would only re-run the strategy replay per worker.
@@ -99,7 +97,6 @@ def _predictor_worker(
             max_wait_s=None,
             background_flush=False,
             validate_fingerprint=False,
-            engine=engine,
         )
         while True:
             op, *args = tasks.get()
@@ -146,10 +143,6 @@ class ProcessPredictorPool:
         in through :meth:`merge_stats`.
     start_method:
         As for :class:`~repro.parallel.ProcessPrefetchingSource`.
-    engine:
-        Serving engine built inside each worker's private server
-        (``"implicit"`` or ``"factorized"``), as for
-        :class:`~repro.serving.server.PredictionServer`.
     """
 
     def __init__(
@@ -160,12 +153,10 @@ class ProcessPredictorPool:
         cache_capacity: int = 8,
         registry: MetricsRegistry | None = None,
         start_method: str | None = None,
-        engine: str = "implicit",
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.engine = engine
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._dispatches = self.metrics.counter("parallel.serving.dispatches")
         self._deaths = self.metrics.counter("parallel.serving.worker_deaths")
@@ -191,7 +182,6 @@ class ProcessPredictorPool:
                 self._artifact,
                 self._schema,
                 self._cache_capacity,
-                self.engine,
                 self._tasks[w],
                 self._results[w],
             ),

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.data.source import FeatureSource, SourceDecorator
 from repro.errors import ReproError, TransientShardError
+from repro.ml.sparse import gathered
 from repro.obs import MetricsRegistry
 from repro.resilience import backoff
 from repro.rng import ensure_rng
@@ -298,7 +299,7 @@ class FaultInjectingModel:
 
     def poisoned_mask(self, X) -> np.ndarray:
         """Boolean mask of poisoned rows in an encoded matrix."""
-        codes = np.ascontiguousarray(X.codes, dtype=np.int64)
+        codes = np.ascontiguousarray(gathered(X).codes, dtype=np.int64)
         salt = str(self.seed).encode()
         threshold = int(self.rate * 2**32)
         return np.fromiter(

@@ -11,10 +11,12 @@ indexes (avoided dimensions are never touched), and the
 batches.
 
 The runtime is thread-safe: concurrent request threads share one
-server, a background deadline flusher bounds queueing latency, the
+server, a background deadline flusher bounds queueing latency, and the
 dimension-index cache builds each cold entry exactly once under racing
-access, and ``PredictionServer(..., workers=N)`` shards flushed batches
-across a predict worker pool without changing any per-row result.
+access.  Linear and Naive Bayes artifacts are scored through a
+:class:`~repro.serving.factorized.FactorizedScorer` built at load
+time, which folds each joined dimension's features into one
+per-dimension-row table.
 
 Typical flow::
 

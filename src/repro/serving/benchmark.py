@@ -13,10 +13,10 @@ label-valued request stream through two paths:
 
 :func:`concurrent_serving_throughput` adds the multi-threaded
 counterpart: an open-loop load generator with K client threads drives
-the thread-safe serving runtime, comparing the per-request single-worker
-baseline against the micro-batched worker-pool configurations and
-verifying the concurrent predictions are identical to a single-threaded
-run of the same stream.
+the thread-safe serving runtime, comparing the per-request baseline
+against the micro-batched runtime (in-process, or on a process pool of
+each requested size) and verifying the concurrent predictions are
+identical to a single-threaded run of the same stream.
 
 Used by ``repro serve-bench``, ``benchmarks/bench_serving_throughput.py``
 and ``benchmarks/bench_serving_concurrency.py``.
@@ -57,8 +57,6 @@ class ThroughputReport:
     batch_size: int
     rates: dict[tuple[str, str], float] = field(default_factory=dict)
     latency_ms: dict[tuple[str, str], dict] = field(default_factory=dict)
-    #: Serving engine the servers ran (``"implicit"`` or ``"factorized"``).
-    engine: str = "implicit"
 
     @property
     def speedup(self) -> float | None:
@@ -75,13 +73,9 @@ class ThroughputReport:
 
     def render(self) -> str:
         """Human-readable table of the measured rates."""
-        engine_note = (
-            "" if self.engine == "implicit" else f", {self.engine} engine"
-        )
         lines = [
             f"Serving throughput: {self.dataset}/{self.model_key}, "
-            f"{self.rows} requests, micro-batch size {self.batch_size}"
-            f"{engine_note}",
+            f"{self.rows} requests, micro-batch size {self.batch_size}",
             f"{'strategy':10s} {'path':8s} {'rows/s':>12s} "
             f"{'p50 ms':>8s} {'p95 ms':>8s} {'p99 ms':>8s}",
         ]
@@ -130,7 +124,6 @@ def serving_throughput(
     batch_size: int = 64,
     scale=None,
     strategies: tuple[JoinStrategy, ...] | None = None,
-    engine: str = "implicit",
 ) -> ThroughputReport:
     """Measure single-row and micro-batched serving rates per strategy.
 
@@ -149,10 +142,6 @@ def serving_throughput(
         Training scale profile (resolved via ``REPRO_SCALE`` if omitted).
     strategies:
         Strategies to compare; defaults to (JoinAll, NoJoin).
-    engine:
-        Serving engine for every server measured (see
-        :class:`~repro.serving.server.PredictionServer`); the
-        factorized engine requires a linear or NB ``model_key``.
     """
     from repro.experiments.runner import fit_pipeline
 
@@ -160,7 +149,7 @@ def serving_throughput(
         strategies = (join_all_strategy(), no_join_strategy())
     report = ThroughputReport(
         dataset=dataset.name, model_key=model_key, rows=rows,
-        batch_size=batch_size, engine=engine,
+        batch_size=batch_size,
     )
     for strategy in strategies:
         pipeline = fit_pipeline(dataset, model_key, strategy, scale=scale)
@@ -172,7 +161,6 @@ def serving_throughput(
                 dataset.schema,
                 max_batch_size=batch_size,
                 max_wait_s=None,
-                engine=engine,
             )
 
         server = fresh_server()
@@ -212,15 +200,16 @@ def serving_throughput(
 # ----------------------------------------------------------------------
 @dataclass
 class ConcurrencyReport:
-    """Throughput of the concurrent runtime per worker count.
+    """Throughput of the concurrent runtime per process-pool size.
 
-    ``baseline_rows_per_s`` is the single-worker baseline: the same K
+    ``baseline_rows_per_s`` is the per-request baseline: the same K
     client threads, but each request served one at a time through the
-    per-request path (no cross-request batching, one predict thread) —
-    the throughput a naive thread-safe server would sustain.  ``rates``
-    maps each worker-pool size to the micro-batched runtime's rate.
-    ``identical`` records whether every concurrent run's predictions
-    matched the single-threaded reference row for row.
+    per-request path (no cross-request batching) — the throughput a
+    naive thread-safe server would sustain.  ``rates`` maps each
+    process-pool size to the micro-batched runtime's rate, ``0`` being
+    the in-process server.  ``identical`` records whether every
+    concurrent run's predictions matched the single-threaded reference
+    row for row.
     """
 
     dataset: str
@@ -236,17 +225,12 @@ class ConcurrencyReport:
     mean_batch_rows: dict[int, float] = field(default_factory=dict)
     identical: bool = True
     #: Per-stage latency breakdowns (ms, with p50/p95/p99): the
-    #: baseline server's and one per worker-pool configuration.
+    #: baseline server's and one per process-pool size.
     baseline_latency_ms: dict = field(default_factory=dict)
     latency_ms: dict[int, dict] = field(default_factory=dict)
-    #: ``"thread"`` (the in-process worker pool) or ``"process"``
-    #: (:class:`repro.parallel.ProcessPredictorPool` sharding).
-    tier: str = "thread"
-    #: Serving engine the servers ran (``"implicit"`` or ``"factorized"``).
-    engine: str = "implicit"
 
     def speedup(self, workers: int) -> float | None:
-        """Concurrent-runtime throughput over the single-worker baseline."""
+        """Concurrent-runtime throughput over the per-request baseline."""
         rate = self.rates.get(workers)
         if rate is None or not self.baseline_rows_per_s:
             return None
@@ -254,24 +238,21 @@ class ConcurrencyReport:
 
     def render(self) -> str:
         """Human-readable table of the measured rates."""
-        engine_note = (
-            "" if self.engine == "implicit" else f", {self.engine} engine"
-        )
         lines = [
-            f"Concurrent serving ({self.tier} tier{engine_note}): "
-            f"{self.dataset}/{self.model_key} "
+            f"Concurrent serving: {self.dataset}/{self.model_key} "
             f"({self.strategy}), {self.rows} requests, "
             f"{self.clients} client threads, micro-batch size "
             f"{self.batch_size}, {self.cpu_count} CPU(s)",
             f"{'configuration':24s} {'rows/s':>12s} {'mean batch':>11s} "
             f"{'speedup':>8s} {'p50 ms':>8s} {'p95 ms':>8s} {'p99 ms':>8s}",
-            f"{'per-request, 1 worker':24s} {self.baseline_rows_per_s:12.0f} "
+            f"{'per-request':24s} {self.baseline_rows_per_s:12.0f} "
             f"{1.0:11.1f} {'1.0x':>8s}"
             + _render_request_latency(self.baseline_latency_ms),
         ]
         for workers in sorted(self.rates):
+            where = f"{workers} process(es)" if workers else "in-process"
             lines.append(
-                f"{f'batched, {workers} worker(s)':24s} "
+                f"{f'batched, {where}':24s} "
                 f"{self.rates[workers]:12.0f} "
                 f"{self.mean_batch_rows.get(workers, 0.0):11.1f} "
                 f"{f'{self.speedup(workers):.1f}x':>8s}"
@@ -373,13 +354,11 @@ def concurrent_serving_throughput(
     rows: int = 4000,
     batch_size: int = 64,
     clients: int = 8,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
+    process_workers: tuple[int, ...] = (0,),
     max_wait_s: float = 0.002,
     arrival_rate: float | None = None,
     scale=None,
     strategy: JoinStrategy | None = None,
-    tier: str = "thread",
-    engine: str = "implicit",
 ) -> ConcurrencyReport:
     """Measure the concurrent serving runtime under K client threads.
 
@@ -387,25 +366,19 @@ def concurrent_serving_throughput(
     computes a single-threaded reference prediction for the whole
     request stream, then drives the same stream concurrently through
 
-    - the single-worker baseline: ``predict_one`` per request from
+    - the per-request baseline: ``predict_one`` per request from
       every client thread (no cross-request coalescing), and
-    - the micro-batched runtime at each ``worker_counts`` entry:
+    - the micro-batched runtime at each ``process_workers`` entry:
       clients ``submit`` onto the shared thread-safe batcher, whose
-      background deadline flusher and worker pool coalesce and shard
-      the cross-client batches.
+      background deadline flusher coalesces the cross-client batches;
+      ``0`` predicts them in-process, ``N`` shards each one across a
+      :class:`repro.parallel.ProcessPredictorPool` of ``N`` processes.
 
     Every concurrent run's predictions are compared against the
     reference; ``report.identical`` is the conjunction.
-
-    ``tier="process"`` swaps the in-process worker pool for the
-    process-sharded :class:`repro.parallel.ProcessPredictorPool` at
-    each ``worker_counts`` entry — same baseline, same identity check,
-    so the two tiers' reports compare like for like.
     """
     from repro.experiments.runner import fit_pipeline
 
-    if tier not in ("thread", "process"):
-        raise ValueError(f"tier must be 'thread' or 'process', got {tier!r}")
     if arrival_rate is not None and arrival_rate <= 0:
         # Fail before the pipeline fit and baseline run, not after.
         raise ValueError(
@@ -420,8 +393,7 @@ def concurrent_serving_throughput(
 
     def fresh_server(**kwargs) -> PredictionServer:
         return PredictionServer(
-            artifact, dataset.schema, max_batch_size=batch_size,
-            engine=engine, **kwargs
+            artifact, dataset.schema, max_batch_size=batch_size, **kwargs
         )
 
     reference_server = fresh_server(max_wait_s=None, background_flush=False)
@@ -437,8 +409,6 @@ def concurrent_serving_throughput(
         clients=clients,
         max_wait_s=max_wait_s,
         cpu_count=os.cpu_count() or 1,
-        tier=tier,
-        engine=engine,
     )
 
     baseline = fresh_server(max_wait_s=None, background_flush=False)
@@ -450,13 +420,10 @@ def concurrent_serving_throughput(
     report.baseline_latency_ms = baseline.stats().latency_ms
     report.identical &= results == reference
 
-    for workers in worker_counts:
-        pool_kwargs = (
-            {"process_workers": workers}
-            if tier == "process"
-            else {"workers": workers}
-        )
-        with fresh_server(max_wait_s=max_wait_s, **pool_kwargs) as server:
+    for workers in process_workers:
+        with fresh_server(
+            max_wait_s=max_wait_s, process_workers=workers
+        ) as server:
             server.predict_one(requests[0])  # warm caches off the clock
             seconds, results = _drive_clients(
                 server,

@@ -1,31 +1,36 @@
 """Factorized serving: per-dimension score contributions fixed at load.
 
-The factorized engine's serving payoff is that a trained linear or NB
-model's score is *additive over features*, so each joined dimension's
-share of the score depends only on which dimension row a fact row
-resolves to — never on the fact row itself.  :class:`FactorizedScorer`
-exploits that at model-load time: for every joined dimension it folds
-the model's per-feature weights through the dimension's ``(|D|, d_R)``
-code block once, producing a single per-dimension-row contribution
-vector (``(|D|,)`` for the linear score, ``(|D|, C)`` for NB joint
-log-likelihoods).  A served prediction is then one table gather per
-fact feature plus one ``contrib[dim_rows]`` gather per dimension and
-an add — no per-row dimension-feature work at all, for any ``d_R``.
+A trained linear or NB model's score is *additive over features*, so
+each joined dimension's share of the score depends only on which
+dimension row a fact row resolves to — never on the fact row itself.
+:class:`FactorizedScorer` exploits that at model-load time: for every
+joined dimension it folds the model's per-feature weights through the
+dimension's ``(|D|, d_R)`` code block once, producing a single
+per-dimension-row contribution vector (``(|D|,)`` for the linear score,
+``(|D|, C)`` for NB joint log-likelihoods).  A served prediction is
+then one table gather per fact feature plus one ``contrib[dim_rows]``
+gather per dimension and an add — no per-row dimension-feature work at
+all, for any ``d_R`` and any batch size.
 
 This is the serving analogue of the training-side kernel push-down in
-:class:`~repro.ml.sparse.FactorizedMatrix`: training pays
-``O(|D|·d_R)`` per kernel pass, serving pays it exactly once per
-loaded model.
+:class:`~repro.ml.sparse.FactorizedMatrix`, without its break-even
+point: training pays ``O(|D|·d_R)`` per kernel pass, so the encoder
+blocks a dimension only when the shard is large enough
+(:func:`repro.data.encoder.factorize_dimension`); serving pays it
+exactly once per loaded model, so
+:class:`~repro.serving.server.PredictionServer` scores through this
+whenever the artifact's model supports it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
-from repro.errors import SchemaError
+from repro.ml.encoding import check_code_ranges
 from repro.ml.linear.logistic import L1LogisticRegression
 from repro.ml.naive_bayes import CategoricalNB
-from repro.ml.sparse import FactorizedMatrix
 
 __all__ = ["FactorizedScorer", "supports_factorized_serving"]
 
@@ -33,11 +38,15 @@ __all__ = ["FactorizedScorer", "supports_factorized_serving"]
 def _unwrap(model):
     """Peel tuner wrappers down to the fitted estimator.
 
+    Only a wrapper that holds its own ``best_model_`` is a tuner; one
+    that merely delegates attribute lookups (such as
+    :class:`~repro.resilience.FaultInjectingModel`) changes what
+    ``predict`` does and must keep serving through it.
     Feature-selecting wrappers are refused: their best model scores a
     *subset* of the assembled features, so per-dimension contributions
     computed against the full layout would be wrong.
     """
-    while hasattr(model, "best_model_"):
+    while "best_model_" in getattr(model, "__dict__", {}):
         if getattr(model, "selected_indices_", None) is not None:
             raise ValueError(
                 "factorized serving does not support feature-selected "
@@ -74,7 +83,7 @@ class FactorizedScorer:
 
     Construction walks every joined dimension's block once; afterwards
     :meth:`predict_codes` reads only the request's fact codes and each
-    group's resolved ``dim_rows`` — it never touches a group's block.
+    dimension's resolved rows — it never touches a block.
     """
 
     def __init__(self, artifact, features):
@@ -83,105 +92,75 @@ class FactorizedScorer:
         n_levels = tuple(features.n_levels)
         offsets = np.concatenate(([0], np.cumsum(n_levels))).astype(np.int64)
 
-        fact_positions: list[int] = []
-        dims: dict[str, list[int]] = {}
-        dim_features: dict[str, list[str]] = {}
-        for position, feature in enumerate(self.feature_names):
-            owner = features._foreign_of.get(feature)
-            if owner is None:
-                fact_positions.append(position)
-            else:
-                name, _ = owner
-                dims.setdefault(name, []).append(position)
-                dim_features.setdefault(name, []).append(feature)
-
-        def block_of(name: str) -> np.ndarray:
-            entry = features.cache.get(name)
-            return features._dimension_block(name, entry, dim_features[name])
-
+        # Per feature, its score table indexed by code: the coefficient
+        # slice of its one-hot block (linear) or its transposed
+        # (k, C) log-probabilities (NB).
         if isinstance(model, L1LogisticRegression):
             self._kind = "linear"
             coef = np.asarray(model.coef_, dtype=np.float64)
-            self._intercept = float(model.intercept_)
-            self._fact_tables = [
-                (position, coef[offsets[position] : offsets[position + 1]])
-                for position in fact_positions
+            self._prior = float(model.intercept_)
+            tables = [
+                coef[offsets[position] : offsets[position + 1]]
+                for position in range(len(n_levels))
             ]
-            self._dim_contrib: dict[str, np.ndarray] = {}
-            for name, positions in dims.items():
-                block = block_of(name)
-                contrib = np.zeros(block.shape[0], dtype=np.float64)
-                for c, position in enumerate(positions):
-                    contrib += coef[offsets[position] + block[:, c]]
-                self._dim_contrib[name] = contrib
         elif isinstance(model, CategoricalNB):
             self._kind = "nb"
             self._prior = np.asarray(
                 model.class_log_prior_, dtype=np.float64
             )
-            # Transposed to (k, C) so a request gather is table[codes].
-            self._fact_tables = [
-                (position, np.asarray(model.feature_log_prob_[position]).T)
-                for position in fact_positions
+            tables = [
+                np.asarray(log_prob).T for log_prob in model.feature_log_prob_
             ]
-            self._dim_contrib = {}
-            for name, positions in dims.items():
-                block = block_of(name)
-                contrib = np.zeros(
-                    (block.shape[0], len(self._prior)), dtype=np.float64
-                )
-                for c, position in enumerate(positions):
-                    contrib += np.asarray(
-                        model.feature_log_prob_[position]
-                    ).T[block[:, c]]
-                self._dim_contrib[name] = contrib
         else:
             raise ValueError(
                 f"factorized serving supports L1 logistic regression and "
                 f"categorical naive Bayes; artifact model is "
                 f"{type(model).__name__}"
             )
-
-    def predict_codes(self, X: FactorizedMatrix) -> np.ndarray:
-        """Predict label codes for an assembled factorized batch.
-
-        Per fact feature: one weight-table gather.  Per joined
-        dimension: one ``contrib[dim_rows]`` gather.  The group blocks
-        are never read — the per-dimension work was all done at load.
-        """
-        if not isinstance(X, FactorizedMatrix):
-            raise TypeError(
-                f"FactorizedScorer consumes FactorizedMatrix, got "
-                f"{type(X).__name__}"
-            )
-        if X.names != self.feature_names:
-            raise SchemaError(
-                f"scorer expects features {list(self.feature_names)}, "
-                f"got {list(X.names)}"
-            )
-        column_of = {
-            int(position): column
-            for column, position in enumerate(X.fact_positions)
-        }
-        for group in X.groups:
-            if group.name not in self._dim_contrib:
-                raise SchemaError(
-                    f"request factorizes dimension {group.name!r} the "
-                    f"loaded model has no contribution for"
+        self._fact_tables: list[tuple[str, int, np.ndarray]] = []
+        dims: dict[str, list[int]] = {}
+        for position, feature in enumerate(self.feature_names):
+            owner = features._foreign_of.get(feature)
+            if owner is None:
+                self._fact_tables.append(
+                    (feature, n_levels[position], tables[position])
                 )
+            else:
+                dims.setdefault(owner[0], []).append(position)
+        self._dim_contrib: dict[str, np.ndarray] = {}
+        for name, positions in dims.items():
+            block = features.dimension_block(name)
+            contrib = np.zeros(
+                block.shape[:1] + np.shape(self._prior), dtype=np.float64
+            )
+            for c, position in enumerate(positions):
+                contrib += tables[position][block[:, c]]
+            self._dim_contrib[name] = contrib
+
+    def predict_codes(
+        self,
+        fact_codes: Mapping[str, np.ndarray],
+        dim_rows: Mapping[str, np.ndarray],
+    ) -> np.ndarray:
+        """Predict label codes for one batch of pre-encoded fact columns.
+
+        ``dim_rows`` maps each joined dimension to its resolved row per
+        fact row (:meth:`~repro.data.encoder.ShardEncoder.dimension_rows`).
+        Per fact feature: one range check and one score-table gather.
+        Per joined dimension: one ``contrib[dim_rows]`` gather — the
+        per-dimension work was all done at load.
+        """
+        n = len(next(iter(fact_codes.values())))
+        scores = np.tile(self._prior, (n,) + (1,) * np.ndim(self._prior))
+        for feature, n_levels, table in self._fact_tables:
+            codes = np.asarray(fact_codes[feature], dtype=np.int64)
+            check_code_ranges(codes[:, np.newaxis], (n_levels,), (feature,))
+            scores += table[codes]
+        for name, contrib in self._dim_contrib.items():
+            scores += contrib[dim_rows[name]]
         if self._kind == "linear":
-            scores = np.full(X.n_rows, self._intercept, dtype=np.float64)
-            for position, table in self._fact_tables:
-                scores += table[X.fact_codes[:, column_of[position]]]
-            for group in X.groups:
-                scores += self._dim_contrib[group.name][group.dim_rows]
             return (scores >= 0).astype(np.int64)
-        jll = np.tile(self._prior, (X.n_rows, 1))
-        for position, table in self._fact_tables:
-            jll += table[X.fact_codes[:, column_of[position]]]
-        for group in X.groups:
-            jll += self._dim_contrib[group.name][group.dim_rows]
-        return np.argmax(jll, axis=1)
+        return np.argmax(scores, axis=1)
 
     def __repr__(self) -> str:
         return (

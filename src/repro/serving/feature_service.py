@@ -18,12 +18,14 @@ Since the unified data layer landed, the machinery itself lives in
 :mod:`repro.data.encoder`: :class:`FeatureService` *is* a
 :class:`~repro.data.encoder.ShardEncoder`, the same encode path the
 out-of-core trainers run per shard, so a served micro-batch and a
-training shard are assembled by literally the same code.  The assembled
-matrices feed the models' implicit one-hot engine (:mod:`repro.ml.sparse`)
-end to end: dimension codes gathered from validated tables skip
-re-validation, caller-supplied fact codes get one cheap range check,
-and the dense one-hot matrix is never materialised anywhere on the
-request path, however large the FK domains.
+training shard are assembled by literally the same code, under the same
+per-dimension factorize-or-gather plan (micro-batches are small, so in
+practice every dimension is gathered).  The assembled matrices feed the
+models' implicit one-hot kernels (:mod:`repro.ml.sparse`) end to end:
+dimension codes gathered from validated tables skip re-validation,
+caller-supplied fact codes get one cheap range check, and the dense
+one-hot matrix is never materialised anywhere on the request path,
+however large the FK domains.
 """
 
 from __future__ import annotations

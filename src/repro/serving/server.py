@@ -21,18 +21,20 @@ accounting are guarded by a lock, the micro-batcher is the thread-safe
 :class:`~repro.serving.batcher.MicroBatcher` (with a background
 deadline flusher unless ``background_flush=False``), and the dimension
 index cache builds each cold entry exactly once however many threads
-race on it.  With ``workers > 1`` every flushed micro-batch is sharded
-into contiguous chunks predicted concurrently on a worker pool; the
-predict kernels are read-only over the fitted model, and chunking never
-changes per-row results, so concurrent predictions are identical to
-single-threaded ones.
+race on it.
+
+Linear and Naive Bayes artifacts are scored through a
+:class:`~repro.serving.factorized.FactorizedScorer` built at load time:
+each joined dimension's features fold into one per-dimension-row score
+table, so a request batch needs only its FK resolution, never the
+per-row feature gather.  Every other model predicts from the
+assembled feature matrix.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +45,10 @@ from repro.relational.schema import StarSchema
 from repro.relational.table import Table
 from repro.serving.artifacts import ModelArtifact
 from repro.serving.batcher import MicroBatcher, PendingPrediction
+from repro.serving.factorized import (
+    FactorizedScorer,
+    supports_factorized_serving,
+)
 from repro.serving.feature_service import FeatureService
 
 #: The per-stage serving latency histograms a server maintains, as
@@ -158,21 +164,13 @@ class PredictionServer:
         Dimension-index cache capacity of the feature service.
     max_batch_size, max_wait_s:
         Micro-batcher configuration for the ``submit`` path.
-    workers:
-        Predict threads per flushed micro-batch.  ``1`` (the default)
-        predicts in the flushing thread; ``N > 1`` shards each batch
-        into up to ``N`` contiguous chunks run on a thread pool.  Size
-        the pool to the core count — the assembly/predict kernels are
-        numpy-heavy and release the GIL in their inner loops, so extra
-        workers beyond the cores only add scheduling overhead.
     process_workers:
         Size of the process-sharded predictor pool (the GIL-free
-        execution tier).  ``0`` (the default) predicts in this process;
-        ``N > 0`` partitions every flushed micro-batch into contiguous
-        chunks dispatched across ``N`` predictor processes, each
-        holding its own copy of the artifact and feature service, with
-        per-worker telemetry merged back on :meth:`stats`.  Mutually
-        exclusive with ``workers > 1`` — one execution tier per server.
+        execution tier).  ``0`` (the default) predicts in the flushing
+        thread; ``N > 0`` partitions every flushed micro-batch into
+        contiguous chunks dispatched across ``N`` predictor processes,
+        each holding its own copy of the artifact and feature service,
+        with per-worker telemetry merged back on :meth:`stats`.
     background_flush:
         Passed to the :class:`MicroBatcher`; set false for
         deterministic tests that control flushing explicitly.
@@ -198,16 +196,6 @@ class PredictionServer:
         Default per-request deadline applied by :meth:`submit` when the
         caller passes none; ``None`` (the default) leaves requests
         without a deadline.
-    engine:
-        Serving execution engine.  ``"implicit"`` (the default) gathers
-        each request batch into a :class:`CategoricalMatrix` and calls
-        the artifact's own predict path.  ``"factorized"`` assembles
-        requests as :class:`~repro.ml.sparse.FactorizedMatrix` and
-        scores them through a :class:`~repro.serving.factorized.FactorizedScorer`
-        built at load time — every joined dimension's score
-        contribution is precomputed per dimension row, so a served
-        prediction does no per-row dimension-feature work (supported
-        for L1 logistic regression and categorical NB artifacts).
     """
 
     def __init__(
@@ -218,36 +206,21 @@ class PredictionServer:
         max_batch_size: int = 64,
         max_wait_s: float | None = 0.005,
         validate_fingerprint: bool = True,
-        workers: int = 1,
         background_flush: bool = True,
         telemetry: bool = True,
         max_queue_rows: int | None = None,
         quarantine: bool = False,
         default_deadline_s: float | None = None,
         process_workers: int = 0,
-        engine: str = "implicit",
     ):
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if engine not in ("implicit", "factorized"):
-            raise ValueError(
-                f"serving engine must be 'implicit' or 'factorized', "
-                f"got {engine!r}"
-            )
         if process_workers < 0:
             raise ValueError(
                 f"process_workers must be >= 0, got {process_workers}"
-            )
-        if process_workers and workers > 1:
-            raise ValueError(
-                "workers (threads) and process_workers are mutually "
-                "exclusive — pick one execution tier per server"
             )
         if validate_fingerprint:
             artifact.check_schema(schema)
         self.artifact = artifact
         self.schema = schema
-        self.workers = workers
         self.metrics = MetricsRegistry(enabled=telemetry)
         self.features = FeatureService(
             schema,
@@ -261,20 +234,9 @@ class PredictionServer:
                 f"{list(self.features.feature_names)} but the artifact was "
                 f"trained on {list(artifact.feature_names)}"
             )
-        self.engine = engine
-        if engine == "factorized":
-            # Imported here to keep the default path free of the
-            # factorized machinery.
-            from repro.serving.factorized import FactorizedScorer
-
-            self._scorer = FactorizedScorer(artifact, self.features)
-        else:
-            self._scorer = None
-        self._pool = (
-            ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="predict-worker"
-            )
-            if workers > 1
+        self._scorer = (
+            FactorizedScorer(artifact, self.features)
+            if supports_factorized_serving(artifact.model)
             else None
         )
         self.process_workers = process_workers
@@ -290,7 +252,6 @@ class PredictionServer:
                 workers=process_workers,
                 cache_capacity=cache_capacity,
                 registry=self.metrics,
-                engine=engine,
             )
         else:
             self._process_pool = None
@@ -360,7 +321,7 @@ class PredictionServer:
 
         Safe to call from any number of request threads; encoding runs
         in the calling thread, the batch prediction wherever the flush
-        trigger fires (submitter, deadline flusher, or worker pool).
+        trigger fires (submitter, deadline flusher, or process pool).
         The row's end-to-end submit → delivery latency (queue wait
         included) lands in the shared ``serving.latency.request_s``
         histogram when its batch runs.  Submissions are counted by the
@@ -393,8 +354,6 @@ class PredictionServer:
     def close(self) -> None:
         """Drain the batcher, stop its flusher, and shut the pool down."""
         self.batcher.close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         if self._process_pool is not None:
             self._process_pool.close()
 
@@ -422,15 +381,16 @@ class PredictionServer:
     def _predict_merged(self, merged: Mapping[str, np.ndarray]) -> list:
         """Assemble and predict one merged column-dict chunk.
 
-        Under ``engine="factorized"`` the batch is assembled without
-        the dimension gather and scored through the load-time
-        :class:`~repro.serving.factorized.FactorizedScorer`.
+        With a :class:`~repro.serving.factorized.FactorizedScorer` the
+        assemble stage is only the FK resolution of each joined
+        dimension; otherwise it builds the feature matrix the
+        artifact's model predicts from.
         """
         started = time.perf_counter()
         if self._scorer is not None:
-            X = self.features.assemble_factorized(merged)
+            dim_rows = self.features.dimension_rows(merged)
             assembled = time.perf_counter()
-            codes = self._scorer.predict_codes(X)
+            codes = self._scorer.predict_codes(merged, dim_rows)
         else:
             X = self.features.assemble(merged)
             assembled = time.perf_counter()
@@ -438,7 +398,7 @@ class PredictionServer:
         finished = time.perf_counter()
         self._assemble_seconds.observe(assembled - started)
         self._predict_seconds.observe(finished - assembled)
-        self._rows.inc(X.n_rows)
+        self._rows.inc(len(codes))
         return self.artifact.decode_labels(codes)
 
     def _predict_encoded(
@@ -446,35 +406,16 @@ class PredictionServer:
     ) -> list:
         """Assemble and predict a batch of encoded column-dicts.
 
-        With one worker the payloads are concatenated into one matrix
-        and predicted in a single vectorized call.  With ``workers > 1``
-        the payload list is split into contiguous chunks predicted
-        concurrently; per-row results are independent of chunk
-        boundaries, so the output is identical either way, in
-        submission order.
-
-        With ``process_workers`` the chunks run on the process-sharded
+        The payloads are concatenated into one column dict and
+        predicted in a single vectorized call, in submission order.
+        With ``process_workers`` they run on the process-sharded
         predictor pool instead (assembly and prediction both leave this
         process); the workers' latency/cache telemetry folds back into
         this server's registry on the next :meth:`stats` call.
         """
         if self._process_pool is not None:
             return self._process_pool.predict(payloads)
-        n_chunks = 1 if self._pool is None else min(self.workers, len(payloads))
-        if n_chunks <= 1:
-            return self._predict_merged(self._merge(payloads))
-        bounds = np.linspace(0, len(payloads), n_chunks + 1, dtype=int)
-        futures = [
-            self._pool.submit(
-                self._predict_merged, self._merge(payloads[lo:hi])
-            )
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        results: list = []
-        for future in futures:
-            results.extend(future.result())
-        return results
+        return self._predict_merged(self._merge(payloads))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -525,7 +466,7 @@ class PredictionServer:
             shed_requests=batcher.shed_requests,
             deadline_expired=batcher.deadline_expired,
             rows_quarantined=batcher.rows_quarantined,
-            workers=self.process_workers or self.workers,
+            workers=self.process_workers or 1,
             queue_wait_seconds=self.metrics.histogram(
                 "serving.latency.queue_wait_s"
             ).sum,

@@ -44,6 +44,7 @@ from repro.datasets.synthetic import (
     TARGET_NAME,
     OneXrScenario,
 )
+from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
 from repro.ml.neural import MLPClassifier
@@ -243,13 +244,16 @@ def streaming_scale_report(
         encode_snapshot = metrics.histogram("data.encode.shard_s").snapshot()
         encode_total = float(encode_snapshot["sum"])
         X0, _ = stream.shard(0)
+        # The shard plus its kernel operand (a blocked shard is its own).
+        operand = sparse.encode_features(X0)
+        working_set = operand.nbytes + (0 if operand is X0 else X0.nbytes)
         point = ScalePoint(
             rows=n,
             n_shards=sharded.n_shards,
             streaming_peak_bytes=stream_peak,
             streaming_seconds=stream_seconds,
             streaming_train_accuracy=trainer.score(stream),
-            shard_working_set_bytes=X0.nbytes + X0.onehot_view().nbytes,
+            shard_working_set_bytes=working_set,
             shard_dense_equivalent_bytes=X0.n_rows * stream.onehot_width * 8,
             encode_latency_s=encode_snapshot,
             stage_seconds={

@@ -5,12 +5,15 @@ full :class:`~repro.ml.encoding.CategoricalMatrix` — the step that caps
 in-memory training at whatever fits in RAM.  :class:`StreamingMatrices`
 encodes the *same* features per shard instead, through the unified
 :class:`~repro.data.encoder.ShardEncoder`: each shard's fact rows are
-resolved against the cached dimension indexes and gathered into the
-strategy's feature layout — the identical encode path the serving layer
+resolved against the cached dimension indexes and laid out in the
+strategy's feature order — the identical encode path the serving layer
 runs per micro-batch.  Because the shard's columns share the schema's
 closed domains, each shard's matrix is exactly the corresponding row
 block of the never-built full matrix — the invariant the equivalence
-suite asserts bit for bit.
+suite asserts bit for bit.  A joined dimension the encoder's plan keeps
+as a block (:func:`~repro.data.encoder.factorize_dimension`) makes the
+shard a :class:`~repro.ml.sparse.FactorizedMatrix` whose gather is
+that row block.
 
 The class implements :class:`repro.data.FeatureSource`, the shard
 protocol consumed by
@@ -36,7 +39,11 @@ from repro.data.encoder import ShardEncoder
 from repro.data.source import FeatureSource
 from repro.errors import ReferentialIntegrityError
 from repro.ml.encoding import CategoricalMatrix
+from repro.ml.sparse import FactorizedMatrix
 from repro.streaming.shards import FactShard, ShardedDataset
+
+#: An encoded shard's features, in whichever layout the encoder chose.
+Shard = CategoricalMatrix | FactorizedMatrix
 
 
 class StreamingMatrices(FeatureSource):
@@ -58,13 +65,6 @@ class StreamingMatrices(FeatureSource):
         streams (e.g. one experiment's train/validation/test splits),
         so each dimension's index is built once per run, not once per
         split.  Built fresh when omitted.
-    engine:
-        ``"implicit"``/``"dense"`` (default) assemble each shard as a
-        gathered :class:`~repro.ml.encoding.CategoricalMatrix`;
-        ``"factorized"`` assembles
-        :class:`~repro.ml.sparse.FactorizedMatrix` shards through
-        :meth:`~repro.data.encoder.ShardEncoder.encode_shard_factorized`,
-        skipping the per-row dimension gather entirely.
     """
 
     def __init__(
@@ -72,13 +72,9 @@ class StreamingMatrices(FeatureSource):
         sharded: ShardedDataset,
         strategy: JoinStrategy,
         encoder: ShardEncoder | None = None,
-        engine: str = "implicit",
     ):
-        from repro.ml.sparse import check_engine
-
         self.sharded = sharded
         self.strategy = strategy
-        self.engine = check_engine(engine)
         self.schema = sharded.schema
         if encoder is None:
             encoder = ShardEncoder(self.schema, strategy)
@@ -97,9 +93,7 @@ class StreamingMatrices(FeatureSource):
         # re-joining identical rows hundreds of times.  Multi-shard
         # streams deliberately re-assemble per pass: that is the price
         # of the bounded footprint.
-        self._single_shard_cache: tuple[CategoricalMatrix, np.ndarray] | None = (
-            None
-        )
+        self._single_shard_cache: tuple[Shard, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Shape (known without reading any shard)
@@ -132,18 +126,16 @@ class StreamingMatrices(FeatureSource):
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def _assemble(self, shard: FactShard) -> tuple[CategoricalMatrix, np.ndarray]:
+    def _assemble(self, shard: FactShard) -> tuple[Shard, np.ndarray]:
         """Encode one fact shard into ``(X, y)`` via the shared encoder."""
         try:
-            if self.engine == "factorized":
-                return self.encoder.encode_shard_factorized(shard.fact)
             return self.encoder.encode_shard(shard.fact)
         except ReferentialIntegrityError as error:
             raise ReferentialIntegrityError(
                 f"shard {shard.index}: {error}"
             ) from error
 
-    def shard(self, index: int) -> tuple[CategoricalMatrix, np.ndarray]:
+    def shard(self, index: int) -> tuple[Shard, np.ndarray]:
         """The ``(X, y)`` block of one shard, by stable index."""
         if self.n_shards == 1 and index == 0:
             if self._single_shard_cache is None:
@@ -153,7 +145,7 @@ class StreamingMatrices(FeatureSource):
 
     def iter_shards(
         self, order: Sequence[int] | np.ndarray | None = None
-    ) -> Iterator[tuple[int, CategoricalMatrix, np.ndarray]]:
+    ) -> Iterator[tuple[int, Shard, np.ndarray]]:
         """Iterate ``(index, X, y)`` triples, optionally reordered."""
         if self.n_shards == 1:
             if order is None or (len(order) == 1 and int(order[0]) == 0):

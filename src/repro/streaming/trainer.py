@@ -214,7 +214,6 @@ class StreamingTrainer:
 
                         with ProcessFISTAPasses(
                             source,
-                            engine=self.model.engine,
                             workers=self.parallel_workers,
                             registry=global_registry(),
                         ) as passes:

@@ -63,3 +63,45 @@ def churn_schema(customers, employers):
             (employers, KFKConstraint("Employer", "Employers", "Employer")),
         ],
     )
+
+
+@pytest.fixture
+def dense_oracle():
+    """``with dense_oracle():`` runs the numeric models on the dense
+    one-hot encoding — the reference every sparse path must match."""
+    import contextlib
+
+    from repro.ml import sparse
+
+    def dense(X):
+        return sparse.gathered(X).onehot()
+
+    @contextlib.contextmanager
+    def oracle():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sparse, "encode_features", dense)
+            yield
+
+    return oracle
+
+
+@pytest.fixture
+def force_layout():
+    """``with force_layout("gather" | "factorize"):`` overrides the
+    encoder's per-dimension plan for every joined dimension."""
+    import contextlib
+
+    from repro.data import encoder
+
+    @contextlib.contextmanager
+    def force(layout):
+        if layout not in ("gather", "factorize"):
+            raise ValueError(f"unknown layout {layout!r}")
+        decision = layout == "factorize"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                encoder, "factorize_dimension", lambda *shape: decision
+            )
+            yield
+
+    return force

@@ -10,8 +10,12 @@ proves the real serving/obs classes pass clean.
 
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis import get_rules, run_analysis
 from repro.analysis.rules import ALL_RULES, DEFAULT_CONFIG
+from repro.ml.encoding import CategoricalMatrix
+from repro.ml.sparse import FactorizedGroup, FactorizedMatrix, OneHotMatrix
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -603,96 +607,24 @@ class TestProcessDiscipline:
         assert list(findings.findings) == []
 
 
-_GOOD_ENGINE = """\
-class MiniMatrix:
-    def matmul(self, W):
-        return W
-
-    def rmatmul(self, V):
-        return V
-
-    @property
-    def nbytes(self):
-        return 0
-
-    def column_counts(self):
-        return []
-
-    def column_means(self):
-        return []
-
-    def column_scales(self):
-        return []
-"""
-
-
 class TestEngineConformance:
-    def test_fires_when_engine_surface_is_missing(self, tmp_path):
-        source = (
-            "class HalfEngine:\n"
-            "    def matmul(self, W):\n"
-            "        return W\n"
-            "    def rmatmul(self, V):\n"
-            "        return V\n"
-            "    def column_counts(self):\n"
-            "        return []\n"
-        )
-        findings = _findings(tmp_path, source, "engine-conformance")
-        assert len(findings) == 1
-        message = findings[0].message
-        assert "nbytes" in message and "column_means" in message
-        assert "column_counts" not in message.split("define:")[1]
-
-    def test_silent_without_both_kernels(self, tmp_path):
-        source = (
-            "class HalfKernel:\n"
-            "    def matmul(self, W):\n"
-            "        return W\n"
-        )
-        assert _findings(tmp_path, source, "engine-conformance") == []
-
-    def test_silent_on_full_engine_surface(self, tmp_path):
-        assert _findings(tmp_path, _GOOD_ENGINE, "engine-conformance") == []
-
-    def test_protocol_definition_classes_are_skipped(self, tmp_path):
-        source = (
-            "class Engine:\n"
-            "    nbytes: int\n"
-            "    def matmul(self, W):\n"
-            "        raise NotImplementedError\n"
-            "    def rmatmul(self, V):\n"
-            "        raise NotImplementedError\n"
-            "    def column_counts(self):\n"
-            "        raise NotImplementedError\n"
-            "    def column_means(self):\n"
-            "        raise NotImplementedError\n"
-            "    def column_scales(self):\n"
-            "        raise NotImplementedError\n"
-        )
-        assert _findings(tmp_path, source, "engine-conformance") == []
-
-    def test_surface_resolves_through_cross_file_bases(self, tmp_path):
-        findings = _project_findings(
-            tmp_path,
-            {
-                "base.py": _GOOD_ENGINE,
-                "sub.py": (
-                    "from base import MiniMatrix\n"
-                    "class Specialized(MiniMatrix):\n"
-                    "    def matmul(self, W):\n"
-                    "        return W * 2\n"
-                    "    def rmatmul(self, V):\n"
-                    "        return V * 2\n"
-                ),
-            },
-            "engine-conformance",
-        )
-        assert findings == []
+    """Both kernel operands offer the sizing and column-stats surface
+    their callers (working-set accounting, shm transport, scalers) use
+    without a type switch."""
 
     def test_shipped_engine_matrices_pass_clean(self):
-        findings = run_analysis(
-            [SRC_REPRO / "ml" / "sparse.py", SRC_REPRO / "ml" / "encoding.py"],
-            get_rules(["engine-conformance"]),
-            known_rule_ids=ALL_IDS,
+        X = CategoricalMatrix(
+            np.array([[0, 1], [2, 0], [1, 1], [0, 0]]), (3, 2), ("a", "d")
         )
-        assert list(findings.findings) == []
+        factorized = FactorizedMatrix(
+            X.names, X.n_levels, np.array([0]), X.codes[:, :1],
+            [FactorizedGroup("D", np.array([1]), np.array([1, 0, 1, 0]),
+                             np.array([[0], [1]]))],
+        )
+        for operand in (OneHotMatrix(X), factorized):
+            for member in (
+                "nbytes", "column_counts", "column_means", "column_scales",
+            ):
+                assert hasattr(operand, member), (type(operand), member)
+            assert operand.nbytes > 0
+            assert np.array_equal(operand.column_counts(), X.onehot().sum(axis=0))

@@ -1,10 +1,11 @@
-"""Implicit one-hot engine: every kernel must match the dense path.
+"""Implicit one-hot kernels: every kernel must match the dense path.
 
 The dense ``CategoricalMatrix.onehot()`` encoding is the reference
 implementation; :class:`repro.ml.sparse.OneHotMatrix` must reproduce
 its linear algebra to 1e-10 — products, gradients, Gram blocks,
-distances, column statistics — and the numeric models must agree across
-``engine="implicit"`` and ``engine="dense"``.
+distances, column statistics — and the numeric models must agree with
+themselves run on the dense oracle (``encode_features`` substituted by
+the ``dense_oracle`` fixture).
 """
 
 import numpy as np
@@ -12,9 +13,10 @@ import pytest
 
 from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
-from repro.ml.linear import L1LogisticRegression
+from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
+from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.neural import MLPClassifier
-from repro.ml.sparse import OneHotMatrix
+from repro.ml.sparse import FactorizedGroup, FactorizedMatrix, OneHotMatrix
 from repro.ml.svm import KernelSVC
 from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
 
@@ -158,13 +160,35 @@ class TestKernelDispatch:
             rbf_kernel(view, view, gamma=0.0)
 
 
+def _factorized(X: CategoricalMatrix, dimension=(1,), n_dim_rows=3):
+    """``X`` with the given feature positions moved into one block.
+
+    Dimension row ``r`` holds row ``r``'s codes, and fact row ``i``
+    resolves to dimension row ``i % n_dim_rows``, so the gather is
+    ``X.codes[i % n_dim_rows]`` on the blocked positions.
+    """
+    fact = [p for p in range(X.n_features) if p not in dimension]
+    rows = np.arange(X.n_rows) % n_dim_rows
+    block = X.codes[:n_dim_rows][:, list(dimension)]
+    return FactorizedMatrix(
+        X.names, X.n_levels, np.asarray(fact), X.codes[:, fact],
+        [FactorizedGroup("D", np.asarray(dimension), rows, block)],
+    )
+
+
 class TestEngineDispatch:
+    """Layout dispatch: the operand comes from the shard's type."""
+
     def test_encode_features(self):
         X = _random_matrix(6, (3, 2), seed=24)
-        assert isinstance(sparse.encode_features(X, "implicit"), OneHotMatrix)
-        assert isinstance(sparse.encode_features(X, "dense"), np.ndarray)
-        with pytest.raises(ValueError, match="engine"):
-            sparse.encode_features(X, "csr")
+        assert isinstance(sparse.encode_features(X), OneHotMatrix)
+        assert sparse.gathered(X) is X
+        F = _factorized(X)
+        assert sparse.encode_features(F) is F
+        gathered = sparse.gathered(F)
+        assert isinstance(gathered, CategoricalMatrix)
+        assert np.array_equal(gathered.codes[:, 0], X.codes[:, 0])
+        assert np.array_equal(gathered.codes[:, 1], X.codes[np.arange(6) % 3, 1])
 
     def test_helpers_dispatch_both_ways(self):
         X = _random_matrix(9, (4,), seed=25)
@@ -190,39 +214,42 @@ def _separable(n=200, seed=0):
 
 
 class TestModelEngineEquivalence:
-    """One fitted model, two predict paths: agreement to 1e-10."""
+    """One model, the sparse and the dense-oracle paths: agreement to
+    1e-10 when predicting, and the same fitted model when training."""
 
-    def test_logistic_predict_paths_agree(self):
+    def test_logistic_predict_paths_agree(self, dense_oracle):
         X, y = _separable(seed=1)
         model = L1LogisticRegression(lam=1e-3, max_iter=200).fit(X, y)
         implicit = model.decision_function(X)
-        model.engine = "dense"
-        dense = model.decision_function(X)
+        with dense_oracle():
+            dense = model.decision_function(X)
         assert np.allclose(implicit, dense, **TOL)
 
-    def test_logistic_trained_engines_agree(self):
+    def test_logistic_trained_engines_agree(self, dense_oracle):
         X, y = _separable(seed=2)
         kwargs = dict(lam=1e-3, max_iter=300, tol=1e-7)
-        implicit = L1LogisticRegression(engine="implicit", **kwargs).fit(X, y)
-        dense = L1LogisticRegression(engine="dense", **kwargs).fit(X, y)
+        implicit = L1LogisticRegression(**kwargs).fit(X, y)
+        with dense_oracle():
+            dense = L1LogisticRegression(**kwargs).fit(X, y)
         assert np.array_equal(implicit.predict(X), dense.predict(X))
         assert np.allclose(implicit.coef_, dense.coef_, rtol=1e-6, atol=1e-8)
 
-    def test_mlp_predict_paths_agree(self):
+    def test_mlp_predict_paths_agree(self, dense_oracle):
         X, y = _separable(seed=3)
         model = MLPClassifier(
             hidden_sizes=(8,), epochs=5, random_state=0
         ).fit(X, y)
         implicit = model.predict_proba(X)
-        model.engine = "dense"
-        dense = model.predict_proba(X)
+        with dense_oracle():
+            dense = model.predict_proba(X)
         assert np.allclose(implicit, dense, **TOL)
 
-    def test_mlp_trained_engines_agree(self):
+    def test_mlp_trained_engines_agree(self, dense_oracle):
         X, y = _separable(n=120, seed=4)
         kwargs = dict(hidden_sizes=(8,), epochs=5, random_state=0)
-        implicit = MLPClassifier(engine="implicit", **kwargs).fit(X, y)
-        dense = MLPClassifier(engine="dense", **kwargs).fit(X, y)
+        implicit = MLPClassifier(**kwargs).fit(X, y)
+        with dense_oracle():
+            dense = MLPClassifier(**kwargs).fit(X, y)
         assert np.array_equal(implicit.predict(X), dense.predict(X))
         assert np.allclose(
             implicit.predict_proba(X), dense.predict_proba(X),
@@ -239,11 +266,13 @@ class TestModelEngineEquivalence:
         dense = model.decision_function(X)
         assert np.allclose(implicit, dense, **TOL)
 
-    def test_svc_trained_engines_agree(self):
+    def test_svc_trained_engines_agree(self, dense_oracle):
         X, y = _separable(n=100, seed=6)
         kwargs = dict(kernel="rbf", C=1.0, gamma=0.5, random_state=0)
-        implicit = KernelSVC(engine="implicit", **kwargs).fit(X, y)
-        dense = KernelSVC(engine="dense", **kwargs).fit(X, y)
+        implicit = KernelSVC(**kwargs).fit(X, y)
+        with dense_oracle():
+            dense = KernelSVC(**kwargs).fit(X, y)
+        assert isinstance(dense.support_vectors_, np.ndarray)
         assert np.array_equal(implicit.predict(X), dense.predict(X))
 
     def test_degenerate_svc_does_not_pin_training_codes(self):
@@ -253,15 +282,41 @@ class TestModelEngineEquivalence:
         assert sv_codes.shape[0] == 1
         assert sv_codes.base is None or sv_codes.base is not X.codes
 
-    def test_engine_is_a_hyper_parameter(self):
-        for cls in (L1LogisticRegression, MLPClassifier, KernelSVC):
-            model = cls(engine="dense")
-            assert model.clone().get_params()["engine"] == "dense"
+    MODELS = (
+        L1LogisticRegression, MLPClassifier, KernelSVC,
+        KNeighborsClassifier, LogisticRegressionPath,
+    )
+
+    def test_engine_is_not_a_hyper_parameter(self):
+        """The layout is read from the data, never set on a model."""
+        for cls in self.MODELS:
+            model = cls()
+            assert not hasattr(model, "engine")
+            if hasattr(model, "get_params"):
+                assert "engine" not in model.get_params()
 
     def test_invalid_engine_raises(self):
-        X, y = _separable(n=20, seed=7)
-        with pytest.raises(ValueError, match="engine"):
-            L1LogisticRegression(engine="sparse!").fit(X, y)
+        """Every engine is invalid now: the keyword itself is refused."""
+        for cls in self.MODELS:
+            with pytest.raises(TypeError, match="engine"):
+                cls(engine="dense")
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: L1LogisticRegression(lam=1e-3, max_iter=50),
+            lambda: MLPClassifier(hidden_sizes=(6,), epochs=3),
+            lambda: KernelSVC(kernel="rbf", gamma=0.5),
+            lambda: KNeighborsClassifier(n_neighbors=1),
+        ],
+        ids=["lr", "mlp", "svc", "knn"],
+    )
+    def test_factorized_input_fits_and_predicts_like_gathered(self, make):
+        X, y = _separable(n=60, seed=9)
+        F = _factorized(X, dimension=(1,), n_dim_rows=60)
+        gathered = make().fit(X, y)
+        factorized = make().fit(F, y)
+        assert np.array_equal(gathered.predict(X), factorized.predict(F))
 
 
 class TestRmatmulScatterPerf:

@@ -87,11 +87,7 @@ class TestProcessShardedAnswers:
                     _serve(reference_server, [row])[0] for row in rows
                 ]
 
-    def test_thread_and_process_pools_are_exclusive(self, artifact, dataset):
-        with pytest.raises(ValueError, match="mutually"):
-            PredictionServer(
-                artifact, dataset.schema, workers=2, process_workers=2
-            )
+    def test_process_workers_must_be_non_negative(self, artifact, dataset):
         with pytest.raises(ValueError, match="process_workers"):
             PredictionServer(artifact, dataset.schema, process_workers=-1)
 

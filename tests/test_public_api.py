@@ -56,6 +56,21 @@ class TestVersion:
         assert len(parts) == 3
         assert all(part.isdigit() for part in parts)
 
+    def test_version_has_one_source(self):
+        """``pyproject.toml`` reads the version from ``repro.__version__``
+        instead of declaring a second copy that can drift."""
+        from pathlib import Path
+
+        tomllib = pytest.importorskip("tomllib")  # stdlib from 3.11
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+
 
 class TestModelRegistryCompleteness:
     def test_registry_covers_papers_ten_classifiers(self):

@@ -147,7 +147,7 @@ class TestAccounting:
 
     def test_context_manager_closes_runtime(self, artifact, dataset):
         with PredictionServer(
-            artifact, dataset.schema, workers=2, max_wait_s=0.005
+            artifact, dataset.schema, max_wait_s=0.005
         ) as server:
             rows = _label_rows(server, dataset, 3)
             handles = [server.submit(r) for r in rows]

@@ -1,7 +1,9 @@
 """The streaming engine's contract: equivalence with in-memory training.
 
 Property-based (hypothesis-randomised schemas and seeds), parametrised
-over both execution engines and all four join-strategy families:
+over the implicit one-hot path and the dense oracle (``encode_features``
+substituted by the ``dense_oracle`` fixture) and all four join-strategy
+families:
 
 - a one-epoch streaming fit over a *single* shard is bit-identical to
   the in-memory fit (LR coefficients and MLP weight tensors compared
@@ -12,7 +14,7 @@ over both execution engines and all four join-strategy families:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -42,7 +44,19 @@ STRATEGIES = {
     "AvoidDimensions": lambda: avoid_dimensions_strategy("R1"),
 }
 
-ENGINES = ("implicit", "dense")
+#: The sparse kernels and the dense one-hot oracle.
+PATHS = ("implicit", "dense")
+
+#: The oracle fixture hands out a fresh context per use, so sharing it
+#: across hypothesis examples is safe.
+FIXTURE_OK = [HealthCheck.function_scoped_fixture]
+
+
+def _on(path, dense_oracle):
+    """The encode-path context for one parametrised path."""
+    import contextlib
+
+    return dense_oracle() if path == "dense" else contextlib.nullcontext()
 
 
 def random_star_dataset(seed: int) -> SplitDataset:
@@ -105,46 +119,48 @@ def _both_classes_present(dataset: SplitDataset) -> bool:
     return np.unique(dataset.labels("train")).size == 2
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
 class TestSingleShardBitIdentity:
-    @settings(max_examples=4, deadline=None)
+    @settings(max_examples=4, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_logistic_regression(self, engine, strategy_name, seed):
+    def test_logistic_regression(
+        self, path, strategy_name, seed, dense_oracle
+    ):
         dataset = random_star_dataset(seed)
         strategy = STRATEGIES[strategy_name]()
         matrices = strategy.matrices(dataset)
-        reference = L1LogisticRegression(max_iter=150, engine=engine)
-        reference.fit(matrices.X_train, matrices.y_train)
+        with _on(path, dense_oracle):
+            reference = L1LogisticRegression(max_iter=150)
+            reference.fit(matrices.X_train, matrices.y_train)
 
-        stream = strategy.streaming_matrices(dataset, n_shards=1)
-        model = L1LogisticRegression(max_iter=150, engine=engine)
-        StreamingTrainer(model, seed=seed).fit(stream)
+            stream = strategy.streaming_matrices(dataset, n_shards=1)
+            model = L1LogisticRegression(max_iter=150)
+            StreamingTrainer(model, seed=seed).fit(stream)
 
         assert np.array_equal(reference.coef_, model.coef_)
         assert reference.intercept_ == model.intercept_
         assert reference.n_iter_ == model.n_iter_
 
-    @settings(max_examples=3, deadline=None)
+    @settings(max_examples=3, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_mlp_one_epoch(self, engine, strategy_name, seed):
+    def test_mlp_one_epoch(self, path, strategy_name, seed, dense_oracle):
         dataset = random_star_dataset(seed)
         if not _both_classes_present(dataset):
             return
         strategy = STRATEGIES[strategy_name]()
         matrices = strategy.matrices(dataset)
-        reference = MLPClassifier(
-            hidden_sizes=(6,), epochs=1, random_state=0, engine=engine
-        )
-        reference.fit(matrices.X_train, matrices.y_train)
+        with _on(path, dense_oracle):
+            reference = MLPClassifier(
+                hidden_sizes=(6,), epochs=1, random_state=0
+            )
+            reference.fit(matrices.X_train, matrices.y_train)
 
-        stream = strategy.streaming_matrices(dataset, n_shards=1)
-        model = MLPClassifier(
-            hidden_sizes=(6,), epochs=1, random_state=0, engine=engine
-        )
-        # The trainer's shard-order seed differs from the model's
-        # random_state on purpose: it must not perturb the model RNG.
-        StreamingTrainer(model, seed=seed + 1).fit(stream)
+            stream = strategy.streaming_matrices(dataset, n_shards=1)
+            model = MLPClassifier(hidden_sizes=(6,), epochs=1, random_state=0)
+            # The trainer's shard-order seed differs from the model's
+            # random_state on purpose: it must not perturb the model RNG.
+            StreamingTrainer(model, seed=seed + 1).fit(stream)
 
         for w_ref, w_stream in zip(reference.weights_, model.weights_):
             assert np.array_equal(w_ref, w_stream)
@@ -152,45 +168,48 @@ class TestSingleShardBitIdentity:
             assert np.array_equal(b_ref, b_stream)
         assert reference.loss_curve_ == model.loss_curve_
 
-    @settings(max_examples=2, deadline=None)
+    @settings(max_examples=2, deadline=None, suppress_health_check=FIXTURE_OK)
     @given(seed=st.integers(min_value=0, max_value=10**6))
-    def test_multi_shard_lr_same_loss(self, engine, strategy_name, seed):
+    def test_multi_shard_lr_same_loss(
+        self, path, strategy_name, seed, dense_oracle
+    ):
         dataset = random_star_dataset(seed)
         strategy = STRATEGIES[strategy_name]()
         matrices = strategy.matrices(dataset)
-        # A firmer penalty converges in fewer FISTA iterations; the
-        # equivalence claim is about shard layout, not the lam choice.
-        reference = L1LogisticRegression(
-            lam=1e-2, max_iter=1500, tol=1e-8, engine=engine
-        )
-        reference.fit(matrices.X_train, matrices.y_train)
+        with _on(path, dense_oracle):
+            # A firmer penalty converges in fewer FISTA iterations; the
+            # equivalence claim is about shard layout, not the lam
+            # choice.
+            reference = L1LogisticRegression(lam=1e-2, max_iter=1500, tol=1e-8)
+            reference.fit(matrices.X_train, matrices.y_train)
 
-        shard_rows = max(5, dataset.train.size // 4)
-        stream = strategy.streaming_matrices(dataset, shard_rows=shard_rows)
-        assert stream.n_shards > 1
-        model = L1LogisticRegression(
-            lam=1e-2, max_iter=1500, tol=1e-8, engine=engine
-        )
-        StreamingTrainer(model, seed=seed).fit(stream)
+            shard_rows = max(5, dataset.train.size // 4)
+            stream = strategy.streaming_matrices(
+                dataset, shard_rows=shard_rows
+            )
+            assert stream.n_shards > 1
+            model = L1LogisticRegression(lam=1e-2, max_iter=1500, tol=1e-8)
+            StreamingTrainer(model, seed=seed).fit(stream)
 
-        loss_ref = reference.loss(matrices.X_train, matrices.y_train)
-        loss_stream = model.loss(matrices.X_train, matrices.y_train)
+            loss_ref = reference.loss(matrices.X_train, matrices.y_train)
+            loss_stream = model.loss(matrices.X_train, matrices.y_train)
         assert abs(loss_ref - loss_stream) < 1e-6
 
 
 class TestEngineAgreementUnderStreaming:
-    """Both engines agree shard-for-shard, streamed or not."""
+    """The sparse path and the dense oracle agree shard-for-shard."""
 
     @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
-    def test_multi_shard_engines_agree(self, strategy_name):
+    def test_multi_shard_engines_agree(self, strategy_name, dense_oracle):
         dataset = random_star_dataset(7)
         strategy = STRATEGIES[strategy_name]()
         models = {}
-        for engine in ENGINES:
-            stream = strategy.streaming_matrices(dataset, shard_rows=13)
-            model = L1LogisticRegression(max_iter=300, engine=engine)
-            StreamingTrainer(model).fit(stream)
-            models[engine] = model
+        for path in PATHS:
+            with _on(path, dense_oracle):
+                stream = strategy.streaming_matrices(dataset, shard_rows=13)
+                model = L1LogisticRegression(max_iter=300)
+                StreamingTrainer(model).fit(stream)
+            models[path] = model
         np.testing.assert_allclose(
             models["implicit"].coef_, models["dense"].coef_, atol=1e-10
         )
