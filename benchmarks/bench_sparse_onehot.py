@@ -7,12 +7,12 @@ one-hot encoding explodes: its ``(n, |D_FK| + 8)`` float64 matrix and
 every product against it cost ``O(n · |D_FK|)``, while the implicit
 :class:`~repro.ml.sparse.OneHotMatrix` view stays ``O(n · 3)`` per pass.
 
-The benchmark builds both operands itself — ``OneHotMatrix(X)`` and the
-dense ``X.onehot()`` array — and hands each to the model's FISTA loop
-through the pass-runner protocol of
-:meth:`~repro.ml.linear.logistic.L1LogisticRegression.fit_stream`, so
-both run the same fixed number of iterations (``tol=0``) on exactly
-that operand: the comparison is work-for-work.  Timing runs are separated from
+The benchmark makes the model encode through one operand or the other
+— ``OneHotMatrix(X)`` or the dense ``X.onehot()`` array — by
+substituting :func:`repro.ml.sparse.encode_features` for the fit, as
+the tests' ``dense_oracle`` fixture does, so both run the same fixed
+number of FISTA iterations (``tol=0``) on exactly that operand: the
+comparison is work-for-work.  Timing runs are separated from
 ``tracemalloc`` peak-memory runs to keep timings honest.  Results land
 in ``BENCH_sparse_onehot.json``; the committed copy at the repo root
 records a full run at domain sizes 10^2..10^5.
@@ -32,6 +32,7 @@ is enforced wherever the benchmark runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -39,11 +40,9 @@ import tracemalloc
 
 import numpy as np
 
-from repro.data import MatrixSource
 from repro.ml import sparse
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression
-from repro.ml.linear.logistic import _sigmoid
 from repro.ml.sparse import OneHotMatrix
 from repro.obs import machine_info
 from repro.rng import ensure_rng
@@ -68,33 +67,23 @@ def make_dataset(n_rows: int, fk_domain: int, seed: int = 0):
 OPERANDS = {"implicit": OneHotMatrix, "dense": CategoricalMatrix.onehot}
 
 
-class OperandPasses:
-    """FISTA's two data sweeps over one prebuilt operand.
-
-    A pass runner for :meth:`L1LogisticRegression.fit_stream` that skips
-    the model's own encoding: every product runs on the operand given.
-    """
-
-    def __init__(self, operand, y: np.ndarray):
-        self.operand = operand
-        self.signed = np.where(y > 0, 1.0, -1.0)
-
-    def power_step(self, v: np.ndarray) -> np.ndarray:
-        return sparse.rmatmul(self.operand, sparse.matmul(self.operand, v))
-
-    def gradient(self, z_w, z_b: float, n: int, fit_intercept: bool):
-        margin = self.signed * (sparse.matmul(self.operand, z_w) + z_b)
-        residual = -(self.signed * _sigmoid(-margin)) / n
-        grad_b = residual.sum() if fit_intercept else 0.0
-        return sparse.rmatmul(self.operand, residual), grad_b
+@contextlib.contextmanager
+def _encoding(operand: str):
+    """Make the model encode every shard as ``operand`` inside the block."""
+    original = sparse.encode_features
+    sparse.encode_features = OPERANDS[operand]
+    try:
+        yield
+    finally:
+        sparse.encode_features = original
 
 
 def _fit(X, y, operand: str, max_iter: int) -> L1LogisticRegression:
     # tol=0 disables early convergence so both operands run max_iter
     # FISTA iterations: identical work, directly comparable wall-clock.
     model = L1LogisticRegression(lam=1e-4, max_iter=max_iter, tol=0.0)
-    passes = OperandPasses(OPERANDS[operand](X), y)
-    return model.fit_stream(MatrixSource(X, y), passes=passes)
+    with _encoding(operand):
+        return model.fit(X, y)
 
 
 def _decision(model: L1LogisticRegression, X, operand: str) -> np.ndarray:

@@ -133,7 +133,7 @@ class ProcessDisciplineRule(Rule):
                     f"{member} constructs a multiprocessing primitive —"
                     " process fan-out belongs in repro.parallel (wrap a"
                     " FeatureSource in ProcessPrefetchingSource, or use"
-                    " ProcessFISTAPasses / ProcessPredictorPool)",
+                    " ProcessPredictorPool)",
                 )
             )
         return findings

@@ -190,10 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="workers=N",
         help=(
-            "train on the process-parallel tier (repro.parallel): exact "
-            "logistic fans its FISTA passes across N worker processes "
-            "(bit-identical to serial); other models prefetch shards "
-            "through an N-process pool"
+            "produce training shards on N worker processes "
+            "(repro.parallel.ProcessPrefetchingSource; bit-identical to "
+            "serial); every model consumes them in-process"
         ),
     )
     p_fit.add_argument("--scale", choices=["smoke", "default", "paper"])

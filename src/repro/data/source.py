@@ -196,12 +196,9 @@ class MatrixSource(FeatureSource):
     """Adapt one in-memory ``(X, y)`` pair to the shard protocol.
 
     With ``shard_rows=None`` (the default) the matrix is a single
-    shard, and — crucially for the equivalence contract — every
-    iteration yields the *same* matrix object, so per-object encoding
-    memos (:class:`repro.ml.linear.logistic._EncodingMemo`) hit on each
-    FISTA pass exactly as the pre-protocol ``fit`` did.  With a bound,
-    the matrix is cut into contiguous row blocks once, up front (the
-    blocks are small index copies of an already-resident matrix).
+    shard, yielded as the *same* matrix object every time.  With a
+    bound, the matrix is cut into contiguous row blocks once, up front
+    (the blocks are small index copies of an already-resident matrix).
     """
 
     def __init__(self, X, y, shard_rows: int | None = None):

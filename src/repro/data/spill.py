@@ -1,17 +1,25 @@
-"""A disk-spilling LRU cache of encoded shards.
+"""A disk-spilling cache of encoded shards.
 
 Multi-pass consumers — exact FISTA makes one full pass over the shards
-*per iteration* — force out-of-core sources to re-produce every shard
-hundreds of times.  For a CSV-backed source each production is a seek,
-a text parse, a per-column domain encode and a KFK join; all of it
-yields the same bytes every time.  :class:`SpillCacheSource` intercepts
-:meth:`shard` and keeps each shard's encoded form — the integer code
-matrix (or, for a factorized shard, its per-row codes plus each
-blocked dimension's resolved rows and code block) and the label vector,
-exactly the arrays training consumes — in an ``.npz`` file, bounded by
-an LRU byte budget.  Re-reads become one
-``np.load`` instead of a re-parse and re-join, while peak *memory*
-stays one shard: the cache spills to disk, not to RAM.
+*per iteration* and re-reads every shard past its residency cap, tree
+frontiers and MLP epochs re-read them all — force out-of-core sources
+to re-produce shards many times.  For a CSV-backed source each
+production is a seek, a text parse, a per-column domain encode and a
+KFK join; all of it yields the same bytes every time.
+:class:`SpillCacheSource` intercepts :meth:`shard` and keeps each
+shard's encoded form — the integer code matrix (or, for a factorized
+shard, its per-row codes plus each blocked dimension's resolved rows
+and code block) and the label vector, exactly the arrays training
+consumes — in an ``.npz`` file, within an optional byte budget.
+Re-reads become one ``np.load`` instead of a re-parse and re-join,
+while peak *memory* stays one shard: the cache spills to disk, not to
+RAM.
+
+The budget admits shards while there is room and never evicts.  A
+multi-pass scan reads shards in the same order every pass, so under
+LRU the shard a pass is about to read is always the one just evicted
+and nothing ever hits; keeping the first shards that fit makes every
+later pass hit on all of them.
 
 The decorator contract holds: cached shards are byte-identical to what
 the wrapped source produces (``tests/test_data_spill.py`` asserts it),
@@ -35,7 +43,6 @@ import shutil
 import tempfile
 import zipfile
 import zlib
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -78,16 +85,15 @@ def _shard_arrays(X, y: np.ndarray) -> dict[str, np.ndarray]:
 
 @dataclass
 class SpillStats:
-    """Hit/miss/eviction accounting for one spill cache.
+    """Hit/miss accounting for one spill cache.
 
     A point-in-time snapshot view over the cache's registry-backed
     metrics (``data.spill.*``).  ``spilled_bytes`` is gauge-backed — it
-    falls when evictions remove files from disk.
+    falls when a corrupt entry is dropped from disk.
     """
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     spilled_bytes: int = 0
     corruptions: int = 0
 
@@ -98,12 +104,12 @@ class SpillStats:
     def __str__(self) -> str:
         return (
             f"spill cache: {self.hits} hits / {self.misses} misses, "
-            f"{self.evictions} evictions, {self.spilled_bytes} bytes on disk"
+            f"{self.spilled_bytes} bytes on disk"
         )
 
 
 class SpillCacheSource(SourceDecorator):
-    """Cache the wrapped source's encoded shards on disk, LRU-bounded.
+    """Cache the wrapped source's encoded shards on disk.
 
     Parameters
     ----------
@@ -120,9 +126,9 @@ class SpillCacheSource(SourceDecorator):
         created if needed and left in place (only the shard files this
         cache wrote are removed on close).
     max_bytes:
-        LRU byte budget for the on-disk cache; ``None`` means
-        unbounded.  Eviction is by least-recent *use*, so a sequential
-        multi-pass workload keeps the hottest tail resident.
+        Byte budget for the on-disk cache; ``None`` means unbounded.
+        A shard is admitted if it fits in what is left and nothing is
+        ever evicted, so a multi-pass scan hits on every admitted shard.
     registry:
         Metrics registry backing the ``data.spill.*`` metrics.
         ``None`` keeps a private one (exact per-instance stats).
@@ -155,11 +161,10 @@ class SpillCacheSource(SourceDecorator):
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._hits = self.metrics.counter("data.spill.hits")
         self._misses = self.metrics.counter("data.spill.misses")
-        self._evictions = self.metrics.counter("data.spill.evictions")
         self._spilled_bytes = self.metrics.gauge("data.spill.bytes")
         self._corruptions = self.metrics.counter("data.spill.corruptions")
         self.retry_policy = retry_policy
-        self._entries: OrderedDict[int, int] = OrderedDict()  # index -> bytes
+        self._entries: dict[int, int] = {}  # index -> bytes
         self._closed = False
 
     @property
@@ -168,7 +173,6 @@ class SpillCacheSource(SourceDecorator):
         return SpillStats(
             hits=self._hits.value,
             misses=self._misses.value,
-            evictions=self._evictions.value,
             spilled_bytes=int(self._spilled_bytes.value),
             corruptions=self._corruptions.value,
         )
@@ -185,12 +189,10 @@ class SpillCacheSource(SourceDecorator):
         if self.source.n_shards <= 1:
             # A single-shard source is already its own best cache (the
             # in-memory adapters and StreamingMatrices both keep the one
-            # shard resident, and multi-pass consumers key encoding
-            # memos on object identity); spilling it would replace a
-            # resident object with a disk re-load per pass.
+            # shard resident); spilling it would replace a resident
+            # object with a disk re-load per pass.
             return self.source.shard(index)
         if index in self._entries:
-            self._entries.move_to_end(index)
             try:
                 loaded = self._load(index)
             except SpillCorruptionError:
@@ -283,6 +285,15 @@ class SpillCacheSource(SourceDecorator):
                 np.savez(
                     handle, **arrays, crc=np.uint32(_checksum(arrays))
                 )
+            size = os.path.getsize(tmp)
+            # Admit only what fits in the budget left; a shard that does
+            # not fit is not cached (the wrapped source serves it again).
+            if (
+                self.max_bytes is not None
+                and sum(self._entries.values()) + size > self.max_bytes
+            ):
+                os.unlink(tmp)
+                return
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -290,26 +301,8 @@ class SpillCacheSource(SourceDecorator):
             except OSError:
                 pass
             raise
-        size = path.stat().st_size
         self._entries[index] = size
         self._spilled_bytes.add(size)
-        if self.max_bytes is None:
-            return
-        while (
-            sum(self._entries.values()) > self.max_bytes
-            and len(self._entries) > 1
-        ):
-            self._evict()
-        # A budget smaller than a single shard disables caching rather
-        # than erroring: the freshly written entry is dropped too.
-        if self._entries and sum(self._entries.values()) > self.max_bytes:
-            self._evict()
-
-    def _evict(self) -> None:
-        index, size = self._entries.popitem(last=False)
-        self._path(index).unlink(missing_ok=True)
-        self._evictions.inc()
-        self._spilled_bytes.add(-size)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -17,8 +17,9 @@ each blocked dimension costs ``O(n + |D|·d_R)`` instead.
 Because the logistic gradient is a sum over examples, FISTA streams:
 :meth:`L1LogisticRegression.fit_stream` runs the *exact* full-batch
 iteration while visiting the data as bounded shards, one pass per
-iteration, keeping only width-sized state between shards.  ``fit``
-itself delegates to ``fit_stream`` with the whole matrix as a single
+iteration; the first :data:`RESIDENT_SHARDS` shards stay prepared
+between passes, the rest are re-read each pass.  ``fit`` itself
+delegates to ``fit_stream`` with the whole matrix as a single
 shard, so the in-memory and out-of-core paths share one code path and a
 single-shard streaming fit is bit-identical to an in-memory fit by
 construction.  :meth:`L1LogisticRegression.partial_fit` is the cheaper
@@ -34,6 +35,7 @@ from repro.data.source import MatrixSource
 from repro.ml import sparse
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
+from repro.obs import tracer
 from repro.rng import ensure_rng
 
 
@@ -76,54 +78,71 @@ def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
     return max(sigma / (4.0 * n), 1e-12)
 
 
-class _EncodingMemo:
-    """Size-1 encoding cache keyed on matrix object identity.
+#: Prepared shards an exact fit keeps between passes.  Shards past the
+#: cap are re-read on every pass, so a fit holds at most
+#: ``RESIDENT_SHARDS + 1`` shards however many rows the stream has.
+RESIDENT_SHARDS = 8
 
-    An in-memory source (:class:`repro.data.MatrixSource`) yields the
-    *same* :class:`CategoricalMatrix` object every pass, so its encoding
-    is built once — matching the pre-streaming cost of ``fit``.  Out-of-
-    core sources yield fresh shard objects each pass and re-encode, as
-    they must: holding every shard's encoding would unbound memory.
+
+def _prepare(X, y) -> tuple:
+    """One shard as the kernels read it: operand and ±1 labels.
+
+    Both hold only arrays the caller owns
+    (:func:`repro.ml.sparse.resident`), so nothing borrowed from the
+    source is read after the source moves on to the next shard.
+    """
+    operand = sparse.resident(sparse.encode_features(X))
+    return operand, np.where(np.asarray(y) > 0, 1.0, -1.0)
+
+
+class _ShardPasses:
+    """Exact FISTA's two data sweeps over a stream's shards.
+
+    The first pass reads and prepares every shard and keeps the first
+    :data:`RESIDENT_SHARDS` of them; every later pass reuses those and
+    re-reads the rest, in stream order.  A stream within the cap is
+    joined and encoded once per fit, not once per pass.  Each sweep
+    folds the per-shard partials into zeros in stream order, so which
+    shards are resident never changes a coefficient bit.
     """
 
-    __slots__ = ("_X", "_encoded")
-
-    def __init__(self):
-        self._X = None
-        self._encoded = None
-
-    def __call__(self, X: CategoricalMatrix):
-        if X is not self._X:
-            self._X = X
-            self._encoded = sparse.encode_features(X)
-        return self._encoded
-
-
-class _SerialPasses:
-    """The serial pass runner: one thread, one pass over the stream.
-
-    The *pass runner* protocol factors the two data sweeps FISTA makes
-    — the power-iteration step and the full-batch gradient — out of
-    :meth:`L1LogisticRegression.fit_stream`, so an alternative runner
-    (:class:`repro.parallel.ProcessFISTAPasses` fans the shards across
-    worker processes) can slot in without touching the optimiser.  Any
-    runner must reduce per-shard partials in stream order starting from
-    zeros; this one simply *is* that fold, so the serial path's
-    arithmetic is unchanged instruction for instruction.
-    """
-
-    __slots__ = ("stream", "encode")
+    __slots__ = ("stream", "resident", "_read")
 
     def __init__(self, stream):
         self.stream = stream
-        self.encode = _EncodingMemo()
+        self.resident: list[tuple] = []
+        self._read = False
+
+    def _shards(self):
+        """Every prepared shard, in stream order: one pass."""
+        if not self._read:
+            self._read = True
+            for _, X, y in self.stream.iter_shards():
+                shard = _prepare(X, y)
+                if len(self.resident) < RESIDENT_SHARDS:
+                    self.resident.append(shard)
+                yield shard
+            return
+        yield from self.resident
+        rest = range(len(self.resident), self.stream.n_shards)
+        if rest:
+            for _, X, y in self.stream.iter_shards(rest):
+                yield _prepare(X, y)
+
+    def resident_bytes(self) -> int:
+        """Bytes of the prepared shards kept between passes."""
+        return sum(
+            operand.nbytes + signed.nbytes for operand, signed in self.resident
+        )
 
     def power_step(self, v: np.ndarray) -> np.ndarray:
         """``Σ_s X_sᵀ (X_s v)`` accumulated over one shard pass."""
         acc = np.zeros(v.shape[0])
-        for X, _ in self.stream:
-            encoded = self.encode(X)
+        for encoded, _ in self._shards():
             acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
+            # Drop the shard before the next read: one past the cap is
+            # not resident and would otherwise stay alive beside it.
+            del encoded
         return acc
 
     def gradient(
@@ -132,15 +151,14 @@ class _SerialPasses:
         """The exact full-batch logistic gradient at ``(z_w, z_b)``."""
         grad_w = np.zeros(z_w.shape[0])
         grad_b = 0.0
-        for X, y in self.stream:
-            encoded = self.encode(X)
-            signed = np.where(np.asarray(y) > 0, 1.0, -1.0)
+        for encoded, signed in self._shards():
             margin = signed * (sparse.matmul(encoded, z_w) + z_b)
             probs = _sigmoid(-margin)
             residual = -(signed * probs) / n
             grad_w += sparse.rmatmul(encoded, residual)
             if fit_intercept:
                 grad_b += residual.sum()
+            del encoded, signed  # as in power_step
         return grad_w, grad_b
 
 
@@ -214,26 +232,25 @@ class L1LogisticRegression(Estimator):
         self,
         stream,
         warm_start: tuple[np.ndarray, float] | None = None,
-        passes=None,
     ) -> "L1LogisticRegression":
         """Fit with exact FISTA, visiting the data as bounded shards.
 
         ``stream`` is any :class:`repro.data.FeatureSource` (the exact
-        attributes used: ``n_rows``, ``onehot_width``, ``n_features``
-        and a re-iterable ``__iter__`` of ``(X, labels)`` pairs in
-        stable order, each ``X`` gathered or factorized).  Each FISTA iteration makes one pass over
-        the shards, accumulating the full-batch gradient; between shards
-        only width-sized state is held, so peak memory is bounded by the
-        largest shard regardless of ``n_rows``.  The iterates are the
-        full-batch ones — this is out-of-core execution, not an
-        approximate optimiser — and with a single shard the arithmetic
-        is bit-identical to :meth:`fit`.
+        attributes used: ``n_rows``, ``n_shards``, ``onehot_width``,
+        ``n_features`` and ``iter_shards``, each shard's ``X`` gathered
+        or factorized).  Each FISTA iteration makes one pass over the
+        shards, accumulating the full-batch gradient.  The first
+        :data:`RESIDENT_SHARDS` shards are prepared once and stay
+        resident for every later pass; the rest are re-read per pass,
+        so peak memory is bounded by ``RESIDENT_SHARDS + 1`` shards
+        regardless of ``n_rows``.  The iterates are the full-batch ones
+        — this is out-of-core execution, not an approximate optimiser —
+        and with a single shard the arithmetic is bit-identical to
+        :meth:`fit`.
 
-        ``passes`` substitutes a pass runner for the default serial
-        :class:`_SerialPasses` — e.g.
-        :class:`repro.parallel.ProcessFISTAPasses`, which evaluates the
-        per-shard work on a process pool while preserving the serial
-        reduction order, keeping coefficients bit-identical.
+        When a run is traced, the innermost open span (the streaming
+        trainer's ``fit``) is annotated once with ``resident_shards``
+        and ``resident_bytes``.
         """
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
@@ -248,7 +265,7 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        runner = passes if passes is not None else _SerialPasses(stream)
+        runner = _ShardPasses(stream)
         L = _power_lipschitz(runner.power_step, n, width) + (
             0.25 if self.fit_intercept else 0.0
         )
@@ -273,6 +290,12 @@ class L1LogisticRegression(Estimator):
         self.coef_ = w
         self.intercept_ = b
         self.n_features_ = int(stream.n_features)
+        span = tracer().current()
+        if span is not None:
+            span.annotate(
+                resident_shards=len(runner.resident),
+                resident_bytes=runner.resident_bytes(),
+            )
         return self
 
     def _reset(self) -> None:

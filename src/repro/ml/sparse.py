@@ -73,10 +73,10 @@ class OneHotMatrix:
         copied; the view is read-only.
     """
 
-    __slots__ = ("codes", "n_levels", "offsets", "_flat")
+    __slots__ = ("_codes", "n_levels", "offsets", "_flat")
 
     def __init__(self, source: CategoricalMatrix):
-        self.codes = source.codes
+        self._codes = source.codes
         self.n_levels = tuple(int(k) for k in source.n_levels)
         self.offsets = np.concatenate(
             ([0], np.cumsum(self.n_levels))
@@ -85,24 +85,50 @@ class OneHotMatrix:
 
     def _replace_codes(self, codes: np.ndarray) -> "OneHotMatrix":
         view = object.__new__(OneHotMatrix)
-        view.codes = codes
+        view._codes = codes
         view.n_levels = self.n_levels
         view.offsets = self.offsets
         view._flat = None
+        return view
+
+    def resident(self) -> "OneHotMatrix":
+        """A copy to keep across passes, holding only the flat codes.
+
+        The kernels read nothing else, and the flat codes are a fresh
+        array, so the copy borrows nothing from the codes it came from
+        (a shared-memory shard's codes are released when the next shard
+        is read).  Its :attr:`codes` are re-derived on each access.
+        """
+        view = object.__new__(OneHotMatrix)
+        view._codes = None
+        view.n_levels = self.n_levels
+        view.offsets = self.offsets
+        view._flat = self._flat_codes()
         return view
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def codes(self) -> np.ndarray:
+        """The ``(n, d)`` integer codes."""
+        if self._codes is None:
+            return self._flat - self.offsets[:-1][np.newaxis, :]
+        return self._codes
+
+    def _table(self) -> np.ndarray:
+        """The ``(n, d)`` table held: the codes, or only the flat codes."""
+        return self._flat if self._codes is None else self._codes
+
+    @property
     def n_rows(self) -> int:
         """Number of examples."""
-        return self.codes.shape[0]
+        return self._table().shape[0]
 
     @property
     def n_features(self) -> int:
         """Number of categorical features (one-hot blocks)."""
-        return self.codes.shape[1]
+        return self._table().shape[1]
 
     @property
     def width(self) -> int:
@@ -123,8 +149,9 @@ class OneHotMatrix:
         the dense encoding this view stands in for (the benchmark's
         ``shard_dense_equivalent_bytes``).
         """
+        codes = self._codes.nbytes if self._codes is not None else 0
         flat = self._flat.nbytes if self._flat is not None else 0
-        return int(self.codes.nbytes + self.offsets.nbytes + flat)
+        return int(codes + self.offsets.nbytes + flat)
 
     def _flat_codes(self) -> np.ndarray:
         """Codes shifted into one-hot column positions, cached."""
@@ -394,7 +421,7 @@ class FactorizedMatrix:
         "n_levels",
         "offsets",
         "fact_positions",
-        "fact_codes",
+        "_fact_codes",
         "groups",
         "_fact_flat",
     )
@@ -413,7 +440,7 @@ class FactorizedMatrix:
             ([0], np.cumsum(self.n_levels))
         ).astype(np.int64)
         self.fact_positions = np.asarray(fact_positions, dtype=np.int64)
-        self.fact_codes = np.asarray(fact_codes, dtype=np.int64)
+        self._fact_codes = np.asarray(fact_codes, dtype=np.int64)
         self.groups = tuple(groups)
         self._fact_flat: np.ndarray | None = None
         if self.fact_codes.ndim != 2:
@@ -446,13 +473,51 @@ class FactorizedMatrix:
                     f"dim_rows, expected {n}"
                 )
 
+    def resident(self) -> "FactorizedMatrix":
+        """A copy to keep across passes, owning every array it holds.
+
+        It keeps what the kernels read: the fact columns' flat codes and
+        a copy of each group's positions, resolved rows and block — a
+        shared-memory shard's arrays are released when the next shard
+        is read.  Its :attr:`fact_codes` are re-derived on each access.
+        """
+        view = object.__new__(FactorizedMatrix)
+        view.names = self.names
+        view.n_levels = self.n_levels
+        view.offsets = self.offsets
+        view.fact_positions = self.fact_positions.copy()
+        view._fact_codes = None
+        view._fact_flat = self._fact_flat_codes()
+        view.groups = tuple(
+            FactorizedGroup(
+                group.name,
+                group.positions.copy(),
+                group.dim_rows.copy(),
+                group.block.copy(),
+            )
+            for group in self.groups
+        )
+        return view
+
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
+    def fact_codes(self) -> np.ndarray:
+        """The ``(n, d_fact)`` codes of the per-row feature columns."""
+        if self._fact_codes is None:
+            return (
+                self._fact_flat
+                - self.offsets[self.fact_positions][np.newaxis, :]
+            )
+        return self._fact_codes
+
+    @property
     def n_rows(self) -> int:
         """Number of examples (fact rows)."""
-        return self.fact_codes.shape[0]
+        if self._fact_codes is None:
+            return self._fact_flat.shape[0]
+        return self._fact_codes.shape[0]
 
     @property
     def n_features(self) -> int:
@@ -483,9 +548,10 @@ class FactorizedMatrix:
         ``n·d·8``-byte code table — the factorized layout is smaller by
         roughly the dimension fan-out.
         """
+        codes = self._fact_codes.nbytes if self._fact_codes is not None else 0
         flat = self._fact_flat.nbytes if self._fact_flat is not None else 0
         return int(
-            self.fact_codes.nbytes
+            codes
             + self.fact_positions.nbytes
             + self.offsets.nbytes
             + sum(g.nbytes for g in self.groups)
@@ -513,7 +579,7 @@ class FactorizedMatrix:
         view.n_levels = self.n_levels
         view.offsets = self.offsets
         view.fact_positions = self.fact_positions
-        view.fact_codes = self.fact_codes[rows]
+        view._fact_codes = self.fact_codes[rows]
         view.groups = tuple(g.take_rows(rows) for g in self.groups)
         view._fact_flat = None
         return view
@@ -728,3 +794,14 @@ def take_rows(
     if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
         return A.take_rows(rows)
     return A[rows]
+
+
+def resident(
+    A: "OneHotMatrix | FactorizedMatrix | np.ndarray",
+) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
+    """Any layout's operand in a form to keep across passes, owning its
+    arrays.  A dense operand (the test oracle's) is already a fresh
+    array of its own and is kept as it is."""
+    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+        return A.resident()
+    return A

@@ -1,14 +1,13 @@
 """The process-parallel execution tier over the ``FeatureSource`` protocol.
 
-Three pieces, one per GIL-bound stage of the system:
+Two pieces, one per GIL-bound stage of the system:
 
 - :class:`ProcessPrefetchingSource` — shard *production* on a worker
   process pool, with encoded shards crossing the process boundary as
-  zero-copy shared-memory views (:mod:`repro.parallel.shm`);
-- :class:`ProcessFISTAPasses` — shard *consumption* for exact
-  streaming FISTA: gradient and power-iteration passes fanned across
-  worker processes with a deterministic stream-order reduction, so
-  coefficients stay bit-identical to the serial path;
+  zero-copy shared-memory views (:mod:`repro.parallel.shm`); shard
+  *consumption* stays in-process (exact FISTA keeps its prepared
+  shards resident instead, see
+  :data:`repro.ml.linear.logistic.RESIDENT_SHARDS`);
 - :class:`ProcessPredictorPool` — shard *serving*: flushed
   micro-batches partitioned across predictor processes, per-worker
   telemetry merged back through
@@ -23,7 +22,6 @@ each pool detects it, cleans up after it, and recomputes or
 re-dispatches the lost work.
 """
 
-from repro.parallel.epochs import ProcessFISTAPasses
 from repro.parallel.prefetch import START_METHOD_ENV, ProcessPrefetchingSource
 from repro.parallel.serving import ProcessPredictorPool
 from repro.parallel.shm import (
@@ -35,7 +33,6 @@ from repro.parallel.shm import (
 )
 
 __all__ = [
-    "ProcessFISTAPasses",
     "ProcessPredictorPool",
     "ProcessPrefetchingSource",
     "START_METHOD_ENV",

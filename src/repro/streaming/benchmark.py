@@ -8,8 +8,10 @@ L1 logistic regression (exact streaming FISTA) or the MLP (per-shard
 minibatches) twice:
 
 - **streaming** — shards drawn lazily via
-  :meth:`ShardedDataset.from_population`; at most one shard of fact
-  rows plus width-sized optimiser state is ever resident.
+  :meth:`ShardedDataset.from_population`; exact FISTA keeps at most
+  :data:`~repro.ml.linear.logistic.RESIDENT_SHARDS` prepared shards
+  resident plus the one being read, the MLP one shard, alongside
+  width-sized optimiser state.
 - **in-memory** — the classic path: materialise every row, join, build
   the full :class:`CategoricalMatrix`, fit.  Beyond
   ``max_inmemory_rows`` this is skipped (that is the regime where it

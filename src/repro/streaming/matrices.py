@@ -88,11 +88,12 @@ class StreamingMatrices(FeatureSource):
         self.n_levels: tuple[int, ...] = self.encoder.n_levels
         # With a single shard the assembled matrix *is* the whole
         # dataset, so caching it costs no more memory than one assembly
-        # already peaked at — and saves the multi-pass consumers
-        # (exact FISTA re-iterates the stream per iteration) from
-        # re-joining identical rows hundreds of times.  Multi-shard
-        # streams deliberately re-assemble per pass: that is the price
-        # of the bounded footprint.
+        # already peaked at — and saves multi-pass consumers (tree
+        # frontiers, MLP epochs, scoring after a fit) from re-joining
+        # identical rows.  Multi-shard streams re-assemble per read:
+        # that is the price of the bounded footprint.  Exact FISTA
+        # keeps its own prepared shards resident between passes
+        # (repro.ml.linear.logistic.RESIDENT_SHARDS).
         self._single_shard_cache: tuple[Shard, np.ndarray] | None = None
 
     # ------------------------------------------------------------------

@@ -94,17 +94,11 @@ class StreamingTrainer:
     checkpoint_every:
         Shard steps between checkpoints within an epoch.
     parallel_workers:
-        When positive, training runs on the process-parallel tier
-        (:mod:`repro.parallel`).  The exact logistic mode fans its
-        FISTA passes across this many worker processes
-        (:class:`~repro.parallel.ProcessFISTAPasses` — coefficients
-        stay bit-identical to serial); every other path wraps the
-        source in :class:`~repro.parallel.ProcessPrefetchingSource`,
-        overlapping shard production with the (inherently sequential)
-        ``partial_fit`` consumption.  Gradient updates for
-        ``partial_fit`` models cannot be data-parallelised without
-        changing the math, so only production moves off the main
-        process there.
+        When positive, shards are produced on this many worker
+        processes: every path wraps the source in
+        :class:`~repro.parallel.ProcessPrefetchingSource`, overlapping
+        shard production with the (sequential) consumption.  Results
+        are bit-identical to serial; consumption stays in-process.
     resume:
         When true (requires ``checkpoint``), :meth:`fit` restores the
         latest verified checkpoint before training and continues from
@@ -207,20 +201,9 @@ class StreamingTrainer:
                             "every shard; use mode='incremental' for "
                             "checkpointed logistic training"
                         )
-                    if self.parallel_workers:
-                        # Local import: repro.parallel sits above the
-                        # streaming layer.
-                        from repro.parallel import ProcessFISTAPasses
-
-                        with ProcessFISTAPasses(
-                            source,
-                            workers=self.parallel_workers,
-                            registry=global_registry(),
-                        ) as passes:
-                            return self.model.fit_stream(
-                                source, passes=passes
-                            )
-                    return self.model.fit_stream(source)
+                    return self.model.fit_stream(
+                        self._parallel_source(source)
+                    )
                 return self._fit_incremental_lr(
                     self._parallel_source(source)
                 )

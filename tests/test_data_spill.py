@@ -1,4 +1,4 @@
-"""SpillCacheSource: disk round-trips, LRU accounting, lifecycle."""
+"""SpillCacheSource: disk round-trips, byte budget, lifecycle."""
 
 import numpy as np
 import pytest
@@ -73,19 +73,27 @@ class TestCaching:
 
 class TestLRUBudget:
     def test_eviction_keeps_bytes_under_budget(self, train_matrix):
+        """Nothing is evicted: the shards admitted while there was room
+        stay, so every later pass of a sequential scan hits on them (an
+        LRU evicted each shard just before the next pass read it)."""
         inner = MatrixSource(*train_matrix, shard_rows=11)
         with SpillCacheSource(inner) as probe:
             probe.shard(0)
             one_shard_bytes = probe.stats.spilled_bytes
-        budget = int(one_shard_bytes * 2.5)  # room for two shards
+        budget = int(one_shard_bytes * 2.5)  # room for two full shards
+        passes = 3
         with SpillCacheSource(inner, max_bytes=budget) as cached:
             list(cached.iter_shards())
-            assert len(cached) <= 2
-            assert cached.stats.evictions >= inner.n_shards - 2
+            admitted = len(cached)
+            assert 2 <= admitted < inner.n_shards
             assert cached.stats.spilled_bytes <= budget
-            # Evicted shards re-produce and re-cache transparently.
-            X, y = cached.shard(0)
-            assert y.size > 0
+            for _ in range(passes - 1):
+                list(cached.iter_shards())
+            assert len(cached) == admitted
+            assert cached.stats.hits == admitted * (passes - 1)
+            assert cached.stats.misses == (
+                inner.n_shards + (inner.n_shards - admitted) * (passes - 1)
+            )
 
     def test_budget_smaller_than_one_shard_disables_caching(self, train_matrix):
         inner = _CountingSource(*train_matrix, shard_rows=11)
@@ -129,14 +137,17 @@ class TestLifecycle:
 
 class TestTrainingThroughSpill:
     def test_multi_pass_lr_hits_cache_and_matches(self, train_matrix):
-        """Exact FISTA makes one pass per iteration; all but the first
-        must be disk hits, and the fit must be bit-identical."""
+        """Exact FISTA makes one pass per iteration and re-reads every
+        shard past its residency cap; those re-reads must be disk hits,
+        and the fit must be bit-identical."""
         from repro.ml.linear import L1LogisticRegression
+        from repro.ml.linear.logistic import RESIDENT_SHARDS
 
         X, y = train_matrix
         reference = L1LogisticRegression(max_iter=30, tol=0.0)
-        reference.fit_stream(MatrixSource(X, y, shard_rows=13))
-        inner = _CountingSource(X, y, shard_rows=13)
+        reference.fit_stream(MatrixSource(X, y, shard_rows=7))
+        inner = _CountingSource(X, y, shard_rows=7)
+        assert inner.n_shards > RESIDENT_SHARDS
         model = L1LogisticRegression(max_iter=30, tol=0.0)
         with SpillCacheSource(inner) as cached:
             model.fit_stream(cached)

@@ -1,4 +1,5 @@
-"""ProcessPrefetchingSource: byte-identity, lifecycle, worker death.
+"""ProcessPrefetchingSource: byte-identity, lifecycle, worker death,
+and the streaming trainer's ``parallel_workers`` that runs on it.
 
 The process tier's contract mirrors the thread tier's — identical
 bytes in identical order — with two extra hazards pinned here:
@@ -22,16 +23,28 @@ import pytest
 from repro.core import no_join_strategy
 from repro.data import MatrixSource
 from repro.datasets import generate_real_world
+from repro.ml import L1LogisticRegression, MLPClassifier
+from repro.ml.linear import logistic
 from repro.obs import MetricsRegistry
 from repro.parallel import ProcessPrefetchingSource, export_shard, import_shard, release, sweep
 from repro.resilience import RetryPolicy
+from repro.streaming import StreamingTrainer
 
 
 @pytest.fixture(scope="module")
-def train_matrix():
+def matrices():
     dataset = generate_real_world("yelp", n_fact=200, seed=0)
-    matrices = no_join_strategy().matrices(dataset)
+    return no_join_strategy().matrices(dataset)
+
+
+@pytest.fixture(scope="module")
+def train_matrix(matrices):
     return matrices.X_train, matrices.y_train
+
+
+@pytest.fixture(scope="module")
+def source(matrices):
+    return MatrixSource(matrices.X_train, matrices.y_train, shard_rows=23)
 
 
 def _shm_orphans():
@@ -42,6 +55,12 @@ def _shm_orphans():
     except FileNotFoundError:
         return []
     return [name for name in entries if name.startswith(prefix)]
+
+
+def _assert_same_fit(reference, candidate):
+    assert np.array_equal(reference.coef_, candidate.coef_)
+    assert reference.intercept_ == candidate.intercept_
+    assert reference.n_iter_ == candidate.n_iter_
 
 
 def _materialise(source, order=None):
@@ -235,3 +254,54 @@ class TestSharedMemoryTransport:
 
     def test_sweep_tolerates_missing_segments(self):
         assert sweep(["reprop-test-never-created"]) == 0
+
+
+class TestStreamingTrainerParallel:
+    """``parallel_workers`` produces shards on the process pool for
+    every model; results stay bit-identical to serial.  The exact
+    logistic fit keeps prepared copies of the borrowed shared-memory
+    shards resident, so its later passes must never read a released
+    segment."""
+
+    def test_exact_lr_parallel_matches_serial(self, source):
+        serial = StreamingTrainer(L1LogisticRegression(max_iter=30)).fit(source)
+        parallel = StreamingTrainer(
+            L1LogisticRegression(max_iter=30), parallel_workers=2
+        ).fit(source)
+        _assert_same_fit(serial, parallel)
+        assert _shm_orphans() == []
+
+    def test_exact_lr_past_resident_cap_matches_serial(
+        self, source, monkeypatch
+    ):
+        """Shards past the cap are re-read through the pool every pass."""
+        monkeypatch.setattr(logistic, "RESIDENT_SHARDS", 2)
+        assert source.n_shards > 2
+        serial = StreamingTrainer(L1LogisticRegression(max_iter=2)).fit(source)
+        parallel = StreamingTrainer(
+            L1LogisticRegression(max_iter=2), parallel_workers=2
+        ).fit(source)
+        _assert_same_fit(serial, parallel)
+        assert _shm_orphans() == []
+
+    def test_mlp_epochs_through_process_prefetch_match_serial(self, matrices):
+        def fit(workers):
+            model = MLPClassifier(
+                hidden_sizes=(8,), epochs=2, batch_size=64, random_state=0
+            )
+            trainer = StreamingTrainer(model, parallel_workers=workers)
+            src = MatrixSource(
+                matrices.X_train, matrices.y_train, shard_rows=40
+            )
+            return trainer.fit(src)
+
+        serial, parallel = fit(0), fit(2)
+        X_test = matrices.X_test
+        assert np.array_equal(serial.predict(X_test), parallel.predict(X_test))
+        assert _shm_orphans() == []
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="parallel_workers"):
+            StreamingTrainer(
+                L1LogisticRegression(), parallel_workers=-1
+            )
