@@ -20,9 +20,9 @@ single-threaded reference of the same request stream; the script exits
 non-zero on any mismatch, and (outside ``--no-enforce``) when the
 batched speedup over the baseline falls below ``--min-speedup``.
 
-The win comes entirely from cross-client batch coalescing.  The
-process tier (``repro serve-bench --parallel``,
-``benchmarks/bench_process_scaling.py``) is the way to add cores.
+The win comes entirely from cross-client batch coalescing: the
+runtime predicts in-process, since neither a thread nor a process
+predictor pool beat one in-process predict on a 2-CPU host.
 
 Usage::
 
@@ -80,11 +80,11 @@ def run(args) -> dict:
         # runtime's latency histograms.
         "baseline_latency_ms": report.baseline_latency_ms,
         "batched": {
-            "rows_per_s": report.rates[0],
-            "mean_batch_rows": report.mean_batch_rows[0],
-            "latency_ms": report.latency_ms[0],
+            "rows_per_s": report.batched_rows_per_s,
+            "mean_batch_rows": report.mean_batch_rows,
+            "latency_ms": report.latency_ms,
         },
-        "headline_speedup": report.speedup(0),
+        "headline_speedup": report.speedup,
         "predictions_identical_to_single_threaded": report.identical,
     }
 

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).

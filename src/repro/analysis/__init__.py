@@ -7,15 +7,13 @@ the offending line.  :mod:`repro.analysis` enforces the same invariants
 *statically*: a rule-plugin AST lint that rejects violating code before
 it ever runs.
 
-Eight rules ship (see ``repro lint --list-rules``): the three telemetry
+Seven rules ship (see ``repro lint --list-rules``): the three telemetry
 rules migrated from ``tools/check_telemetry_hygiene.py`` (``wall-clock``,
 ``bare-print``, ``raw-sleep``) plus ``unseeded-random`` (all randomness
 flows through :mod:`repro.rng`), ``lock-discipline`` (writes to
 lock-protected attributes stay under the lock), ``exception-hygiene``
-(no bare/swallowing handlers; raises are typed), ``process-discipline``
-(worker-process lifecycle stays inside :mod:`repro.parallel`), and
-``feature-source`` (protocol implementations carry the full metadata
-surface).
+(no bare/swallowing handlers; raises are typed), and ``feature-source``
+(protocol implementations carry the full metadata surface).
 
 Run it as ``repro lint [paths] [--rule ID] [--format json]`` or
 ``python -m repro.analysis``; suppress a single line with

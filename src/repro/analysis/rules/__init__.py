@@ -16,7 +16,6 @@ from repro.analysis.rules.determinism import UnseededRandomRule
 from repro.analysis.rules.exceptions import ExceptionHygieneRule
 from repro.analysis.rules.hygiene import BarePrintRule, RawSleepRule, WallClockRule
 from repro.analysis.rules.locks import LockDisciplineRule
-from repro.analysis.rules.process import ProcessDisciplineRule
 from repro.analysis.rules.protocol import FeatureSourceRule
 from repro.errors import StaticAnalysisError
 
@@ -30,7 +29,6 @@ ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
     LockDisciplineRule(),
     ExceptionHygieneRule(),
-    ProcessDisciplineRule(),
     FeatureSourceRule(),
 )
 
@@ -43,7 +41,6 @@ DEFAULT_CONFIG = AnalysisConfig(
         "bare-print": ("repro/obs/console.py", "benchmarks/*"),
         "raw-sleep": ("repro/resilience/backoff.py",),
         "unseeded-random": ("repro/rng.py",),
-        "process-discipline": ("repro/parallel/*",),
     }
 )
 

@@ -62,22 +62,6 @@ _STRATEGIES = {
 }
 
 
-def _parse_parallel(value: str) -> int:
-    """``--parallel workers=N`` (or bare ``N``) -> the worker count."""
-    text = value[len("workers="):] if value.startswith("workers=") else value
-    try:
-        workers = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected workers=N (or a bare integer), got {value!r}"
-        ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1, got {workers}"
-        )
-    return workers
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -184,17 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
             "training (an empty directory simply starts fresh)"
         ),
     )
-    p_fit.add_argument(
-        "--parallel",
-        type=_parse_parallel,
-        default=0,
-        metavar="workers=N",
-        help=(
-            "produce training shards on N worker processes "
-            "(repro.parallel.ProcessPrefetchingSource; bit-identical to "
-            "serial); every model consumes them in-process"
-        ),
-    )
     p_fit.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument(
@@ -296,18 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
             "request rows, bound the admission queue and quarantine the "
             "poison, then verify every surviving answer against a clean "
             "server (exit 2 on any divergence)"
-        ),
-    )
-    p_bench.add_argument(
-        "--parallel",
-        type=_parse_parallel,
-        default=0,
-        metavar="workers=N",
-        help=(
-            "benchmark the process-sharded serving tier "
-            "(repro.parallel.ProcessPredictorPool) with an N-process "
-            "pool instead of the in-process server (requires "
-            "--clients > 0)"
         ),
     )
     p_bench.add_argument(
@@ -489,7 +450,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             dataset, args.model, strategy, scale=scale, source=spec,
             seed=args.seed, mode=mode, checkpoint=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every, resume=args.resume,
-            parallel_workers=args.parallel,
         )
         if args.stream:
             shards = result.best_params
@@ -650,21 +610,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 error=True,
             )
             return 2
-    if args.parallel:
-        if args.clients <= 0:
-            emit(
-                "error: --parallel benchmarks the process-sharded "
-                "concurrent runtime; pass --clients > 0",
-                error=True,
-            )
-            return 2
-        if args.inject_faults is not None:
-            emit(
-                "error: --parallel and --inject-faults are separate "
-                "modes; run them separately",
-                error=True,
-            )
-            return 2
 
     def run() -> int:
         scale = get_scale(args.scale)
@@ -699,7 +644,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                 rows=args.rows,
                 batch_size=args.batch_size,
                 clients=args.clients,
-                process_workers=(args.parallel,),
                 arrival_rate=args.arrival_rate,
                 scale=scale,
             )

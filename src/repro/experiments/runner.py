@@ -390,7 +390,6 @@ def _run_source_experiment(
     checkpoint=None,
     checkpoint_every: int = 1,
     resume: bool = False,
-    parallel_workers: int = 0,
 ) -> RunResult:
     """One single-configuration cell over :class:`SourceSpec`-built sources."""
     from repro.streaming import StreamingTrainer
@@ -413,7 +412,6 @@ def _run_source_experiment(
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
-            parallel_workers=parallel_workers,
         )
         trainer.fit(sources["train"])
 
@@ -455,7 +453,6 @@ def run_experiment(
     checkpoint=None,
     checkpoint_every: int = 1,
     resume: bool = False,
-    parallel_workers: int = 0,
 ) -> RunResult:
     """Run one experiment cell end to end.
 
@@ -480,8 +477,8 @@ def run_experiment(
     ``random_state=0`` grids and ignores ``seed``; vary the dataset
     generation seed to resample a tuned cell.
 
-    ``mode``, ``checkpoint``, ``checkpoint_every``, ``resume`` and
-    ``parallel_workers`` are forwarded to the source path's
+    ``mode``, ``checkpoint``, ``checkpoint_every`` and ``resume`` are
+    forwarded to the source path's
     :class:`~repro.streaming.StreamingTrainer` (checkpoint/resume
     semantics are documented there); the tuned path rejects them via
     the trainer's own validation when combined incorrectly and ignores
@@ -497,7 +494,6 @@ def run_experiment(
             dataset, model_key, strategy, source, scale, seed,
             mode=mode, checkpoint=checkpoint,
             checkpoint_every=checkpoint_every, resume=resume,
-            parallel_workers=parallel_workers,
         )
     started = time.perf_counter()
     pipeline = fit_pipeline(

@@ -88,8 +88,8 @@ def _prepare(X, y) -> tuple:
     """One shard as the kernels read it: operand and ±1 labels.
 
     Both hold only arrays the caller owns
-    (:func:`repro.ml.sparse.resident`), so nothing borrowed from the
-    source is read after the source moves on to the next shard.
+    (:func:`repro.ml.sparse.resident`), so a kept shard stays valid
+    whatever the source does with its arrays after the next read.
     """
     operand = sparse.resident(sparse.encode_features(X))
     return operand, np.where(np.asarray(y) > 0, 1.0, -1.0)

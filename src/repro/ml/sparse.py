@@ -96,7 +96,7 @@ class OneHotMatrix:
 
         The kernels read nothing else, and the flat codes are a fresh
         array, so the copy borrows nothing from the codes it came from
-        (a shared-memory shard's codes are released when the next shard
+        (a source may reuse or drop a shard's arrays once the next shard
         is read).  Its :attr:`codes` are re-derived on each access.
         """
         view = object.__new__(OneHotMatrix)
@@ -478,7 +478,7 @@ class FactorizedMatrix:
 
         It keeps what the kernels read: the fact columns' flat codes and
         a copy of each group's positions, resolved rows and block — a
-        shared-memory shard's arrays are released when the next shard
+        source may reuse or drop a shard's arrays once the next shard
         is read.  Its :attr:`fact_codes` are re-derived on each access.
         """
         view = object.__new__(FactorizedMatrix)

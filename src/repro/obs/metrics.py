@@ -99,14 +99,6 @@ class Counter:
     def snapshot(self) -> int | float:
         return self._value
 
-    def state(self) -> dict:
-        """Picklable transfer state for cross-process merging."""
-        return {"kind": "counter", "value": self._value}
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another process's :meth:`state` into this tally."""
-        self.inc(state["value"])
-
     def __repr__(self) -> str:
         return f"Counter({self.name!r}, {self._value})"
 
@@ -154,28 +146,6 @@ class Gauge:
 
     def snapshot(self) -> dict:
         return {"value": self._value, "high_water": self._high_water}
-
-    def state(self) -> dict:
-        """Picklable transfer state for cross-process merging."""
-        return {
-            "kind": "gauge",
-            "value": self._value,
-            "high_water": self._high_water,
-        }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another process's :meth:`state` into this gauge.
-
-        Values sum (each worker reports its own level); the high-water
-        mark is the max across processes, not the sum — it answers "how
-        deep did any one queue get", which summing would overstate.
-        """
-        with self._lock:
-            self._value += state["value"]
-            if state["high_water"] > self._high_water:
-                self._high_water = state["high_water"]
-            if self._value > self._high_water:
-                self._high_water = self._value
 
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self._value})"
@@ -423,47 +393,6 @@ class Histogram:
             },
         }
 
-    def state(self) -> dict:
-        """Picklable transfer state for cross-process merging.
-
-        Carries the raw bin counts plus the construction parameters so
-        the receiving side can rebuild (or validate) an identically
-        binned histogram; no raw observations travel, so the state size
-        is bounded by the bin count regardless of traffic.
-        """
-        with self._lock:
-            self._drain_locked()
-            return {
-                "kind": "histogram",
-                "low": self.low,
-                "high": self.high,
-                "bins_per_decade": self.bins_per_decade,
-                "counts": list(self._counts),
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min,
-                "max": self._max,
-            }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another process's :meth:`state` into these bins."""
-        counts = state["counts"]
-        if len(counts) != len(self._counts):
-            raise ValueError(
-                f"histogram {self.name!r}: cannot merge {len(counts)} bins "
-                f"into {len(self._counts)} (low/high/bins_per_decade differ)"
-            )
-        with self._lock:
-            self._drain_locked()
-            for index, bucket in enumerate(counts):
-                self._counts[index] += bucket
-            self._count += state["count"]
-            self._sum += state["sum"]
-            if state["min"] < self._min:
-                self._min = state["min"]
-            if state["max"] > self._max:
-                self._max = state["max"]
-
     def __repr__(self) -> str:
         return (
             f"Histogram({self.name!r}, n={self.count}, "
@@ -510,12 +439,6 @@ class _NullMetric:
 
     def snapshot(self):
         return 0
-
-    def state(self):
-        return {"kind": "null"}
-
-    def merge_state(self, state):
-        pass
 
 
 _NULL = _NullMetric()
@@ -592,47 +515,6 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         for metric in metrics:
             metric.reset()
-
-    def export_state(self) -> dict:
-        """Every metric's picklable transfer state, keyed by name.
-
-        The cross-process half of the telemetry contract: a worker
-        process exports its private registry's state, ships the plain
-        dict over a queue/pipe, and the parent folds it in with
-        :meth:`merge_state` — so per-worker metrics aggregate into one
-        ``snapshot()`` exactly as if every observation had happened in
-        the parent.
-        """
-        with self._lock:
-            metrics = list(self._metrics.items())
-        return {name: metric.state() for name, metric in metrics}
-
-    def merge_state(self, state: dict) -> None:
-        """Fold a worker registry's :meth:`export_state` into this one.
-
-        Metrics are created on first sight (same name ⇒ same kind and,
-        for histograms, same binning) and merged in place: counters and
-        histogram bins sum, gauge high-water marks take the max.
-        Merging is idempotent per exported state only if called once —
-        callers ship each worker's state exactly once.
-        """
-        for name, metric_state in sorted(state.items()):
-            kind = metric_state["kind"]
-            if kind == "counter":
-                self.counter(name).merge_state(metric_state)
-            elif kind == "gauge":
-                self.gauge(name).merge_state(metric_state)
-            elif kind == "histogram":
-                self.histogram(
-                    name,
-                    low=metric_state["low"],
-                    high=metric_state["high"],
-                    bins_per_decade=metric_state["bins_per_decade"],
-                ).merge_state(metric_state)
-            elif kind != "null":
-                raise ValueError(
-                    f"metric {name!r}: unknown transfer kind {kind!r}"
-                )
 
     def __len__(self) -> int:
         with self._lock:

@@ -21,22 +21,13 @@ runs them together and *checks the answers*:
   :class:`~repro.resilience.PoisonedRowError`, shed requests and
   expired deadlines must match the server's own accounting.
 
-- **Process leg** (:func:`chaos_process_run`) — the process-parallel
-  tier (:mod:`repro.parallel`) under injected worker death: a prefetch
-  pass whose first worker is killed after one exported shard must
-  deliver byte-identical shards to the serial read and leave no
-  orphaned shared-memory segment.  The recovery must be *counted*
-  (``parallel.prefetch.worker_deaths`` / ``fallback_shards``) — silent
-  recovery is indistinguishable from the fault never firing.
-
-:func:`chaos_soak` runs all three legs and folds the verdicts into one
+:func:`chaos_soak` runs both legs and folds the verdicts into one
 :class:`ChaosReport` (``repro chaos`` prints its :meth:`render`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -291,84 +282,6 @@ def chaos_training_run(
     return verdict
 
 
-def chaos_process_run(
-    dataset,
-    *,
-    n_shards: int = 6,
-    workers: int = 2,
-    seed: int = 0,
-) -> dict:
-    """Kill a process-pool worker mid-flight; assert identical answers.
-
-    A :class:`~repro.parallel.ProcessPrefetchingSource` pass over one
-    ``train`` source whose worker 0 dies (``os._exit``) after exporting
-    a single shard: every shard must still arrive, in order,
-    byte-identical to a serial read, through the counted inline
-    fallback.  ``ok`` additionally requires that no shared-memory
-    segment from this process survives the recovery (leak check by
-    segment-name prefix).
-    """
-    from repro.parallel import ProcessPrefetchingSource
-
-    registry = MetricsRegistry()
-    spec = SourceSpec(n_shards=n_shards)
-    train = spec.split_sources(
-        dataset, no_join_strategy(), splits=("train",), registry=registry
-    )["train"]
-    try:
-        serial_bytes = [
-            (int(i), X.codes.tobytes(), np.asarray(y).tobytes())
-            for i, X, y in train.iter_shards(None)
-        ]
-        chaotic = ProcessPrefetchingSource(
-            train,
-            workers=workers,
-            registry=registry,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0005, seed=seed
-            ),
-            _kill_after={0: 1},
-        )
-        chaos_bytes = [
-            (int(i), X.codes.tobytes(), np.asarray(y).tobytes())
-            for i, X, y in chaotic.iter_shards(None)
-        ]
-    finally:
-        train.close()
-
-    leaked = _orphaned_segments()
-    counters = {
-        name: _counter_value(registry, name)
-        for name in (
-            "parallel.prefetch.worker_deaths",
-            "parallel.prefetch.fallback_shards",
-        )
-    }
-    verdict = {
-        "n_shards": n_shards,
-        "workers": workers,
-        "prefetch_identical": chaos_bytes == serial_bytes,
-        "leaked_segments": leaked,
-        **counters,
-    }
-    verdict["ok"] = bool(
-        verdict["prefetch_identical"]
-        and not leaked
-        and counters["parallel.prefetch.worker_deaths"] >= 1
-        and counters["parallel.prefetch.fallback_shards"] >= 1
-    )
-    return verdict
-
-
-def _orphaned_segments() -> list[str]:
-    """Shared-memory segments this process created and never reclaimed."""
-    shm_root = Path("/dev/shm")
-    if not shm_root.is_dir():  # non-Linux: no visible segment listing
-        return []
-    prefix = f"reprop{os.getpid()}"
-    return sorted(p.name for p in shm_root.iterdir() if p.name.startswith(prefix))
-
-
 def chaos_serving_run(
     dataset,
     model_key: str = "dt_gini",
@@ -483,21 +396,16 @@ def chaos_serving_run(
 
 @dataclass
 class ChaosReport:
-    """All legs' verdicts, renderable for ``repro chaos``."""
+    """Both legs' verdicts, renderable for ``repro chaos``."""
 
     dataset: str
     training: dict
     serving: dict
-    process: dict = dataclasses.field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         """Whether every chaos assertion held."""
-        return bool(
-            self.training.get("ok")
-            and self.serving.get("ok")
-            and (not self.process or self.process.get("ok"))
-        )
+        return bool(self.training.get("ok") and self.serving.get("ok"))
 
     def as_dict(self) -> dict:
         return {
@@ -505,7 +413,6 @@ class ChaosReport:
             "ok": self.ok,
             "training": self.training,
             "serving": self.serving,
-            "process": self.process,
         }
 
     def render(self) -> str:
@@ -540,24 +447,8 @@ class ChaosReport:
                 f"{s['deadline_rows']} deadline(s) expired, "
                 f"{s['mismatched']} mismatched answer(s)"
             ),
+            f"chaos soak {'PASSED' if self.ok else 'FAILED'}",
         ]
-        p = self.process
-        if p:
-            lines += [
-                (
-                    f"  process  [{check[bool(p.get('ok'))]}] "
-                    f"{p['n_shards']} shards across {p['workers']} "
-                    f"worker(s), worker 0 killed"
-                ),
-                (
-                    f"    prefetch deaths "
-                    f"{p['parallel.prefetch.worker_deaths']} / fallbacks "
-                    f"{p['parallel.prefetch.fallback_shards']}, "
-                    f"leaked segments {len(p['leaked_segments'])}"
-                ),
-                f"    identical to serial: shards {p['prefetch_identical']}",
-            ]
-        lines.append(f"chaos soak {'PASSED' if self.ok else 'FAILED'}")
         return "\n".join(lines)
 
 
@@ -576,9 +467,8 @@ def chaos_soak(
     seed: int = 0,
     scale=None,
     checkpoint_dir: str | Path | None = None,
-    process_workers: int = 2,
 ) -> ChaosReport:
-    """Run all three chaos legs over one dataset (see the leg functions)."""
+    """Run both chaos legs over one dataset (see the leg functions)."""
     training = chaos_training_run(
         dataset,
         train_model,
@@ -599,12 +489,6 @@ def chaos_soak(
         seed=seed,
         scale=scale,
     )
-    process = chaos_process_run(
-        dataset, n_shards=n_shards, workers=process_workers, seed=seed
-    )
     return ChaosReport(
-        dataset=dataset.name,
-        training=training,
-        serving=serving,
-        process=process,
+        dataset=dataset.name, training=training, serving=serving
     )

@@ -88,11 +88,11 @@ class PendingPrediction:
 
         With a background flusher the call waits on the batcher's
         delivery condition, notified by whichever thread runs the batch
-        (flusher, size-triggered submitter, or worker pool); in inline
-        mode, or when no deadline thread exists to ever deliver the
-        row, the call first forces a flush of the whole queue so a
-        result can always be claimed, then waits out any batch another
-        thread already has in flight.
+        (the flusher or a size-triggered submitter); in inline mode, or
+        when no deadline thread exists to ever deliver the row, the
+        call first forces a flush of the whole queue so a result can
+        always be claimed, then waits out any batch another thread
+        already has in flight.
 
         If the batch call failed, every co-batched handle re-raises the
         failure here — a lost prediction is never silently ``None``.

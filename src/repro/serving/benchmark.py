@@ -14,9 +14,8 @@ label-valued request stream through two paths:
 :func:`concurrent_serving_throughput` adds the multi-threaded
 counterpart: an open-loop load generator with K client threads drives
 the thread-safe serving runtime, comparing the per-request baseline
-against the micro-batched runtime (in-process, or on a process pool of
-each requested size) and verifying the concurrent predictions are
-identical to a single-threaded run of the same stream.
+against the micro-batched runtime and verifying the concurrent
+predictions are identical to a single-threaded run of the same stream.
 
 Used by ``repro serve-bench``, ``benchmarks/bench_serving_throughput.py``
 and ``benchmarks/bench_serving_concurrency.py``.
@@ -200,16 +199,15 @@ def serving_throughput(
 # ----------------------------------------------------------------------
 @dataclass
 class ConcurrencyReport:
-    """Throughput of the concurrent runtime per process-pool size.
+    """Throughput of the concurrent runtime against a baseline.
 
     ``baseline_rows_per_s`` is the per-request baseline: the same K
     client threads, but each request served one at a time through the
     per-request path (no cross-request batching) — the throughput a
-    naive thread-safe server would sustain.  ``rates`` maps each
-    process-pool size to the micro-batched runtime's rate, ``0`` being
-    the in-process server.  ``identical`` records whether every
-    concurrent run's predictions matched the single-threaded reference
-    row for row.
+    naive thread-safe server would sustain.  ``batched_rows_per_s`` is
+    the micro-batched runtime's rate.  ``identical`` records whether
+    both concurrent runs' predictions matched the single-threaded
+    reference row for row.
     """
 
     dataset: str
@@ -221,20 +219,20 @@ class ConcurrencyReport:
     max_wait_s: float
     cpu_count: int
     baseline_rows_per_s: float = 0.0
-    rates: dict[int, float] = field(default_factory=dict)
-    mean_batch_rows: dict[int, float] = field(default_factory=dict)
+    batched_rows_per_s: float = 0.0
+    mean_batch_rows: float = 0.0
     identical: bool = True
-    #: Per-stage latency breakdowns (ms, with p50/p95/p99): the
-    #: baseline server's and one per process-pool size.
+    #: Per-stage latency breakdowns (ms, with p50/p95/p99) of the
+    #: baseline server and of the micro-batched one.
     baseline_latency_ms: dict = field(default_factory=dict)
-    latency_ms: dict[int, dict] = field(default_factory=dict)
+    latency_ms: dict = field(default_factory=dict)
 
-    def speedup(self, workers: int) -> float | None:
+    @property
+    def speedup(self) -> float | None:
         """Concurrent-runtime throughput over the per-request baseline."""
-        rate = self.rates.get(workers)
-        if rate is None or not self.baseline_rows_per_s:
+        if not self.baseline_rows_per_s:
             return None
-        return rate / self.baseline_rows_per_s
+        return self.batched_rows_per_s / self.baseline_rows_per_s
 
     def render(self) -> str:
         """Human-readable table of the measured rates."""
@@ -248,20 +246,13 @@ class ConcurrencyReport:
             f"{'per-request':24s} {self.baseline_rows_per_s:12.0f} "
             f"{1.0:11.1f} {'1.0x':>8s}"
             + _render_request_latency(self.baseline_latency_ms),
-        ]
-        for workers in sorted(self.rates):
-            where = f"{workers} process(es)" if workers else "in-process"
-            lines.append(
-                f"{f'batched, {where}':24s} "
-                f"{self.rates[workers]:12.0f} "
-                f"{self.mean_batch_rows.get(workers, 0.0):11.1f} "
-                f"{f'{self.speedup(workers):.1f}x':>8s}"
-                + _render_request_latency(self.latency_ms.get(workers, {}))
-            )
-        lines.append(
+            f"{'batched':24s} {self.batched_rows_per_s:12.0f} "
+            f"{self.mean_batch_rows:11.1f} "
+            f"{f'{self.speedup:.1f}x':>8s}"
+            + _render_request_latency(self.latency_ms),
             "concurrent predictions identical to single-threaded: "
-            f"{self.identical}"
-        )
+            f"{self.identical}",
+        ]
         return "\n".join(lines)
 
 
@@ -354,7 +345,6 @@ def concurrent_serving_throughput(
     rows: int = 4000,
     batch_size: int = 64,
     clients: int = 8,
-    process_workers: tuple[int, ...] = (0,),
     max_wait_s: float = 0.002,
     arrival_rate: float | None = None,
     scale=None,
@@ -368,11 +358,9 @@ def concurrent_serving_throughput(
 
     - the per-request baseline: ``predict_one`` per request from
       every client thread (no cross-request coalescing), and
-    - the micro-batched runtime at each ``process_workers`` entry:
-      clients ``submit`` onto the shared thread-safe batcher, whose
-      background deadline flusher coalesces the cross-client batches;
-      ``0`` predicts them in-process, ``N`` shards each one across a
-      :class:`repro.parallel.ProcessPredictorPool` of ``N`` processes.
+    - the micro-batched runtime: clients ``submit`` onto the shared
+      thread-safe batcher, whose background deadline flusher coalesces
+      the cross-client batches into one vectorized predict per flush.
 
     Every concurrent run's predictions are compared against the
     reference; ``report.identical`` is the conjunction.
@@ -420,21 +408,14 @@ def concurrent_serving_throughput(
     report.baseline_latency_ms = baseline.stats().latency_ms
     report.identical &= results == reference
 
-    for workers in process_workers:
-        with fresh_server(
-            max_wait_s=max_wait_s, process_workers=workers
-        ) as server:
-            server.predict_one(requests[0])  # warm caches off the clock
-            seconds, results = _drive_clients(
-                server,
-                requests,
-                clients,
-                batched=True,
-                arrival_rate=arrival_rate,
-            )
-            stats = server.stats()
-            report.rates[workers] = rows / seconds
-            report.mean_batch_rows[workers] = stats.mean_batch_rows
-            report.latency_ms[workers] = stats.latency_ms
-            report.identical &= results == reference
+    with fresh_server(max_wait_s=max_wait_s) as server:
+        server.predict_one(requests[0])  # warm caches off the clock
+        seconds, results = _drive_clients(
+            server, requests, clients, batched=True, arrival_rate=arrival_rate
+        )
+        stats = server.stats()
+    report.batched_rows_per_s = rows / seconds
+    report.mean_batch_rows = stats.mean_batch_rows
+    report.latency_ms = stats.latency_ms
+    report.identical &= results == reference
     return report

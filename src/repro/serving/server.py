@@ -84,7 +84,6 @@ class ServerStats:
     cache_hit_rate: float
     failed_flushes: int = 0
     rows_failed: int = 0
-    workers: int = 1
     queue_wait_seconds: float = 0.0
     latency_ms: dict = field(default_factory=dict)
     shed_requests: int = 0
@@ -93,21 +92,14 @@ class ServerStats:
 
     @property
     def mean_latency_ms(self) -> float:
-        """Mean end-to-end latency per predict call, in ms.
+        """Mean end-to-end latency per request, in ms.
 
-        Includes the time micro-batched rows spent queued before their
-        flush — an earlier version summed only assemble + predict time,
-        silently under-reporting the latency a ``submit()`` caller
-        actually observed.
+        The mean of ``serving.latency.request_s``, which every path
+        records once per request; a submitted row's includes the time
+        it spent queued before its flush.
         """
-        if not self.predict_calls:
-            return 0.0
-        total = (
-            self.assemble_seconds
-            + self.predict_seconds
-            + self.queue_wait_seconds
-        )
-        return 1000.0 * total / self.predict_calls
+        request = self.latency_ms.get("request")
+        return request["mean"] if request else 0.0
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (fields plus derived means)."""
@@ -129,7 +121,6 @@ class ServerStats:
             "shed_requests": self.shed_requests,
             "deadline_expired": self.deadline_expired,
             "rows_quarantined": self.rows_quarantined,
-            "workers": self.workers,
             "latency_ms": {
                 stage: dict(values)
                 for stage, values in self.latency_ms.items()
@@ -143,7 +134,7 @@ class ServerStats:
             f"mean_latency={self.mean_latency_ms:.3f}ms "
             f"mean_batch={self.mean_batch_rows:.1f} "
             f"cache_hit_rate={self.cache_hit_rate:.1%} "
-            f"workers={self.workers} failed_flushes={self.failed_flushes}"
+            f"failed_flushes={self.failed_flushes}"
         )
 
 
@@ -164,13 +155,6 @@ class PredictionServer:
         Dimension-index cache capacity of the feature service.
     max_batch_size, max_wait_s:
         Micro-batcher configuration for the ``submit`` path.
-    process_workers:
-        Size of the process-sharded predictor pool (the GIL-free
-        execution tier).  ``0`` (the default) predicts in the flushing
-        thread; ``N > 0`` partitions every flushed micro-batch into
-        contiguous chunks dispatched across ``N`` predictor processes,
-        each holding its own copy of the artifact and feature service,
-        with per-worker telemetry merged back on :meth:`stats`.
     background_flush:
         Passed to the :class:`MicroBatcher`; set false for
         deterministic tests that control flushing explicitly.
@@ -211,12 +195,7 @@ class PredictionServer:
         max_queue_rows: int | None = None,
         quarantine: bool = False,
         default_deadline_s: float | None = None,
-        process_workers: int = 0,
     ):
-        if process_workers < 0:
-            raise ValueError(
-                f"process_workers must be >= 0, got {process_workers}"
-            )
         if validate_fingerprint:
             artifact.check_schema(schema)
         self.artifact = artifact
@@ -239,22 +218,6 @@ class PredictionServer:
             if supports_factorized_serving(artifact.model)
             else None
         )
-        self.process_workers = process_workers
-        if process_workers:
-            # Imported here: repro.parallel.serving's workers construct
-            # a PredictionServer of their own, so a top-level import
-            # would be circular.
-            from repro.parallel.serving import ProcessPredictorPool
-
-            self._process_pool = ProcessPredictorPool(
-                artifact,
-                schema,
-                workers=process_workers,
-                cache_capacity=cache_capacity,
-                registry=self.metrics,
-            )
-        else:
-            self._process_pool = None
         self.default_deadline_s = default_deadline_s
         self.batcher = MicroBatcher(
             self._predict_encoded,
@@ -321,7 +284,7 @@ class PredictionServer:
 
         Safe to call from any number of request threads; encoding runs
         in the calling thread, the batch prediction wherever the flush
-        trigger fires (submitter, deadline flusher, or process pool).
+        trigger fires (the submitter or the deadline flusher).
         The row's end-to-end submit → delivery latency (queue wait
         included) lands in the shared ``serving.latency.request_s``
         histogram when its batch runs.  Submissions are counted by the
@@ -352,10 +315,8 @@ class PredictionServer:
         return self.batcher.poll()
 
     def close(self) -> None:
-        """Drain the batcher, stop its flusher, and shut the pool down."""
+        """Drain the batcher and stop its flusher."""
         self.batcher.close()
-        if self._process_pool is not None:
-            self._process_pool.close()
 
     def __enter__(self) -> "PredictionServer":
         return self
@@ -378,14 +339,19 @@ class PredictionServer:
             for column in self.features.required_columns
         }
 
-    def _predict_merged(self, merged: Mapping[str, np.ndarray]) -> list:
-        """Assemble and predict one merged column-dict chunk.
+    def _predict_encoded(
+        self, payloads: Sequence[Mapping[str, np.ndarray]]
+    ) -> list:
+        """Assemble and predict a batch of encoded column-dicts.
 
+        The payloads are concatenated into one column dict and
+        predicted in a single vectorized call, in submission order.
         With a :class:`~repro.serving.factorized.FactorizedScorer` the
         assemble stage is only the FK resolution of each joined
         dimension; otherwise it builds the feature matrix the
         artifact's model predicts from.
         """
+        merged = self._merge(payloads)
         started = time.perf_counter()
         if self._scorer is not None:
             dim_rows = self.features.dimension_rows(merged)
@@ -401,22 +367,6 @@ class PredictionServer:
         self._rows.inc(len(codes))
         return self.artifact.decode_labels(codes)
 
-    def _predict_encoded(
-        self, payloads: Sequence[Mapping[str, np.ndarray]]
-    ) -> list:
-        """Assemble and predict a batch of encoded column-dicts.
-
-        The payloads are concatenated into one column dict and
-        predicted in a single vectorized call, in submission order.
-        With ``process_workers`` they run on the process-sharded
-        predictor pool instead (assembly and prediction both leave this
-        process); the workers' latency/cache telemetry folds back into
-        this server's registry on the next :meth:`stats` call.
-        """
-        if self._process_pool is not None:
-            return self._process_pool.predict(payloads)
-        return self._predict_merged(self._merge(payloads))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -425,13 +375,8 @@ class PredictionServer:
 
         One point-in-time read of the server's shared registry; the
         ``latency_ms`` breakdown reports each serving stage's mean and
-        p50/p95/p99 in milliseconds.  With a process-sharded pool the
-        workers' telemetry deltas (latency histograms, row counters,
-        cache accounting) are drained and merged in first, so the
-        snapshot covers the whole pool.
+        p50/p95/p99 in milliseconds.
         """
-        if self._process_pool is not None:
-            self._process_pool.merge_stats(self.metrics)
         cache = self.features.cache.stats
         batcher = self.batcher.stats
         latency_ms = {}
@@ -466,7 +411,6 @@ class PredictionServer:
             shed_requests=batcher.shed_requests,
             deadline_expired=batcher.deadline_expired,
             rows_quarantined=batcher.rows_quarantined,
-            workers=self.process_workers or 1,
             queue_wait_seconds=self.metrics.histogram(
                 "serving.latency.queue_wait_s"
             ).sum,

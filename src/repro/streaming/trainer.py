@@ -42,7 +42,6 @@ import numpy as np
 from repro.data.source import FeatureSource, source_accuracy
 from repro.errors import CheckpointError
 from repro.ml.linear import L1LogisticRegression
-from repro.obs import registry as global_registry
 from repro.obs import trace, tracer
 from repro.rng import ensure_rng
 
@@ -93,12 +92,6 @@ class StreamingTrainer:
         cannot cut at a shard boundary.
     checkpoint_every:
         Shard steps between checkpoints within an epoch.
-    parallel_workers:
-        When positive, shards are produced on this many worker
-        processes: every path wraps the source in
-        :class:`~repro.parallel.ProcessPrefetchingSource`, overlapping
-        shard production with the (sequential) consumption.  Results
-        are bit-identical to serial; consumption stays in-process.
     resume:
         When true (requires ``checkpoint``), :meth:`fit` restores the
         latest verified checkpoint before training and continues from
@@ -121,16 +114,11 @@ class StreamingTrainer:
         checkpoint=None,
         checkpoint_every: int = 1,
         resume: bool = False,
-        parallel_workers: int = 0,
     ):
         if mode not in LR_MODES:
             raise ValueError(f"mode must be one of {LR_MODES}, got {mode!r}")
         if epochs is not None and epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {epochs}")
-        if parallel_workers < 0:
-            raise ValueError(
-                f"parallel_workers must be >= 0, got {parallel_workers}"
-            )
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
@@ -149,7 +137,6 @@ class StreamingTrainer:
         self.checkpoint = checkpoint
         self.checkpoint_every = checkpoint_every
         self.resume = resume
-        self.parallel_workers = parallel_workers
 
     def _resolve_epochs(self) -> int:
         if self.epochs is not None:
@@ -162,19 +149,6 @@ class StreamingTrainer:
         if self.shuffle_shards and n_shards > 1:
             return [rng.permutation(n_shards) for _ in range(n_epochs)]
         return [np.arange(n_shards) for _ in range(n_epochs)]
-
-    def _parallel_source(self, source: FeatureSource) -> FeatureSource:
-        """Overlap shard production with training when workers are on."""
-        if not self.parallel_workers:
-            return source
-        # Local import: repro.parallel sits above the streaming layer.
-        from repro.parallel import ProcessPrefetchingSource
-
-        return ProcessPrefetchingSource(
-            source,
-            workers=self.parallel_workers,
-            registry=global_registry(),
-        )
 
     def fit(self, source: FeatureSource):
         """Train the model over the source; returns the fitted model.
@@ -201,12 +175,8 @@ class StreamingTrainer:
                             "every shard; use mode='incremental' for "
                             "checkpointed logistic training"
                         )
-                    return self.model.fit_stream(
-                        self._parallel_source(source)
-                    )
-                return self._fit_incremental_lr(
-                    self._parallel_source(source)
-                )
+                    return self.model.fit_stream(source)
+                return self._fit_incremental_lr(source)
             if hasattr(self.model, "fit_stream"):
                 if self.checkpoint is not None:
                     raise CheckpointError(
@@ -217,13 +187,13 @@ class StreamingTrainer:
                 # Shard-exact streaming algorithms (count/histogram
                 # models) own their pass structure; hand them the
                 # source whole.
-                return self.model.fit_stream(self._parallel_source(source))
+                return self.model.fit_stream(source)
             if not hasattr(self.model, "partial_fit"):
                 raise TypeError(
                     f"{type(self.model).__name__} does not support "
                     f"streaming training (no fit_stream or partial_fit)"
                 )
-            return self._fit_partial(self._parallel_source(source))
+            return self._fit_partial(source)
 
     # ------------------------------------------------------------------
     # Checkpoint plumbing (shared by both epoch-looped paths)

@@ -535,81 +535,9 @@ class TestFeatureSource:
         assert {f.line for f in findings} == {1, 2}
 
 
-class TestProcessDiscipline:
-    def test_fires_on_mp_primitives_via_module_alias(self, tmp_path):
-        source = (
-            "import multiprocessing as mp\n"
-            "p = mp.Process(target=print)\n"
-            "q = mp.Queue()\n"
-            "ctx = mp.get_context('spawn')\n"
-        )
-        findings = _findings(tmp_path, source, "process-discipline")
-        assert [f.line for f in findings] == [2, 3, 4]
-
-    def test_fires_on_direct_imports_and_shared_memory(self, tmp_path):
-        source = (
-            "from multiprocessing import Process, Queue\n"
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "p = Process(target=print)\n"
-            "q = Queue()\n"
-            "s = SharedMemory(create=True, size=8)\n"
-        )
-        findings = _findings(tmp_path, source, "process-discipline")
-        assert [f.line for f in findings] == [3, 4, 5]
-
-    def test_fires_on_process_pool_executor_and_os_fork(self, tmp_path):
-        source = (
-            "import os\n"
-            "import concurrent.futures\n"
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "a = ProcessPoolExecutor(2)\n"
-            "b = concurrent.futures.ProcessPoolExecutor(2)\n"
-            "pid = os.fork()\n"
-        )
-        findings = _findings(tmp_path, source, "process-discipline")
-        assert [f.line for f in findings] == [4, 5, 6]
-
-    def test_silent_on_threads_and_annotations(self, tmp_path):
-        source = (
-            "import threading\n"
-            "import multiprocessing as mp\n"
-            "import os\n"
-            "lock = threading.Lock()\n"
-            "def run(q: 'mp.Queue') -> None:\n"
-            "    os.getpid()\n"
-        )
-        assert _findings(tmp_path, source, "process-discipline") == []
-
-    def test_parallel_package_allowlisted_by_default_config(self, tmp_path):
-        source = (
-            "import multiprocessing as mp\n"
-            "q = mp.Queue()\n"
-        )
-        findings = _findings(
-            tmp_path,
-            source,
-            "process-discipline",
-            name="repro/parallel/prefetch.py",
-            config=DEFAULT_CONFIG,
-        )
-        assert findings == []
-
-    def test_real_parallel_free_modules_pass_clean(self):
-        findings = run_analysis(
-            [
-                SRC_REPRO / "serving" / "server.py",
-                SRC_REPRO / "streaming" / "trainer.py",
-                SRC_REPRO / "resilience" / "chaos.py",
-            ],
-            get_rules(["process-discipline"]),
-            known_rule_ids=ALL_IDS,
-        )
-        assert list(findings.findings) == []
-
-
 class TestEngineConformance:
     """Both kernel operands offer the sizing and column-stats surface
-    their callers (working-set accounting, shm transport, scalers) use
+    their callers (working-set accounting, resident bytes, scalers) use
     without a type switch."""
 
     def test_shipped_engine_matrices_pass_clean(self):

@@ -79,6 +79,20 @@ class TestParser:
         assert args.strategy == "Advised"
         assert args.out == "model.repro-model"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "yelp", "lr_l1", "--stream", "--parallel", "2"],
+            ["serve-bench", "yelp", "--clients", "4", "--parallel", "2"],
+        ],
+    )
+    def test_parallel_flag_is_a_usage_error(self, argv):
+        """Shard production and serving have one in-process path, so
+        there is no worker count to pass."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
     def test_serve_bench_arguments(self):
         args = build_parser().parse_args(
             ["serve-bench", "movies", "--rows", "500", "--batch-size", "16"]
@@ -102,6 +116,15 @@ class TestCommands:
         assert code == 0
         for name in ("expedia", "flights", "yelp"):
             assert name in out
+
+    def test_chaos_smoke_runs_training_and_serving_legs(self, capsys):
+        code = main(["chaos", "yelp", "--scale", "smoke"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  training [ok]" in out
+        assert "  serving  [ok]" in out
+        assert "  process" not in out
+        assert out.rstrip().endswith("chaos soak PASSED")
 
     def test_run_prints_result(self, capsys):
         code = main(["run", "movies", "dt_gini", "--scale", "smoke"])

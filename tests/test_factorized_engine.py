@@ -607,76 +607,6 @@ class TestFactorizedServing:
         )
 
 
-class TestSharedMemoryTransport:
-    def test_factorized_shard_round_trip(self, force_layout):
-        from repro.parallel import shm
-
-        dataset = star_dataset(n=70, n_r=4, d_s=2, d_r=2, seed=71)
-        encoder = ShardEncoder(dataset.schema, join_all_strategy())
-        rows = dataset.schema.fact.select(dataset.train)
-        with force_layout("factorize"):
-            X, y = encoder.encode_shard(rows)
-
-        handle = shm.export_shard("reprotestfact0", 0, X, y)
-        assert handle.n_rows == X.n_rows
-        segment, X2, y2 = shm.import_shard(handle)
-        try:
-            assert isinstance(X2, FactorizedMatrix)
-            assert X2.names == X.names
-            assert np.array_equal(y2, y)
-            w = np.random.default_rng(73).normal(size=X.width)
-            assert np.array_equal(X2.matmul(w), X.matmul(w))
-        finally:
-            shm.release(segment)
-
-    def test_factorized_segment_smaller_than_gathered(self, force_layout):
-        from repro.parallel import shm
-
-        dataset = star_dataset(n=400, n_r=4, d_s=1, d_r=6, seed=79)
-        X_gath, X_fact, y = encode_both(
-            force_layout, dataset, join_all_strategy()
-        )
-
-        fact_handle = shm.export_shard("reprotestfact1", 0, X_fact, y)
-        gath_handle = shm.export_shard("reprotestfact2", 0, X_gath, y)
-        try:
-            assert fact_handle.nbytes < gath_handle.nbytes
-        finally:
-            shm.sweep([fact_handle.segment, gath_handle.segment])
-
-    def test_columns_round_trip(self):
-        from repro.parallel import shm
-
-        rng = np.random.default_rng(83)
-        columns = {
-            "a": rng.integers(0, 9, size=50),
-            "b": rng.normal(size=50),
-        }
-        handle = shm.export_columns("reprotestcols0", columns)
-        segment, merged = shm.import_columns(handle)
-        try:
-            assert set(merged) == {"a", "b"}
-            for name in columns:
-                assert np.array_equal(merged[name], columns[name])
-        finally:
-            shm.release(segment)
-
-
-class TestParallelFactorized:
-    def test_parallel_fista_bit_identical_to_serial(self, force_layout):
-        dataset = star_dataset(n=90, n_r=5, d_s=2, d_r=2, seed=89)
-        strategy = join_all_strategy()
-        fitted = {}
-        for workers in (0, 2):
-            with force_layout("factorize"):
-                stream = strategy.streaming_matrices(dataset, shard_rows=24)
-                model = L1LogisticRegression(lam=1e-3, max_iter=15, tol=0.0)
-                StreamingTrainer(model, parallel_workers=workers).fit(stream)
-            fitted[workers] = model
-        assert np.array_equal(fitted[0].coef_, fitted[2].coef_)
-        assert fitted[0].intercept_ == fitted[2].intercept_
-
-
 def _tampered(array: np.ndarray) -> np.ndarray:
     """The same shape and dtype with one value changed."""
     assert array.size, "every stored array carries data"

@@ -5,8 +5,8 @@ shard once per fit and keeps the first ``RESIDENT_SHARDS`` of them for
 every later pass; the shards past the cap are re-read on every pass.
 Which shards are resident must never change a coefficient bit, a
 shard within the cap is encoded once per fit, and a kept shard owns
-its arrays (a process-prefetched shard's arrays are released when the
-next one is read).
+its arrays (a source may reuse or drop a shard's arrays once the next
+one is read).
 """
 
 import numpy as np

@@ -22,7 +22,6 @@ import pytest
 from repro.core import join_all_strategy, no_join_strategy
 from repro.datasets import generate_real_world
 from repro.experiments import fit_pipeline, get_scale
-from repro.parallel import ProcessPredictorPool
 from repro.serving import DimensionIndexCache, PredictionServer, artifact_from_pipeline
 
 
@@ -207,14 +206,12 @@ class TestFailureVisibility:
         assert stats.batches_flushed == 0
         assert "failed_flushes=1" in str(stats)
 
-    def test_workers_must_be_positive(self, artifact, dataset):
-        with pytest.raises(ValueError, match="workers"):
-            ProcessPredictorPool(artifact, dataset.schema, workers=0)
-
     def test_server_takes_neither_workers_nor_engine(self, artifact, dataset):
-        """The scorer is picked from the artifact, and extra predict
-        threads lose to one on a 2-CPU host, so neither is a knob."""
-        for knob in ({"workers": 2}, {"engine": "factorized"}):
+        """The scorer is picked from the artifact, and neither extra
+        predict threads nor predictor processes beat one in-process
+        predict on a 2-CPU host, so none of them is a knob."""
+        knobs = ({"workers": 2}, {"process_workers": 2}, {"engine": "factorized"})
+        for knob in knobs:
             with pytest.raises(TypeError, match=next(iter(knob))):
                 PredictionServer(artifact, dataset.schema, **knob)
 

@@ -97,35 +97,40 @@ class TestAccounting:
         stats = server.stats()
         assert stats.batches_flushed == 1
         assert stats.mean_batch_rows == 6
-        assert stats.workers == 1
         assert stats.failed_flushes == 0
 
-    def test_mean_latency_includes_queue_wait(self, server, dataset):
-        """Regression: queued time must be part of mean_latency_ms.
+    def test_mean_latency_includes_queue_wait(self, artifact, dataset):
+        """Regression: mean_latency_ms is the mean request latency.
 
-        The old computation summed assemble + predict seconds only, so
-        a row that sat queued for 50 ms reported microseconds of
-        latency.  Rows are parked on the micro-batcher, the test sleeps,
-        and the flushed stats must show the wait in both the
-        ``queue_wait`` histogram and the headline mean.
+        A first version summed assemble + predict seconds only, so a
+        row that sat queued for 50 ms reported microseconds of latency.
+        A second divided the summed per-row queue wait by the number of
+        predict calls, so 64 rows queued ~50 ms and flushed once read
+        over 3 s.  Rows are parked on the micro-batcher, the test
+        sleeps, and the headline must equal the end-to-end ``request``
+        mean, whatever the batch size, and include the wait.
         """
         import time as _time
 
-        rows = _label_rows(server, dataset, 2)
-        handles = [server.submit(r) for r in rows]
-        _time.sleep(0.05)
-        server.flush()
-        for handle in handles:
-            handle.result()
-        stats = server.stats()
-        assert stats.queue_wait_seconds >= 0.04
-        # mean latency = (assemble + predict + queue wait) / calls: the
-        # wait alone puts a floor under it far above pure compute time.
-        assert stats.mean_latency_ms >= (
-            1000.0 * stats.queue_wait_seconds / stats.predict_calls
-        )
-        assert stats.latency_ms["queue_wait"]["count"] == 2
-        assert stats.latency_ms["queue_wait"]["p50"] >= 40.0
+        for n_rows in (2, 64):
+            server = PredictionServer(
+                artifact, dataset.schema, max_batch_size=128, max_wait_s=None
+            )
+            rows = _label_rows(server, dataset, n_rows)
+            handles = [server.submit(r) for r in rows]
+            _time.sleep(0.05)
+            server.flush()
+            for handle in handles:
+                handle.result()
+            stats = server.stats()
+            assert stats.predict_calls == 1
+            assert stats.queue_wait_seconds >= 0.04 * n_rows
+            request = stats.latency_ms["request"]
+            assert request["count"] == n_rows
+            assert stats.mean_latency_ms == request["mean"]
+            assert stats.mean_latency_ms >= 40.0
+            assert stats.latency_ms["queue_wait"]["count"] == n_rows
+            assert stats.latency_ms["queue_wait"]["p50"] >= 40.0
 
     def test_latency_breakdown_covers_all_stages(self, server, dataset):
         rows = _label_rows(server, dataset, 4)

@@ -327,3 +327,22 @@ class TestRunnerEquivalence:
         for name in ("run_inmemory_experiment", "run_streaming_experiment"):
             assert not hasattr(experiments, name)
             assert not hasattr(runner, name)
+
+    def test_no_worker_count_knob(self):
+        """Shards are produced in-process only: the process tier and
+        its worker counts are deleted, not kept alongside."""
+        import importlib
+
+        from repro.datasets import generate_real_world
+        from repro.experiments import SMOKE, run_experiment
+
+        with pytest.raises(TypeError, match="parallel_workers"):
+            StreamingTrainer(L1LogisticRegression(), parallel_workers=2)
+        dataset = generate_real_world("yelp", n_fact=160, seed=0)
+        with pytest.raises(TypeError, match="parallel_workers"):
+            run_experiment(
+                dataset, "nb", no_join_strategy(), scale=SMOKE,
+                source=SourceSpec(), parallel_workers=2,
+            )
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.parallel")
