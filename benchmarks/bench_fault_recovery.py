@@ -2,13 +2,16 @@
 
 Three fits of the same streaming model over the same sharded source:
 
-1. **clean** — prefetched, no faults: the wall-clock baseline;
+1. **clean** — the source read directly, no faults: the wall-clock
+   baseline;
 2. **faulted** — a seeded :class:`~repro.resilience.FaultSchedule`
    gives a fraction of shards first-attempt transient read failures,
-   absorbed by the :class:`~repro.resilience.RetryPolicy` running
-   inside the prefetch worker;
-3. **kill/resume** — the same faulted source, with the run killed
-   after half its shard steps and resumed from the newest checkpoint.
+   absorbed by a :class:`~repro.resilience.RetryPolicy` through
+   :class:`~repro.resilience.RetryingSource`;
+3. **kill/resume** — the same faulted source, with the run killed by
+   :class:`~repro.resilience.chaos.KillSwitchCheckpoint` at its
+   checkpoint save halfway through the shard steps, then resumed from
+   the newest checkpoint.
 
 All three fits must produce **bit-identical** parameter arrays — a
 recovery layer that survives but drifts is worse than a crash — and
@@ -38,7 +41,6 @@ import time
 from pathlib import Path
 
 from repro.core.strategies import no_join_strategy
-from repro.data import PrefetchingSource
 from repro.data.spec import SourceSpec
 from repro.datasets import generate_real_world
 from repro.experiments.config import get_scale
@@ -48,13 +50,14 @@ from repro.resilience import (
     CheckpointManager,
     FaultInjectingSource,
     FaultSchedule,
+    RetryingSource,
     RetryPolicy,
     TRANSIENT,
 )
 from repro.resilience.chaos import (
     CHAOS_TRAINABLE,
     ChaosKilledError,
-    KillSwitchSource,
+    KillSwitchCheckpoint,
     models_identical,
 )
 from repro.streaming import StreamingTrainer
@@ -79,25 +82,18 @@ def run(args) -> dict:
     )
     effective_rate = len(schedule.shards(TRANSIENT)) / train.n_shards
     total_steps = args.epochs * train.n_shards
-    kill_after = max(1, total_steps // 2)
+    kill_after = max(2, total_steps // 2)
 
     def trainer(model, **extra):
         return StreamingTrainer(
             model, epochs=args.epochs, seed=args.seed, mode=mode, **extra
         )
 
-    def prefetched(inject: bool):
-        inner = (
-            FaultInjectingSource(train, schedule, registry=registry)
-            if inject
-            else train
-        )
-        return PrefetchingSource(
-            inner,
+    def faulted():
+        return RetryingSource(
+            FaultInjectingSource(train, schedule, registry=registry),
+            RetryPolicy(max_attempts=3, base_delay_s=0.0005, seed=args.seed),
             registry=registry,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0005, seed=args.seed
-            ),
         )
 
     def timed_fit(source, **extra):
@@ -107,22 +103,22 @@ def run(args) -> dict:
         return model, time.perf_counter() - started
 
     try:
-        clean_model, clean_seconds = timed_fit(prefetched(inject=False))
-        faulted_model, faulted_seconds = timed_fit(prefetched(inject=True))
+        clean_model, clean_seconds = timed_fit(train)
+        faulted_model, faulted_seconds = timed_fit(faulted())
         with tempfile.TemporaryDirectory(prefix="repro-bench-fault-") as ckpt:
-            manager = CheckpointManager(ckpt, registry=registry)
+            killer = KillSwitchCheckpoint(ckpt, kill_after, registry=registry)
             victim = make_streaming_model(args.model, scale, args.seed)
             started = time.perf_counter()
             killed = False
             try:
-                trainer(victim, checkpoint=manager, resume=True).fit(
-                    KillSwitchSource(prefetched(inject=True), kill_after)
-                )
+                trainer(victim, checkpoint=killer, resume=True).fit(faulted())
             except ChaosKilledError:
                 killed = True
             victim_seconds = time.perf_counter() - started
             resumed_model, resume_seconds = timed_fit(
-                prefetched(inject=True), checkpoint=manager, resume=True
+                faulted(),
+                checkpoint=CheckpointManager(ckpt, registry=registry),
+                resume=True,
             )
     finally:
         train.close()

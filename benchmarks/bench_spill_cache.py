@@ -1,33 +1,30 @@
-"""Data-layer decorators on a CSV source: spill cache + prefetch payoff.
+"""The disk spill cache on a CSV source: what it saves a multi-pass fit.
 
 Exact FISTA makes one full pass over the shards *per iteration* (plus
 30 power-iteration passes for the step-size bound).  It keeps its first
-:data:`~repro.ml.linear.logistic.RESIDENT_SHARDS` shards prepared in
-memory, so a CSV-backed :class:`~repro.streaming.StreamingMatrices`
-re-seeks, re-parses and re-encodes every shard past that cap dozens of
-times per fit.  The :class:`~repro.data.SpillCacheSource` decorator
-spills each shard's encoded ``(codes, labels)`` to disk on first
-production, turning those re-reads into ``np.load`` calls;
-:class:`~repro.data.PrefetchingSource` additionally overlaps shard
-loading with the optimiser's arithmetic.  A stream within the cap is
-read once per fit, so the cache only pays on streams with more shards
-than the cap.
+:data:`~repro.data.source.RESIDENT_SHARDS` shards prepared in memory,
+so a CSV-backed :class:`~repro.streaming.StreamingMatrices` re-seeks,
+re-parses and re-encodes every shard past that cap dozens of times per
+fit.  The :class:`~repro.data.SpillCacheSource` decorator spills each
+shard's encoded ``(codes, labels)`` to disk on first production,
+turning those re-reads into ``np.load`` calls.  A stream within the cap
+is read once per fit, so the cache only pays on streams with more
+shards than the cap.
 
 This benchmark writes a synthetic star-schema CSV, fits the same L1
-logistic regression three ways — plain, spill-cached, spill+prefetch —
-verifies the coefficients are **bit-identical** across all three
-(decorators must not change results), and records wall-clock times.
-The committed ``BENCH_prefetch_spill.json`` holds a reference run; the
-script exits non-zero if the spill-cache speedup falls below
-``--min-speedup`` or any fit disagrees.
+logistic regression plain and spill-cached, verifies the coefficients
+are **bit-identical** (a decorator must not change results), and
+records wall-clock times.  The committed ``BENCH_spill_cache.json``
+holds a reference run; the script exits non-zero if the spill-cache
+speedup falls below ``--min-speedup`` or the fits disagree.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_prefetch_spill.py
+    PYTHONPATH=src python benchmarks/bench_spill_cache.py
     # CI smoke: 20 shards (12 past the cap), relaxed floor
-    PYTHONPATH=src python benchmarks/bench_prefetch_spill.py \
+    PYTHONPATH=src python benchmarks/bench_spill_cache.py \
         --rows 20000 --shard-rows 1000 --max-iter 10 --min-speedup 1.2 \
-        --out /tmp/bench_prefetch_spill.json
+        --out /tmp/bench_spill_cache.json
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.strategies import join_all_strategy
-from repro.data import PrefetchingSource, SpillCacheSource
+from repro.data import SpillCacheSource
 from repro.ml.linear import L1LogisticRegression
 from repro.obs import machine_info
 from repro.rng import ensure_rng
@@ -92,7 +89,7 @@ def timed_fit(source, max_iter: int):
 
 
 def run(args) -> dict:
-    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-prefetch-spill-"))
+    workdir = Path(tempfile.mkdtemp(prefix="repro-bench-spill-cache-"))
     try:
         return _run_in(workdir, args)
     finally:
@@ -116,18 +113,9 @@ def _run_in(workdir: Path, args) -> dict:
             "misses": spilled_stream.stats.misses,
         }
 
-    with PrefetchingSource(
-        SpillCacheSource(make_stream(fact_path, dim_path, args.shard_rows)),
-        depth=args.prefetch_depth,
-    ) as stacked_stream:
-        stacked_model, stacked_seconds = timed_fit(stacked_stream, args.max_iter)
-
     identical = bool(
         np.array_equal(plain_model.coef_, spilled_model.coef_)
-        and np.array_equal(plain_model.coef_, stacked_model.coef_)
-        and plain_model.intercept_
-        == spilled_model.intercept_
-        == stacked_model.intercept_
+        and plain_model.intercept_ == spilled_model.intercept_
     )
     return {
         "settings": {
@@ -135,16 +123,11 @@ def _run_in(workdir: Path, args) -> dict:
             "shard_rows": args.shard_rows,
             "fk_domain": args.fk_domain,
             "max_iter": args.max_iter,
-            "prefetch_depth": args.prefetch_depth,
             "seed": args.seed,
         },
         "csv_plain_seconds": round(plain_seconds, 4),
         "spill_cache_seconds": round(spilled_seconds, 4),
-        "spill_plus_prefetch_seconds": round(stacked_seconds, 4),
         "spill_cache_speedup": round(plain_seconds / spilled_seconds, 2),
-        "spill_plus_prefetch_speedup": round(
-            plain_seconds / stacked_seconds, 2
-        ),
         "spill_stats": spill_stats,
         "coefficients_identical": identical,
     }
@@ -162,7 +145,6 @@ def main(argv=None) -> int:
         help="FISTA iterations (each re-reads the shards past the "
         "residency cap when uncached)",
     )
-    parser.add_argument("--prefetch-depth", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--min-speedup",
@@ -180,7 +162,7 @@ def main(argv=None) -> int:
     if args.out:
         Path(args.out).write_text(rendered + "\n")
     if not report["coefficients_identical"]:
-        print("FAIL: decorated fits diverged from the plain fit", file=sys.stderr)
+        print("FAIL: the cached fit diverged from the plain fit", file=sys.stderr)
         return 2
     if report["spill_cache_speedup"] < args.min_speedup:
         print(

@@ -25,7 +25,8 @@ The package is organised in nine layers:
 - :mod:`repro.data` — the unified shard-oriented data layer: the
   :class:`~repro.data.FeatureSource` protocol every trainer and scorer
   consumes, the shared :class:`~repro.data.ShardEncoder` encode path,
-  and the prefetch / disk-spill-cache decorators.
+  the one multi-pass reader :class:`~repro.data.ShardPasses` that
+  keeps a fit's first shards resident, and the disk-spill cache.
 - :mod:`repro.streaming` — out-of-core sharded training: bounded fact
   shards from splits/populations/chunked CSVs, per-shard strategy
   matrices, and a deterministic :class:`~repro.streaming.StreamingTrainer`
@@ -48,7 +49,7 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).

@@ -126,13 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of shards for --stream (alternative to --shard-rows)",
     )
     p_fit.add_argument(
-        "--prefetch",
-        type=int,
-        default=None,
-        metavar="DEPTH",
-        help="prefetch shards on a background thread (queue depth)",
-    )
-    p_fit.add_argument(
         "--spill-cache",
         nargs="?",
         const=True,
@@ -306,8 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SHARDS",
         help=(
-            "kill training after this many shard steps and resume from "
-            "the checkpoint (default: mid-run)"
+            "kill training at this shard step (2 up to the last), before "
+            "its checkpoint is written, and resume from the newest one "
+            "(default: mid-run)"
         ),
     )
     p_chaos.add_argument("--rows", type=int, default=160)
@@ -391,7 +385,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     streaming_flags = (
         ("--shard-rows", args.shard_rows),
         ("--shards", args.shards),
-        ("--prefetch", args.prefetch),
         ("--spill-cache", args.spill_cache),
         ("--checkpoint-dir", args.checkpoint_dir),
     )
@@ -399,7 +392,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         names = "/".join(name for name, _ in streaming_flags)
         emit(f"error: {names} require --stream", error=True)
         return 2
-    for name, value in streaming_flags[:3]:
+    for name, value in streaming_flags[:2]:
         if value is not None and value < 1:
             emit(f"error: {name} must be >= 1, got {value}", error=True)
             return 2
@@ -426,7 +419,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         spec = SourceSpec(
             shard_rows=args.shard_rows,
             n_shards=n_shards,
-            prefetch=args.prefetch,
             spill_cache=args.spill_cache or False,
         )
     else:

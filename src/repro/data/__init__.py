@@ -8,18 +8,19 @@ dense in-memory matrices in the experiment runner, per-shard joins in
 
 - :mod:`repro.data.source` — the :class:`FeatureSource` protocol
   (encoded ``(X, y)`` shards in a stable order plus schema/domain
-  metadata), the in-memory :class:`MatrixSource` adapter, and the
-  shared :func:`source_accuracy` scoring loop.
+  metadata), the in-memory :class:`MatrixSource` adapter,
+  :class:`ShardPasses` (the one multi-pass reader, which keeps the
+  first :data:`~repro.data.source.RESIDENT_SHARDS` prepared shards of
+  a fit) and the shared :func:`source_accuracy` scoring loop.
 - :mod:`repro.data.encoder` — :class:`ShardEncoder`, the single
   fact-rows → feature-matrix encode path, shared verbatim by serving
   micro-batches (:class:`repro.serving.FeatureService` subclasses it)
   and streaming shards (:class:`repro.streaming.StreamingMatrices`
   encodes through it), with the thread-safe
   :class:`DimensionIndexCache` behind both.
-- :mod:`repro.data.prefetch` / :mod:`repro.data.spill` — composable
-  decorators: background prefetching behind a bounded queue, and a
-  disk-spilling LRU cache of encoded shards.  Decorators never change
-  shard bytes, only how they are produced.
+- :mod:`repro.data.spill` — :class:`SpillCacheSource`, a decorator
+  caching encoded shards on disk within an optional byte budget.
+  Decorators never change shard bytes, only how they are produced.
 - :mod:`repro.data.spec` — :class:`SourceSpec`, the declarative recipe
   ``run_experiment(source=...)`` and the CLI build sources from.
 
@@ -33,10 +34,10 @@ out-of-core :class:`FeatureSource`.
 from repro.data.source import (
     FeatureSource,
     MatrixSource,
+    ShardPasses,
     SourceDecorator,
     source_accuracy,
 )
-from repro.data.prefetch import PrefetchingSource
 from repro.data.spill import SpillCacheSource, SpillStats
 from repro.data.encoder import CacheStats, DimensionIndexCache, ShardEncoder
 from repro.data.spec import SPLITS, SourceSpec
@@ -46,9 +47,9 @@ __all__ = [
     "DimensionIndexCache",
     "FeatureSource",
     "MatrixSource",
-    "PrefetchingSource",
     "SPLITS",
     "ShardEncoder",
+    "ShardPasses",
     "SourceDecorator",
     "SourceSpec",
     "SpillCacheSource",

@@ -14,9 +14,9 @@ plus the schema/domain metadata needed to size model state up front.
   ``n_classes`` are all known before any shard is read.
 - **Random access**: ``shard(i)`` materialises shard ``i``'s
   ``(CategoricalMatrix, labels)`` pair; shards are deterministic and
-  re-readable, which is what lets exact FISTA make one pass per
-  iteration and lets decorators cache or prefetch without changing
-  results.
+  re-readable, which is what lets a multi-pass fit re-read the shards
+  it does not keep, and lets decorators cache or retry reads without
+  changing results.
 - **Iteration**: ``iter_shards(order)`` yields ``(index, X, y)``
   triples (optionally reordered), ``__iter__`` yields ``(X, y)`` pairs
   in stable order, and both are re-iterable.
@@ -28,8 +28,15 @@ optionally sliced into bounded shards),
 :class:`~repro.streaming.matrices.StreamingMatrices` (per-shard KFK
 join + encoding over any :class:`~repro.streaming.shards.ShardedDataset`
 — splits, full tables, scenario populations, chunked CSVs).  Composable
-decorators: :class:`~repro.data.prefetch.PrefetchingSource` and
-:class:`~repro.data.spill.SpillCacheSource`.
+decorators: :class:`~repro.data.spill.SpillCacheSource` here and
+:class:`~repro.resilience.RetryingSource` in the resilience layer.
+
+Every fit that makes more than one pass — exact FISTA's power
+iteration and gradient passes, the streamed tree's level passes and
+:class:`~repro.streaming.trainer.StreamingTrainer`'s epochs — reads
+through one :class:`ShardPasses`: it keeps the first
+:data:`RESIDENT_SHARDS` shards it prepares for the rest of the fit and
+re-reads only the others.
 
 This module deliberately imports nothing beyond numpy so that any layer
 of the package (including :mod:`repro.ml` itself) can depend on it
@@ -139,8 +146,8 @@ class FeatureSource:
 class SourceDecorator(FeatureSource):
     """A :class:`FeatureSource` wrapping another, delegating metadata.
 
-    Decorators change *how* shards are produced (prefetched in the
-    background, cached on disk) but never *what* they contain: the
+    Decorators change *how* shards are produced (cached on disk,
+    retried after a transient failure) but never *what* they contain: the
     contract — enforced by ``tests/test_data_source.py`` — is that a
     decorated source yields byte-identical shards in the same order as
     the source it wraps.
@@ -267,6 +274,85 @@ class MatrixSource(FeatureSource):
             f"MatrixSource(n_rows={self.n_rows}, n_shards={self.n_shards}, "
             f"d={self.n_features})"
         )
+
+
+#: Prepared shards a multi-pass fit keeps between passes.  Shards past
+#: the cap are re-read on every pass, so a fit holds at most
+#: ``RESIDENT_SHARDS + 1`` shards however many rows the stream has.
+RESIDENT_SHARDS = 8
+
+
+def _as_read(X, y) -> tuple:
+    return X, y
+
+
+class ShardPasses:
+    """Repeated passes over one source, the first shards kept resident.
+
+    Each call is one pass: it yields ``(index, prepare(X, y))`` in the
+    given order, stream order by default.  The first
+    :data:`RESIDENT_SHARDS` prepared shards the reader produces stay
+    for the rest of the fit; the others are re-read through one
+    ``source.iter_shards(missing)`` per pass, which is closed when the
+    pass ends or is abandoned.  A first pass in stream order reads
+    through ``iter_shards()``, so a source with a sequential scanner
+    (chunked CSVs) keeps it.  Residency changes which shards are read,
+    never what a pass yields, so it cannot change a fitted bit.
+
+    Parameters
+    ----------
+    source:
+        Any :class:`FeatureSource`.
+    prepare:
+        ``prepare(X, y)`` turns a read shard into what the fit keeps
+        and consumes; the default keeps the shard as read.
+    """
+
+    __slots__ = ("source", "prepare", "resident", "_stream_order")
+
+    def __init__(self, source: FeatureSource, prepare=_as_read):
+        self.source = source
+        self.prepare = prepare
+        #: Kept prepared shards, by index, in the order first produced.
+        self.resident: dict[int, object] = {}
+        self._stream_order = range(source.n_shards)
+
+    def __call__(
+        self, order: Sequence[int] | np.ndarray | None = None
+    ) -> Iterator[tuple[int, object]]:
+        resident = self.resident
+        stream_order = order is None
+        if stream_order:
+            order = self._stream_order
+        else:
+            order = [int(index) for index in order]
+        # A pass over kept shards only is a bare walk: exact FISTA over
+        # an in-memory matrix makes thousands of them per fit.
+        if len(resident) == len(self._stream_order):
+            missing = ()
+        else:
+            missing = [index for index in order if index not in resident]
+        if not missing:
+            for index in order:
+                yield index, resident[index]
+            return
+        reads = self.source.iter_shards(
+            None if stream_order and not resident else missing
+        )
+        try:
+            for index in order:
+                # Rebinding drops the previous shard before the next
+                # read, so a shard past the cap is never held beside it.
+                shard = resident.get(index)
+                if shard is None:
+                    _, X, y = next(reads)
+                    shard = self.prepare(X, y)
+                    del X, y
+                    if len(resident) < RESIDENT_SHARDS:
+                        resident[index] = shard
+                yield index, shard
+        finally:
+            reads.close()
 
 
 def source_accuracy(model, source: FeatureSource) -> float:

@@ -3,12 +3,11 @@
 The experiment runner, the CLI and the benchmarks all need the same
 decision made in the same way: given a dataset and a strategy, should a
 split's features be one resident matrix or a stream of bounded shards,
-and which decorators wrap the result?  :class:`SourceSpec` captures
+and is it cached on disk between passes?  :class:`SourceSpec` captures
 that choice as data — ``SourceSpec()`` is the in-memory path,
 ``SourceSpec(shard_rows=...)`` (or ``n_shards=...``) the out-of-core
-one, ``prefetch``/``spill_cache`` layer the decorators — so
-``run_experiment(source=spec)`` replaces the two hand-rolled runner
-functions PR 4 left behind.
+one, ``spill_cache`` adds the disk cache — so
+``run_experiment(source=spec)`` is the one runner for both paths.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.data.prefetch import PrefetchingSource
 from repro.data.source import FeatureSource, MatrixSource
 from repro.data.spill import SpillCacheSource
 from repro.obs import MetricsRegistry
@@ -36,14 +34,10 @@ class SourceSpec:
         Leaving both unset selects the in-memory path: the strategy's
         matrices are materialised once and each split is a single
         resident shard.
-    prefetch:
-        When set, wrap each source in a :class:`PrefetchingSource` with
-        this queue depth.
     spill_cache:
         ``False`` (default) for no cache, ``True`` for a
         :class:`SpillCacheSource` in a private temporary directory, or
-        an explicit directory path.  Spill before prefetch, so the
-        background thread reads through the cache.
+        an explicit directory path.
 
     How each shard lays out its joined dimensions is not part of the
     spec: the encoder decides per dimension from the shard's size
@@ -52,7 +46,6 @@ class SourceSpec:
 
     shard_rows: int | None = None
     n_shards: int | None = None
-    prefetch: int | None = None
     spill_cache: bool | str | Path = False
 
     def __post_init__(self) -> None:
@@ -61,7 +54,7 @@ class SourceSpec:
                 "shard_rows and n_shards are two ways to lay out the same "
                 "shards; pass exactly one"
             )
-        for name in ("shard_rows", "n_shards", "prefetch"):
+        for name in ("shard_rows", "n_shards"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -81,7 +74,7 @@ class SourceSpec:
         splits: tuple[str, ...] = SPLITS,
         registry: MetricsRegistry | None = None,
     ) -> dict[str, FeatureSource]:
-        """Build one decorated source per requested split.
+        """Build one source per requested split.
 
         The in-memory path materialises the strategy's matrices once
         (one join shared by all splits, as the tuned pipeline does);
@@ -90,7 +83,7 @@ class SourceSpec:
         should ``close()`` them when done (spill caches hold disk).
 
         ``registry`` threads one metrics registry through the encoder
-        and every decorator (the experiment runner passes the
+        and the spill cache (the experiment runner passes the
         process-wide one, so ``repro fit --telemetry`` reports
         ``data.*`` metrics); ``None`` keeps each component's private
         default.
@@ -139,7 +132,7 @@ class SourceSpec:
         label: str | None = None,
         registry: MetricsRegistry | None = None,
     ) -> FeatureSource:
-        """Wrap a source with this spec's decorators (spill, then prefetch).
+        """Wrap a source in this spec's spill cache, when it asks for one.
 
         ``label`` namespaces an explicit ``spill_cache`` directory (one
         subdirectory per split), so several sources built from one spec
@@ -155,17 +148,11 @@ class SourceSpec:
             source = SpillCacheSource(
                 source, directory=directory, registry=registry
             )
-        if self.prefetch is not None:
-            source = PrefetchingSource(
-                source, depth=self.prefetch, registry=registry
-            )
         return source
 
     def describe(self) -> dict:
         """The spec as flat result metadata (for ``RunResult.best_params``)."""
         described: dict = {"streaming": self.streaming}
-        if self.prefetch is not None:
-            described["prefetch"] = self.prefetch
         if self.spill_cache:
             described["spill_cache"] = (
                 True if self.spill_cache is True else str(self.spill_cache)

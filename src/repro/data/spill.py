@@ -1,11 +1,13 @@
 """A disk-spilling cache of encoded shards.
 
 Multi-pass consumers — exact FISTA makes one full pass over the shards
-*per iteration* and re-reads every shard past its residency cap, tree
-frontiers and MLP epochs re-read them all — force out-of-core sources
-to re-produce shards many times.  For a CSV-backed source each
-production is a seek, a text parse, a per-column domain encode and a
-KFK join; all of it yields the same bytes every time.
+*per iteration*, tree frontiers one per level and the trainer's epochs
+one per epoch — keep the first
+:data:`~repro.data.source.RESIDENT_SHARDS` shards they read
+(:class:`~repro.data.source.ShardPasses`), so an out-of-core source
+re-produces every shard past that cap once per pass.  For a CSV-backed
+source each production is a seek, a text parse, a per-column domain
+encode and a KFK join; all of it yields the same bytes every time.
 :class:`SpillCacheSource` intercepts :meth:`shard` and keeps each
 shard's encoded form — the integer code matrix (or, for a factorized
 shard, its per-row codes plus each blocked dimension's resolved rows
@@ -116,10 +118,11 @@ class SpillCacheSource(SourceDecorator):
     source:
         Any :class:`FeatureSource`.  Wrapping an already-cheap source
         (an in-memory :class:`MatrixSource`) is allowed and harmless —
-        single-shard sources pass straight through uncached, since the
-        one shard is already resident — while the win comes from
-        multi-shard sources whose :meth:`shard` re-reads and re-encodes
-        external data.
+        single-shard sources pass straight through uncached, since a
+        multi-pass fit keeps a lone shard resident — while the win
+        comes from streams with more shards than
+        :data:`~repro.data.source.RESIDENT_SHARDS`, whose :meth:`shard`
+        re-reads and re-encodes external data on every pass.
     directory:
         Where shard files live.  ``None`` creates a private temporary
         directory that :meth:`close` deletes; an explicit directory is
@@ -132,12 +135,6 @@ class SpillCacheSource(SourceDecorator):
     registry:
         Metrics registry backing the ``data.spill.*`` metrics.
         ``None`` keeps a private one (exact per-instance stats).
-    retry_policy:
-        Optional :class:`~repro.resilience.RetryPolicy` (or anything
-        with its ``call`` shape) applied to the wrapped source's
-        ``shard`` reads, so a transient producer failure costs a
-        bounded backoff instead of the pass.  Duck-typed to keep
-        ``repro.data`` import-independent of ``repro.resilience``.
     """
 
     def __init__(
@@ -146,7 +143,6 @@ class SpillCacheSource(SourceDecorator):
         directory: str | Path | None = None,
         max_bytes: int | None = None,
         registry: MetricsRegistry | None = None,
-        retry_policy=None,
     ):
         super().__init__(source)
         if max_bytes is not None and max_bytes < 1:
@@ -163,7 +159,6 @@ class SpillCacheSource(SourceDecorator):
         self._misses = self.metrics.counter("data.spill.misses")
         self._spilled_bytes = self.metrics.gauge("data.spill.bytes")
         self._corruptions = self.metrics.counter("data.spill.corruptions")
-        self.retry_policy = retry_policy
         self._entries: dict[int, int] = {}  # index -> bytes
         self._closed = False
 
@@ -187,10 +182,10 @@ class SpillCacheSource(SourceDecorator):
         if self._closed:
             raise ValueError("cannot read from a closed SpillCacheSource")
         if self.source.n_shards <= 1:
-            # A single-shard source is already its own best cache (the
-            # in-memory adapters and StreamingMatrices both keep the one
-            # shard resident); spilling it would replace a resident
-            # object with a disk re-load per pass.
+            # A single shard is never re-read: every multi-pass fit
+            # keeps it resident (ShardPasses), and scoring after a fit
+            # reads StreamingMatrices' own one-shard cache.  Spilling it
+            # would only add a disk write.
             return self.source.shard(index)
         if index in self._entries:
             try:
@@ -207,19 +202,9 @@ class SpillCacheSource(SourceDecorator):
                 self._hits.inc()
                 return loaded
         self._misses.inc()
-        X, y = self._produce(index)
+        X, y = self.source.shard(index)
         self._store(index, X, y)
         return X, y
-
-    def _produce(self, index: int):
-        """Read a shard from the wrapped source, retried when configured."""
-        if self.retry_policy is None:
-            return self.source.shard(index)
-        return self.retry_policy.call(
-            lambda: self.source.shard(index),
-            registry=self.metrics,
-            describe=f"spill-cache source read of shard {index}",
-        )
 
     def _drop(self, index: int) -> None:
         """Remove one entry (and its file) from the cache."""

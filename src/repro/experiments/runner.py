@@ -465,8 +465,8 @@ def run_experiment(
     With a :class:`repro.data.SourceSpec`, the cell instead fits the
     single :func:`make_streaming_model` configuration over the spec's
     per-split :class:`~repro.data.FeatureSource`\\ s — in memory for
-    ``SourceSpec()``, out of core for a sharded spec, with optional
-    prefetch/spill-cache decorators — and scores every split through
+    ``SourceSpec()``, out of core for a sharded spec, with an optional
+    disk spill cache — and scores every split through
     the shared :func:`split_accuracy`.  This subsumes the
     ``run_inmemory_experiment`` / ``run_streaming_experiment`` pair of
     earlier revisions: a sharded spec with a single shard is

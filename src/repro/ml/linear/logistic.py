@@ -17,8 +17,9 @@ each blocked dimension costs ``O(n + |D|·d_R)`` instead.
 Because the logistic gradient is a sum over examples, FISTA streams:
 :meth:`L1LogisticRegression.fit_stream` runs the *exact* full-batch
 iteration while visiting the data as bounded shards, one pass per
-iteration; the first :data:`RESIDENT_SHARDS` shards stay prepared
-between passes, the rest are re-read each pass.  ``fit`` itself
+iteration; through :class:`repro.data.source.ShardPasses`, the first
+:data:`~repro.data.source.RESIDENT_SHARDS` shards stay prepared
+between passes and the rest are re-read each pass.  ``fit`` itself
 delegates to ``fit_stream`` with the whole matrix as a single
 shard, so the in-memory and out-of-core paths share one code path and a
 single-shard streaming fit is bit-identical to an in-memory fit by
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.source import MatrixSource
+from repro.data.source import MatrixSource, ShardPasses
 from repro.ml import sparse
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
@@ -78,12 +79,6 @@ def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
     return max(sigma / (4.0 * n), 1e-12)
 
 
-#: Prepared shards an exact fit keeps between passes.  Shards past the
-#: cap are re-read on every pass, so a fit holds at most
-#: ``RESIDENT_SHARDS + 1`` shards however many rows the stream has.
-RESIDENT_SHARDS = 8
-
-
 def _prepare(X, y) -> tuple:
     """One shard as the kernels read it: operand and ±1 labels.
 
@@ -95,77 +90,46 @@ def _prepare(X, y) -> tuple:
     return operand, np.where(np.asarray(y) > 0, 1.0, -1.0)
 
 
-class _ShardPasses:
-    """Exact FISTA's two data sweeps over a stream's shards.
+def _power_step(passes: ShardPasses, v: np.ndarray) -> np.ndarray:
+    """``Σ_s X_sᵀ (X_s v)`` accumulated over one shard pass."""
+    acc = np.zeros(v.shape[0])
+    for _, (encoded, _) in passes():
+        acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
+        # Drop the shard before the next read: one past the cap is not
+        # resident and would otherwise stay alive beside it.
+        del encoded
+    return acc
 
-    The first pass reads and prepares every shard and keeps the first
-    :data:`RESIDENT_SHARDS` of them; every later pass reuses those and
-    re-reads the rest, in stream order.  A stream within the cap is
-    joined and encoded once per fit, not once per pass.  Each sweep
-    folds the per-shard partials into zeros in stream order, so which
+
+def _gradient(
+    passes: ShardPasses,
+    z_w: np.ndarray,
+    z_b: float,
+    n: int,
+    fit_intercept: bool,
+) -> tuple[np.ndarray, float]:
+    """The exact full-batch logistic gradient at ``(z_w, z_b)``.
+
+    Per-shard partials fold into zeros in stream order, so which
     shards are resident never changes a coefficient bit.
     """
-
-    __slots__ = ("stream", "resident", "_read")
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.resident: list[tuple] = []
-        self._read = False
-
-    def _shards(self):
-        """Every prepared shard, in stream order: one pass."""
-        if not self._read:
-            self._read = True
-            for _, X, y in self.stream.iter_shards():
-                shard = _prepare(X, y)
-                if len(self.resident) < RESIDENT_SHARDS:
-                    self.resident.append(shard)
-                yield shard
-            return
-        yield from self.resident
-        rest = range(len(self.resident), self.stream.n_shards)
-        if rest:
-            for _, X, y in self.stream.iter_shards(rest):
-                yield _prepare(X, y)
-
-    def resident_bytes(self) -> int:
-        """Bytes of the prepared shards kept between passes."""
-        return sum(
-            operand.nbytes + signed.nbytes for operand, signed in self.resident
-        )
-
-    def power_step(self, v: np.ndarray) -> np.ndarray:
-        """``Σ_s X_sᵀ (X_s v)`` accumulated over one shard pass."""
-        acc = np.zeros(v.shape[0])
-        for encoded, _ in self._shards():
-            acc += sparse.rmatmul(encoded, sparse.matmul(encoded, v))
-            # Drop the shard before the next read: one past the cap is
-            # not resident and would otherwise stay alive beside it.
-            del encoded
-        return acc
-
-    def gradient(
-        self, z_w: np.ndarray, z_b: float, n: int, fit_intercept: bool
-    ) -> tuple[np.ndarray, float]:
-        """The exact full-batch logistic gradient at ``(z_w, z_b)``."""
-        grad_w = np.zeros(z_w.shape[0])
-        grad_b = 0.0
-        for encoded, signed in self._shards():
-            margin = signed * (sparse.matmul(encoded, z_w) + z_b)
-            probs = _sigmoid(-margin)
-            residual = -(signed * probs) / n
-            grad_w += sparse.rmatmul(encoded, residual)
-            if fit_intercept:
-                grad_b += residual.sum()
-            del encoded, signed  # as in power_step
-        return grad_w, grad_b
+    grad_w = np.zeros(z_w.shape[0])
+    grad_b = 0.0
+    for _, (encoded, signed) in passes():
+        margin = signed * (sparse.matmul(encoded, z_w) + z_b)
+        probs = _sigmoid(-margin)
+        residual = -(signed * probs) / n
+        grad_w += sparse.rmatmul(encoded, residual)
+        if fit_intercept:
+            grad_b += residual.sum()
+        del encoded, signed  # as in _power_step
+    return grad_w, grad_b
 
 
 def _power_lipschitz(
     power_step, n: int, width: int, seed: int = 0, iterations: int = 30
 ) -> float:
-    """:func:`_lipschitz_bound` driven through a pass runner.
+    """:func:`_lipschitz_bound` driven through a shard-pass function.
 
     ``X.T @ (X @ v)`` decomposes over row blocks as
     ``Σ_s X_s.T @ (X_s @ v)``, so each power iteration is one
@@ -239,14 +203,15 @@ class L1LogisticRegression(Estimator):
         attributes used: ``n_rows``, ``n_shards``, ``onehot_width``,
         ``n_features`` and ``iter_shards``, each shard's ``X`` gathered
         or factorized).  Each FISTA iteration makes one pass over the
-        shards, accumulating the full-batch gradient.  The first
-        :data:`RESIDENT_SHARDS` shards are prepared once and stay
-        resident for every later pass; the rest are re-read per pass,
-        so peak memory is bounded by ``RESIDENT_SHARDS + 1`` shards
-        regardless of ``n_rows``.  The iterates are the full-batch ones
-        — this is out-of-core execution, not an approximate optimiser —
-        and with a single shard the arithmetic is bit-identical to
-        :meth:`fit`.
+        shards, accumulating the full-batch gradient.  The passes read
+        through one :class:`repro.data.source.ShardPasses`: the first
+        :data:`~repro.data.source.RESIDENT_SHARDS` shards are prepared
+        once and stay resident for every later pass; the rest are
+        re-read per pass, so peak memory is bounded by
+        ``RESIDENT_SHARDS + 1`` shards regardless of ``n_rows``.  The
+        iterates are the full-batch ones — this is out-of-core
+        execution, not an approximate optimiser — and with a single
+        shard the arithmetic is bit-identical to :meth:`fit`.
 
         When a run is traced, the innermost open span (the streaming
         trainer's ``fit``) is annotated once with ``resident_shards``
@@ -265,16 +230,16 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        runner = _ShardPasses(stream)
-        L = _power_lipschitz(runner.power_step, n, width) + (
-            0.25 if self.fit_intercept else 0.0
-        )
+        passes = ShardPasses(stream, _prepare)
+        L = _power_lipschitz(
+            lambda v: _power_step(passes, v), n, width
+        ) + (0.25 if self.fit_intercept else 0.0)
         step = 1.0 / L
         z_w, z_b, t_acc = w.copy(), b, 1.0
         self.n_iter_ = 0
         for iteration in range(self.max_iter):
-            grad_w, grad_b = runner.gradient(
-                z_w, z_b, n, self.fit_intercept
+            grad_w, grad_b = _gradient(
+                passes, z_w, z_b, n, self.fit_intercept
             )
             w_new = _soft_threshold(z_w - step * grad_w, step * self.lam)
             b_new = z_b - step * grad_b
@@ -293,8 +258,11 @@ class L1LogisticRegression(Estimator):
         span = tracer().current()
         if span is not None:
             span.annotate(
-                resident_shards=len(runner.resident),
-                resident_bytes=runner.resident_bytes(),
+                resident_shards=len(passes.resident),
+                resident_bytes=sum(
+                    operand.nbytes + signed.nbytes
+                    for operand, signed in passes.resident.values()
+                ),
             )
         return self
 

@@ -27,6 +27,8 @@ makes training streamable: :meth:`DecisionTreeClassifier.fit_stream`
 grows the tree breadth-first over any :class:`repro.data.FeatureSource`,
 accumulating each frontier node's histograms with one ``bincount`` per
 (shard, feature) pass and deciding all of a level's splits at once.
+Its passes read through one :class:`repro.data.source.ShardPasses`,
+which keeps the first gathered shards for every later level.
 Integer histograms are associative over shards, so the streamed tree's
 splits are **identical** to the in-memory tree's — ``fit`` and
 ``fit_stream`` share one split-scoring routine
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.data.source import ShardPasses
 from repro.errors import UnseenCategoryError
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
@@ -85,6 +88,11 @@ class _BestSplit:
     weighted_gain: float
     left_counts: np.ndarray
     right_counts: np.ndarray
+
+
+def _gathered_shard(X, y) -> tuple:
+    """A read shard as the level passes route it: gathered codes."""
+    return gathered(X), y
 
 
 class DecisionTreeClassifier(Estimator):
@@ -180,9 +188,14 @@ class DecisionTreeClassifier(Estimator):
         :meth:`_best_split_from_stats` the in-memory ``fit`` uses, so
         the streamed tree's splits are identical to the in-memory
         tree's for every shard layout; only the pass structure differs
-        (``depth + 1`` passes instead of one resident matrix).  Peak
-        state between shards is the frontier's histograms — bounded by
-        tree width, not by ``n_rows``.
+        (``depth + 1`` passes instead of one resident matrix).  The
+        passes read through one :class:`repro.data.source.ShardPasses`
+        that keeps the first
+        :data:`~repro.data.source.RESIDENT_SHARDS` shards gathered, so
+        a stream within the cap is read, joined and gathered once per
+        fit.  Beyond those shards, state between shards is the
+        frontier's histograms — bounded by tree width, not by
+        ``n_rows``.
         """
         self._validate_hyperparameters()
         self._reset()
@@ -194,9 +207,9 @@ class DecisionTreeClassifier(Estimator):
         label_counts = np.zeros(0, dtype=np.int64)
         seen = [np.zeros(k, dtype=bool) for k in n_levels]
         n_total = 0
-        for X, y in source:
+        passes = ShardPasses(source, _gathered_shard)
+        for _, (X, y) in passes():
             y = check_X_y(X, y)
-            X = gathered(X)
             if tuple(X.n_levels) != n_levels:
                 raise ValueError(
                     f"shard has feature levels {X.n_levels}, source "
@@ -240,10 +253,9 @@ class DecisionTreeClassifier(Estimator):
                 ]
                 for node in frontier
             }
-            for X, y in source:
+            for _, (X, y) in passes():
                 self._accumulate_stats(
-                    root, gathered(X), np.asarray(y), np.arange(X.n_rows),
-                    stats,
+                    root, X, np.asarray(y), np.arange(X.n_rows), stats
                 )
             next_frontier: list[TreeNode] = []
             for node in frontier:

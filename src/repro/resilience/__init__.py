@@ -9,8 +9,8 @@ instead of scattered try/except:
   failure mode reproduces exactly in tests, benchmarks and chaos runs.
 - :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: bounded
   attempts, seeded exponential-backoff jitter, a retryable-exception
-  allowlist; pluggable into :class:`~repro.data.PrefetchingSource` and
-  :class:`~repro.data.SpillCacheSource`.
+  allowlist; and :class:`RetryingSource`, the one place shard reads
+  are retried under a policy.
 - :mod:`~repro.resilience.checkpoint` — :class:`CheckpointManager`:
   atomic, checksummed training checkpoints behind
   ``StreamingTrainer(checkpoint=..., resume=True)``, with resumed runs
@@ -19,7 +19,8 @@ instead of scattered try/except:
   chokepoint (lint-enforced).
 - :mod:`~repro.resilience.chaos` — the chaos-soak harness: training and
   serving under a fault schedule, with correctness asserted rather than
-  hoped for.
+  hoped for; :class:`~repro.resilience.chaos.KillSwitchCheckpoint`
+  simulates a crash at a chosen checkpoint save.
 
 Everything reports through :mod:`repro.obs` (``resilience.retries``,
 ``resilience.faults_injected``, ``resilience.checkpoints``,
@@ -41,7 +42,11 @@ from repro.resilience.faults import (
     PoisonedRowError,
     corrupt_spill_entries,
 )
-from repro.resilience.retry import DEFAULT_RETRYABLE, RetryPolicy
+from repro.resilience.retry import (
+    DEFAULT_RETRYABLE,
+    RetryingSource,
+    RetryPolicy,
+)
 
 __all__ = [
     "CORRUPT_SPILL",
@@ -56,6 +61,7 @@ __all__ = [
     "FaultSpec",
     "PoisonedRowError",
     "RetryPolicy",
+    "RetryingSource",
     "backoff",
     "corrupt_spill_entries",
 ]

@@ -8,10 +8,11 @@ runs them together and *checks the answers*:
 
 - **Training leg** (:func:`chaos_training_run`) — fits a clean
   baseline, then the same model under a seeded transient-fault
-  schedule with retrying prefetch, then a third run that is killed
-  after ``kill_after`` shard steps and resumed from its checkpoint.
-  All three must produce bit-identical parameter arrays; a chaos run
-  that merely *finishes* proves nothing.
+  schedule read through a :class:`~repro.resilience.RetryingSource`,
+  then a third run that :class:`KillSwitchCheckpoint` kills at its
+  ``kill_after``-th checkpoint write and that is resumed from the
+  newest checkpoint on disk.  All three must produce bit-identical
+  parameter arrays; a chaos run that merely *finishes* proves nothing.
 - **Serving leg** (:func:`chaos_serving_run`) — replays one request
   stream through a clean server and through a server whose model is
   wrapped in :class:`~repro.resilience.FaultInjectingModel`, with a
@@ -35,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.strategies import no_join_strategy
-from repro.data.prefetch import PrefetchingSource
-from repro.data.source import FeatureSource, SourceDecorator
+from repro.data.source import FeatureSource
 from repro.data.spec import SourceSpec
 from repro.errors import (
     DeadlineExceededError,
@@ -51,7 +51,7 @@ from repro.resilience.faults import (
     FaultSchedule,
     PoisonedRowError,
 )
-from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryingSource, RetryPolicy
 
 #: Streaming models whose training loop can checkpoint (epoch-looped
 #: paths; count/histogram ``fit_stream`` models cannot be cut mid-pass).
@@ -68,37 +68,33 @@ class ChaosKilledError(ReproError):
     """
 
 
-class KillSwitchSource(SourceDecorator):
-    """Kill the pass after ``kill_after`` shards have been delivered.
+class KillSwitchCheckpoint(CheckpointManager):
+    """Kill the fit on its ``kill_after``-th checkpoint save.
 
-    Wraps the *outermost* source (after prefetch), and overrides
-    :meth:`iter_shards` around the wrapped iterator rather than relying
-    on the base class's per-index loop — otherwise a wrapped
-    :class:`~repro.data.PrefetchingSource`'s own background pass would
-    be silently bypassed.  The counter spans epochs: "delivered" means
-    shards the *trainer consumed*, which is exactly the cursor a
-    checkpoint records.
+    The save raises :class:`ChaosKilledError` before writing, so the
+    newest checkpoint on disk is the previous one and the steps since
+    it are lost, as they would be in a real crash.  With
+    ``checkpoint_every=1`` the trainer saves once per shard step, so
+    the kill lands right after step ``kill_after``.  The count spans
+    epochs and does not depend on which shards were read: a fit keeps
+    its first shards resident and never re-reads them.
     """
 
-    def __init__(self, source: FeatureSource, kill_after: int):
+    def __init__(self, directory, kill_after: int, **kwargs):
         if kill_after < 1:
             raise ValueError(f"kill_after must be >= 1, got {kill_after}")
-        super().__init__(source)
+        super().__init__(directory, **kwargs)
         self.kill_after = kill_after
-        self.delivered = 0
+        self.saves = 0
 
-    def shard(self, index: int):
-        return self.source.shard(index)
-
-    def iter_shards(self, order=None):
-        for item in self.source.iter_shards(order):
-            if self.delivered >= self.kill_after:
-                raise ChaosKilledError(
-                    f"kill switch: {self.delivered} shards delivered, "
-                    f"simulating process death"
-                )
-            self.delivered += 1
-            yield item
+    def save(self, epoch: int, shard: int, state) -> Path:
+        self.saves += 1
+        if self.saves >= self.kill_after:
+            raise ChaosKilledError(
+                f"kill switch: checkpoint save {self.saves} at cursor "
+                f"({epoch}, {shard}), simulating process death"
+            )
+        return super().save(epoch, shard, state)
 
 
 def model_arrays(model) -> list[np.ndarray]:
@@ -171,7 +167,9 @@ def chaos_training_run(
         One of :data:`CHAOS_TRAINABLE` (epoch-looped trainers only).
     n_shards, epochs:
         Shard layout and pass count; ``kill_after`` defaults to half
-        the total shard steps so the kill lands mid-run.
+        the total shard steps (at least 2) so the kill lands mid-run.
+        The leg checkpoints every step, so the kill comes at step
+        ``kill_after``, before its checkpoint is written.
     fault_rate:
         Fraction of shards given a first-attempt transient fault
         (:meth:`FaultSchedule.seeded` guarantees at least one).
@@ -195,11 +193,14 @@ def chaos_training_run(
     )["train"]
     total_steps = epochs * train.n_shards
     if kill_after is None:
-        kill_after = max(1, total_steps // 2)
-    if not 1 <= kill_after < total_steps:
+        kill_after = max(2, total_steps // 2)
+    # The kill comes on a save, before it is written: from the second
+    # save on there is a checkpoint to resume from, and the last save
+    # is as good a kill point as any.
+    if not 2 <= kill_after <= total_steps:
         raise ValueError(
-            f"kill_after must lie in [1, {total_steps}) so the kill "
-            f"lands mid-run, got {kill_after}"
+            f"kill_after must lie in [2, {total_steps}] so the kill "
+            f"leaves a checkpoint to resume from, got {kill_after}"
         )
 
     def trainer(model, **extra) -> StreamingTrainer:
@@ -214,12 +215,10 @@ def chaos_training_run(
             source.n_shards, rate=fault_rate, seed=seed
         )
         injected = FaultInjectingSource(source, schedule, registry=registry)
-        return PrefetchingSource(
+        return RetryingSource(
             injected,
+            RetryPolicy(max_attempts=3, base_delay_s=0.0005, seed=seed),
             registry=registry,
-            retry_policy=RetryPolicy(
-                max_attempts=3, base_delay_s=0.0005, seed=seed
-            ),
         )
 
     try:
@@ -230,22 +229,25 @@ def chaos_training_run(
         trainer(survivor).fit(faulted(train))
 
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as private:
-            manager = CheckpointManager(
-                checkpoint_dir if checkpoint_dir is not None else private,
-                registry=registry,
+            directory = (
+                checkpoint_dir if checkpoint_dir is not None else private
+            )
+            killer = KillSwitchCheckpoint(
+                directory, kill_after, registry=registry
             )
             victim = make_streaming_model(model_key, scale, seed)
-            killer = KillSwitchSource(faulted(train), kill_after)
             killed = False
             try:
                 trainer(
-                    victim, checkpoint=manager, resume=True
-                ).fit(killer)
+                    victim, checkpoint=killer, resume=True
+                ).fit(faulted(train))
             except ChaosKilledError:
                 killed = True
             resumed = make_streaming_model(model_key, scale, seed)
             trainer(
-                resumed, checkpoint=manager, resume=True
+                resumed,
+                checkpoint=CheckpointManager(directory, registry=registry),
+                resume=True,
             ).fit(faulted(train))
     finally:
         train.close()
@@ -423,7 +425,7 @@ class ChaosReport:
             (
                 f"  training [{check[bool(t.get('ok'))]}] "
                 f"{t['model_key']}, {t['n_shards']} shards x "
-                f"{t['epochs']} epoch(s), killed after shard "
+                f"{t['epochs']} epoch(s), killed at shard step "
                 f"{t['kill_after']}"
             ),
             (

@@ -19,8 +19,10 @@ falls back to the previous good state instead of killing the resumed
 run too.
 
 Writes are counted as ``resilience.checkpoints`` and sized in the
-``resilience.checkpoint_bytes`` histogram; successful resumes count
-``resilience.resumes``.
+``resilience.checkpoint_bytes`` histogram.  ``resilience.resumes``
+counts successful resumes only: :meth:`CheckpointManager.latest` is a
+pure read, and the trainer calls :meth:`CheckpointManager.count_resume`
+once it has accepted the checkpoint as its own run's.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class CheckpointManager:
 
         Skips files that fail checksum or unpickling (a torn write from
         a crash mid-save) and falls back to the previous checkpoint;
-        returns ``None`` when no usable checkpoint exists.
+        returns ``None`` when no usable checkpoint exists.  A pure read:
+        finding a checkpoint is not resuming from it.
         """
         for epoch, shard, path in reversed(self._entries()):
             try:
@@ -159,9 +162,12 @@ class CheckpointManager:
             except (CheckpointError, OSError, pickle.UnpicklingError,
                     EOFError, AttributeError):
                 continue
-            self._resumes.inc()
             return epoch, shard, state
         return None
+
+    def count_resume(self) -> None:
+        """Count one accepted resume in ``resilience.resumes``."""
+        self._resumes.inc()
 
     def load(self, epoch: int, shard: int) -> Any:
         """The verified state at exactly cursor ``(epoch, shard)``."""

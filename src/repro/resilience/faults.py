@@ -196,9 +196,9 @@ class FaultInjectingSource(SourceDecorator):
 
     Attempt numbers count *per shard, per decorator instance*: the
     first ``shard(i)`` call is attempt 1, a retry is attempt 2, and so
-    on — exactly the view a :class:`~repro.resilience.RetryPolicy`
-    around this source has.  The counter is lock-guarded, so a
-    prefetch worker and a consumer thread see one consistent sequence.
+    on — exactly the view a :class:`~repro.resilience.RetryingSource`
+    around this source has.  The counter is lock-guarded, so threads
+    sharing one injector each see one consistent attempt sequence.
 
     Faults change *whether and when* a shard materialises, never its
     bytes: a run that survives its schedule is byte-identical to an

@@ -17,9 +17,14 @@ should cost a bounded delay, not a multi-hour training run.
   ``KeyboardInterrupt``) propagates on the first raise.
 
 The policy object is frozen and stateless, so one instance can be
-shared by any number of threads (the prefetch workers do).  Metrics are
-the caller's: :meth:`call` accepts a registry and accounts
+shared by any number of threads and sources.  Metrics are the
+caller's: :meth:`call` accepts a registry and accounts
 ``resilience.retries`` / ``resilience.giveups`` there.
+
+:class:`RetryingSource` is the one place shard reads are retried: a
+:class:`~repro.data.FeatureSource` decorator whose ``shard(i)`` runs
+under a policy, so a transient read costs a bounded backoff instead of
+the pass, and the shards already read are never re-produced.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
+from repro.data.source import FeatureSource, SourceDecorator
+from repro.obs import MetricsRegistry
 from repro.resilience import backoff
 from repro.rng import ensure_rng
 
@@ -167,3 +174,43 @@ class RetryPolicy:
                     registry.counter("resilience.retries").inc()
                 sleep(delays[attempt - 1])
         raise AssertionError("unreachable: the loop returns or raises")
+
+
+class RetryingSource(SourceDecorator):
+    """Read the wrapped source's shards under a :class:`RetryPolicy`.
+
+    Every ``shard(i)`` runs through :meth:`RetryPolicy.call`, and
+    iteration reads shard by shard through it, so one failed read
+    retries alone and shards arrive in the requested order.  Retries
+    change when a shard arrives, never its bytes.  Non-retryable errors
+    propagate on their first raise, with their original traceback;
+    exhausted retries re-raise the last failure with a note naming the
+    shard.
+
+    Parameters
+    ----------
+    source:
+        Any :class:`~repro.data.FeatureSource`.
+    policy:
+        The retry policy applied to each shard read.
+    registry:
+        Metrics registry counting ``resilience.retries`` and
+        ``resilience.giveups``; ``None`` keeps a private one.
+    """
+
+    def __init__(
+        self,
+        source: FeatureSource,
+        policy: RetryPolicy,
+        registry: MetricsRegistry | None = None,
+    ):
+        super().__init__(source)
+        self.policy = policy
+        self.metrics = registry if registry is not None else MetricsRegistry()
+
+    def shard(self, index: int):
+        return self.policy.call(
+            lambda: self.source.shard(index),
+            registry=self.metrics,
+            describe=f"read of shard {index}",
+        )

@@ -24,9 +24,11 @@ shard, differing only in floating-point association.
 - :mod:`repro.streaming.benchmark` — the peak-memory scaling harness
   behind ``benchmarks/bench_streaming_scale.py``.
 
-Prefetching and disk-spill caching compose on top as
-:class:`repro.data.PrefetchingSource` / :class:`repro.data.SpillCacheSource`
-decorators around any source, including these.
+Every multi-pass fit reads through :class:`repro.data.ShardPasses`,
+which keeps the first :data:`~repro.data.source.RESIDENT_SHARDS`
+shards of a fit resident; disk-spill caching of the rest composes on
+top as the :class:`repro.data.SpillCacheSource` decorator around any
+source, including these.
 """
 
 from repro.streaming.benchmark import (

@@ -8,9 +8,9 @@ L1 logistic regression (exact streaming FISTA) or the MLP (per-shard
 minibatches) twice:
 
 - **streaming** — shards drawn lazily via
-  :meth:`ShardedDataset.from_population`; exact FISTA keeps at most
-  :data:`~repro.ml.linear.logistic.RESIDENT_SHARDS` prepared shards
-  resident plus the one being read, the MLP one shard, alongside
+  :meth:`ShardedDataset.from_population`; both fits keep at most
+  :data:`~repro.data.source.RESIDENT_SHARDS` shards resident plus the
+  one being read (:class:`~repro.data.source.ShardPasses`), alongside
   width-sized optimiser state.
 - **in-memory** — the classic path: materialise every row, join, build
   the full :class:`CategoricalMatrix`, fit.  Beyond

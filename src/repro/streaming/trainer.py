@@ -26,7 +26,12 @@ existing:
 
 Shard order is shuffled between epochs with a dedicated generator from
 :mod:`repro.rng` — deterministic for a given ``seed``, independent of
-the model's own randomness.
+the model's own randomness.  Both epoch loops read through one
+:class:`~repro.data.source.ShardPasses` per fit, like exact FISTA and
+the streamed tree: the first
+:data:`~repro.data.source.RESIDENT_SHARDS` shards read stay resident
+for every later epoch, so a stream within the cap is joined and
+encoded once per fit, not once per epoch.
 
 Scoring streams too: :meth:`StreamingTrainer.score` is the shared
 :func:`repro.data.source_accuracy` loop, so evaluation has the same
@@ -39,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.data.source import FeatureSource, source_accuracy
+from repro.data.source import FeatureSource, ShardPasses, source_accuracy
 from repro.errors import CheckpointError
 from repro.ml.linear import L1LogisticRegression
 from repro.obs import trace, tracer
@@ -227,6 +232,7 @@ class StreamingTrainer:
                 f"{state.get('fingerprint')}, this trainer would run "
                 f"{fingerprint}"
             )
+        self.checkpoint.count_resume()
         self.model.__dict__.clear()
         self.model.__dict__.update(state["model"].__dict__)
         return epoch, pos, state
@@ -278,12 +284,13 @@ class StreamingTrainer:
             start_epoch, start_pos, state = resumed
             n_classes = state["n_classes"]
             orders = [np.asarray(o) for o in state["orders"]]
+        passes = ShardPasses(source)
         for epoch in range(start_epoch, n_epochs):
             order = orders[epoch]
             begin = start_pos if epoch == start_epoch else 0
             pos = begin
             with trace("fit.epoch", epoch=epoch):
-                for _, X, y in source.iter_shards(order[begin:]):
+                for _, (X, y) in passes(order[begin:]):
                     with trace("fit.shard", merge=True):
                         self.model.partial_fit(X, y, n_classes=n_classes)
                     pos += 1
@@ -333,6 +340,7 @@ class StreamingTrainer:
         # (the data is already in hand, no extra pass), but a usable
         # convergence signal in a run report.
         trajectory: list[float] = []
+        passes = ShardPasses(source)
         for epoch in range(start_epoch, n_epochs):
             order = orders[epoch]
             begin = start_pos if epoch == start_epoch else 0
@@ -342,7 +350,7 @@ class StreamingTrainer:
             restart = begin == 0
             pos = begin
             with trace("fit.epoch", epoch=epoch):
-                for index, X, y in source.iter_shards(order[begin:]):
+                for index, (X, y) in passes(order[begin:]):
                     if index not in bounds:
                         bounds[index] = self.model.lipschitz_bound(X)
                     with trace("fit.shard", merge=True):

@@ -48,9 +48,8 @@ class TestParser:
     def test_fit_parses_decorator_flags(self):
         args = build_parser().parse_args(
             ["fit", "yelp", "lr_l1", "--stream", "--shard-rows", "50",
-             "--prefetch", "2", "--spill-cache"]
+             "--spill-cache"]
         )
-        assert args.prefetch == 2
         assert args.spill_cache is True
         args = build_parser().parse_args(
             ["fit", "yelp", "lr_l1", "--stream", "--spill-cache", "/tmp/c"]
@@ -84,11 +83,12 @@ class TestParser:
         [
             ["fit", "yelp", "lr_l1", "--stream", "--parallel", "2"],
             ["serve-bench", "yelp", "--clients", "4", "--parallel", "2"],
+            ["fit", "yelp", "lr_l1", "--stream", "--prefetch", "2"],
         ],
     )
     def test_parallel_flag_is_a_usage_error(self, argv):
         """Shard production and serving have one in-process path, so
-        there is no worker count to pass."""
+        there is no worker count or prefetch depth to pass."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
@@ -174,19 +174,19 @@ class TestCommands:
         assert "test=" not in captured.out
 
     def test_fit_decorator_flags_require_stream(self, capsys):
-        code = main(["fit", "yelp", "lr_l1", "--prefetch", "2",
+        code = main(["fit", "yelp", "lr_l1", "--spill-cache",
                      "--scale", "smoke"])
         err = capsys.readouterr().err
         assert code == 2
         assert "--stream" in err
 
-    def test_fit_streamed_with_prefetch_and_spill_matches_plain(self, capsys):
+    def test_fit_streamed_with_spill_cache_matches_plain(self, capsys):
         code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
                      "--scale", "smoke"])
         plain = capsys.readouterr().out
         assert code == 0
         code = main(["fit", "yelp", "nb", "--stream", "--shards", "3",
-                     "--prefetch", "2", "--spill-cache", "--scale", "smoke"])
+                     "--spill-cache", "--scale", "smoke"])
         decorated = capsys.readouterr().out
         assert code == 0
         # Decorators change how shards are produced, never the result.

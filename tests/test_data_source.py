@@ -1,9 +1,9 @@
 """The FeatureSource protocol: adapters, specs, and the decorator contract.
 
 The load-bearing assertion lives in :class:`TestDecoratorByteIdentity`:
-*any* FeatureSource wrapped in ``PrefetchingSource`` / ``SpillCacheSource``
-(or both) yields byte-identical shards in the same order — decorators
-change how shards are produced, never what they contain.
+*any* FeatureSource wrapped in ``SpillCacheSource`` (alone or under a
+``RetryingSource``) yields byte-identical shards in the same order —
+decorators change how shards are produced, never what they contain.
 """
 
 import numpy as np
@@ -13,13 +13,13 @@ from repro.core import join_all_strategy, no_join_strategy
 from repro.data import (
     FeatureSource,
     MatrixSource,
-    PrefetchingSource,
     ShardEncoder,
     SourceSpec,
     SpillCacheSource,
     source_accuracy,
 )
 from repro.datasets import generate_real_world
+from repro.resilience import RetryingSource, RetryPolicy
 from repro.streaming import StreamingMatrices
 
 
@@ -46,8 +46,8 @@ class TestMatrixSource:
         assert source.schema is None
 
     def test_single_shard_yields_same_object_every_pass(self, matrices):
-        """The encoding-memo contract: in-memory passes must re-yield the
-        identical matrix object, not a copy."""
+        """In-memory passes re-yield the identical matrix object, not a
+        copy, so reading a one-shard source costs no copy per pass."""
         source = MatrixSource(matrices.X_train, matrices.y_train)
         for _ in range(3):
             (X, y), = list(source)
@@ -153,10 +153,6 @@ class TestDecoratorByteIdentity:
         }
 
     @pytest.mark.parametrize("kind", ["matrix", "streaming"])
-    def test_prefetch_identity(self, sources, kind):
-        _shards_equal(sources[kind](), PrefetchingSource(sources[kind]()))
-
-    @pytest.mark.parametrize("kind", ["matrix", "streaming"])
     def test_spill_identity(self, sources, kind, tmp_path):
         with SpillCacheSource(
             sources[kind](), directory=tmp_path / kind
@@ -168,13 +164,15 @@ class TestDecoratorByteIdentity:
 
     @pytest.mark.parametrize("kind", ["matrix", "streaming"])
     def test_stacked_decorators_identity(self, sources, kind):
-        with PrefetchingSource(SpillCacheSource(sources[kind]())) as stacked:
+        with RetryingSource(
+            SpillCacheSource(sources[kind]()), RetryPolicy()
+        ) as stacked:
             _shards_equal(sources[kind](), stacked)
             _shards_equal(sources[kind](), stacked)
 
     def test_decorators_delegate_metadata(self, matrices):
         inner = MatrixSource(matrices.X_train, matrices.y_train, shard_rows=13)
-        with PrefetchingSource(SpillCacheSource(inner)) as stacked:
+        with RetryingSource(SpillCacheSource(inner), RetryPolicy()) as stacked:
             for attribute in (
                 "feature_names", "n_levels", "n_rows", "n_shards",
                 "shard_rows", "n_classes", "onehot_width", "n_features",
@@ -217,7 +215,7 @@ class TestOutOfCoreSources:
         with SpillCacheSource(csv_stream()) as cached:
             _shards_equal(stream, cached)
             # The payoff case: a second pass never re-reads the CSV.
-            _shards_equal(stream, PrefetchingSource(cached))
+            _shards_equal(stream, cached)
             assert cached.stats.hits >= stream.n_shards
 
     def test_population_source_through_decorators(self):
@@ -240,7 +238,7 @@ class TestSourceSpec:
             SourceSpec(shard_rows=10, n_shards=2)
 
     def test_rejects_nonpositive_values(self):
-        for kwargs in ({"shard_rows": 0}, {"n_shards": 0}, {"prefetch": 0}):
+        for kwargs in ({"shard_rows": 0}, {"n_shards": 0}):
             with pytest.raises(ValueError, match=">= 1"):
                 SourceSpec(**kwargs)
 
@@ -282,19 +280,18 @@ class TestSourceSpec:
             )
 
     def test_decorated_spec_wraps_in_order(self, yelp):
-        spec = SourceSpec(shard_rows=19, prefetch=2, spill_cache=True)
+        spec = SourceSpec(shard_rows=19, spill_cache=True)
         source = spec.build(yelp, no_join_strategy())
         try:
-            assert isinstance(source, PrefetchingSource)
-            assert isinstance(source.source, SpillCacheSource)
-            assert isinstance(source.source.source, StreamingMatrices)
+            assert isinstance(source, SpillCacheSource)
+            assert isinstance(source.source, StreamingMatrices)
         finally:
             source.close()
 
     def test_describe(self):
         assert SourceSpec().describe() == {"streaming": False}
-        described = SourceSpec(n_shards=4, prefetch=3, spill_cache=True).describe()
-        assert described == {"streaming": True, "prefetch": 3, "spill_cache": True}
+        described = SourceSpec(n_shards=4, spill_cache=True).describe()
+        assert described == {"streaming": True, "spill_cache": True}
 
     def test_explicit_spill_dir_is_namespaced_per_split(self, yelp, tmp_path):
         """Regression: splits sharing one explicit cache directory must

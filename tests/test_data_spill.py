@@ -53,8 +53,9 @@ class TestCaching:
 
     def test_single_shard_source_passes_straight_through(self, train_matrix):
         """Regression: spilling a single-shard source must not replace
-        its resident (identity-stable) shard with per-pass disk loads —
-        that would defeat the encoding memo on every FISTA iteration."""
+        its in-memory (identity-stable) shard with a disk write and
+        per-read loads — a fit keeps a lone shard resident and never
+        re-reads it, so caching it could only cost."""
         inner = MatrixSource(*train_matrix)
         with SpillCacheSource(inner) as cached:
             (X1, _), (X2, _) = cached.shard(0), cached.shard(0)
@@ -141,7 +142,7 @@ class TestTrainingThroughSpill:
         shard past its residency cap; those re-reads must be disk hits,
         and the fit must be bit-identical."""
         from repro.ml.linear import L1LogisticRegression
-        from repro.ml.linear.logistic import RESIDENT_SHARDS
+        from repro.data.source import RESIDENT_SHARDS
 
         X, y = train_matrix
         reference = L1LogisticRegression(max_iter=30, tol=0.0)

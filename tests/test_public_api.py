@@ -25,6 +25,8 @@ PACKAGES = [
     "repro.streaming",
     "repro.serving",
     "repro.analysis",
+    "repro.resilience",
+    "repro.obs",
 ]
 
 

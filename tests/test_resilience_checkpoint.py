@@ -14,7 +14,7 @@ from repro.obs import MetricsRegistry
 from repro.resilience import CheckpointManager
 from repro.resilience.chaos import (
     ChaosKilledError,
-    KillSwitchSource,
+    KillSwitchCheckpoint,
     models_identical,
 )
 from repro.streaming import StreamingTrainer
@@ -97,14 +97,31 @@ class TestCheckpointManager:
         with pytest.raises(ValueError):
             CheckpointManager(tmp_path, keep=0)
 
-    def test_metrics_account_saves_and_resumes(self, tmp_path):
+    def test_metrics_account_saves_and_resumes(
+        self, train_matrix, tmp_path
+    ):
+        """Only a resume the trainer accepts counts; finding a
+        checkpoint (``latest``) is a pure read."""
+        source = MatrixSource(*train_matrix, shard_rows=29)
         registry = MetricsRegistry()
         manager = CheckpointManager(tmp_path, registry=registry)
-        manager.save(0, 1, "s")
+        StreamingTrainer(
+            _mlp(), epochs=2, seed=0, checkpoint=manager
+        ).fit(source)
+        saves = registry.get("resilience.checkpoints").value
+        assert saves == 2 * source.n_shards
+        assert registry.get("resilience.checkpoint_bytes").count == saves
         manager.latest()
-        assert registry.get("resilience.checkpoints").value == 1
+        assert registry.get("resilience.resumes").value == 0
+        with pytest.raises(CheckpointError, match="different run"):
+            StreamingTrainer(
+                _mlp(), epochs=3, seed=0, checkpoint=manager, resume=True
+            ).fit(source)
+        assert registry.get("resilience.resumes").value == 0
+        StreamingTrainer(
+            _mlp(), epochs=2, seed=0, checkpoint=manager, resume=True
+        ).fit(source)
         assert registry.get("resilience.resumes").value == 1
-        assert registry.get("resilience.checkpoint_bytes").count == 1
 
 
 def _mlp(seed=0):
@@ -115,35 +132,44 @@ def _lr():
     return L1LogisticRegression(lam=1e-3, max_iter=100, tol=1e-5)
 
 
-class TestKillResumeBitIdentity:
-    """The acceptance property: kill after shard k, resume, same bits."""
+def _cursor(steps: int, n_shards: int) -> tuple[int, int]:
+    """The ``(epoch, shard)`` checkpoint cursor after ``steps`` steps."""
+    return divmod(steps, n_shards)
 
-    @pytest.mark.parametrize("kill_after", [1, 3, 5])
+
+class TestKillResumeBitIdentity:
+    """The acceptance property: kill after shard step k, resume from
+    step k's checkpoint, same bits.  The kill switch fires on a save
+    before writing it, so keeping k steps means killing on save k + 1.
+    """
+
+    @pytest.mark.parametrize("saved_steps", [1, 3, 5])
     def test_mlp_resume_matches_uninterrupted(
-        self, train_matrix, tmp_path, kill_after
+        self, train_matrix, tmp_path, saved_steps
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         baseline = _mlp()
         StreamingTrainer(baseline, epochs=2, seed=0).fit(source)
 
-        manager = CheckpointManager(tmp_path)
         victim = _mlp()
+        killer = KillSwitchCheckpoint(tmp_path, saved_steps + 1)
         with pytest.raises(ChaosKilledError):
             StreamingTrainer(
-                victim, epochs=2, seed=0, checkpoint=manager, resume=True
-            ).fit(KillSwitchSource(source, kill_after))
+                victim, epochs=2, seed=0, resume=True, checkpoint=killer,
+            ).fit(source)
+        assert killer.latest()[:2] == _cursor(saved_steps, source.n_shards)
         resumed = _mlp()
         StreamingTrainer(
-            resumed, epochs=2, seed=0, checkpoint=manager, resume=True
+            resumed, epochs=2, seed=0, checkpoint=tmp_path, resume=True
         ).fit(source)
         assert models_identical(baseline, resumed)
         np.testing.assert_array_equal(
             baseline.predict(train_matrix[0]), resumed.predict(train_matrix[0])
         )
 
-    @pytest.mark.parametrize("kill_after", [2, 4])
+    @pytest.mark.parametrize("saved_steps", [2, 4])
     def test_incremental_lr_resume_matches_uninterrupted(
-        self, train_matrix, tmp_path, kill_after
+        self, train_matrix, tmp_path, saved_steps
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         baseline = _lr()
@@ -151,17 +177,20 @@ class TestKillResumeBitIdentity:
             baseline, epochs=2, seed=0, mode="incremental"
         ).fit(source)
 
-        manager = CheckpointManager(tmp_path)
         victim = _lr()
+        killer = KillSwitchCheckpoint(tmp_path, saved_steps + 1)
         with pytest.raises(ChaosKilledError):
             StreamingTrainer(
                 victim, epochs=2, seed=0, mode="incremental",
-                checkpoint=manager, resume=True,
-            ).fit(KillSwitchSource(source, kill_after))
+                checkpoint=killer, resume=True,
+            ).fit(source)
+        # Four shards: 4 saved steps resume at epoch 1's start, where
+        # momentum restarts.
+        assert killer.latest()[:2] == _cursor(saved_steps, source.n_shards)
         resumed = _lr()
         StreamingTrainer(
             resumed, epochs=2, seed=0, mode="incremental",
-            checkpoint=manager, resume=True,
+            checkpoint=tmp_path, resume=True,
         ).fit(source)
         assert models_identical(baseline, resumed)
         np.testing.assert_array_equal(baseline.coef_, resumed.coef_)
@@ -173,11 +202,17 @@ class TestKillResumeBitIdentity:
         baseline = _mlp()
         StreamingTrainer(baseline, epochs=2, seed=0).fit(source)
         victim = _mlp()
+        killer = KillSwitchCheckpoint(tmp_path, kill_after=3)
         with pytest.raises(ChaosKilledError):
             StreamingTrainer(
-                victim, epochs=2, seed=0, checkpoint=str(tmp_path),
+                victim, epochs=2, seed=0, checkpoint=killer,
                 checkpoint_every=3, resume=True,
-            ).fit(KillSwitchSource(source, 4))
+            ).fit(source)
+        # 4 shards, a save every 3 steps and at each epoch's end: the
+        # third save (epoch 1, step 3) is the kill, so the newest
+        # checkpoint is epoch 0's end and the resume re-trains the three
+        # steps no checkpoint holds.
+        assert killer.latest()[:2] == (1, 0)
         resumed = _mlp()
         StreamingTrainer(
             resumed, epochs=2, seed=0, checkpoint=str(tmp_path),

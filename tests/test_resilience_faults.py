@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import no_join_strategy
-from repro.data import MatrixSource, PrefetchingSource, SpillCacheSource
+from repro.data import MatrixSource, SpillCacheSource
 from repro.datasets import generate_real_world
 from repro.errors import ReproError, TransientShardError
 from repro.obs import MetricsRegistry
@@ -17,10 +17,11 @@ from repro.resilience import (
     FaultSchedule,
     FaultSpec,
     PoisonedRowError,
+    RetryingSource,
     RetryPolicy,
     corrupt_spill_entries,
 )
-from repro.resilience.chaos import ChaosKilledError, KillSwitchSource
+from repro.resilience.chaos import ChaosKilledError, KillSwitchCheckpoint
 
 
 @pytest.fixture(scope="module")
@@ -106,16 +107,16 @@ class TestFaultInjectingSource:
         assert np.array_equal(y, inner.shard(0)[1])
         assert registry.get("resilience.faults_injected.slow").value == 1
 
-    def test_retrying_prefetch_survives_schedule_bit_identically(
+    def test_retrying_source_survives_schedule_bit_identically(
         self, train_matrix
     ):
         inner = MatrixSource(*train_matrix, shard_rows=11)
         schedule = FaultSchedule.seeded(inner.n_shards, rate=0.5, seed=3)
         registry = MetricsRegistry()
-        source = PrefetchingSource(
+        source = RetryingSource(
             FaultInjectingSource(inner, schedule, registry=registry),
+            fast_policy(),
             registry=registry,
-            retry_policy=fast_policy(),
         )
         faulted = list(source.iter_shards())
         clean = list(inner.iter_shards())
@@ -131,9 +132,9 @@ class TestFaultInjectingSource:
         inner = MatrixSource(*train_matrix, shard_rows=11)
         # Fault every attempt the policy is willing to make.
         schedule = FaultSchedule([FaultSpec(shard=2, attempts=(1, 2, 3))])
-        source = PrefetchingSource(
+        source = RetryingSource(
             FaultInjectingSource(inner, schedule),
-            retry_policy=fast_policy(max_attempts=3),
+            fast_policy(max_attempts=3),
         )
         with pytest.raises(TransientShardError):
             list(source.iter_shards())
@@ -223,14 +224,16 @@ class TestFaultInjectingModel:
 
 
 class TestKillSwitch:
-    def test_kills_after_exactly_n_delivered_shards(self, train_matrix):
-        inner = MatrixSource(*train_matrix, shard_rows=11)
-        source = KillSwitchSource(inner, kill_after=3)
-        consumed = []
-        with pytest.raises(ChaosKilledError, match="3 shards delivered"):
-            for index, _, _ in source.iter_shards():
-                consumed.append(index)
-        assert consumed == [0, 1, 2]
+    def test_kills_on_the_nth_save_before_writing(self, tmp_path):
+        manager = KillSwitchCheckpoint(tmp_path, kill_after=3, keep=5)
+        manager.save(0, 1, "one")
+        manager.save(0, 2, "two")
+        with pytest.raises(ChaosKilledError, match="checkpoint save 3"):
+            manager.save(0, 3, "three")
+        # The kill lands before the write: the newest checkpoint on
+        # disk is the one before it.
+        assert manager.latest() == (0, 2, "two")
+        assert manager.metrics.get("resilience.checkpoints").value == 2
 
     def test_kill_error_is_not_retryable(self, train_matrix):
         # A simulated process death must never be absorbed by a retry
@@ -239,13 +242,21 @@ class TestKillSwitch:
         assert not issubclass(ChaosKilledError, OSError)
         assert not RetryPolicy().is_retryable(ChaosKilledError("kill"))
 
-    def test_counter_spans_epochs(self, train_matrix):
-        inner = MatrixSource(*train_matrix, shard_rows=40)
-        source = KillSwitchSource(inner, kill_after=inner.n_shards + 1)
-        list(source.iter_shards())  # epoch 1 survives
-        with pytest.raises(ChaosKilledError):
-            list(source.iter_shards())  # epoch 2 crosses the budget
+    def test_counter_spans_epochs(self, train_matrix, tmp_path):
+        from repro.ml import MLPClassifier
+        from repro.streaming import StreamingTrainer
 
-    def test_validation(self, train_matrix):
+        source = MatrixSource(*train_matrix, shard_rows=40)
+        manager = KillSwitchCheckpoint(
+            tmp_path, kill_after=source.n_shards + 1
+        )
+        model = MLPClassifier(hidden_sizes=(4,), random_state=0)
+        with pytest.raises(ChaosKilledError):
+            StreamingTrainer(model, epochs=2, checkpoint=manager).fit(source)
+        # Epoch 1 saved every step; the kill came one step into epoch 2.
+        epoch, shard, _ = manager.latest()
+        assert (epoch, shard) == (1, 0)
+
+    def test_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            KillSwitchSource(MatrixSource(*train_matrix), kill_after=0)
+            KillSwitchCheckpoint(tmp_path, kill_after=0)

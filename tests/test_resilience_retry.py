@@ -1,12 +1,19 @@
-"""RetryPolicy: bounded attempts, seeded backoff, allowlist semantics."""
+"""RetryPolicy: bounded attempts, seeded backoff, allowlist semantics;
+RetryingSource: the policy applied to every shard read."""
 
+import traceback
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import no_join_strategy
+from repro.data import MatrixSource
+from repro.datasets import generate_real_world
 from repro.errors import TransientShardError
 from repro.obs import MetricsRegistry
-from repro.resilience import DEFAULT_RETRYABLE, RetryPolicy
+from repro.resilience import DEFAULT_RETRYABLE, RetryingSource, RetryPolicy
 
 
 def no_sleep_policy(**kwargs):
@@ -177,3 +184,83 @@ class TestCall:
         with pytest.raises(Exception):
             policy.max_attempts = 5
         assert hash(policy) == hash(RetryPolicy())
+
+
+class _FlakySource(MatrixSource):
+    """Fails the first ``failures`` reads of each shard in ``flaky``."""
+
+    def __init__(self, X, y, shard_rows, flaky, failures=1, error=OSError):
+        super().__init__(X, y, shard_rows=shard_rows)
+        self.flaky = set(flaky)
+        self.failures = failures
+        self.error = error
+        self.attempts = {}
+
+    def shard(self, index):
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        if index in self.flaky and self.attempts[index] <= self.failures:
+            self._flake(index)
+        return super().shard(index)
+
+    def _flake(self, index):  # a distinctive frame for traceback tests
+        raise self.error(f"flaky read of shard {index}")
+
+
+@pytest.fixture(scope="module")
+def train_matrix():
+    dataset = generate_real_world("yelp", n_fact=200, seed=0)
+    matrices = no_join_strategy().matrices(dataset)
+    return matrices.X_train, matrices.y_train
+
+
+class TestRetryingSource:
+    """The one retry site for shard reads: a source decorator."""
+
+    def test_transient_fault_recovers_bit_identically(self, train_matrix):
+        flaky = _FlakySource(*train_matrix, shard_rows=11, flaky=[1, 4])
+        source = RetryingSource(flaky, no_sleep_policy())
+        clean = list(MatrixSource(*train_matrix, shard_rows=11).iter_shards())
+        fetched = list(source.iter_shards())
+        assert [i for i, _, _ in fetched] == [i for i, _, _ in clean]
+        for (_, Xa, ya), (_, Xb, yb) in zip(clean, fetched):
+            np.testing.assert_array_equal(Xa.codes, Xb.codes)
+            np.testing.assert_array_equal(ya, yb)
+        # Each flaky shard took exactly one extra read.
+        assert flaky.attempts[1] == flaky.attempts[4] == 2
+        assert source.metrics.get("resilience.retries").value == 2
+
+    def test_exhausted_retries_reraise_naming_the_shard(self, train_matrix):
+        flaky = _FlakySource(
+            *train_matrix, shard_rows=11, flaky=[2], failures=99
+        )
+        source = RetryingSource(flaky, no_sleep_policy(max_attempts=3))
+        consumed = []
+        with pytest.raises(OSError, match="flaky read of shard 2") as info:
+            for index, _, _ in source.iter_shards():
+                consumed.append(index)
+        # Shards before the dead one arrived; it failed on every attempt.
+        assert consumed == [0, 1]
+        assert flaky.attempts[2] == 3
+        notes = "\n".join(getattr(info.value, "__notes__", []))
+        assert "read of shard 2 failed on all 3 attempts" in notes
+        assert source.metrics.get("resilience.giveups").value == 1
+
+    def test_non_retryable_error_is_read_once_with_its_traceback(
+        self, train_matrix
+    ):
+        flaky = _FlakySource(
+            *train_matrix, shard_rows=11, flaky=[3], error=RuntimeError
+        )
+        source = RetryingSource(flaky, no_sleep_policy())
+        with pytest.raises(RuntimeError, match="flaky read of shard 3") as info:
+            list(source.iter_shards())
+        assert flaky.attempts[3] == 1  # no second read for a real bug
+        frames = [f.name for f in traceback.extract_tb(info.value.__traceback__)]
+        assert "_flake" in frames
+
+    def test_explicit_order_is_honoured(self, train_matrix):
+        flaky = _FlakySource(*train_matrix, shard_rows=9, flaky=[0])
+        source = RetryingSource(flaky, no_sleep_policy())
+        order = np.arange(source.n_shards)[::-1]
+        assert [i for i, _, _ in source.iter_shards(order)] == list(order)
+        assert flaky.attempts[0] == 2

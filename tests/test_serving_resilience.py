@@ -206,6 +206,29 @@ class TestChaosVerdicts:
         assert verdict["faulted_identical"]
         assert verdict["resumed_identical"]
 
+    @pytest.mark.parametrize("kill_after", [2, 4])
+    def test_training_leg_passes_at_the_first_and_last_kill_points(
+        self, dataset, kill_after
+    ):
+        """Two shards × two epochs: the kill on the second save resumes
+        from the first, the kill on the final save from the one before."""
+        verdict = chaos_training_run(
+            dataset, "lr_l1", n_shards=2, epochs=2, kill_after=kill_after,
+            seed=0, scale=get_scale("smoke"),
+        )
+        assert verdict["ok"], verdict
+        assert verdict["resilience.resumes"] == 1
+
+    @pytest.mark.parametrize("kill_after", [1, 5])
+    def test_training_leg_rejects_kills_without_a_resume(
+        self, dataset, kill_after
+    ):
+        with pytest.raises(ValueError, match=r"\[2, 4\]"):
+            chaos_training_run(
+                dataset, "lr_l1", n_shards=2, epochs=2,
+                kill_after=kill_after, scale=get_scale("smoke"),
+            )
+
     def test_training_leg_rejects_unstreamable_models(self, dataset):
         with pytest.raises(ValueError, match="checkpointable"):
             chaos_training_run(dataset, "nb")

@@ -298,12 +298,11 @@ class TestRunnerEquivalence:
         )
         decorated = run_experiment(
             dataset, "nb", strategy, scale=SMOKE,
-            source=SourceSpec(shard_rows=17, prefetch=2, spill_cache=True),
+            source=SourceSpec(shard_rows=17, spill_cache=True),
         )
         assert decorated.test_accuracy == plain.test_accuracy
         assert decorated.train_accuracy == plain.train_accuracy
         assert decorated.validation_accuracy == plain.validation_accuracy
-        assert decorated.best_params["prefetch"] == 2
         assert decorated.best_params["spill_cache"] is True
 
     def test_matrices_and_source_are_mutually_exclusive(self):
@@ -329,8 +328,9 @@ class TestRunnerEquivalence:
             assert not hasattr(runner, name)
 
     def test_no_worker_count_knob(self):
-        """Shards are produced in-process only: the process tier and
-        its worker counts are deleted, not kept alongside."""
+        """Shards are produced in-process only: the process tier, its
+        worker counts and the prefetch thread are deleted, not kept
+        alongside."""
         import importlib
 
         from repro.datasets import generate_real_world
@@ -346,3 +346,7 @@ class TestRunnerEquivalence:
             )
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.parallel")
+        with pytest.raises(TypeError, match="prefetch"):
+            SourceSpec(prefetch=2)
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.data.prefetch")
