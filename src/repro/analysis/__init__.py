@@ -8,12 +8,12 @@ the offending line.  :mod:`repro.analysis` enforces the same invariants
 it ever runs.
 
 Seven rules ship (see ``repro lint --list-rules``): the three telemetry
-rules migrated from ``tools/check_telemetry_hygiene.py`` (``wall-clock``,
-``bare-print``, ``raw-sleep``) plus ``unseeded-random`` (all randomness
-flows through :mod:`repro.rng`), ``lock-discipline`` (writes to
-lock-protected attributes stay under the lock), ``exception-hygiene``
-(no bare/swallowing handlers; raises are typed), and ``feature-source``
-(protocol implementations carry the full metadata surface).
+hygiene rules (``wall-clock``, ``bare-print``, ``raw-sleep``) plus
+``unseeded-random`` (all randomness flows through :mod:`repro.rng`),
+``lock-discipline`` (writes to lock-protected attributes stay under the
+lock), ``exception-hygiene`` (no bare/swallowing handlers; raises are
+typed), and ``feature-source`` (protocol implementations carry the full
+metadata surface).
 
 Run it as ``repro lint [paths] [--rule ID] [--format json]`` or
 ``python -m repro.analysis``; suppress a single line with

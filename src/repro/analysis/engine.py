@@ -6,7 +6,7 @@ The engine owns everything that is *not* rule-specific:
   directories are walked for ``*.py``.  A file that cannot be read,
   decoded, or parsed is reported as a ``parse-error`` finding and the
   scan continues — a broken file must never take the linter down with
-  it (the original ``tools/check_telemetry_hygiene.py`` crashed here).
+  it.
 - **The two rule passes.**  :meth:`Rule.check_module` runs once per
   parsed file with a :class:`ModuleContext`; :meth:`Rule.check_project`
   runs once per analysis with a :class:`Project` symbol table of every

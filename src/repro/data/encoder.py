@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
 
@@ -53,7 +52,7 @@ from repro.relational.table import Table
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction accounting for the dimension-index cache.
+    """Hit/miss/build accounting for the dimension-index cache.
 
     A point-in-time snapshot view over the cache's registry-backed
     counters (``data.dim_cache.*``) — the cache does not keep a second
@@ -64,7 +63,6 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    evictions: int = 0
     builds: int = 0
 
     @property
@@ -88,7 +86,7 @@ class CacheStats:
     def __str__(self) -> str:
         return (
             f"cache: {self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.1%}), {self.evictions} evictions"
+            f"({self.hit_rate:.1%}), {self.builds} builds"
         )
 
 
@@ -101,43 +99,29 @@ class _DimensionIndex:
 
 
 class DimensionIndexCache:
-    """A thread-safe LRU cache of per-dimension join indexes.
+    """Per-dimension join indexes, each built once and then kept.
 
-    Capacity is bounded so a server fronting a schema with many (or
-    large) dimensions can cap resident index memory; entries rebuild
-    transparently on re-access.  With the default capacity of 8 every
-    dimension of the paper's seven datasets stays resident and the cache
-    degenerates to "compute once".
-
-    Any number of threads may call :meth:`get` concurrently.  The LRU
-    map and statistics sit behind one lock; each cold dimension
-    additionally gets a per-entry *build lock*, so when several request
-    threads race on the same unbuilt dimension exactly one of them
-    builds the index (outside the main lock — a slow build never blocks
-    hits on other dimensions) and the rest wait for it and share the
-    result.  Entries are immutable once published, so an entry evicted
-    while another thread still gathers from it stays valid.
+    No dataset here joins more than three dimensions and an index is
+    the size of its dimension, so every index stays for the encoder's
+    lifetime; there is nothing to evict.  Any number of threads may call
+    :meth:`get` concurrently: a hit is one dict read with no lock, and a
+    cold dimension is built under one lock, so threads racing on it
+    share exactly one build.  Entries are immutable once published.
     """
 
     def __init__(
         self,
         schema: StarSchema,
-        capacity: int = 8,
         registry: MetricsRegistry | None = None,
     ):
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.schema = schema
-        self.capacity = capacity
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._hits = self.metrics.counter("data.dim_cache.hits")
         self._misses = self.metrics.counter("data.dim_cache.misses")
-        self._evictions = self.metrics.counter("data.dim_cache.evictions")
         self._builds = self.metrics.counter("data.dim_cache.builds")
         self._build_seconds = self.metrics.histogram("data.dim_cache.build_s")
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, _DimensionIndex] = OrderedDict()
-        self._build_locks: dict[str, threading.Lock] = {}
+        self._build_lock = threading.Lock()
+        self._entries: dict[str, _DimensionIndex] = {}
 
     @property
     def stats(self) -> CacheStats:
@@ -145,40 +129,25 @@ class DimensionIndexCache:
         return CacheStats(
             hits=self._hits.value,
             misses=self._misses.value,
-            evictions=self._evictions.value,
             builds=self._builds.value,
         )
 
     def get(self, name: str) -> _DimensionIndex:
         """Fetch (building if needed) the index state of dimension ``name``."""
-        with self._lock:
+        entry = self._entries.get(name)
+        if entry is not None:
+            self._hits.inc()
+            return entry
+        self._misses.inc()
+        with self._build_lock:
             entry = self._entries.get(name)
-            if entry is not None:
-                self._hits.inc()
-                self._entries.move_to_end(name)
-                return entry
-            self._misses.inc()
-            build_lock = self._build_locks.get(name)
-            if build_lock is None:
-                build_lock = self._build_locks[name] = threading.Lock()
-        with build_lock:
-            with self._lock:
-                entry = self._entries.get(name)
-                if entry is not None:
-                    # Another thread finished the build while we waited.
-                    self._entries.move_to_end(name)
-                    return entry
-            built_at = time.perf_counter()
-            entry = self._build(name)
-            self._build_seconds.observe(time.perf_counter() - built_at)
-            with self._lock:
+            if entry is None:  # not built by a racing thread meanwhile
+                built_at = time.perf_counter()
+                entry = self._build(name)
+                self._build_seconds.observe(time.perf_counter() - built_at)
                 self._builds.inc()
                 self._entries[name] = entry
-                if len(self._entries) > self.capacity:
-                    self._entries.popitem(last=False)
-                    self._evictions.inc()
-                self._build_locks.pop(name, None)
-            return entry
+        return entry
 
     def _build(self, name: str) -> _DimensionIndex:
         dim = self.schema.dimension(name)
@@ -191,8 +160,7 @@ class DimensionIndexCache:
         )
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 #: Per-pass cost of a blocked dimension, in gathered codes (see
@@ -238,8 +206,6 @@ class ShardEncoder:
     strategy:
         The join strategy; avoided dimensions are skipped entirely,
         joined ones are resolved through the :class:`DimensionIndexCache`.
-    cache_capacity:
-        Maximum dimension indexes kept resident (default 8).
     registry:
         Metrics registry for the encoder's telemetry (cache counters,
         per-shard encode latency).  ``None`` creates a private one, so
@@ -251,7 +217,6 @@ class ShardEncoder:
         self,
         schema: StarSchema,
         strategy: "repro.core.strategies.JoinStrategy",  # noqa: F821
-        cache_capacity: int = 8,
         registry: MetricsRegistry | None = None,
     ):
         self.schema = schema
@@ -260,9 +225,7 @@ class ShardEncoder:
         self._encode_seconds = self.metrics.histogram("data.encode.shard_s")
         self._encoded_shards = self.metrics.counter("data.encode.shards")
         self._encoded_rows = self.metrics.counter("data.encode.rows")
-        self.cache = DimensionIndexCache(
-            schema, capacity=cache_capacity, registry=self.metrics
-        )
+        self.cache = DimensionIndexCache(schema, registry=self.metrics)
         # (|D|, d_R) code blocks, stacked once per dimension (see
         # dimension_block).
         self._block_cache: dict[str, np.ndarray] = {}

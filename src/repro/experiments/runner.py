@@ -480,9 +480,9 @@ def run_experiment(
     ``mode``, ``checkpoint``, ``checkpoint_every`` and ``resume`` are
     forwarded to the source path's
     :class:`~repro.streaming.StreamingTrainer` (checkpoint/resume
-    semantics are documented there); the tuned path rejects them via
-    the trainer's own validation when combined incorrectly and ignores
-    them otherwise.
+    semantics are documented there).  The tuned path builds no trainer,
+    so it rejects any of them set away from its default with a
+    ``ValueError`` naming the argument.
     """
     if source is not None:
         if matrices is not None:
@@ -495,6 +495,18 @@ def run_experiment(
             mode=mode, checkpoint=checkpoint,
             checkpoint_every=checkpoint_every, resume=resume,
         )
+    for name, given in (
+        ("mode", mode != "exact"),
+        ("checkpoint", checkpoint is not None),
+        ("checkpoint_every", checkpoint_every != 1),
+        ("resume", resume),
+    ):
+        if given:
+            raise ValueError(
+                f"{name}= configures the source path's StreamingTrainer; "
+                f"the tuned path builds no trainer — pass source=SourceSpec() "
+                f"to train through one"
+            )
     started = time.perf_counter()
     pipeline = fit_pipeline(
         dataset, model_key, strategy, scale=scale, matrices=matrices

@@ -23,26 +23,24 @@ heavier branch at each split.
 
 Split search consumes only per-node *histograms* — for each feature, a
 ``(levels, classes)`` count matrix — never the rows themselves.  That
-makes training streamable: :meth:`DecisionTreeClassifier.fit_stream`
-grows the tree breadth-first over any :class:`repro.data.FeatureSource`,
-accumulating each frontier node's histograms with one ``bincount`` per
-(shard, feature) pass and deciding all of a level's splits at once.
-Its passes read through one :class:`repro.data.source.ShardPasses`,
-which keeps the first gathered shards for every later level.
-Integer histograms are associative over shards, so the streamed tree's
-splits are **identical** to the in-memory tree's — ``fit`` and
-``fit_stream`` share one split-scoring routine
-(:meth:`_best_split_from_stats`) on the same counts.  Routing reads raw
-codes row by row, so factorized shards are gathered first.
+makes training streamable, and the tree has one builder,
+:meth:`DecisionTreeClassifier.fit_stream`: it grows the tree
+breadth-first over any :class:`repro.data.FeatureSource`, one pass per
+level, and ``fit(X, y)`` runs it over one in-memory shard.  Integer
+histograms are associative over shards, so the tree is **identical**
+for every shard layout.  One descent routes rows in training and in
+prediction; it reads raw codes row by row, so factorized shards are
+gathered first.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.source import ShardPasses
+from repro.data.source import MatrixSource, ShardPasses
 from repro.errors import UnseenCategoryError
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
@@ -92,7 +90,7 @@ class _BestSplit:
 
 def _gathered_shard(X, y) -> tuple:
     """A read shard as the level passes route it: gathered codes."""
-    return gathered(X), y
+    return gathered(X), np.asarray(y)
 
 
 class DecisionTreeClassifier(Estimator):
@@ -155,47 +153,31 @@ class DecisionTreeClassifier(Estimator):
     # Fitting
     # ------------------------------------------------------------------
     def fit(self, X: CategoricalMatrix, y: np.ndarray) -> "DecisionTreeClassifier":
+        """Grow the tree over one in-memory matrix: :meth:`fit_stream`
+        over a one-shard :class:`repro.data.MatrixSource`."""
         y = check_X_y(X, y)
-        X = gathered(X)
-        self._validate_hyperparameters()
-        self.n_classes_ = int(y.max()) + 1 if y.size else 2
-        if self.n_classes_ < 2:
-            self.n_classes_ = 2
-        self.feature_names_ = X.names
-        self.n_levels_ = X.n_levels
-        impurity = impurity_function(self.criterion)
-        root_counts = np.bincount(y, minlength=self.n_classes_)
-        self._root_impurity = float(impurity(root_counts))
-        self._n_total = X.n_rows
-        self.seen_levels_ = [
-            np.zeros(k, dtype=bool) for k in X.n_levels
-        ]
-        for j in range(X.n_features):
-            self.seen_levels_[j][np.unique(X.codes[:, j])] = True
-        self.root_ = self._build(X, y, np.arange(X.n_rows), depth=0)
-        self.split_counts_ = self._count_splits()
-        return self
+        return self.fit_stream(MatrixSource(X, y))
 
     def fit_stream(self, source) -> "DecisionTreeClassifier":
         """Grow the tree over a :class:`repro.data.FeatureSource`.
 
         Breadth-first histogram streaming: a first pass collects the
         label counts, seen levels and row total; then each tree level
-        costs one pass over the shards, routing every row through the
-        partial tree to its frontier node and accumulating per-node
-        per-feature ``(levels, classes)`` histograms.  All of a level's
-        split decisions are made from the summed histograms by the same
-        :meth:`_best_split_from_stats` the in-memory ``fit`` uses, so
-        the streamed tree's splits are identical to the in-memory
-        tree's for every shard layout; only the pass structure differs
-        (``depth + 1`` passes instead of one resident matrix).  The
+        costs one pass over the shards, bringing every row to its
+        frontier node and accumulating per-node per-feature
+        ``(levels, classes)`` histograms, from which
+        :meth:`_best_split_from_stats` decides all of the level's
+        splits.  Integer sums do not depend on how rows fall into
+        shards, so the tree is the same for every shard layout.  The
         passes read through one :class:`repro.data.source.ShardPasses`
         that keeps the first
         :data:`~repro.data.source.RESIDENT_SHARDS` shards gathered, so
         a stream within the cap is read, joined and gathered once per
-        fit.  Beyond those shards, state between shards is the
-        frontier's histograms — bounded by tree width, not by
-        ``n_rows``.
+        fit; for those shards the fit also remembers each row's
+        frontier node (one row index per row), so a level moves rows
+        one step instead of routing them from the root.  A shard past
+        the cap leaves only the frontier's histograms behind — bounded
+        by tree width, not by ``n_rows``.
         """
         self._validate_hyperparameters()
         self._reset()
@@ -243,20 +225,46 @@ class DecisionTreeClassifier(Estimator):
         self.root_ = root
 
         # One pass per level: accumulate the frontier's histograms, then
-        # split every frontier node from the totals.
+        # split every frontier node from the totals.  ``reached`` keeps,
+        # per kept shard, the frontier nodes its rows reached last level,
+        # so descending from them moves each row one step; the other
+        # shards descend from the root.
+        reached: dict[int, list[tuple[TreeNode, np.ndarray]]] = {}
         frontier = [root] if self._splittable(root_counts, 0) else []
         while frontier:
-            stats = {
-                id(node): [
-                    np.zeros((k, self.n_classes_), dtype=np.int64)
-                    for k in n_levels
+            stats: dict[int, list[np.ndarray] | None] = dict.fromkeys(
+                id(node) for node in frontier
+            )
+            for index, (X, y) in passes():
+                starts = reached.get(index)
+                if starts is None:
+                    starts = [(root, np.arange(X.n_rows))]
+                at_frontier = [
+                    (node, rows)
+                    for start, start_rows in starts
+                    for node, rows in self._descend(start, X, start_rows)
+                    if id(node) in stats
                 ]
-                for node in frontier
-            }
-            for _, (X, y) in passes():
-                self._accumulate_stats(
-                    root, X, np.asarray(y), np.arange(X.n_rows), stats
-                )
+                if index in passes.resident:
+                    reached[index] = at_frontier
+                for node, rows in at_frontier:
+                    y_rows = y[rows]
+                    histograms = [
+                        np.bincount(
+                            X.codes[rows, j] * self.n_classes_ + y_rows,
+                            minlength=k * self.n_classes_,
+                        ).reshape(k, self.n_classes_)
+                        for j, k in enumerate(n_levels)
+                    ]
+                    # A node's first shard's histograms become its totals,
+                    # so a one-shard fit allocates nothing more; later
+                    # shards add to them.
+                    totals = stats[id(node)]
+                    if totals is None:
+                        stats[id(node)] = histograms
+                    else:
+                        for total, histogram in zip(totals, histograms):
+                            total += histogram
             next_frontier: list[TreeNode] = []
             for node in frontier:
                 best = self._best_split_from_stats(stats[id(node)], node.counts)
@@ -270,7 +278,7 @@ class DecisionTreeClassifier(Estimator):
                     (best.right_counts, "right"),
                 ):
                     # Prefix sums of integer histograms are exact; store
-                    # them as the int64 counts the in-memory path keeps.
+                    # them as int64 counts.
                     counts = np.asarray(np.rint(child_counts), dtype=np.int64)
                     child = TreeNode(
                         counts=counts,
@@ -284,31 +292,38 @@ class DecisionTreeClassifier(Estimator):
         self.split_counts_ = self._count_splits()
         return self
 
-    def _accumulate_stats(
+    def _descend(
         self,
         node: TreeNode,
         X: CategoricalMatrix,
-        y: np.ndarray,
         rows: np.ndarray,
-        stats: dict[int, list[np.ndarray]],
-    ) -> None:
-        """Route one shard's rows to the frontier, summing histograms."""
-        if rows.size == 0:
-            return
-        bucket = stats.get(id(node))
-        if bucket is not None:
-            y_rows = y[rows]
-            for j, k in enumerate(self.n_levels_):
-                bucket[j] += np.bincount(
-                    X.codes[rows, j] * self.n_classes_ + y_rows,
-                    minlength=k * self.n_classes_,
-                ).reshape(k, self.n_classes_)
-            return
-        if node.is_leaf:
-            return
-        mask = node.goes_left[X.codes[rows, node.feature]]
-        self._accumulate_stats(node.left, X, y, rows[mask], stats)
-        self._accumulate_stats(node.right, X, y, rows[~mask], stats)
+        rng: np.random.Generator | None = None,
+    ) -> Iterator[tuple[TreeNode, np.ndarray]]:
+        """Route ``rows`` of ``X`` from ``node`` to the leaves below it.
+
+        Yields ``(leaf, rows)`` for each leaf that some rows reach, depth
+        first and left before right.  While the tree grows, its frontier
+        nodes are leaves, so the descent stops there.  With ``rng``, a
+        row whose level of a split feature was never seen in training
+        takes a uniformly random branch; draws happen node by node in
+        that same order, so predictions are reproducible per seed.
+        """
+        stack = [(node, rows)]
+        while stack:
+            node, rows = stack.pop()
+            if rows.size == 0:
+                continue
+            if node.is_leaf:
+                yield node, rows
+                continue
+            codes = X.codes[rows, node.feature]
+            mask = node.goes_left[codes]
+            if rng is not None:
+                unseen = ~self.seen_levels_[node.feature][codes]
+                if np.any(unseen):
+                    mask[unseen] = rng.random(int(unseen.sum())) < 0.5
+            stack.append((node.right, rows[~mask]))
+            stack.append((node.left, rows[mask]))
 
     def _reset(self) -> None:
         """Drop learned state so a new training session starts fresh."""
@@ -345,28 +360,6 @@ class DecisionTreeClassifier(Estimator):
             return self.minbucket
         return max(1, self.minsplit // 3)
 
-    def _build(
-        self, X: CategoricalMatrix, y: np.ndarray, rows: np.ndarray, depth: int
-    ) -> TreeNode:
-        counts = np.bincount(y[rows], minlength=self.n_classes_)
-        node = TreeNode(
-            counts=counts,
-            prediction=int(np.argmax(counts)),
-            depth=depth,
-        )
-        if not self._splittable(counts, depth):
-            return node
-        best = self._find_best_split(X, y, rows, counts)
-        if best is None or not self._passes_cp(best):
-            return node
-        mask = best.goes_left[X.codes[rows, best.feature]]
-        node.feature = best.feature
-        node.goes_left = best.goes_left
-        node.gain = best.weighted_gain
-        node.left = self._build(X, y, rows[mask], depth + 1)
-        node.right = self._build(X, y, rows[~mask], depth + 1)
-        return node
-
     def _splittable(self, counts: np.ndarray, depth: int) -> bool:
         """Whether a node with these class counts may attempt a split."""
         return (
@@ -385,40 +378,14 @@ class DecisionTreeClassifier(Estimator):
             return relative_gain >= self.cp
         return self.cp <= 0
 
-    def _node_histograms(
-        self, X: CategoricalMatrix, y_node: np.ndarray, rows: np.ndarray
-    ) -> list[np.ndarray]:
-        """Per-feature ``(levels, classes)`` count matrices of one node."""
-        return [
-            np.bincount(
-                X.codes[rows, j] * self.n_classes_ + y_node,
-                minlength=X.n_levels[j] * self.n_classes_,
-            ).reshape(X.n_levels[j], self.n_classes_)
-            for j in range(X.n_features)
-        ]
-
-    def _find_best_split(
-        self,
-        X: CategoricalMatrix,
-        y: np.ndarray,
-        rows: np.ndarray,
-        node_counts: np.ndarray,
-    ) -> _BestSplit | None:
-        return self._best_split_from_stats(
-            self._node_histograms(X, y[rows], rows), node_counts
-        )
-
     def _best_split_from_stats(
         self, stats: list[np.ndarray], node_counts: np.ndarray
     ) -> _BestSplit | None:
         """Best binary subset split given per-feature histograms.
 
         ``stats[j]`` is the ``(levels, classes)`` integer count matrix of
-        feature ``j`` over the node's rows — computed directly by the
-        in-memory path, accumulated shard by shard by the streaming one.
-        Both paths therefore score byte-identical counts with identical
-        arithmetic, which is the histogram-streaming equivalence
-        guarantee.
+        feature ``j`` over the node's rows, summed over shards.  The
+        counts, and so the split, do not depend on the shard layout.
         """
         impurity = impurity_function(self.criterion)
         node_impurity = float(impurity(node_counts))
@@ -501,7 +468,10 @@ class DecisionTreeClassifier(Estimator):
             if self.unseen == "random"
             else None
         )
-        self._route(self.root_, X, np.arange(X.n_rows), out, rng)
+        for leaf, rows in self._descend(
+            self.root_, X, np.arange(X.n_rows), rng
+        ):
+            out[rows] = leaf.counts / leaf.counts.sum()
         return out
 
     def _enforce_unseen_policy(self, X: CategoricalMatrix) -> None:
@@ -513,35 +483,6 @@ class DecisionTreeClassifier(Estimator):
             bad = codes[~seen[codes]]
             if bad.size:
                 raise UnseenCategoryError(self.feature_names_[j], int(bad[0]))
-
-    def _route(
-        self,
-        node: TreeNode,
-        X: CategoricalMatrix,
-        rows: np.ndarray,
-        out: np.ndarray,
-        rng: np.random.Generator | None,
-    ) -> None:
-        if rows.size == 0:
-            return
-        if node.is_leaf:
-            total = node.counts.sum()
-            proba = (
-                node.counts / total
-                if total > 0
-                else np.full(self.n_classes_, 1.0 / self.n_classes_)
-            )
-            out[rows] = proba
-            return
-        codes = X.codes[rows, node.feature]
-        mask = node.goes_left[codes]
-        if rng is not None:
-            unseen = ~self.seen_levels_[node.feature][codes]
-            if np.any(unseen):
-                mask = mask.copy()
-                mask[unseen] = rng.random(int(unseen.sum())) < 0.5
-        self._route(node.left, X, rows[mask], out, rng)
-        self._route(node.right, X, rows[~mask], out, rng)
 
     # ------------------------------------------------------------------
     # Introspection

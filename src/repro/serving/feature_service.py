@@ -6,7 +6,7 @@ that is the wrong shape of work: each request brings a handful of fact
 rows, and re-joining per request would rebuild the code→row hash table
 of every dimension every time.  :class:`FeatureService` precomputes each
 joined dimension's row index (:func:`repro.relational.join.dimension_row_index`)
-and its foreign-feature code columns once, keeps them in an LRU cache,
+and its foreign-feature code columns once, keeps them for good,
 and assembles a request's :class:`CategoricalMatrix` with O(1) numpy
 gathers per dimension.
 
@@ -57,8 +57,6 @@ class FeatureService(ShardEncoder):
         The join strategy of the model being served; avoided dimensions
         are skipped entirely, joined ones are resolved through the
         :class:`DimensionIndexCache`.
-    cache_capacity:
-        Maximum dimension indexes kept resident (default 8).
     registry:
         Metrics registry for cache/encode telemetry; a
         :class:`~repro.serving.server.PredictionServer` passes its own

@@ -151,8 +151,6 @@ class PredictionServer:
         ``validate_fingerprint=False``.  Fingerprints cover structure
         and closed domains only — dimension *rows* may change freely —
         so disabling the check is rarely the right fix.
-    cache_capacity:
-        Dimension-index cache capacity of the feature service.
     max_batch_size, max_wait_s:
         Micro-batcher configuration for the ``submit`` path.
     background_flush:
@@ -186,7 +184,6 @@ class PredictionServer:
         self,
         artifact: ModelArtifact,
         schema: StarSchema,
-        cache_capacity: int = 8,
         max_batch_size: int = 64,
         max_wait_s: float | None = 0.005,
         validate_fingerprint: bool = True,
@@ -202,10 +199,7 @@ class PredictionServer:
         self.schema = schema
         self.metrics = MetricsRegistry(enabled=telemetry)
         self.features = FeatureService(
-            schema,
-            artifact.strategy,
-            cache_capacity=cache_capacity,
-            registry=self.metrics,
+            schema, artifact.strategy, registry=self.metrics
         )
         if self.features.feature_names != artifact.feature_names:
             raise SchemaError(

@@ -4,10 +4,13 @@ The in-memory paths materialise a strategy's full feature matrix; this
 package trains on bounded shards instead, with one guarantee front and
 centre: **streaming training is numerically equivalent to in-memory
 training**.  A single-shard streaming fit is bit-identical to the
-in-memory fit (the models' ``fit`` methods are literally the streaming
-loop applied to one shard); multi-shard exact logistic regression runs
-the same full-batch FISTA iterates with gradients accumulated shard by
-shard, differing only in floating-point association.
+in-memory fit (the logistic and tree ``fit`` methods are literally
+``fit_stream`` over one shard, and the MLP's ``fit`` runs the epoch
+pass ``partial_fit`` runs); Naive Bayes counts and tree histograms are
+integers, so any shard layout gives the same model; multi-shard exact
+logistic regression runs the same full-batch FISTA iterates with
+gradients accumulated shard by shard, differing only in floating-point
+association.
 
 - :mod:`repro.streaming.shards` — :class:`ShardPlan` /
   :class:`ShardedDataset`: bounded fact-row shards from a split, a full

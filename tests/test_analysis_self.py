@@ -1,7 +1,7 @@
 """The shipped tree is lint-clean, and the CLI honours its contract.
 
 This is the static-analysis suite's tier-1 gate: every rule over
-``src/``, ``benchmarks/`` and ``tools/`` with the default config must
+``src/`` and ``benchmarks/`` with the default config must
 report nothing — including zero unused suppressions, since an unused
 ``lint-ignore`` is itself a finding.  The CLI tests pin the exit-code
 contract (0 clean / 1 findings / 2 usage error) and both entry points
@@ -21,7 +21,7 @@ from repro.analysis import ALL_RULES, DEFAULT_CONFIG, run_analysis
 from repro.analysis.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_TARGETS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "tools"]
+LINT_TARGETS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
 
 
 class TestTreeIsClean:

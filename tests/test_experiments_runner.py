@@ -86,6 +86,29 @@ class TestRunExperiment:
         )
         assert result.n_features == matrices.X_train.n_features
 
+    @pytest.mark.parametrize(
+        "argument",
+        [
+            {"mode": "incremental"},
+            {"checkpoint": "checkpoints"},
+            {"checkpoint_every": 2},
+            {"resume": True},
+        ],
+        ids=lambda argument: next(iter(argument)),
+    )
+    def test_tuned_path_rejects_trainer_arguments(
+        self, yelp, argument, tmp_path, monkeypatch
+    ):
+        """The tuned path builds no trainer, so a training-loop argument
+        would be silently ignored; it is refused instead."""
+        monkeypatch.chdir(tmp_path)
+        name = next(iter(argument))
+        with pytest.raises(ValueError, match=f"^{name}="):
+            run_experiment(
+                yelp, "lr_l1", no_join_strategy(), scale=SMOKE, **argument
+            )
+        assert list(tmp_path.iterdir()) == []
+
     def test_best_params_recorded_for_grid_models(self, yelp):
         result = run_experiment(yelp, "dt_gini", no_join_strategy(), scale=SMOKE)
         assert set(result.best_params) == {"minsplit", "cp"}

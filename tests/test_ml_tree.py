@@ -198,6 +198,38 @@ class TestUnseenPolicy:
         second = tree.predict(X_new)
         assert np.array_equal(first, second)
 
+    def test_random_policy_draw_order_is_pinned(self):
+        """Level 2 of both features is unseen: the root (on f2) and both
+        of its children (on f1) draw for the rows they receive.  Draws
+        go node by node, depth first and left before right, so any other
+        order moves some of these rows to another leaf."""
+        # (f1, f2) -> (class-0 rows, class-1 rows)
+        cells = {
+            (0, 0): (9, 1), (0, 1): (3, 7), (1, 0): (2, 6), (1, 1): (8, 4),
+        }
+        rows, y = [], []
+        for cell, (n0, n1) in cells.items():
+            rows += [cell] * (n0 + n1)
+            y += [0] * n0 + [1] * n1
+        X = CategoricalMatrix(np.array(rows), (3, 3), ("f1", "f2"))
+        tree = DecisionTreeClassifier(
+            minsplit=2, cp=0.0, unseen="random", random_state=0
+        ).fit(X, np.array(y))
+        assert tree.n_leaves_ == 4
+        X_new = CategoricalMatrix(
+            np.array([[2, 0], [2, 1], [0, 2], [1, 2], [2, 2]] * 2),
+            (3, 3),
+            ("f1", "f2"),
+        )
+        leaf_counts = np.array(
+            [[2, 6], [3, 7], [3, 7], [2, 6], [2, 6],
+             [2, 6], [3, 7], [9, 1], [8, 4], [8, 4]]
+        )
+        np.testing.assert_array_equal(
+            tree.predict_proba(X_new),
+            leaf_counts / leaf_counts.sum(axis=1, keepdims=True),
+        )
+
     def test_seen_levels_do_not_trigger_error(self):
         tree = self._fit_small("error")
         X_seen = CategoricalMatrix(np.array([[0], [1]]), (3,), ("f",))

@@ -153,7 +153,7 @@ class TestRacingColdCache:
             return real_builder(schema, name)
 
         monkeypatch.setattr(fs, "dimension_row_index", slow_builder)
-        cache = DimensionIndexCache(dataset.schema, capacity=8)
+        cache = DimensionIndexCache(dataset.schema)
         name = dataset.schema.dimension_names[0]
         entries = []
 
@@ -168,7 +168,7 @@ class TestRacingColdCache:
         assert all(e is entries[0] for e in entries)  # one shared entry
 
     def test_distinct_dimensions_build_concurrently(self, dataset):
-        cache = DimensionIndexCache(dataset.schema, capacity=8)
+        cache = DimensionIndexCache(dataset.schema)
         names = dataset.schema.dimension_names
         barrier = threading.Barrier(len(names))
 

@@ -113,23 +113,17 @@ class TestCacheAccounting:
         service.assemble_table(churn_schema.fact)
         stats = service.cache.stats  # stats are point-in-time snapshots
         assert stats.misses == 1 and stats.hits == 2
-        assert stats.builds == 1  # never rebuilt while resident
+        assert stats.builds == 1  # built once, never rebuilt
         assert stats.hit_rate == pytest.approx(2 / 3)
 
-    def test_lru_eviction(self):
-        dataset_schema = _two_dimension_schema()
-        cache = DimensionIndexCache(dataset_schema, capacity=1)
-        cache.get("D1")
-        cache.get("D2")  # evicts D1
-        cache.get("D1")  # rebuild
-        assert cache.stats.misses == 3
-        assert cache.stats.builds == 3  # an evicted entry really rebuilds
-        assert cache.stats.evictions == 2
-        assert len(cache) == 1
-
-    def test_capacity_must_be_positive(self, churn_schema):
-        with pytest.raises(ValueError, match="capacity"):
-            DimensionIndexCache(churn_schema, capacity=0)
+    def test_every_dimension_is_built_once_and_kept(self):
+        cache = DimensionIndexCache(_two_dimension_schema())
+        for name in ("D1", "D2", "D1", "D2", "D1"):
+            cache.get(name)
+        assert cache.stats.misses == 2
+        assert cache.stats.builds == 2
+        assert cache.stats.hits == 3
+        assert len(cache) == 2
 
 
 def _two_dimension_schema(dangling: bool = False) -> StarSchema:

@@ -42,7 +42,7 @@ class TestAsDictRoundTrips:
         service = FeatureService(dataset.schema, no_join_strategy())
         service.assemble_table(dataset.schema.fact.select(dataset.train[:5]))
         decoded = _round_trip(service.cache.stats)
-        assert {"hits", "misses", "evictions", "builds", "lookups",
+        assert {"hits", "misses", "builds", "lookups",
                 "hit_rate"} <= set(decoded)
 
     def test_spill_stats(self, dataset):

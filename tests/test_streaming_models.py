@@ -8,22 +8,46 @@ layer brought out of core:
   ``np.array_equal``, for every shard layout.
 - ``DecisionTreeClassifier``: per-shard histogram accumulation produces
   **identical splits** — same features, same level partitions, same
-  counts, node for node.
+  counts, node for node.  ``fit`` is itself a one-shard ``fit_stream``,
+  so every tree is checked against an independent reference: the
+  depth-first builder below (:func:`depth_first_tree`), which recurses
+  over row-index arrays and shares only split scoring with the model.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import join_all_strategy, no_fk_strategy, no_join_strategy
+from repro.core import (
+    avoid_dimensions_strategy,
+    join_all_strategy,
+    no_fk_strategy,
+    no_join_strategy,
+)
 from repro.data import MatrixSource, SourceSpec
+from repro.data import source as data_source
 from repro.datasets import generate_real_world
 from repro.ml import CategoricalNB, DecisionTreeClassifier
+from repro.ml.tree.cart import TreeNode
+from repro.ml.tree.criteria import impurity_function
+from repro.rng import ensure_rng
 from repro.streaming import StreamingTrainer
 
 STRATEGIES = {
     "JoinAll": join_all_strategy,
     "NoJoin": no_join_strategy,
     "NoFK": no_fk_strategy,
+}
+
+#: The trees also run a partial avoidance (Table 4's NoR1 shape).
+TREE_STRATEGIES = {
+    **STRATEGIES,
+    "Nobusinesses": lambda: avoid_dimensions_strategy("businesses"),
+}
+
+#: Deep enough trees (6-10 levels on the fixture) that rows move down
+#: many levels, and test rows meet unseen levels under the random policy.
+TREE_PARAMS = {
+    "minsplit": 10, "cp": 0.001, "unseen": "random", "random_state": 0,
 }
 
 
@@ -52,6 +76,97 @@ def assert_same_tree(a, b):
     walk(a.root_, b.root_)
     for seen_a, seen_b in zip(a.seen_levels_, b.seen_levels_):
         np.testing.assert_array_equal(seen_a, seen_b)
+
+
+def depth_first_tree(X, y, **params):
+    """The reference tree, grown depth first over one in-memory matrix.
+
+    Recurses over row-index arrays: each node's class counts and
+    per-feature ``(levels, classes)`` histograms come straight from its
+    rows, and its children from a boolean mask over them.  Only split
+    scoring (``_best_split_from_stats``) and the stopping rules
+    (``_splittable``, ``_passes_cp``) are the model's own.
+    """
+    tree = DecisionTreeClassifier(**params)
+    tree._validate_hyperparameters()
+    y = np.asarray(y, dtype=np.int64)
+    n_classes = max(int(y.max()) + 1, 2)
+    tree.n_classes_ = n_classes
+    tree.feature_names_ = tuple(X.names)
+    tree.n_levels_ = tuple(X.n_levels)
+    tree.seen_levels_ = [
+        np.isin(np.arange(k), X.codes[:, j]) for j, k in enumerate(X.n_levels)
+    ]
+    tree._root_impurity = float(
+        impurity_function(tree.criterion)(np.bincount(y, minlength=n_classes))
+    )
+    tree._n_total = X.n_rows
+
+    def build(rows, depth):
+        counts = np.bincount(y[rows], minlength=n_classes)
+        node = TreeNode(
+            counts=counts, prediction=int(np.argmax(counts)), depth=depth
+        )
+        if not tree._splittable(counts, depth):
+            return node
+        histograms = [
+            np.bincount(
+                X.codes[rows, j] * n_classes + y[rows], minlength=k * n_classes
+            ).reshape(k, n_classes)
+            for j, k in enumerate(X.n_levels)
+        ]
+        best = tree._best_split_from_stats(histograms, counts)
+        if best is None or not tree._passes_cp(best):
+            return node
+        mask = best.goes_left[X.codes[rows, best.feature]]
+        node.feature = best.feature
+        node.goes_left = best.goes_left
+        node.gain = best.weighted_gain
+        node.left = build(rows[mask], depth + 1)
+        node.right = build(rows[~mask], depth + 1)
+        return node
+
+    tree.root_ = build(np.arange(X.n_rows), 0)
+    tree.split_counts_ = tree._count_splits()
+    return tree
+
+
+def depth_first_proba(tree, X):
+    """``predict_proba`` by recursion over row-index arrays.
+
+    Under ``unseen="random"`` each node draws one uniform per row whose
+    level of the split feature was never seen, nodes in depth-first
+    order, left subtree before right.
+    """
+    out = np.zeros((X.n_rows, tree.n_classes_))
+    rng = ensure_rng(tree.random_state) if tree.unseen == "random" else None
+
+    def route(node, rows):
+        if rows.size == 0:
+            return
+        if node.is_leaf:
+            out[rows] = node.counts / node.counts.sum()
+            return
+        codes = X.codes[rows, node.feature]
+        mask = node.goes_left[codes]
+        if rng is not None:
+            unseen = ~tree.seen_levels_[node.feature][codes]
+            if unseen.any():
+                mask[unseen] = rng.random(int(unseen.sum())) < 0.5
+        route(node.left, rows[mask])
+        route(node.right, rows[~mask])
+
+    route(tree.root_, np.arange(X.n_rows))
+    return out
+
+
+def assert_matches_oracle(tree, oracle, X_test):
+    """Same tree as the reference, node by node, and the same
+    probabilities as the reference's own depth-first routing."""
+    assert_same_tree(oracle, tree)
+    np.testing.assert_array_equal(
+        tree.predict_proba(X_test), depth_first_proba(oracle, X_test)
+    )
 
 
 @pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
@@ -140,34 +255,59 @@ class TestNaiveBayesPartialFit:
 
 
 @pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
-@pytest.mark.parametrize("strategy_name", sorted(STRATEGIES))
+@pytest.mark.parametrize("strategy_name", sorted(TREE_STRATEGIES))
 class TestTreeIdenticalSplits:
-    def test_histogram_stream_matches_inmemory(
-        self, yelp, criterion, strategy_name
-    ):
-        strategy = STRATEGIES[strategy_name]()
+    """Every way of growing a tree equals the depth-first reference."""
+
+    @pytest.fixture
+    def case(self, yelp, criterion, strategy_name):
+        strategy = TREE_STRATEGIES[strategy_name]()
         matrices = strategy.matrices(yelp)
-        reference = DecisionTreeClassifier(
-            criterion=criterion, unseen="majority", random_state=0
-        ).fit(matrices.X_train, matrices.y_train)
-        streamed = DecisionTreeClassifier(
-            criterion=criterion, unseen="majority", random_state=0
+        params = {"criterion": criterion, **TREE_PARAMS}
+        oracle = depth_first_tree(
+            matrices.X_train, matrices.y_train, **params
         )
+        return strategy, matrices, params, oracle
+
+    def test_histogram_stream_matches_inmemory(self, yelp, case):
+        strategy, matrices, params, oracle = case
+        streamed = DecisionTreeClassifier(**params)
         StreamingTrainer(streamed).fit(
             strategy.streaming_matrices(yelp, shard_rows=23)
         )
-        assert_same_tree(reference, streamed)
-        np.testing.assert_array_equal(
-            reference.predict_proba(matrices.X_test),
-            streamed.predict_proba(matrices.X_test),
+        assert_matches_oracle(streamed, oracle, matrices.X_test)
+
+    def test_fit_matches_oracle(self, case):
+        _, matrices, params, oracle = case
+        tree = DecisionTreeClassifier(**params).fit(
+            matrices.X_train, matrices.y_train
         )
+        assert_matches_oracle(tree, oracle, matrices.X_test)
+
+    def test_one_shard_stream_matches_oracle(self, case):
+        _, matrices, params, oracle = case
+        tree = DecisionTreeClassifier(**params).fit_stream(
+            MatrixSource(matrices.X_train, matrices.y_train)
+        )
+        assert_matches_oracle(tree, oracle, matrices.X_test)
+
+    @pytest.mark.parametrize("cap", [0, 2, 8])
+    def test_residency_matches_oracle(self, yelp, case, cap, monkeypatch):
+        """Seven 23-row shards: none, some or all of them keep their
+        rows' frontier nodes between levels."""
+        strategy, matrices, params, oracle = case
+        monkeypatch.setattr(data_source, "RESIDENT_SHARDS", cap)
+        tree = DecisionTreeClassifier(**params).fit_stream(
+            strategy.streaming_matrices(yelp, shard_rows=23)
+        )
+        assert_matches_oracle(tree, oracle, matrices.X_test)
 
 
 class TestTreeStreamingBehaviour:
     def test_single_shard_matches_fit(self, yelp):
         matrices = join_all_strategy().matrices(yelp)
-        reference = DecisionTreeClassifier(unseen="majority").fit(
-            matrices.X_train, matrices.y_train
+        reference = depth_first_tree(
+            matrices.X_train, matrices.y_train, unseen="majority"
         )
         streamed = DecisionTreeClassifier(unseen="majority")
         streamed.fit_stream(MatrixSource(matrices.X_train, matrices.y_train))
@@ -176,8 +316,8 @@ class TestTreeStreamingBehaviour:
     def test_hyperparameters_respected(self, yelp):
         matrices = no_join_strategy().matrices(yelp)
         for kwargs in ({"max_depth": 1}, {"minsplit": 120}, {"cp": 0.5}):
-            reference = DecisionTreeClassifier(unseen="majority", **kwargs).fit(
-                matrices.X_train, matrices.y_train
+            reference = depth_first_tree(
+                matrices.X_train, matrices.y_train, unseen="majority", **kwargs
             )
             streamed = DecisionTreeClassifier(unseen="majority", **kwargs)
             streamed.fit_stream(
@@ -197,8 +337,8 @@ class TestTreeStreamingBehaviour:
         """seen_levels_ accumulated over shards drives unseen='error'."""
         strategy = no_join_strategy()
         matrices = strategy.matrices(yelp)
-        reference = DecisionTreeClassifier(unseen="error").fit(
-            matrices.X_train, matrices.y_train
+        reference = depth_first_tree(
+            matrices.X_train, matrices.y_train, unseen="error"
         )
         streamed = DecisionTreeClassifier(unseen="error")
         streamed.fit_stream(
