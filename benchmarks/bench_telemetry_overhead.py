@@ -118,7 +118,8 @@ BATCHED_OPS_PER_FLUSH = {
     # _take_locked: submitted.inc(n), queue_depth.set
     # _run_batch:   flushes.inc, rows_flushed.inc(n), batch_rows.set,
     #               2 x observe_many, _count_reason (lookup + inc)
-    # _predict_encoded: assemble/predict observe, rows.inc(n)
+    # _predict_encoded (one concatenated code array per flush):
+    #               assemble/predict observe, rows.inc(n)
     "counter_inc": 5,
     "gauge_set": 2,
     "histogram_observe": 2,
@@ -129,7 +130,7 @@ BATCHED_OPS_PER_FLUSH = {
 #: Metric calls per request on the predict_one path.
 SINGLE_OPS_PER_REQUEST = {
     # requests.inc + request_latency.observe, then _predict_encoded's
-    # assemble/predict observes and rows.inc.
+    # assemble/predict observes and rows.inc on the one-row code array.
     "counter_inc": 2,
     "histogram_observe": 3,
 }

@@ -265,12 +265,15 @@ class ShardEncoder:
             name: schema.dimension(name).n_rows
             for name in self._dimension_features
         }
+        self._fact_levels = [len(schema.feature_domain(f)) for f in self._fact_features]
         needed = list(self._fact_features)
         for name in self.joined_dimensions:
             fk = schema.constraint(name).fk_column
             if fk not in needed:
                 needed.append(fk)
         self._required_columns: tuple[str, ...] = tuple(needed)
+        # Views, never copies: an FK domain can hold 50,000 labels.
+        self._code_indexes = [(c, schema.fact.domain(c).index) for c in needed]
 
     @property
     def required_columns(self) -> tuple[str, ...]:
@@ -286,30 +289,30 @@ class ShardEncoder:
     # ------------------------------------------------------------------
     # Request encoding
     # ------------------------------------------------------------------
-    def encode_requests(
-        self, rows: Sequence[Mapping[str, object]]
-    ) -> dict[str, np.ndarray]:
-        """Encode label-valued request rows into per-column code vectors.
+    def encode_requests(self, rows: Sequence[Mapping[str, object]]) -> np.ndarray:
+        """Encode label-valued request rows into one ``(n, k)`` code array.
 
-        Each row maps fact column names to raw labels; labels are encoded
-        through the fact table's closed domains, so an out-of-domain
-        value raises :class:`SchemaError` exactly as the paper's closed
-        -domain assumption dictates.
+        Column ``j`` holds the codes of ``required_columns[j]``, one lookup
+        per label in its fact domain's index.  A missing column or a label
+        outside its closed domain raises :class:`SchemaError`; a domain with
+        an ``"Others"`` level maps unseen labels to it, as ``Domain.encode``.
         """
         if not rows:
             raise ValueError("cannot encode an empty request batch")
-        encoded: dict[str, np.ndarray] = {}
-        for column in self._required_columns:
-            domain = self.schema.fact.domain(column)
-            try:
-                values = [row[column] for row in rows]
-            except KeyError:
-                raise SchemaError(
-                    f"prediction request lacks fact column {column!r}; "
-                    f"required: {list(self._required_columns)}"
-                ) from None
-            encoded[column] = domain.encode(values)
-        return encoded
+        try:
+            codes = [[index[row[c]] for c, index in self._code_indexes] for row in rows]
+        except KeyError:  # a missing column or an unseen label: find which
+            codes = np.empty((len(rows), len(self._code_indexes)), dtype=np.int64)
+            for j, column in enumerate(self._required_columns):
+                try:
+                    values = [row[column] for row in rows]
+                except KeyError:
+                    raise SchemaError(
+                        f"prediction request lacks fact column {column!r}; "
+                        f"required: {list(self._required_columns)}"
+                    ) from None
+                codes[:, j] = self.schema.fact.domain(column).encode(values)
+        return np.asarray(codes, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Assembly
@@ -353,6 +356,7 @@ class ShardEncoder:
         blocks: dict[str, list[int]] = {}
         columns: list[np.ndarray] = []
         positions: list[int] = []
+        fact: list[np.ndarray] = []
         for position, feature in enumerate(self.feature_names):
             owner = self._foreign_of.get(feature)
             if owner is None:
@@ -362,13 +366,7 @@ class ShardEncoder:
                     raise SchemaError(
                         f"request batch lacks fact column {feature!r}"
                     ) from None
-                # Caller-supplied codes are the one unverified input here
-                # (encode_requests/assemble_table pre-validate, direct
-                # assemble() callers may not); check before they reach
-                # the kernels' gathers.
-                check_code_ranges(
-                    codes[:, np.newaxis], (self.n_levels[position],), (feature,)
-                )
+                fact.append(codes)
             else:
                 name = owner[0]
                 if name not in entries:
@@ -387,6 +385,11 @@ class ShardEncoder:
                 codes = entries[name].feature_codes[feature][dim_rows[name]]
             columns.append(codes)
             positions.append(position)
+        # Caller-supplied fact codes are the one unverified input here: one
+        # check per batch before any kernel reads them, stacked feature-major
+        # so each feature's min/max reads contiguous memory.
+        if fact:
+            check_code_ranges(np.stack(fact).T, self._fact_levels, self._fact_features)
         if not blocks:
             if not columns:
                 return CategoricalMatrix.empty(n)
@@ -484,7 +487,8 @@ class ShardEncoder:
         self, rows: Sequence[Mapping[str, object]]
     ) -> "CategoricalMatrix | FactorizedMatrix":
         """Encode label-valued request rows and assemble their features."""
-        return self.assemble(self.encode_requests(rows))
+        codes = self.encode_requests(rows)
+        return self.assemble(dict(zip(self._required_columns, codes.T)))
 
     def encode_shard(
         self, fact_rows: Table

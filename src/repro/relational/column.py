@@ -10,7 +10,8 @@ operates on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from types import MappingProxyType
 from typing import Hashable
 
 import numpy as np
@@ -66,6 +67,11 @@ class Domain:
     def labels(self) -> tuple:
         """The labels in code order."""
         return self._labels
+
+    @property
+    def index(self) -> Mapping[Hashable, int]:
+        """The label → code dict, read-only and uncopied; no ``"Others"`` fallback."""
+        return MappingProxyType(self._index)
 
     @property
     def has_others(self) -> bool:

@@ -20,10 +20,13 @@ Since the unified data layer landed, the machinery itself lives in
 out-of-core trainers run per shard, so a served micro-batch and a
 training shard are assembled by literally the same code, under the same
 per-dimension factorize-or-gather plan (micro-batches are small, so in
-practice every dimension is gathered).  The assembled matrices feed the
+practice every dimension is gathered).  A request enters as label rows
+and is encoded once, one label lookup per required column, into an
+``(n, len(required_columns))`` code array; assembly reads that array's
+columns as views.  The assembled matrices feed the
 models' implicit one-hot kernels (:mod:`repro.ml.sparse`) end to end:
 dimension codes gathered from validated tables skip re-validation,
-caller-supplied fact codes get one cheap range check, and the dense
+caller-supplied fact codes get one range check per batch, and the dense
 one-hot matrix is never materialised anywhere on the request path,
 however large the FK domains.
 """
@@ -44,10 +47,11 @@ class FeatureService(ShardEncoder):
 
     A :class:`~repro.data.encoder.ShardEncoder` under its serving name:
     construction precomputes the strategy's feature layout and required
-    request columns, :meth:`assemble`/:meth:`assemble_table`/
-    :meth:`assemble_rows` build request matrices through the
-    :class:`DimensionIndexCache`, and :attr:`required_columns` is the
-    request contract.  See the encoder for the full interface.
+    request columns, :meth:`encode_requests` turns label rows into the
+    code array of :attr:`required_columns` (the request contract), and
+    :meth:`assemble`/:meth:`assemble_table`/:meth:`assemble_rows` build
+    request matrices through the :class:`DimensionIndexCache`.  See the
+    encoder for the full interface.
 
     Parameters
     ----------

@@ -14,6 +14,8 @@ artifact's strategy, and exposes three serving styles:
 Requests are plain ``{fact column: label}`` mappings — the shape a fact
 row has *before* any join, which is the whole point: under a NoJoin
 artifact the server answers without touching a single dimension table.
+Every path encodes them on arrival into one ``(n, k)`` code array over
+the ``k`` required columns; a flush concatenates the queued arrays.
 
 The server is thread-safe end to end: any number of request threads may
 call the three paths concurrently.  Request counters and latency
@@ -239,13 +241,7 @@ class PredictionServer:
     # ------------------------------------------------------------------
     def predict_one(self, row: Mapping[str, object]) -> object:
         """Predict a single request row immediately (low-latency path)."""
-        self._requests.inc()
-        started = time.perf_counter()
-        result = self._predict_encoded(
-            [self.features.encode_requests([row])]
-        )[0]
-        self._request_latency.observe(time.perf_counter() - started)
-        return result
+        return self.predict_batch([row])[0]
 
     def predict_batch(self, rows: Sequence[Mapping[str, object]]) -> list:
         """Predict a caller-assembled batch of request rows."""
@@ -261,10 +257,9 @@ class PredictionServer:
         """Predict for pre-encoded rows shaped like the fact table."""
         self._requests.inc()
         started = time.perf_counter()
-        codes = {
-            column: fact_rows.codes(column)
-            for column in self.features.required_columns
-        }
+        codes = np.stack(
+            [fact_rows.codes(c) for c in self.features.required_columns], axis=1
+        )
         results = self._predict_encoded([codes])
         self._request_latency.observe(time.perf_counter() - started)
         return results
@@ -276,8 +271,9 @@ class PredictionServer:
     ) -> PendingPrediction:
         """Queue one row on the micro-batcher (high-throughput path).
 
-        Safe to call from any number of request threads; encoding runs
-        in the calling thread, the batch prediction wherever the flush
+        Safe to call from any number of request threads; the row is
+        encoded in the calling thread (a bad row raises ``SchemaError``
+        here and queues nothing), the batch predicted wherever the flush
         trigger fires (the submitter or the deadline flusher).
         The row's end-to-end submit → delivery latency (queue wait
         included) lands in the shared ``serving.latency.request_s``
@@ -321,38 +317,25 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _merge(
-        self, payloads: Sequence[Mapping[str, np.ndarray]]
-    ) -> Mapping[str, np.ndarray]:
-        if len(payloads) == 1:
-            return payloads[0]
-        return {
-            column: np.concatenate(
-                [np.asarray(p[column]) for p in payloads]
-            )
-            for column in self.features.required_columns
-        }
+    def _predict_encoded(self, payloads: Sequence[np.ndarray]) -> list:
+        """Assemble and predict a batch of encoded request rows.
 
-    def _predict_encoded(
-        self, payloads: Sequence[Mapping[str, np.ndarray]]
-    ) -> list:
-        """Assemble and predict a batch of encoded column-dicts.
-
-        The payloads are concatenated into one column dict and
-        predicted in a single vectorized call, in submission order.
-        With a :class:`~repro.serving.factorized.FactorizedScorer` the
+        Each payload is a code array from ``encode_requests``; they are
+        joined and predicted in a single vectorized call, in submission
+        order.  With a :class:`~repro.serving.factorized.FactorizedScorer` the
         assemble stage is only the FK resolution of each joined
         dimension; otherwise it builds the feature matrix the
         artifact's model predicts from.
         """
-        merged = self._merge(payloads)
+        encoded = np.concatenate(payloads)
+        columns = dict(zip(self.features.required_columns, encoded.T))
         started = time.perf_counter()
         if self._scorer is not None:
-            dim_rows = self.features.dimension_rows(merged)
+            dim_rows = self.features.dimension_rows(columns)
             assembled = time.perf_counter()
-            codes = self._scorer.predict_codes(merged, dim_rows)
+            codes = self._scorer.predict_codes(columns, dim_rows)
         else:
-            X = self.features.assemble(merged)
+            X = self.features.assemble(columns)
             assembled = time.perf_counter()
             codes = self.artifact.predict_codes(X)
         finished = time.perf_counter()

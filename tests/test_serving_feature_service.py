@@ -8,6 +8,7 @@ from repro.core import (
     no_fk_strategy,
     no_join_strategy,
 )
+from repro.datasets import generate_real_world
 from repro.errors import ReferentialIntegrityError, SchemaError
 from repro.ml.encoding import CategoricalMatrix
 from repro.relational import (
@@ -83,6 +84,25 @@ class TestRequestEncoding:
         j = X.names.index("State")
         # initech is row 2 of Employers, whose State code is 0 ("CA").
         assert X.codes[0, j] == 0
+
+    def test_label_rows_round_trip_to_the_fact_codes(self):
+        dataset = generate_real_world("flights", n_fact=300, seed=0)
+        fact = dataset.schema.fact
+        service = FeatureService(dataset.schema, join_all_strategy())
+        columns = service.required_columns
+        labels = {
+            c: fact.domain(c).decode(fact.codes(c)[dataset.test])
+            for c in columns
+        }
+        rows = [
+            {c: labels[c][i] for c in columns} for i in range(dataset.test.size)
+        ]
+        expected = np.stack(
+            [fact.codes(c)[dataset.test] for c in columns], axis=1
+        )
+        encoded = service.encode_requests(rows)
+        assert encoded.dtype == expected.dtype
+        np.testing.assert_array_equal(encoded, expected)
 
     def test_out_of_domain_label_raises(self, churn_schema):
         service = FeatureService(churn_schema, join_all_strategy())

@@ -1,5 +1,7 @@
 """PredictionServer: paths agree, counters account, fingerprints guard."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.core import join_all_strategy, no_join_strategy
 from repro.datasets import generate_real_world
 from repro.errors import SchemaError
 from repro.experiments import fit_pipeline, get_scale
+from repro.relational import CategoricalColumn, StarSchema
+from repro.relational.column import OTHERS_LABEL
 from repro.serving import (
     FeatureService,
     PredictionServer,
@@ -19,10 +23,14 @@ def dataset():
     return generate_real_world("yelp", n_fact=300, seed=0)
 
 
-@pytest.fixture(scope="module")
-def artifact(dataset):
+@pytest.fixture(
+    scope="module",
+    params=[join_all_strategy, no_join_strategy],
+    ids=["JoinAll", "NoJoin"],
+)
+def artifact(dataset, request):
     pipeline = fit_pipeline(
-        dataset, "dt_gini", no_join_strategy(), scale=get_scale("smoke")
+        dataset, "dt_gini", request.param(), scale=get_scale("smoke")
     )
     return artifact_from_pipeline(pipeline, dataset.schema)
 
@@ -178,6 +186,67 @@ class TestGuards:
             PredictionServer(
                 artifact, other.schema, validate_fingerprint=False
             )
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [(None, "lacks fact column"), ("no-such-label", "closed domain")],
+        ids=["missing_column", "out_of_domain_label"],
+    )
+    def test_submit_rejects_a_bad_row_before_queueing(
+        self, server, dataset, label, message
+    ):
+        row = _label_rows(server, dataset, 1)[0]
+        column = server.features.required_columns[-1]
+        if label is None:
+            del row[column]
+        else:
+            row[column] = label
+        requests = server.stats().requests
+        with pytest.raises(SchemaError, match=message):
+            server.submit(row)
+        assert len(server.batcher) == 0
+        assert server.stats().requests == requests
+
+    def test_others_domain_serves_an_unseen_label_as_others(self):
+        """An unseen label encodes to the ``"Others"`` code on the request
+        path, as ``Domain.encode`` does, instead of raising."""
+        dataset = generate_real_world("flights", n_fact=300, seed=0)
+        schema = dataset.schema
+        feature = schema.home_features[0]
+        column = schema.fact.column(feature)
+        others = dataclasses.replace(
+            dataset,
+            schema=StarSchema(
+                schema.fact.with_column(
+                    CategoricalColumn(
+                        feature, column.domain.with_others(), column.codes
+                    )
+                ),
+                schema.target,
+                [(schema.dimension(n), schema.constraint(n))
+                 for n in schema.dimension_names],
+                fact_key=schema.fact_key,
+            ),
+        )
+        pipeline = fit_pipeline(
+            others, "dt_gini", no_join_strategy(), scale=get_scale("smoke")
+        )
+        server = PredictionServer(
+            artifact_from_pipeline(pipeline, others.schema), others.schema,
+            max_wait_s=None,
+        )
+        row = _label_rows(server, others, 1)[0]
+        unseen = {**row, feature: "never-seen"}
+        as_others = {**row, feature: OTHERS_LABEL}
+        codes = server.features.encode_requests([unseen, as_others])
+        j = server.features.required_columns.index(feature)
+        assert codes[0, j] == others.schema.fact.domain(feature).code_of(
+            OTHERS_LABEL
+        )
+        np.testing.assert_array_equal(codes[0], codes[1])
+        handle = server.submit(unseen)
+        server.flush()
+        assert handle.result() == server.predict_one(as_others)
 
     def test_joinall_server_populates_cache(self, dataset):
         pipeline = fit_pipeline(
