@@ -6,7 +6,9 @@ the logistic-loss Lipschitz bound ``L = ||X||²_2 / (4n)``, estimated by
 power iteration.  :class:`LogisticRegressionPath` mirrors glmnet's
 interface: fit a geometric sequence of ``nlambda`` penalties from
 ``lambda_max`` (smallest penalty with an all-zero solution) downward,
-warm-starting each fit from the previous solution.
+warm-starting each fit from the previous solution.  ``L`` depends on
+``X`` alone, so the path prepares one operand and estimates ``L`` once,
+then runs every penalty through the FISTA loop ``fit_stream`` runs.
 
 All matrix work goes through :mod:`repro.ml.sparse`: on a gathered
 shard the margins are per-feature gathers of ``w`` and the gradient is
@@ -154,6 +156,20 @@ def _power_lipschitz(
     return max(sigma / (4.0 * n), 1e-12)
 
 
+def _lipschitz(passes: ShardPasses, fit_intercept: bool) -> float:
+    """FISTA's step-size bound over the rows ``passes`` reads.
+
+    It depends on ``X`` alone (plus the intercept's 1/4), so a lambda
+    path estimates it once for all its penalties.
+    """
+    stream = passes.source
+    return _power_lipschitz(
+        lambda v: _power_step(passes, v),
+        int(stream.n_rows),
+        int(stream.onehot_width),
+    ) + (0.25 if fit_intercept else 0.0)
+
+
 class L1LogisticRegression(Estimator):
     """Binary logistic regression with an L1 penalty.
 
@@ -220,9 +236,27 @@ class L1LogisticRegression(Estimator):
         if self.lam < 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
         self._reset()  # a fresh fit owes nothing to earlier sessions
-        n = int(stream.n_rows)
-        if n == 0:
+        if int(stream.n_rows) == 0:
             raise ValueError("cannot fit on zero examples")
+        passes = ShardPasses(stream, _prepare)
+        return self._fista(
+            passes, _lipschitz(passes, self.fit_intercept), warm_start
+        )
+
+    def _fista(
+        self,
+        passes: ShardPasses,
+        lipschitz: float,
+        warm_start: tuple[np.ndarray, float] | None,
+    ) -> "L1LogisticRegression":
+        """Exact FISTA over ``passes``, one shard pass per iteration.
+
+        The one loop behind :meth:`fit_stream` and
+        :meth:`LogisticRegressionPath.fit`, which shares its passes and
+        its ``lipschitz`` bound across the whole path.
+        """
+        stream = passes.source
+        n = int(stream.n_rows)
         width = int(stream.onehot_width)
         if warm_start is not None:
             w = warm_start[0].copy()
@@ -230,11 +264,7 @@ class L1LogisticRegression(Estimator):
         else:
             w = np.zeros(width)
             b = 0.0
-        passes = ShardPasses(stream, _prepare)
-        L = _power_lipschitz(
-            lambda v: _power_step(passes, v), n, width
-        ) + (0.25 if self.fit_intercept else 0.0)
-        step = 1.0 / L
+        step = 1.0 / lipschitz
         z_w, z_b, t_acc = w.copy(), b, 1.0
         self.n_iter_ = 0
         for iteration in range(self.max_iter):
@@ -445,22 +475,30 @@ class LogisticRegressionPath:
     def fit(
         self, X: CategoricalMatrix, y: np.ndarray
     ) -> list[L1LogisticRegression]:
-        """Fit the full path, warm-starting along decreasing lambda."""
+        """Fit the full path, warm-starting along decreasing lambda.
+
+        Each model equals ``L1LogisticRegression(lam).fit(X, y,
+        warm_start=...)`` from the previous one, bit for bit, but the
+        path validates ``(X, y)`` once, prepares one operand and
+        estimates the step-size bound once: it depends on ``X`` alone.
+        """
+        y = check_X_y(X, y)
         lam_max = self.lambda_max(X, y)
         lams = np.geomspace(
             lam_max, lam_max * self.lambda_min_ratio, num=self.nlambda
         )
-        models: list[L1LogisticRegression] = []
-        warm: tuple[np.ndarray, float] | None = None
-        for lam in lams:
-            model = L1LogisticRegression(
-                lam=float(lam),
-                max_iter=self.max_iter,
-                tol=self.tol,
+        models = [
+            L1LogisticRegression(
+                lam=float(lam), max_iter=self.max_iter, tol=self.tol
             )
-            model.fit(X, y, warm_start=warm)
+            for lam in lams
+        ]
+        passes = ShardPasses(MatrixSource(X, y), _prepare)
+        lipschitz = _lipschitz(passes, models[0].fit_intercept)
+        warm: tuple[np.ndarray, float] | None = None
+        for model in models:
+            model._fista(passes, lipschitz, warm)
             warm = (model.coef_, model.intercept_)
-            models.append(model)
         return models
 
     def fit_best(

@@ -43,6 +43,8 @@ class KNeighborsClassifier(Estimator):
         y = check_X_y(X, y)
         if self.n_neighbors < 1:
             raise ValueError(f"n_neighbors must be >= 1, got {self.n_neighbors}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.n_neighbors > X.n_rows:
             raise ValueError(
                 f"n_neighbors={self.n_neighbors} exceeds training size {X.n_rows}"
@@ -67,7 +69,7 @@ class KNeighborsClassifier(Estimator):
             # One-hot squared distances are a monotone transform of the
             # mismatch counts, and exact small even integers in float64,
             # so ties still break by training order (stable argmin).
-            distances = block.squared_distances(train, chunk_size=block.n_rows)
+            distances = block.squared_distances(train)
             if k == 1:
                 nearest = np.argmin(distances, axis=1)
                 out[start : start + block.n_rows] = self.y_[nearest]

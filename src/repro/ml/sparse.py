@@ -14,9 +14,13 @@ kernels the models actually need, without ever allocating the dense
   (``np.add.at`` / weighted ``bincount``) into the one-hot columns
   (gradients, ``lambda_max`` screening);
 - :meth:`OneHotMatrix.match_counts` / :meth:`OneHotMatrix.squared_distances`
-  — Gram blocks and squared Euclidean distances via code-equality
-  counts: for one-hot blocks ``x·z`` equals the number of matching
-  features and ``||x - z||^2 = 2 (d - matches)`` (k-NN, SVM kernels);
+  — Gram blocks and squared Euclidean distances via code-match counts:
+  for one-hot blocks ``x·z`` equals the number of matching features and
+  ``||x - z||^2 = 2 (d - matches)`` (k-NN, SVM kernels).  Features with
+  few levels are counted by one float32 GEMM of their one-hot columns,
+  each wide one (a foreign key) by one code-equality pass; the counts
+  are small integers, so the split is exact (see
+  :data:`GEMM_MAX_LEVELS`);
 - :meth:`OneHotMatrix.column_means` / :meth:`OneHotMatrix.column_scales`
   — per-one-hot-column statistics from a single ``bincount`` over the
   codes, exposed for downstream scalers and diagnostics (nothing in
@@ -56,6 +60,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.encoding import CategoricalMatrix
+
+#: Widest feature (in levels) that :meth:`OneHotMatrix.match_counts`
+#: counts through its one-hot GEMM; wider features get one equality pass
+#: each.  A level costs the GEMM ~3-5 us at 800 x 800 and one equality
+#: pass costs ~0.4 ms (800 x 400) to ~1 ms (800 x 800) on a 2-CPU host,
+#: a crossover of ~90-140 levels for a test-by-train block and ~220 for
+#: a training Gram.  Either side of it the counts are identical.
+GEMM_MAX_LEVELS = 128
 
 
 class OneHotMatrix:
@@ -231,16 +243,24 @@ class OneHotMatrix:
             )
         return out.reshape((self.width,) + V.shape[1:])
 
-    def match_counts(
-        self, other: "OneHotMatrix", chunk_size: int = 512
-    ) -> np.ndarray:
+    def match_counts(self, other: "OneHotMatrix") -> np.ndarray:
         """Pairwise counts of matching features — the linear-kernel Gram.
 
         For one-hot blocks ``x_i · z_j`` is exactly the number of
         features on which the code vectors agree, so this *is*
-        ``self.onehot() @ other.onehot().T`` without the encoding.
-        Computed in row chunks of ``self`` to bound the boolean
-        temporary at ``chunk_size × m × d``.
+        ``self.onehot() @ other.onehot().T``.  It is computed in two
+        parts that add into one float32 ``(n, m)`` count array:
+
+        - features with at most :data:`GEMM_MAX_LEVELS` levels go
+          through one float32 GEMM of their one-hot encodings (built
+          once when ``other is self``, as for a training Gram);
+        - each wider feature (in the paper's data, the foreign keys)
+          adds one ``np.equal`` pass over its code columns.
+
+        Every product and partial sum is an integer no larger than
+        ``d``, exact in float32 while ``d < 2**24``, so the counts do
+        not depend on BLAS's summation order; they are cast to float64
+        once, equal bit for bit to counting equal codes.
         """
         if not isinstance(other, OneHotMatrix):
             raise TypeError(
@@ -252,30 +272,40 @@ class OneHotMatrix:
                 "match_counts requires identical feature domains; got "
                 f"{self.n_levels} vs {other.n_levels}"
             )
-        n, m = self.n_rows, other.n_rows
-        out = np.zeros((n, m), dtype=np.float64)
-        if self.n_features == 0:
-            return out
-        A, B = self.codes, other.codes
-        for start in range(0, n, chunk_size):
-            stop = min(start + chunk_size, n)
-            out[start:stop] = (
-                A[start:stop, np.newaxis, :] == B[np.newaxis, :, :]
-            ).sum(axis=2)
+        counts = np.zeros((self.n_rows, other.n_rows), dtype=np.float32)
+        narrow = np.array(
+            [k <= GEMM_MAX_LEVELS for k in self.n_levels], dtype=bool
+        )
+        if narrow.any():
+            left = self._narrow_onehot(narrow)
+            right = left if other is self else other._narrow_onehot(narrow)
+            np.matmul(left, right.T, out=counts)
+        wide = np.flatnonzero(~narrow)
+        if wide.size:
+            A, B = self.codes, other.codes
+            equal = np.empty(counts.shape, dtype=bool)
+            for j in wide:
+                np.equal(A[:, j, np.newaxis], B[np.newaxis, :, j], out=equal)
+                counts += equal
+        return counts.astype(np.float64)
+
+    def _narrow_onehot(self, narrow: np.ndarray) -> np.ndarray:
+        """The float32 one-hot encoding of the features ``narrow`` selects."""
+        levels = np.asarray(self.n_levels, dtype=np.int64)[narrow]
+        offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
+        rows = np.arange(self.n_rows)[:, np.newaxis]
+        out = np.zeros((self.n_rows, int(levels.sum())), dtype=np.float32)
+        out[rows, self.codes[:, narrow] + offsets] = 1.0
         return out
 
-    def squared_distances(
-        self, other: "OneHotMatrix", chunk_size: int = 512
-    ) -> np.ndarray:
+    def squared_distances(self, other: "OneHotMatrix") -> np.ndarray:
         """Pairwise squared Euclidean distances in one-hot space.
 
         Each mismatching feature contributes exactly 2 (a 1 where the
         other has 0, twice), so ``||x - z||^2 = 2 (d - matches)`` —
         the identity behind the paper's Section 5 distance analysis.
         """
-        return 2.0 * (
-            self.n_features - self.match_counts(other, chunk_size=chunk_size)
-        )
+        return 2.0 * (self.n_features - self.match_counts(other))
 
     # ------------------------------------------------------------------
     # Column statistics (preprocessing)

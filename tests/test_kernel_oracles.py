@@ -1,0 +1,282 @@
+"""The tuned cells' three kernels against the implementations they replaced.
+
+Each kernel the paper's tuned SVM, 1-NN and L1-path cells spend their
+time in was rewritten for speed with its arithmetic unchanged, so each
+must reproduce its plain predecessor exactly (``np.array_equal`` and
+``==``, no tolerance):
+
+- :meth:`OneHotMatrix.match_counts` (float32 one-hot GEMM for narrow
+  features plus one equality pass per wide one) against the broadcast
+  count ``(A[:, None, :] == B[None, :, :]).sum(axis=2)``;
+- :func:`solve_smo` (Python-float scalar step, kept at-bound mask,
+  buffered error-cache update) against the all-numpy SMO step below;
+- :meth:`LogisticRegressionPath.fit` (one operand and one Lipschitz
+  estimate per path) against a chain of warm-started
+  :meth:`L1LogisticRegression.fit` calls.
+"""
+
+import numpy as np
+import pytest
+
+from repro.ml.encoding import CategoricalMatrix
+from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
+from repro.ml.linear import logistic
+from repro.ml.sparse import GEMM_MAX_LEVELS, OneHotMatrix
+from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
+from repro.ml.svm.smo import solve_smo
+from repro.rng import ensure_rng
+
+
+# ----------------------------------------------------------------------
+# match_counts
+# ----------------------------------------------------------------------
+def broadcast_match_counts(A: OneHotMatrix, B: OneHotMatrix) -> np.ndarray:
+    """Code-match counts by an ``(n, m, d)`` boolean broadcast."""
+    equal = A.codes[:, np.newaxis, :] == B.codes[np.newaxis, :, :]
+    return equal.sum(axis=2).astype(np.float64)
+
+
+def _codes(rng, n, levels):
+    """Codes with many matches: half uniform, half from a few levels
+    that include both ends of each domain."""
+    columns = []
+    for k in levels:
+        pool = np.unique([0, k // 2, k - 1])
+        columns.append(
+            np.where(
+                rng.random(n) < 0.5,
+                rng.integers(0, k, size=n),
+                pool[rng.integers(0, pool.size, size=n)],
+            )
+        )
+    if not columns:
+        return np.zeros((n, 0), dtype=np.int64)
+    return np.column_stack(columns)
+
+
+def _pair(n, m, levels, seed=0):
+    rng = np.random.default_rng(seed)
+    names = tuple(f"f{j}" for j in range(len(levels)))
+    A = CategoricalMatrix(_codes(rng, n, levels), levels, names)
+    B = CategoricalMatrix(_codes(rng, m, levels), levels, names)
+    return OneHotMatrix(A), OneHotMatrix(B)
+
+
+LEVELS = {
+    "all_narrow": (4, 3, 6, 2),
+    "all_wide": (GEMM_MAX_LEVELS + 1, 320, 1000),
+    "mixed": (85, 4, 320, 4, 4, GEMM_MAX_LEVELS + 1, 2),
+    "at_and_above_constant": (GEMM_MAX_LEVELS, GEMM_MAX_LEVELS + 1),
+    "single_level": (1, 1, 5, 1),
+    "one_single_level": (1,),
+    "zero_features": (),
+}
+
+
+@pytest.mark.parametrize("levels", LEVELS.values(), ids=LEVELS.keys())
+@pytest.mark.parametrize(
+    "n, m", [(37, 37), (23, 41), (0, 9), (9, 0), (0, 0)],
+    ids=["square", "n_ne_m", "zero_left_rows", "zero_right_rows", "empty"],
+)
+def test_match_counts_equal_the_broadcast_count(levels, n, m):
+    A, B = _pair(n, m, levels, seed=n + 7 * m + len(levels))
+    got = A.match_counts(B)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, broadcast_match_counts(A, B))
+    assert np.array_equal(
+        A.squared_distances(B),
+        2.0 * (A.n_features - broadcast_match_counts(A, B)),
+    )
+
+
+@pytest.mark.parametrize("levels", LEVELS.values(), ids=LEVELS.keys())
+def test_training_gram_equals_the_broadcast_count(levels):
+    # ``other is self`` builds the one-hot operand once.
+    A, _ = _pair(31, 0, levels, seed=3)
+    assert np.array_equal(A.match_counts(A), broadcast_match_counts(A, A))
+
+
+# ----------------------------------------------------------------------
+# solve_smo
+# ----------------------------------------------------------------------
+def reference_smo(
+    gram, y_signed, C, tol=1e-3, max_passes=5, max_iterations=20_000, seed=0
+):
+    """Platt's SMO with every step in numpy; returns the same fields."""
+    n = gram.shape[0]
+    y = np.asarray(y_signed, dtype=np.float64)
+    rng = ensure_rng(seed)
+    alpha = np.zeros(n)
+    bias = 0.0
+    errors = -y.copy()
+    passes = 0
+    iterations = 0
+
+    def select_second(i):
+        candidates = np.flatnonzero((alpha > 0) & (alpha < C))
+        candidates = candidates[candidates != i]
+        if candidates.size:
+            return int(
+                candidates[np.argmax(np.abs(errors[candidates] - errors[i]))]
+            )
+        j = int(rng.integers(0, n - 1))
+        return j if j < i else j + 1
+
+    while passes < max_passes and iterations < max_iterations:
+        changed = 0
+        for i in range(n):
+            iterations += 1
+            e_i = errors[i]
+            r_i = e_i * y[i]
+            if not ((r_i < -tol and alpha[i] < C) or (r_i > tol and alpha[i] > 0)):
+                continue
+            j = select_second(i)
+            e_j = errors[j]
+            a_i_old, a_j_old = alpha[i], alpha[j]
+            if y[i] != y[j]:
+                low = max(0.0, a_j_old - a_i_old)
+                high = min(C, C + a_j_old - a_i_old)
+            else:
+                low = max(0.0, a_i_old + a_j_old - C)
+                high = min(C, a_i_old + a_j_old)
+            if high - low < 1e-12:
+                continue
+            eta = 2.0 * gram[i, j] - gram[i, i] - gram[j, j]
+            if eta >= 0:
+                continue
+            a_j = a_j_old - y[j] * (e_i - e_j) / eta
+            a_j = min(high, max(low, a_j))
+            if abs(a_j - a_j_old) < 1e-7 * (a_j + a_j_old + 1e-7):
+                continue
+            a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
+            alpha[i], alpha[j] = a_i, a_j
+            b1 = (
+                bias
+                - e_i
+                - y[i] * (a_i - a_i_old) * gram[i, i]
+                - y[j] * (a_j - a_j_old) * gram[i, j]
+            )
+            b2 = (
+                bias
+                - e_j
+                - y[i] * (a_i - a_i_old) * gram[i, j]
+                - y[j] * (a_j - a_j_old) * gram[j, j]
+            )
+            if 0 < a_i < C:
+                new_bias = b1
+            elif 0 < a_j < C:
+                new_bias = b2
+            else:
+                new_bias = 0.5 * (b1 + b2)
+            delta_i = y[i] * (a_i - a_i_old)
+            delta_j = y[j] * (a_j - a_j_old)
+            errors += delta_i * gram[i] + delta_j * gram[j] + (new_bias - bias)
+            bias = new_bias
+            changed += 1
+        passes = passes + 1 if changed == 0 else 0
+    return alpha, bias, iterations, iterations < max_iterations
+
+
+def _svm_problem(n=48, seed=0):
+    """A noisy categorical problem: label from two features, 15% flipped."""
+    rng = np.random.default_rng(seed)
+    levels = (3, 4, 2, 60)
+    codes = np.column_stack([rng.integers(0, k, size=n) for k in levels])
+    y = ((codes[:, 0] == 1) ^ (codes[:, 1] >= 2)).astype(float)
+    y = np.where(rng.random(n) < 0.15, 1.0 - y, y)
+    view = OneHotMatrix(
+        CategoricalMatrix(codes, levels, tuple(f"f{j}" for j in range(4)))
+    )
+    return view, np.where(y > 0, 1.0, -1.0)
+
+
+_VIEW, _Y = _svm_problem()
+GRAMS = {
+    "rbf": rbf_kernel(_VIEW, _VIEW, gamma=0.1),
+    "poly": polynomial_kernel(_VIEW, _VIEW, gamma=0.1, degree=2, coef0=1.0),
+    "linear": linear_kernel(_VIEW, _VIEW),
+}
+
+
+def _assert_same_solve(got, expected):
+    alpha, bias, n_iterations, converged = expected
+    assert np.array_equal(got.alpha, alpha)
+    assert got.bias == bias
+    assert got.n_iterations == n_iterations
+    assert got.converged == converged
+
+
+@pytest.mark.parametrize("max_passes", [1, 3, 5])
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("kernel", GRAMS.keys())
+def test_smo_equals_the_numpy_step(kernel, C, max_passes):
+    gram = GRAMS[kernel]
+    _assert_same_solve(
+        solve_smo(gram, _Y, C=C, max_passes=max_passes, max_iterations=4_000),
+        reference_smo(gram, _Y, C=C, max_passes=max_passes, max_iterations=4_000),
+    )
+
+
+def test_smo_draws_the_random_fallback_alike():
+    # At C = 0.1 on a linear Gram most multipliers sit at a bound, so the
+    # second choice keeps falling back to a random draw: both solvers
+    # must consume the generator identically.
+    gram = GRAMS["linear"]
+    ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+    untouched = np.random.default_rng(11).bit_generator.state
+    _assert_same_solve(
+        solve_smo(gram, _Y, C=0.1, seed=ours),
+        reference_smo(gram, _Y, C=0.1, seed=theirs),
+    )
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.bit_generator.state != untouched
+
+
+def test_smo_stops_at_max_iterations_alike():
+    gram = GRAMS["rbf"]
+    got = solve_smo(gram, _Y, C=100.0, max_iterations=70)
+    _assert_same_solve(got, reference_smo(gram, _Y, C=100.0, max_iterations=70))
+    # The cap is checked between passes, so the last pass completes.
+    assert not got.converged
+    assert got.n_iterations >= 70
+
+
+# ----------------------------------------------------------------------
+# LogisticRegressionPath
+# ----------------------------------------------------------------------
+def _logistic_problem(n=120, seed=4):
+    rng = np.random.default_rng(seed)
+    levels = (5, 3, 40)
+    codes = np.column_stack([rng.integers(0, k, size=n) for k in levels])
+    y = ((codes[:, 0] < 2) ^ (rng.random(n) < 0.2)).astype(np.int64)
+    return CategoricalMatrix(codes, levels, ("a", "b", "fk")), y
+
+
+def test_path_equals_a_chain_of_warm_started_fits(monkeypatch):
+    X, y = _logistic_problem()
+    path = LogisticRegressionPath(nlambda=8, max_iter=400, tol=1e-4)
+    estimates = []
+    power_lipschitz = logistic._power_lipschitz
+
+    def counted(*args, **kwargs):
+        estimates.append(args)
+        return power_lipschitz(*args, **kwargs)
+
+    monkeypatch.setattr(logistic, "_power_lipschitz", counted)
+    models = path.fit(X, y)
+    assert len(estimates) == 1  # one power iteration for the whole path
+
+    lam_max = path.lambda_max(X, y)
+    lams = np.geomspace(lam_max, lam_max * path.lambda_min_ratio, num=8)
+    warm = None
+    for model, lam in zip(models, lams):
+        chained = L1LogisticRegression(
+            lam=float(lam), max_iter=path.max_iter, tol=path.tol
+        ).fit(X, y, warm_start=warm)
+        warm = (chained.coef_, chained.intercept_)
+        assert model.lam == chained.lam
+        assert np.array_equal(model.coef_, chained.coef_)
+        assert model.intercept_ == chained.intercept_
+        assert model.n_iter_ == chained.n_iter_
+        assert model.n_features_ == chained.n_features_
+    assert len(estimates) == 1 + len(lams)  # the chain estimates per fit

@@ -110,6 +110,14 @@ class Test1NN:
         small = KNeighborsClassifier(chunk_size=7).fit(X, y).predict(X)
         assert np.array_equal(big, small)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size_raises_at_fit(self, chunk_size):
+        # A negative step left predict's output uninitialised, and 0
+        # failed only inside predict.
+        X, y = _separable(n=5)
+        with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+            KNeighborsClassifier(chunk_size=chunk_size).fit(X, y)
+
     def test_k_larger_than_train_raises(self):
         X, y = _separable(n=5)
         with pytest.raises(ValueError, match="exceeds"):

@@ -60,7 +60,7 @@ class TestOneHotMatrixKernels:
     def test_match_counts_is_linear_gram(self):
         A = _random_matrix(17, (4, 3, 6), seed=9)
         B = _random_matrix(11, (4, 3, 6), seed=10)
-        got = A.onehot_view().match_counts(B.onehot_view(), chunk_size=5)
+        got = A.onehot_view().match_counts(B.onehot_view())
         assert np.allclose(got, A.onehot() @ B.onehot().T, **TOL)
 
     def test_squared_distances_match_dense(self):

@@ -267,7 +267,7 @@ class TestImplicitOneHotEquivalence:
         va, vb = A.onehot_view(), B.onehot_view()
         ha, hb = A.onehot(), B.onehot()
         assert np.allclose(
-            va.match_counts(vb, chunk_size=7), ha @ hb.T, rtol=0.0, atol=1e-10
+            va.match_counts(vb), ha @ hb.T, rtol=0.0, atol=1e-10
         )
         expected = (
             (ha**2).sum(axis=1)[:, None]
