@@ -21,8 +21,9 @@ reproduces the R crash the paper reports for foreign-key features
 (Section 6.2); ``unseen='majority'`` routes unseen levels down the
 heavier branch at each split.
 
-Split search consumes only per-node *histograms* — for each feature, a
-``(levels, classes)`` count matrix — never the rows themselves.  That
+Split search consumes only per-node *histograms* — one
+``(width, classes)`` count matrix whose rows are every level of every
+feature, feature after feature — never the rows themselves.  That
 makes training streamable, and the tree has one builder,
 :meth:`DecisionTreeClassifier.fit_stream`: it grows the tree
 breadth-first over any :class:`repro.data.FeatureSource`, one pass per
@@ -31,10 +32,20 @@ histograms are associative over shards, so the tree is **identical**
 for every shard layout.  One descent routes rows in training and in
 prediction; it reads raw codes row by row, so factorized shards are
 gathered first.
+
+One split search scores every prefix candidate of every feature at
+once (:meth:`DecisionTreeClassifier._best_split`).  It decides as a
+feature-by-feature scan does: each candidate's class counts are the
+same exact integers, each score comes from the same float operations
+on them, row by row, each feature's winner is its first maximum, and a
+later feature's winner displaces an earlier one only when it scores
+more than ``1e-12`` higher.  The trees are therefore the scan's, bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -164,13 +175,17 @@ class DecisionTreeClassifier(Estimator):
         Breadth-first histogram streaming: a first pass collects the
         label counts, seen levels and row total; then each tree level
         costs one pass over the shards, bringing every row to its
-        frontier node and accumulating per-node per-feature
-        ``(levels, classes)`` histograms, from which
-        :meth:`_best_split_from_stats` decides all of the level's
-        splits.  Integer sums do not depend on how rows fall into
-        shards, so the tree is the same for every shard layout.  The
-        passes read through one :class:`repro.data.source.ShardPasses`
-        that keeps the first
+        frontier node.  Each (frontier node, shard) pair adds one
+        ``(width, classes)`` histogram — every feature's level-by-class
+        counts, from one ``np.bincount`` over the codes offset into one
+        flat level index — to the node's total.  From that total,
+        :meth:`_best_split` scores all of the node's candidate splits at
+        once and decides as the per-feature scan does, bit for bit: the
+        same integer counts and the same float operations on them (see
+        the module docstring).  Integer sums do not depend on how rows
+        fall into shards, so the tree is the same for every shard
+        layout.  The passes read through one
+        :class:`repro.data.source.ShardPasses` that keeps the first
         :data:`~repro.data.source.RESIDENT_SHARDS` shards gathered, so
         a stream within the cap is read, joined and gathered once per
         fit; for those shards the fit also remembers each row's
@@ -184,10 +199,14 @@ class DecisionTreeClassifier(Estimator):
         names = tuple(source.feature_names)
         n_levels = tuple(int(k) for k in source.n_levels)
         impurity = impurity_function(self.criterion)
+        # Feature j's levels are rows offsets[j]:offsets[j + 1] of a
+        # node's histogram.
+        offsets = np.concatenate(([0], np.cumsum(n_levels, dtype=np.int64)))
+        width = int(offsets[-1])
 
-        # Pass 0: label counts, per-feature seen levels, total rows.
+        # Pass 0: label counts, seen levels, total rows.
         label_counts = np.zeros(0, dtype=np.int64)
-        seen = [np.zeros(k, dtype=bool) for k in n_levels]
+        seen_flat = np.zeros(width, dtype=bool)
         n_total = 0
         passes = ShardPasses(source, _gathered_shard)
         for _, (X, y) in passes():
@@ -203,16 +222,20 @@ class DecisionTreeClassifier(Estimator):
                 label_counts = shard_counts
             else:
                 label_counts[: shard_counts.size] += shard_counts
-            for j in range(len(n_levels)):
-                seen[j][np.unique(X.codes[:, j])] = True
+            seen_flat |= (
+                np.bincount((X.codes + offsets[:-1]).ravel(), minlength=width)
+                > 0
+            )
             n_total += y.size
         if n_total == 0:
             raise ValueError("cannot fit on zero examples")
 
-        self.n_classes_ = max(int(label_counts.size), 2)
+        self.n_classes_ = n_classes = max(int(label_counts.size), 2)
         self.feature_names_ = names
         self.n_levels_ = n_levels
-        self.seen_levels_ = seen
+        self.seen_levels_ = [
+            seen_flat[offsets[j]:offsets[j + 1]] for j in range(len(n_levels))
+        ]
         root_counts = np.zeros(self.n_classes_, dtype=np.int64)
         root_counts[: label_counts.size] = label_counts
         self._root_impurity = float(impurity(root_counts))
@@ -232,7 +255,7 @@ class DecisionTreeClassifier(Estimator):
         reached: dict[int, list[tuple[TreeNode, np.ndarray]]] = {}
         frontier = [root] if self._splittable(root_counts, 0) else []
         while frontier:
-            stats: dict[int, list[np.ndarray] | None] = dict.fromkeys(
+            stats: dict[int, np.ndarray | None] = dict.fromkeys(
                 id(node) for node in frontier
             )
             for index, (X, y) in passes():
@@ -248,38 +271,31 @@ class DecisionTreeClassifier(Estimator):
                 if index in passes.resident:
                     reached[index] = at_frontier
                 for node, rows in at_frontier:
-                    y_rows = y[rows]
-                    histograms = [
-                        np.bincount(
-                            X.codes[rows, j] * self.n_classes_ + y_rows,
-                            minlength=k * self.n_classes_,
-                        ).reshape(k, self.n_classes_)
-                        for j, k in enumerate(n_levels)
-                    ]
-                    # A node's first shard's histograms become its totals,
+                    flat = (X.codes[rows] + offsets[:-1]) * n_classes
+                    flat += y[rows][:, np.newaxis]
+                    histogram = np.bincount(
+                        flat.ravel(), minlength=width * n_classes
+                    ).reshape(width, n_classes)
+                    # A node's first shard's histogram becomes its total,
                     # so a one-shard fit allocates nothing more; later
-                    # shards add to them.
-                    totals = stats[id(node)]
-                    if totals is None:
-                        stats[id(node)] = histograms
+                    # shards add to it.
+                    total = stats[id(node)]
+                    if total is None:
+                        stats[id(node)] = histogram
                     else:
-                        for total, histogram in zip(totals, histograms):
-                            total += histogram
+                        total += histogram
             next_frontier: list[TreeNode] = []
             for node in frontier:
-                best = self._best_split_from_stats(stats[id(node)], node.counts)
+                best = self._best_split(stats[id(node)], node.counts, offsets)
                 if best is None or not self._passes_cp(best):
                     continue  # stays a leaf
                 node.feature = best.feature
                 node.goes_left = best.goes_left
                 node.gain = best.weighted_gain
-                for child_counts, side in (
+                for counts, side in (
                     (best.left_counts, "left"),
                     (best.right_counts, "right"),
                 ):
-                    # Prefix sums of integer histograms are exact; store
-                    # them as int64 counts.
-                    counts = np.asarray(np.rint(child_counts), dtype=np.int64)
                     child = TreeNode(
                         counts=counts,
                         prediction=int(np.argmax(counts)),
@@ -341,18 +357,21 @@ class DecisionTreeClassifier(Estimator):
                 delattr(self, attribute)
 
     def _validate_hyperparameters(self) -> None:
+        # Written as ``not value >= bound`` so that NaN fails too.
         if self.criterion not in ("gini", "entropy", "gain_ratio"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.minsplit < 1:
+        if not self.minsplit >= 1:
             raise ValueError(f"minsplit must be >= 1, got {self.minsplit}")
-        if self.cp < 0:
+        if not self.cp >= 0:
             raise ValueError(f"cp must be >= 0, got {self.cp}")
         if self.unseen not in _UNSEEN_POLICIES:
             raise ValueError(
                 f"unseen must be one of {_UNSEEN_POLICIES}, got {self.unseen!r}"
             )
-        if self.minbucket is not None and self.minbucket < 1:
+        if self.minbucket is not None and not self.minbucket >= 1:
             raise ValueError(f"minbucket must be >= 1, got {self.minbucket}")
+        if self.max_depth is not None and not self.max_depth >= 0:
+            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
 
     @property
     def _effective_minbucket(self) -> int:
@@ -378,73 +397,103 @@ class DecisionTreeClassifier(Estimator):
             return relative_gain >= self.cp
         return self.cp <= 0
 
-    def _best_split_from_stats(
-        self, stats: list[np.ndarray], node_counts: np.ndarray
+    def _best_split(
+        self, histogram: np.ndarray, node_counts: np.ndarray, offsets: np.ndarray
     ) -> _BestSplit | None:
-        """Best binary subset split given per-feature histograms.
+        """Best binary subset split of a node, from its histogram.
 
-        ``stats[j]`` is the ``(levels, classes)`` integer count matrix of
-        feature ``j`` over the node's rows, summed over shards.  The
-        counts, and so the split, do not depend on the shard layout.
+        ``histogram`` is the node's ``(width, classes)`` integer count
+        matrix, summed over shards; feature ``j``'s levels are its rows
+        ``offsets[j]:offsets[j + 1]``.  Within each feature, the levels
+        present at the node are ordered by positive-class proportion (a
+        stable sort: ties keep level order), and the prefix partitions
+        of that order, all but the full one, are the candidates; they
+        contain the optimal binary split.  All candidates are scored at
+        once.  A feature's winner is its first best-scoring prefix, and
+        a later feature's winner replaces an earlier one only when it
+        scores more than ``1e-12`` higher.
         """
         impurity = impurity_function(self.criterion)
         node_impurity = float(impurity(node_counts))
         n_node = int(node_counts.sum())
         minbucket = self._effective_minbucket
-        best: _BestSplit | None = None
-        for j, level_class in enumerate(stats):
-            k = level_class.shape[0]
-            level_totals = level_class.sum(axis=1)
-            present = np.flatnonzero(level_totals)
-            if present.size < 2:
-                continue
-            # Order present levels by positive-class proportion; prefix
-            # partitions of this order contain the optimal binary split.
-            pos = level_class[present, -1] / level_totals[present]
-            order = present[np.argsort(pos, kind="stable")]
-            ordered = level_class[order].astype(np.float64)
-            prefix = np.cumsum(ordered, axis=0)[:-1]
-            total = level_class[present].sum(axis=0, dtype=np.float64)
-            left_counts = prefix
-            right_counts = total[np.newaxis, :] - prefix
-            n_left = left_counts.sum(axis=1)
-            n_right = right_counts.sum(axis=1)
-            valid = (n_left >= minbucket) & (n_right >= minbucket)
-            if not np.any(valid):
-                continue
-            child_impurity = (
-                n_left * impurity(left_counts) + n_right * impurity(right_counts)
-            )
-            weighted_gain = n_node * node_impurity - child_impurity
-            if self.criterion == "gain_ratio":
-                info = split_information(n_left, n_right)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    score = np.where(
-                        info > 0, (weighted_gain / n_node) / info, -np.inf
-                    )
-            else:
-                score = weighted_gain
-            score = np.where(valid, score, -np.inf)
-            pick = int(np.argmax(score))
-            if not np.isfinite(score[pick]) or weighted_gain[pick] <= 1e-12:
-                continue
-            if best is None or score[pick] > best.score + 1e-12:
-                goes_left = np.zeros(k, dtype=bool)
-                goes_left[order[: pick + 1]] = True
-                # Levels absent from this node follow the heavier branch,
-                # the standard CART convention.
-                absent = level_totals == 0
-                if n_left[pick] >= n_right[pick]:
-                    goes_left[absent] = True
-                best = _BestSplit(
-                    feature=j,
-                    goes_left=goes_left,
-                    score=float(score[pick]),
-                    weighted_gain=float(weighted_gain[pick]),
-                    left_counts=left_counts[pick],
-                    right_counts=right_counts[pick],
+        level_totals = histogram.sum(axis=1)
+        present = np.flatnonzero(level_totals)
+        if present.size < 2:
+            return None
+        # ``present`` is increasing, so ``feature`` is sorted; the sort by
+        # (feature, proportion) keeps each feature's levels where they
+        # were, so ``feature`` also names the feature of each position of
+        # ``order``.
+        feature = np.searchsorted(offsets, present, side="right") - 1
+        pos = histogram[present, -1] / level_totals[present]
+        order = present[np.lexsort((pos, feature))]
+        new_feature = feature[1:] != feature[:-1]
+        first = np.concatenate(([True], new_feature))
+        last = np.concatenate((new_feature, [True]))
+        segment = np.cumsum(first) - 1
+        # Within-feature prefix sums: a feature's prefix at each of its
+        # positions, and its total at the last one.
+        ordered = histogram[order]
+        cumulative = np.cumsum(ordered, axis=0)
+        prefix = cumulative - (cumulative[first] - ordered[first])[segment]
+        candidates = np.flatnonzero(~last)
+        if candidates.size == 0:
+            return None
+        left_counts = prefix[candidates]
+        right_counts = prefix[last][segment[candidates]] - left_counts
+        n_left = left_counts.sum(axis=1)
+        n_right = right_counts.sum(axis=1)
+        child_impurity = (
+            n_left * impurity(left_counts) + n_right * impurity(right_counts)
+        )
+        weighted_gain = n_node * node_impurity - child_impurity
+        if self.criterion == "gain_ratio":
+            info = split_information(n_left, n_right)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.where(
+                    info > 0, (weighted_gain / n_node) / info, -np.inf
                 )
-        return best
+        else:
+            score = weighted_gain
+        valid = (n_left >= minbucket) & (n_right >= minbucket)
+        score = np.where(valid, score, -np.inf)
+
+        # Each feature's first maximum: the first candidate at or after
+        # the feature's first one that scores the feature's peak.
+        first_candidate = first[candidates]
+        starts = np.flatnonzero(first_candidate)
+        peaks = np.maximum.reduceat(score, starts)
+        hits = np.flatnonzero(score == peaks[np.cumsum(first_candidate) - 1])
+        picks = hits[np.searchsorted(hits, starts)]
+        pick, best_score = None, -math.inf
+        for candidate, peak, gain in zip(
+            picks.tolist(), peaks.tolist(), weighted_gain[picks].tolist()
+        ):
+            if not math.isfinite(peak) or gain <= 1e-12:
+                continue
+            if pick is None or peak > best_score + 1e-12:
+                pick, best_score = candidate, peak
+        if pick is None:
+            return None
+
+        at = int(candidates[pick])
+        j = int(feature[at])
+        lo, hi = int(offsets[j]), int(offsets[j + 1])
+        goes_left = np.zeros(hi - lo, dtype=bool)
+        goes_left[order[np.searchsorted(feature, j):at + 1] - lo] = True
+        # Levels absent from this node follow the heavier branch, the
+        # standard CART convention.
+        if n_left[pick] >= n_right[pick]:
+            goes_left[level_totals[lo:hi] == 0] = True
+        return _BestSplit(
+            feature=j,
+            goes_left=goes_left,
+            score=best_score,
+            weighted_gain=float(weighted_gain[pick]),
+            left_counts=left_counts[pick].copy(),
+            right_counts=right_counts[pick].copy(),
+        )
 
     # ------------------------------------------------------------------
     # Prediction

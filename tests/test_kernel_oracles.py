@@ -1,9 +1,9 @@
-"""The tuned cells' three kernels against the implementations they replaced.
+"""The tuned cells' four kernels against the implementations they replaced.
 
-Each kernel the paper's tuned SVM, 1-NN and L1-path cells spend their
-time in was rewritten for speed with its arithmetic unchanged, so each
-must reproduce its plain predecessor exactly (``np.array_equal`` and
-``==``, no tolerance):
+Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells spend
+their time in was rewritten for speed with its arithmetic unchanged, so
+each must reproduce its plain predecessor exactly (``np.array_equal``
+and ``==``, no tolerance):
 
 - :meth:`OneHotMatrix.match_counts` (float32 one-hot GEMM for narrow
   features plus one equality pass per wide one) against the broadcast
@@ -12,7 +12,11 @@ must reproduce its plain predecessor exactly (``np.array_equal`` and
   buffered error-cache update) against the all-numpy SMO step below;
 - :meth:`LogisticRegressionPath.fit` (one operand and one Lipschitz
   estimate per path) against a chain of warm-started
-  :meth:`L1LogisticRegression.fit` calls.
+  :meth:`L1LogisticRegression.fit` calls;
+- :meth:`DecisionTreeClassifier._best_split` (every prefix candidate of
+  every feature scored at once) against the feature-by-feature scan
+  :func:`reference_best_split`, which ``tests/test_streaming_models.py``
+  also grows its depth-first reference trees with.
 """
 
 import numpy as np
@@ -24,6 +28,9 @@ from repro.ml.linear import logistic
 from repro.ml.sparse import GEMM_MAX_LEVELS, OneHotMatrix
 from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
 from repro.ml.svm.smo import solve_smo
+from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree.cart import _BestSplit
+from repro.ml.tree.criteria import impurity_function, split_information
 from repro.rng import ensure_rng
 
 
@@ -280,3 +287,226 @@ def test_path_equals_a_chain_of_warm_started_fits(monkeypatch):
         assert model.n_iter_ == chained.n_iter_
         assert model.n_features_ == chained.n_features_
     assert len(estimates) == 1 + len(lams)  # the chain estimates per fit
+
+
+# ----------------------------------------------------------------------
+# DecisionTreeClassifier._best_split
+# ----------------------------------------------------------------------
+def reference_best_split(tree, stats, node_counts):
+    """Best binary subset split of a node, one feature at a time.
+
+    ``stats[j]`` is feature ``j``'s ``(levels, classes)`` integer count
+    matrix over the node's rows.  Present levels are ordered by
+    positive-class proportion (stable), every prefix but the full one is
+    scored, the feature's first maximum is its winner, and a later
+    feature's winner replaces an earlier one only when it scores more
+    than ``1e-12`` higher.
+    """
+    impurity = impurity_function(tree.criterion)
+    node_impurity = float(impurity(node_counts))
+    n_node = int(node_counts.sum())
+    minbucket = tree._effective_minbucket
+    best = None
+    for j, level_class in enumerate(stats):
+        k = level_class.shape[0]
+        level_totals = level_class.sum(axis=1)
+        present = np.flatnonzero(level_totals)
+        if present.size < 2:
+            continue
+        pos = level_class[present, -1] / level_totals[present]
+        order = present[np.argsort(pos, kind="stable")]
+        ordered = level_class[order].astype(np.float64)
+        prefix = np.cumsum(ordered, axis=0)[:-1]
+        total = level_class[present].sum(axis=0, dtype=np.float64)
+        left_counts = prefix
+        right_counts = total[np.newaxis, :] - prefix
+        n_left = left_counts.sum(axis=1)
+        n_right = right_counts.sum(axis=1)
+        valid = (n_left >= minbucket) & (n_right >= minbucket)
+        if not np.any(valid):
+            continue
+        child_impurity = (
+            n_left * impurity(left_counts) + n_right * impurity(right_counts)
+        )
+        weighted_gain = n_node * node_impurity - child_impurity
+        if tree.criterion == "gain_ratio":
+            info = split_information(n_left, n_right)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                score = np.where(
+                    info > 0, (weighted_gain / n_node) / info, -np.inf
+                )
+        else:
+            score = weighted_gain
+        score = np.where(valid, score, -np.inf)
+        pick = int(np.argmax(score))
+        if not np.isfinite(score[pick]) or weighted_gain[pick] <= 1e-12:
+            continue
+        if best is None or score[pick] > best.score + 1e-12:
+            goes_left = np.zeros(k, dtype=bool)
+            goes_left[order[: pick + 1]] = True
+            # Levels absent from the node follow the heavier branch.
+            if n_left[pick] >= n_right[pick]:
+                goes_left[level_totals == 0] = True
+            best = _BestSplit(
+                feature=j,
+                goes_left=goes_left,
+                score=float(score[pick]),
+                weighted_gain=float(weighted_gain[pick]),
+                left_counts=left_counts[pick],
+                right_counts=right_counts[pick],
+            )
+    return best
+
+
+def _search(tree, stats, node_counts):
+    """The model's search over the same histograms, stacked."""
+    offsets = np.concatenate(([0], np.cumsum([h.shape[0] for h in stats])))
+    return tree._best_split(np.concatenate(stats), node_counts, offsets)
+
+
+def _assert_same_split(got, expected):
+    if expected is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got.feature == expected.feature
+    assert got.goes_left.dtype == bool
+    assert np.array_equal(got.goes_left, expected.goes_left)
+    assert got.score == expected.score
+    assert got.weighted_gain == expected.weighted_gain
+    assert np.array_equal(got.left_counts, expected.left_counts)
+    assert np.array_equal(got.right_counts, expected.right_counts)
+
+
+def _histograms(*features):
+    return [np.array(h, dtype=np.int64) for h in features]
+
+
+#: (per-feature histograms, tree parameters), two classes; node counts
+#: are the column sums of any feature's histogram.
+SPLIT_CASES = {
+    # Feature 1 scores 3.6e-15 above feature 0 under gini: within the
+    # margin, so feature 0 keeps the split.
+    "features_tied_within_1e-12": (
+        _histograms([[13, 17], [7, 13]], [[9, 11], [11, 19]]),
+        {},
+    ),
+    "identical_features": (
+        _histograms([[3, 0], [1, 4]], [[3, 0], [1, 4]]),
+        {},
+    ),
+    # Feature 1's first and second prefixes score alike (mirror images).
+    "tie_within_a_feature": (
+        _histograms([[2, 1], [1, 2]], [[2, 0], [1, 1], [0, 2]]),
+        {},
+    ),
+    # Levels 0 and 1 have the same proportion; minbucket 4 rules out the
+    # prefixes that keep them together, so their order decides the split.
+    "tied_proportions_keep_level_order": (
+        _histograms([[3, 1], [6, 2], [2, 0], [1, 0]]),
+        {"minbucket": 4},
+    ),
+    "every_candidate_below_minbucket": (
+        _histograms([[3, 2], [2, 3]], [[4, 1], [0, 0], [1, 4]]),
+        {"minbucket": 6},
+    ),
+    "fewer_than_two_present_levels": (
+        _histograms([[0, 0], [4, 6], [0, 0]], [[4, 6]], [[4, 0], [0, 6]]),
+        {},
+    ),
+    "only_single_level_features": (
+        _histograms([[0, 0], [4, 6]], [[4, 6]]),
+        {},
+    ),
+    # Absent levels 0, 2 and 4 join the heavier branch; on a tie, the left.
+    "absent_levels_with_equal_branches": (
+        _histograms([[0, 0], [4, 0], [0, 0], [0, 4], [0, 0]]),
+        {},
+    ),
+    "absent_levels_with_a_heavier_right": (
+        _histograms([[0, 0], [3, 0], [0, 0], [1, 4]]),
+        {},
+    ),
+    # Split information is zero only for an empty branch, which no
+    # candidate has; the nearest a histogram comes is a one-row branch.
+    "smallest_split_information": (
+        _histograms([[0, 1], [40, 0]], [[1, 1], [39, 0]]),
+        {},
+    ),
+    "best_gain_at_most_1e-12": (
+        _histograms([[2, 2], [2, 2]], [[1, 1], [3, 3]]),
+        {},
+    ),
+    "no_gain_then_a_gain": (
+        _histograms([[2, 2], [2, 2]], [[4, 0], [0, 4]]),
+        {},
+    ),
+}
+
+
+def _random_node(seed):
+    """Histograms of 1-5 features (1-6 levels, some absent), 2-3 classes,
+    counted from random rows, with the node's class counts."""
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(2, 4))
+    n = int(rng.integers(1, 60))
+    y = rng.integers(0, n_classes, size=n)
+    stats = []
+    for k in rng.integers(1, 7, size=int(rng.integers(1, 6))):
+        used = int(rng.integers(1, k + 1))  # levels past ``used`` are absent
+        codes = rng.integers(0, used, size=n)
+        stats.append(
+            np.bincount(codes * n_classes + y, minlength=k * n_classes)
+            .reshape(k, n_classes)
+        )
+    return stats, np.bincount(y, minlength=n_classes)
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+@pytest.mark.parametrize(
+    "case", [*SPLIT_CASES, "random_minbucket_unset", "random_minbucket_3"]
+)
+def test_split_search_equals_the_per_feature_scan(case, criterion):
+    if case.startswith("random"):
+        minbucket = None if case.endswith("unset") else 3
+        nodes = [_random_node(seed) for seed in range(400)]
+        trees = [
+            DecisionTreeClassifier(
+                criterion=criterion, minsplit=seed % 12 + 1, minbucket=minbucket
+            )
+            for seed in range(400)
+        ]
+    else:
+        stats, params = SPLIT_CASES[case]
+        nodes = [(stats, stats[0].sum(axis=0))]
+        trees = [DecisionTreeClassifier(criterion=criterion, minsplit=1, **params)]
+    for tree, (stats, node_counts) in zip(trees, nodes):
+        _assert_same_split(
+            _search(tree, stats, node_counts),
+            reference_best_split(tree, stats, node_counts),
+        )
+
+
+#: Each named case's split under gini: (feature, goes_left), or None.
+GINI_PICKS = {
+    "features_tied_within_1e-12": (0, [True, False]),
+    "identical_features": (0, [True, False]),
+    "tie_within_a_feature": (1, [True, False, False]),
+    "tied_proportions_keep_level_order": (0, [True, False, True, True]),
+    "every_candidate_below_minbucket": None,
+    "fewer_than_two_present_levels": (2, [True, False]),
+    "only_single_level_features": None,
+    "absent_levels_with_equal_branches": (0, [True, True, True, False, True]),
+    "absent_levels_with_a_heavier_right": (0, [False, True, False, False]),
+    "best_gain_at_most_1e-12": None,
+    "no_gain_then_a_gain": (1, [True, False]),
+}
+
+
+@pytest.mark.parametrize("case", GINI_PICKS)
+def test_gini_split_search_picks(case):
+    stats, params = SPLIT_CASES[case]
+    tree = DecisionTreeClassifier(criterion="gini", minsplit=1, **params)
+    best = _search(tree, stats, stats[0].sum(axis=0))
+    got = None if best is None else (best.feature, best.goes_left.tolist())
+    assert got == GINI_PICKS[case]

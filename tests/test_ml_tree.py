@@ -152,6 +152,25 @@ class TestFitting:
         with pytest.raises(ValueError, match="minbucket"):
             DecisionTreeClassifier(minbucket=0).fit(X, y)
 
+    @pytest.mark.parametrize(
+        "param, value",
+        [
+            ("max_depth", -1),  # LightGBM's spelling of "no limit"
+            ("max_depth", float("nan")),
+            ("cp", float("nan")),
+            ("minsplit", float("nan")),
+            ("minbucket", float("nan")),
+        ],
+        ids=["max_depth_negative", "max_depth_nan", "cp_nan", "minsplit_nan",
+             "minbucket_nan"],
+    )
+    def test_invalid_value_is_rejected_not_fit_as_one_leaf(self, param, value):
+        X, y = _xor_data(n=40)
+        params = {"minsplit": 2, "cp": 0.0, param: value}
+        tree = DecisionTreeClassifier(**params)
+        with pytest.raises(ValueError, match=param):
+            tree.fit(X, y)
+
     def test_predict_before_fit_raises(self):
         X, _ = _xor_data(n=4)
         with pytest.raises(NotFittedError):

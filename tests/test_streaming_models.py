@@ -11,7 +11,8 @@ layer brought out of core:
   counts, node for node.  ``fit`` is itself a one-shard ``fit_stream``,
   so every tree is checked against an independent reference: the
   depth-first builder below (:func:`depth_first_tree`), which recurses
-  over row-index arrays and shares only split scoring with the model.
+  over row-index arrays and scores splits with the per-feature scan
+  :func:`test_kernel_oracles.reference_best_split`.
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ from repro.ml.tree.cart import TreeNode
 from repro.ml.tree.criteria import impurity_function
 from repro.rng import ensure_rng
 from repro.streaming import StreamingTrainer
+
+from test_kernel_oracles import reference_best_split
 
 STRATEGIES = {
     "JoinAll": join_all_strategy,
@@ -83,9 +86,10 @@ def depth_first_tree(X, y, **params):
 
     Recurses over row-index arrays: each node's class counts and
     per-feature ``(levels, classes)`` histograms come straight from its
-    rows, and its children from a boolean mask over them.  Only split
-    scoring (``_best_split_from_stats``) and the stopping rules
-    (``_splittable``, ``_passes_cp``) are the model's own.
+    rows, its split from the feature-by-feature scan
+    (:func:`reference_best_split`), and its children from a boolean
+    mask over its rows.  Only the stopping rules (``_splittable``,
+    ``_passes_cp``) and the impurity functions are the model's own.
     """
     tree = DecisionTreeClassifier(**params)
     tree._validate_hyperparameters()
@@ -115,7 +119,7 @@ def depth_first_tree(X, y, **params):
             ).reshape(k, n_classes)
             for j, k in enumerate(X.n_levels)
         ]
-        best = tree._best_split_from_stats(histograms, counts)
+        best = reference_best_split(tree, histograms, counts)
         if best is None or not tree._passes_cp(best):
             return node
         mask = best.goes_left[X.codes[rows, best.feature]]
