@@ -5,7 +5,7 @@ Classifiers?" studies whether key-foreign-key (KFK) joins that bring in
 foreign features can be skipped ("avoiding joins safely") when training
 decision trees, kernel SVMs, ANNs and other high-capacity classifiers.
 
-The package is organised in nine layers:
+The package is organised in eight layers:
 
 - :mod:`repro.relational` — an in-memory relational substrate: categorical
   columns with closed domains, tables, star schemas with KFK constraints,
@@ -34,10 +34,10 @@ The package is organised in nine layers:
 - :mod:`repro.serving` — online inference: versioned model artifacts,
   a feature service with cached dimension indexes, micro-batched
   prediction, and the in-process :class:`~repro.serving.PredictionServer`.
-- :mod:`repro.analysis` — static enforcement of the invariants the rest
-  of the package promises dynamically: a rule-plugin AST lint
-  (``repro lint``) covering telemetry hygiene, seeded determinism,
-  lock discipline, exception hygiene, and FeatureSource conformance.
+
+The package holds only what a fit or a prediction runs.  The lint suite
+(``tools.analysis``) and the test-side fault kit (``tests/faultkit``)
+live outside it, in the source checkout.
 """
 
 from repro.errors import (
@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "7.0.1"
+__version__ = "8.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).

@@ -14,6 +14,11 @@ first:
 - ``predict``     — serve predictions from a saved artifact.
 - ``serve-bench`` — single-row vs micro-batched serving throughput.
 
+Count flags (rows, shards, sizes, runs) take integers >= 1; anything
+else, or a flag without the one it tunes (``--checkpoint-every``
+without ``--checkpoint-dir``, ``--arrival-rate`` without
+``--clients``), is a usage error with exit 2.
+
 ``fit``, ``predict`` and ``serve-bench`` accept ``--telemetry OUT.json``:
 the command runs inside the process-wide tracer and writes its span-tree
 run report (plus a metrics snapshot) when done.  ``stats`` appends the
@@ -53,13 +58,25 @@ from repro.experiments import (
     run_experiment,
     sweep,
 )
-from repro.resilience.chaos import CHAOS_TRAINABLE
 
 _STRATEGIES = {
     "JoinAll": join_all_strategy,
     "NoJoin": no_join_strategy,
     "NoFK": no_fk_strategy,
 }
+
+
+def _count(text: str) -> int:
+    """The argparse ``type`` of every count flag: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 1, got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FAMILY_THRESHOLDS),
         default="decision_tree",
     )
-    p_advise.add_argument("--n-fact", type=int, default=2000)
+    p_advise.add_argument("--n-fact", type=_count, default=2000)
     p_advise.add_argument("--seed", type=int, default=0)
 
     p_stats = sub.add_parser("stats", help="Table-1-style dataset statistics")
-    p_stats.add_argument("--n-fact", type=int, default=2000)
+    p_stats.add_argument("--n-fact", type=_count, default=2000)
     p_stats.add_argument("--seed", type=int, default=0)
 
     p_run = sub.add_parser("run", help="run one experiment cell")
@@ -115,13 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
     # *why* the combination is rejected, and regression-tested there.
     p_fit.add_argument(
         "--shard-rows",
-        type=int,
+        type=_count,
         default=None,
         help="rows per shard for --stream (bounds peak memory)",
     )
     p_fit.add_argument(
         "--shards",
-        type=int,
+        type=_count,
         default=None,
         help="number of shards for --stream (alternative to --shard-rows)",
     )
@@ -148,10 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_fit.add_argument(
         "--checkpoint-every",
-        type=int,
-        default=1,
+        type=_count,
+        default=None,
         metavar="N",
-        help="shard steps between checkpoints (with --checkpoint-dir)",
+        help=(
+            "shard steps between checkpoints (with --checkpoint-dir; "
+            "default 1)"
+        ),
     )
     p_fit.add_argument(
         "--resume",
@@ -174,18 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
         "usage", help="FK split-usage analysis of a fitted tree (Section 5)"
     )
     p_usage.add_argument("dataset", choices=DATASET_ORDER)
-    p_usage.add_argument("--n-fact", type=int, default=1200)
+    p_usage.add_argument("--n-fact", type=_count, default=1200)
     p_usage.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser(
         "simulate", help="OneXr Monte Carlo sweep over the FK domain size"
     )
     p_sim.add_argument(
-        "--n-r", type=int, nargs="+", default=[2, 10, 50, 200],
+        "--n-r", type=_count, nargs="+", default=[2, 10, 50, 200],
         help="FK domain sizes to sweep",
     )
-    p_sim.add_argument("--n-train", type=int, default=400)
-    p_sim.add_argument("--runs", type=int, default=4)
+    p_sim.add_argument("--n-train", type=_count, default=400)
+    p_sim.add_argument("--runs", type=_count, default=4)
     p_sim.add_argument("--p", type=float, default=0.1)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--csv", action="store_true", help="emit CSV")
@@ -210,10 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pred.add_argument("artifact", help="path written by save-model")
     p_pred.add_argument(
-        "--rows", type=int, default=10, help="test rows to predict"
+        "--rows", type=_count, default=10, help="test rows to predict"
     )
     p_pred.add_argument(
-        "--batch-size", type=int, default=64, help="micro-batch size"
+        "--batch-size", type=_count, default=64, help="micro-batch size"
     )
     p_pred.add_argument(
         "--telemetry",
@@ -230,17 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--model", choices=sorted(MODEL_REGISTRY), default="dt_gini"
     )
-    p_bench.add_argument("--rows", type=int, default=2000)
-    p_bench.add_argument("--batch-size", type=int, default=64)
+    p_bench.add_argument("--rows", type=_count, default=2000)
+    p_bench.add_argument("--batch-size", type=_count, default=64)
     p_bench.add_argument("--scale", choices=["smoke", "default", "paper"])
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument(
         "--clients",
-        type=int,
-        default=0,
+        type=_count,
+        default=None,
         help=(
-            "client threads for the concurrent-runtime benchmark; 0 "
-            "(default) runs the single-threaded single-vs-batched report"
+            "client threads for the concurrent-runtime benchmark; "
+            "without it, the single-threaded single-vs-batched report runs"
         ),
     )
     p_bench.add_argument(
@@ -249,19 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "aggregate open-loop arrival rate in requests/s (with "
-            "--clients > 0); default: unbounded (saturation)"
-        ),
-    )
-    p_bench.add_argument(
-        "--inject-faults",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "serve under chaos instead of benchmarking: poison RATE of "
-            "request rows, bound the admission queue and quarantine the "
-            "poison, then verify every surviving answer against a clean "
-            "server (exit 2 on any divergence)"
+            "--clients); default: unbounded (saturation)"
         ),
     )
     p_bench.add_argument(
@@ -271,63 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a span-tree run report of the benchmark here",
     )
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="chaos soak: train and serve under injected faults, verified",
-    )
-    p_chaos.add_argument("dataset", choices=DATASET_ORDER)
-    p_chaos.add_argument(
-        "--train-model",
-        choices=sorted(CHAOS_TRAINABLE),
-        default="ann",
-        help="checkpointable streaming model for the training leg",
-    )
-    p_chaos.add_argument(
-        "--serve-model", choices=sorted(MODEL_REGISTRY), default="dt_gini"
-    )
-    p_chaos.add_argument("--shards", type=int, default=6)
-    p_chaos.add_argument("--epochs", type=int, default=2)
-    p_chaos.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.25,
-        help="fraction of shards given a transient first-attempt fault",
-    )
-    p_chaos.add_argument(
-        "--kill-after",
-        type=int,
-        default=None,
-        metavar="SHARDS",
-        help=(
-            "kill training at this shard step (2 up to the last), before "
-            "its checkpoint is written, and resume from the newest one "
-            "(default: mid-run)"
-        ),
-    )
-    p_chaos.add_argument("--rows", type=int, default=160)
-    p_chaos.add_argument(
-        "--poison-rate",
-        type=float,
-        default=0.08,
-        help="fraction of request rows the serving model poisons",
-    )
-    p_chaos.add_argument("--max-queue-rows", type=int, default=16)
-    p_chaos.add_argument("--scale", choices=["smoke", "default", "paper"])
-    p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument(
-        "--telemetry",
-        default=None,
-        metavar="OUT.json",
-        help="write a span-tree run report of the soak here",
-    )
-
-    p_lint = sub.add_parser(
-        "lint",
-        help="static-analysis suite over the codebase (repro.analysis)",
-    )
-    from repro.analysis.cli import add_lint_arguments
-
-    add_lint_arguments(p_lint)
     return parser
 
 
@@ -392,10 +343,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         names = "/".join(name for name, _ in streaming_flags)
         emit(f"error: {names} require --stream", error=True)
         return 2
-    for name, value in streaming_flags[:2]:
-        if value is not None and value < 1:
-            emit(f"error: {name} must be >= 1, got {value}", error=True)
-            return 2
     if args.resume and args.checkpoint_dir is None:
         emit(
             "error: --resume restores from --checkpoint-dir; pass the "
@@ -403,10 +350,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             error=True,
         )
         return 2
-    if args.checkpoint_every < 1:
+    if args.checkpoint_every is not None and args.checkpoint_dir is None:
         emit(
-            f"error: --checkpoint-every must be >= 1, got "
-            f"{args.checkpoint_every}",
+            "error: --checkpoint-every spaces the checkpoints written to "
+            "--checkpoint-dir; pass the directory too",
             error=True,
         )
         return 2
@@ -438,10 +385,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             if args.checkpoint_dir is not None and args.model == "lr_l1"
             else "exact"
         )
+        every = 1 if args.checkpoint_every is None else args.checkpoint_every
         result = run_experiment(
             dataset, args.model, strategy, scale=scale, source=spec,
             seed=args.seed, mode=mode, checkpoint=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every, resume=args.resume,
+            checkpoint_every=every, resume=args.resume,
         )
         if args.stream:
             shards = result.best_params
@@ -546,9 +494,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             artifact, dataset.schema, max_batch_size=args.batch_size
         )
         rows = dataset.test[: args.rows]
-        if rows.size == 0:
-            emit("no rows requested (increase --rows)", error=True)
-            return 2, server
         fact_rows = dataset.schema.fact.select(rows)
         predictions = server.predict_table(fact_rows)
         target = dataset.schema.fact.column(dataset.schema.target)
@@ -579,26 +524,18 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serving import concurrent_serving_throughput, serving_throughput
 
-    if args.clients > 0 and args.arrival_rate is not None and args.arrival_rate <= 0:
-        emit(
-            f"error: --arrival-rate must be positive, got "
-            f"{args.arrival_rate}",
-            error=True,
-        )
-        return 2
-    if args.inject_faults is not None:
-        if not 0 < args.inject_faults <= 1:
+    if args.arrival_rate is not None:
+        if args.clients is None:
             emit(
-                f"error: --inject-faults takes a poison rate in (0, 1], "
-                f"got {args.inject_faults}",
+                "error: --arrival-rate paces the concurrent benchmark's "
+                "clients; pass --clients too",
                 error=True,
             )
             return 2
-        if args.clients > 0:
+        if args.arrival_rate <= 0:
             emit(
-                "error: --inject-faults verifies answers row by row; the "
-                "concurrent benchmark (--clients) measures throughput — "
-                "run them separately",
+                f"error: --arrival-rate must be positive, got "
+                f"{args.arrival_rate}",
                 error=True,
             )
             return 2
@@ -608,28 +545,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         dataset = generate_real_world(
             args.dataset, n_fact=scale.n_fact, seed=args.seed
         )
-        if args.inject_faults is not None:
-            from repro.resilience.chaos import chaos_serving_run
-
-            verdict = chaos_serving_run(
-                dataset,
-                args.model,
-                rows=args.rows,
-                poison_rate=args.inject_faults,
-                seed=args.seed,
-                scale=scale,
-            )
-            emit(
-                f"fault-injected serving: {args.dataset}/{args.model}, "
-                f"{verdict['rows']} requests at poison rate "
-                f"{verdict['poison_rate']}: shed {verdict['shed']}, "
-                f"quarantined {verdict['poisoned_rows']} poisoned row(s), "
-                f"{verdict['deadline_expired']}/{verdict['deadline_rows']} "
-                f"deadline(s) expired, {verdict['mismatched']} mismatched "
-                f"answer(s) -> {'ok' if verdict['ok'] else 'FAILED'}"
-            )
-            return 0 if verdict["ok"] else 2
-        if args.clients > 0:
+        if args.clients is not None:
             report = concurrent_serving_throughput(
                 dataset,
                 model_key=args.model,
@@ -659,46 +575,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     return code
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.resilience.chaos import chaos_soak
-
-    def run() -> int:
-        scale = get_scale(args.scale)
-        dataset = generate_real_world(
-            args.dataset, n_fact=scale.n_fact, seed=args.seed
-        )
-        report = chaos_soak(
-            dataset,
-            train_model=args.train_model,
-            serve_model=args.serve_model,
-            n_shards=args.shards,
-            epochs=args.epochs,
-            fault_rate=args.fault_rate,
-            kill_after=args.kill_after,
-            rows=args.rows,
-            poison_rate=args.poison_rate,
-            max_queue_rows=args.max_queue_rows,
-            seed=args.seed,
-            scale=scale,
-        )
-        emit(report.render())
-        return 0 if report.ok else 2
-
-    if args.telemetry is None:
-        return run()
-    with obs.tracer().collect():
-        code = run()
-    _write_telemetry(args.telemetry)
-    return code
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    """Run the static-analysis suite (``repro lint``)."""
-    from repro.analysis.cli import run_lint
-
-    return run_lint(args)
-
-
 _COMMANDS = {
     "advise": _cmd_advise,
     "stats": _cmd_stats,
@@ -709,8 +585,6 @@ _COMMANDS = {
     "save-model": _cmd_save_model,
     "predict": _cmd_predict,
     "serve-bench": _cmd_serve_bench,
-    "chaos": _cmd_chaos,
-    "lint": _cmd_lint,
 }
 
 

@@ -28,8 +28,9 @@ optionally sliced into bounded shards),
 :class:`~repro.streaming.matrices.StreamingMatrices` (per-shard KFK
 join + encoding over any :class:`~repro.streaming.shards.ShardedDataset`
 — splits, full tables, scenario populations, chunked CSVs).  Composable
-decorators: :class:`~repro.data.spill.SpillCacheSource` here and
-:class:`~repro.resilience.RetryingSource` in the resilience layer.
+decorator: :class:`~repro.data.spill.SpillCacheSource`; the tests add
+their fault-injecting and retrying decorators on the same
+:class:`SourceDecorator` base.
 
 Every fit that makes more than one pass — exact FISTA's power
 iteration and gradient passes, the streamed tree's level passes and

@@ -113,7 +113,7 @@ class RealWorldSpec:
     ) -> SplitDataset:
         """Materialise the dataset at ``n_fact`` rows (default: spec size)."""
         rng = ensure_rng(seed)
-        n = n_fact or self.n_fact
+        n = self.n_fact if n_fact is None else n_fact
         if n < 8:
             raise ValueError(f"n_fact must be >= 8, got {n}")
         n_train = n // 2

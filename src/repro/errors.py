@@ -83,17 +83,6 @@ class CSVIntegrityError(SchemaError):
         super().__init__(f"{path}: {message}{where}")
 
 
-class TransientShardError(ReproError, OSError):
-    """A shard failed to produce for a (possibly) transient reason.
-
-    Derives from :class:`OSError` so the default retryable-exception
-    allowlist of :class:`repro.resilience.RetryPolicy` covers both real
-    I/O failures and the deterministic faults
-    :class:`repro.resilience.FaultInjectingSource` injects in tests and
-    chaos benchmarks.
-    """
-
-
 class SpillCorruptionError(ReproError):
     """A spill-cache entry failed its checksum or could not be decoded.
 
@@ -129,16 +118,6 @@ class DeadlineExceededError(ReproError):
     The row was dropped at flush time without being predicted; the
     caller's ``result()`` raises this instead of returning a stale
     answer that arrived too late to be useful.
-    """
-
-
-class StaticAnalysisError(ReproError):
-    """A :mod:`repro.analysis` run could not be configured or executed.
-
-    Raised for usage errors — unknown rule ids passed to ``--rule``,
-    lint targets that do not exist — as opposed to *findings*, which are
-    reported data, not exceptions.  ``repro lint`` maps this to exit
-    code 2 (findings exit 1, a clean tree exits 0).
     """
 
 

@@ -34,7 +34,6 @@ from repro.core.strategies import (
     no_join_strategy,
 )
 from repro.datasets.splits import SplitDataset
-from repro.resilience import backoff
 from repro.serving.artifacts import artifact_from_pipeline
 from repro.serving.server import PredictionServer
 
@@ -306,8 +305,11 @@ def _drive_clients(
                 handles = []
                 for k, i in enumerate(indexes):
                     if interval is not None:
+                        # A late client sends at once: time.sleep
+                        # raises on a negative delay.
                         delay = started + k * interval - time.monotonic()
-                        backoff.sleep(delay)
+                        if delay > 0:
+                            time.sleep(delay)
                     handles.append((i, server.submit(requests[i])))
                 for i, handle in handles:
                     results[i] = handle.result(timeout=result_timeout)
@@ -315,7 +317,8 @@ def _drive_clients(
                 for k, i in enumerate(indexes):
                     if interval is not None:
                         delay = started + k * interval - time.monotonic()
-                        backoff.sleep(delay)
+                        if delay > 0:
+                            time.sleep(delay)
                     results[i] = server.predict_one(requests[i])
         # Client threads park failures for the coordinator, which
         # re-raises the first one after joining all threads.

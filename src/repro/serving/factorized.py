@@ -39,9 +39,9 @@ def _unwrap(model):
     """Peel tuner wrappers down to the fitted estimator.
 
     Only a wrapper that holds its own ``best_model_`` is a tuner; one
-    that merely delegates attribute lookups (such as
-    :class:`~repro.resilience.FaultInjectingModel`) changes what
-    ``predict`` does and must keep serving through it.
+    that merely delegates attribute lookups (such as the tests'
+    fault-injecting model wrapper) changes what ``predict`` does and
+    must keep serving through it.
     Feature-selecting wrappers are refused: their best model scores a
     *subset* of the assembled features, so per-dimension contributions
     computed against the full layout would be wrong.

@@ -24,6 +24,10 @@ association.
   deterministic shard shuffling, exact/incremental logistic modes,
   ``fit_stream`` dispatch for the count/histogram models (NB, trees),
   per-shard MLP epochs, and shard-accumulated scoring.
+- :mod:`repro.streaming.checkpoint` — :class:`CheckpointManager`:
+  atomic, checksummed checkpoints behind
+  ``StreamingTrainer(checkpoint=..., resume=True)``, with resumed runs
+  bit-identical to uninterrupted ones.
 - :mod:`repro.streaming.benchmark` — the peak-memory scaling harness
   behind ``benchmarks/bench_streaming_scale.py``.
 
@@ -38,6 +42,7 @@ from repro.streaming.benchmark import (
     StreamingScaleReport,
     streaming_scale_report,
 )
+from repro.streaming.checkpoint import CheckpointManager
 from repro.streaming.matrices import StreamingMatrices
 from repro.streaming.shards import (
     FactShard,
@@ -48,6 +53,7 @@ from repro.streaming.shards import (
 from repro.streaming.trainer import StreamingTrainer
 
 __all__ = [
+    "CheckpointManager",
     "FactShard",
     "ShardPlan",
     "ShardedDataset",

@@ -33,6 +33,10 @@ the streamed tree: the first
 for every later epoch, so a stream within the cap is joined and
 encoded once per fit, not once per epoch.
 
+The epoch loops can checkpoint through
+:class:`~repro.streaming.checkpoint.CheckpointManager` and resume bit
+for bit (``checkpoint=``, ``resume=``; ``repro fit --checkpoint-dir``).
+
 Scoring streams too: :meth:`StreamingTrainer.score` is the shared
 :func:`repro.data.source_accuracy` loop, so evaluation has the same
 bounded footprint as training.
@@ -49,6 +53,7 @@ from repro.errors import CheckpointError
 from repro.ml.linear import L1LogisticRegression
 from repro.obs import trace, tracer
 from repro.rng import ensure_rng
+from repro.streaming.checkpoint import CheckpointManager
 
 #: Training modes for L1 logistic regression.
 LR_MODES = ("exact", "incremental")
@@ -84,7 +89,7 @@ class StreamingTrainer:
         Logistic-regression training mode, ``"exact"`` or
         ``"incremental"``; see module docstring.
     checkpoint:
-        A :class:`~repro.resilience.CheckpointManager` (or a directory
+        A :class:`~repro.streaming.CheckpointManager` (or a directory
         path, wrapped in one) enabling periodic checkpoints: after
         every ``checkpoint_every`` shard steps (and always at epoch
         boundaries) the full training state — model, optimizer and RNG
@@ -131,8 +136,6 @@ class StreamingTrainer:
         if resume and checkpoint is None:
             raise ValueError("resume=True requires a checkpoint manager")
         if isinstance(checkpoint, (str, Path)):
-            from repro.resilience.checkpoint import CheckpointManager
-
             checkpoint = CheckpointManager(checkpoint)
         self.model = model
         self.epochs = epochs

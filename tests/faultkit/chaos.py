@@ -1,36 +1,32 @@
-"""Chaos soak: training and serving under faults, correctness asserted.
+"""Chaos legs: training and serving under faults, correctness asserted.
 
-Fault injection (:mod:`repro.resilience.faults`) and recovery
-machinery (:class:`~repro.resilience.RetryPolicy`,
-:class:`~repro.resilience.CheckpointManager`, the serving plane's load
+Fault injection (:mod:`faultkit.faults`) and the recovery it checks
+(:class:`~faultkit.retry.RetryPolicy`,
+:class:`~repro.streaming.CheckpointManager`, the serving plane's load
 shedding and quarantine) are only trustworthy together, so this module
 runs them together and *checks the answers*:
 
 - **Training leg** (:func:`chaos_training_run`) — fits a clean
   baseline, then the same model under a seeded transient-fault
-  schedule read through a :class:`~repro.resilience.RetryingSource`,
+  schedule read through a :class:`~faultkit.retry.RetryingSource`,
   then a third run that :class:`KillSwitchCheckpoint` kills at its
   ``kill_after``-th checkpoint write and that is resumed from the
   newest checkpoint on disk.  All three must produce bit-identical
   parameter arrays; a chaos run that merely *finishes* proves nothing.
 - **Serving leg** (:func:`chaos_serving_run`) — replays one request
   stream through a clean server and through a server whose model is
-  wrapped in :class:`~repro.resilience.FaultInjectingModel`, with a
+  wrapped in :class:`~faultkit.faults.FaultInjectingModel`, with a
   bounded admission queue and quarantine enabled.  Every admitted,
   non-poisoned request must answer exactly what the clean server
   answered; poisoned rows must surface as
-  :class:`~repro.resilience.PoisonedRowError`, shed requests and
+  :class:`~faultkit.faults.PoisonedRowError`, shed requests and
   expired deadlines must match the server's own accounting.
-
-:func:`chaos_soak` runs both legs and folds the verdicts into one
-:class:`ChaosReport` (``repro chaos`` prints its :meth:`render`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,25 +40,23 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.obs import MetricsRegistry
-from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.faults import (
+from repro.streaming.checkpoint import CheckpointManager
+
+from .faults import (
+    TRANSIENT,
     FaultInjectingModel,
     FaultInjectingSource,
     FaultSchedule,
     PoisonedRowError,
 )
-from repro.resilience.retry import RetryingSource, RetryPolicy
-
-#: Streaming models whose training loop can checkpoint (epoch-looped
-#: paths; count/histogram ``fit_stream`` models cannot be cut mid-pass).
-CHAOS_TRAINABLE = ("ann", "lr_l1")
+from .retry import RetryingSource, RetryPolicy
 
 
 class ChaosKilledError(ReproError):
     """The kill switch fired: the simulated process death mid-training.
 
     Deliberately *not* an :class:`OSError`: a process crash is not a
-    transient read, so no :class:`~repro.resilience.RetryPolicy` may
+    transient read, so no :class:`~faultkit.retry.RetryPolicy` may
     swallow it — it must reach the top of ``fit`` like a real SIGKILL
     would end it.
     """
@@ -149,8 +143,6 @@ def chaos_training_run(
     kill_after: int | None = None,
     seed: int = 0,
     scale=None,
-    checkpoint_dir: str | Path | None = None,
-    registry: MetricsRegistry | None = None,
 ) -> dict:
     """Train clean, under faults, and through a kill/resume; compare.
 
@@ -158,13 +150,16 @@ def chaos_training_run(
     the faulted fit and the killed-then-resumed fit both reproduced the
     clean baseline bit for bit *and* the machinery demonstrably fired
     (faults injected, retries taken, checkpoints written, one resume).
+    ``effective_fault_rate`` is the share of shards the schedule faults.
 
     Parameters
     ----------
     dataset:
         A :class:`~repro.datasets.splits.SplitDataset`.
     model_key:
-        One of :data:`CHAOS_TRAINABLE` (epoch-looped trainers only).
+        ``"ann"`` or ``"lr_l1"``: the streaming models whose epoch loop
+        can checkpoint (count/histogram ``fit_stream`` models cannot be
+        cut mid-pass).
     n_shards, epochs:
         Shard layout and pass count; ``kill_after`` defaults to half
         the total shard steps (at least 2) so the kill lands mid-run.
@@ -173,19 +168,16 @@ def chaos_training_run(
     fault_rate:
         Fraction of shards given a first-attempt transient fault
         (:meth:`FaultSchedule.seeded` guarantees at least one).
-    checkpoint_dir:
-        Where the kill/resume leg checkpoints; a private temporary
-        directory when omitted.
     """
     from repro.experiments.runner import make_streaming_model
     from repro.streaming import StreamingTrainer
 
-    if model_key not in CHAOS_TRAINABLE:
+    if model_key not in ("ann", "lr_l1"):
         raise ValueError(
             f"chaos training needs a checkpointable streaming model "
-            f"{CHAOS_TRAINABLE}, got {model_key!r}"
+            f"('ann', 'lr_l1'), got {model_key!r}"
         )
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     mode = "incremental" if model_key == "lr_l1" else "exact"
     spec = SourceSpec(n_shards=n_shards)
     train = spec.split_sources(
@@ -203,6 +195,10 @@ def chaos_training_run(
             f"leaves a checkpoint to resume from, got {kill_after}"
         )
 
+    schedule = FaultSchedule.seeded(
+        train.n_shards, rate=fault_rate, seed=seed
+    )
+
     def trainer(model, **extra) -> StreamingTrainer:
         return StreamingTrainer(
             model, epochs=epochs, seed=seed, mode=mode, **extra
@@ -211,9 +207,6 @@ def chaos_training_run(
     def faulted(source: FeatureSource) -> FeatureSource:
         # Fresh wrappers per leg: attempt counters restart, so every
         # leg faces the same schedule from the same starting state.
-        schedule = FaultSchedule.seeded(
-            source.n_shards, rate=fault_rate, seed=seed
-        )
         injected = FaultInjectingSource(source, schedule, registry=registry)
         return RetryingSource(
             injected,
@@ -228,10 +221,7 @@ def chaos_training_run(
         survivor = make_streaming_model(model_key, scale, seed)
         trainer(survivor).fit(faulted(train))
 
-        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as private:
-            directory = (
-                checkpoint_dir if checkpoint_dir is not None else private
-            )
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as directory:
             killer = KillSwitchCheckpoint(
                 directory, kill_after, registry=registry
             )
@@ -266,6 +256,9 @@ def chaos_training_run(
         "n_shards": n_shards,
         "epochs": epochs,
         "fault_rate": fault_rate,
+        "effective_fault_rate": (
+            len(schedule.shards(TRANSIENT)) / train.n_shards
+        ),
         "kill_after": kill_after,
         "killed": killed,
         "faulted_identical": models_identical(baseline, survivor),
@@ -394,103 +387,3 @@ def chaos_serving_run(
         and stats.deadline_expired == expired
     )
     return verdict
-
-
-@dataclass
-class ChaosReport:
-    """Both legs' verdicts, renderable for ``repro chaos``."""
-
-    dataset: str
-    training: dict
-    serving: dict
-
-    @property
-    def ok(self) -> bool:
-        """Whether every chaos assertion held."""
-        return bool(self.training.get("ok") and self.serving.get("ok"))
-
-    def as_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "ok": self.ok,
-            "training": self.training,
-            "serving": self.serving,
-        }
-
-    def render(self) -> str:
-        t, s = self.training, self.serving
-        check = {True: "ok", False: "FAILED"}
-        lines = [
-            f"Chaos soak: {self.dataset}",
-            (
-                f"  training [{check[bool(t.get('ok'))]}] "
-                f"{t['model_key']}, {t['n_shards']} shards x "
-                f"{t['epochs']} epoch(s), killed at shard step "
-                f"{t['kill_after']}"
-            ),
-            (
-                f"    faults injected {t['resilience.faults_injected']}, "
-                f"retries {t['resilience.retries']}, checkpoints "
-                f"{t['resilience.checkpoints']}, resumes "
-                f"{t['resilience.resumes']}"
-            ),
-            (
-                f"    bit-identical to clean baseline: faulted "
-                f"{t['faulted_identical']}, resumed {t['resumed_identical']}"
-            ),
-            (
-                f"  serving  [{check[bool(s.get('ok'))]}] "
-                f"{s['model_key']}, {s['rows']} requests, queue bound "
-                f"{s['max_queue_rows']}"
-            ),
-            (
-                f"    shed {s['shed']}, quarantined {s['poisoned_rows']} "
-                f"poisoned row(s), {s['deadline_expired']}/"
-                f"{s['deadline_rows']} deadline(s) expired, "
-                f"{s['mismatched']} mismatched answer(s)"
-            ),
-            f"chaos soak {'PASSED' if self.ok else 'FAILED'}",
-        ]
-        return "\n".join(lines)
-
-
-def chaos_soak(
-    dataset,
-    train_model: str = "ann",
-    serve_model: str = "dt_gini",
-    *,
-    n_shards: int = 6,
-    epochs: int = 2,
-    fault_rate: float = 0.25,
-    kill_after: int | None = None,
-    rows: int = 160,
-    poison_rate: float = 0.08,
-    max_queue_rows: int = 16,
-    seed: int = 0,
-    scale=None,
-    checkpoint_dir: str | Path | None = None,
-) -> ChaosReport:
-    """Run both chaos legs over one dataset (see the leg functions)."""
-    training = chaos_training_run(
-        dataset,
-        train_model,
-        n_shards=n_shards,
-        epochs=epochs,
-        fault_rate=fault_rate,
-        kill_after=kill_after,
-        seed=seed,
-        scale=scale,
-        checkpoint_dir=checkpoint_dir,
-    )
-    serving = chaos_serving_run(
-        dataset,
-        serve_model,
-        rows=rows,
-        poison_rate=poison_rate,
-        max_queue_rows=max_queue_rows,
-        seed=seed,
-        scale=scale,
-    )
-    return ChaosReport(
-        dataset=dataset.name, training=training, serving=serving
-    )

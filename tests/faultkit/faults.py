@@ -13,9 +13,8 @@ states each failure as data:
   in every test, benchmark and chaos run.
 - :class:`FaultInjectingSource` — a :class:`~repro.data.FeatureSource`
   decorator that executes the schedule: ``transient`` faults raise
-  :class:`~repro.errors.TransientShardError` (retryable), ``slow``
-  faults delay shard production through the
-  :mod:`repro.resilience.backoff` chokepoint.
+  :class:`TransientShardError` (retryable), ``slow`` faults delay shard
+  production through the :mod:`faultkit.backoff` chokepoint.
 - :func:`corrupt_spill_entries` — applies a schedule's
   ``corrupt_spill`` faults by flipping bytes in a
   :class:`~repro.data.SpillCacheSource`'s on-disk entries, exercising
@@ -39,17 +38,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.source import FeatureSource, SourceDecorator
-from repro.errors import ReproError, TransientShardError
+from repro.errors import ReproError
 from repro.ml.sparse import gathered
 from repro.obs import MetricsRegistry
-from repro.resilience import backoff
 from repro.rng import ensure_rng
+
+from . import backoff
 
 #: The fault kinds a schedule may carry.
 TRANSIENT = "transient"
 SLOW = "slow"
 CORRUPT_SPILL = "corrupt_spill"
 FAULT_KINDS = (TRANSIENT, SLOW, CORRUPT_SPILL)
+
+
+class TransientShardError(ReproError, OSError):
+    """An injected shard read failure that a retry recovers from.
+
+    Derives from :class:`OSError` so the default retryable-exception
+    allowlist of :class:`~faultkit.retry.RetryPolicy` covers both real
+    I/O failures and the faults :class:`FaultInjectingSource` injects.
+    """
 
 
 class PoisonedRowError(ReproError):
@@ -196,7 +205,7 @@ class FaultInjectingSource(SourceDecorator):
 
     Attempt numbers count *per shard, per decorator instance*: the
     first ``shard(i)`` call is attempt 1, a retry is attempt 2, and so
-    on — exactly the view a :class:`~repro.resilience.RetryingSource`
+    on — exactly the view a :class:`~faultkit.retry.RetryingSource`
     around this source has.  The counter is lock-guarded, so threads
     sharing one injector each see one consistent attempt sequence.
 
@@ -259,7 +268,7 @@ def corrupt_spill_entries(schedule: FaultSchedule, spill) -> list[int]:
     :class:`~repro.data.SpillCacheSource`), returning the shard indices
     actually corrupted.  The cache's checksum verification then detects
     the damage on the next read and transparently re-encodes — the
-    property ``tests/test_resilience_faults.py`` asserts.
+    property ``tests/test_faultkit_faults.py`` asserts.
     """
     corrupted = []
     for index in schedule.shards(CORRUPT_SPILL):

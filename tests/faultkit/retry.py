@@ -1,7 +1,7 @@
 """Bounded retries with deterministic, seeded exponential backoff.
 
 Transient failures — a flaky filesystem read, an injected
-:class:`~repro.errors.TransientShardError`, a remote store hiccup —
+:class:`~faultkit.faults.TransientShardError`, a remote store hiccup —
 should cost a bounded delay, not a multi-hour training run.
 :class:`RetryPolicy` states the whole recovery contract as data:
 
@@ -11,7 +11,7 @@ should cost a bounded delay, not a multi-hour training run.
   ``base_delay_s`` and are jittered by a :mod:`repro.rng`-seeded draw,
   so the *entire* backoff schedule is a pure function of the policy's
   parameters — reproducible in tests, benchmarks, and incident
-  re-runs (``tests/test_resilience_retry.py`` holds the property).
+  re-runs (``tests/test_faultkit_retry.py`` holds the property).
 - **Retryable allowlist**: only exception types listed in
   ``retryable`` are retried; anything else (a genuine bug, a
   ``KeyboardInterrupt``) propagates on the first raise.
@@ -35,11 +35,12 @@ from typing import Any
 
 from repro.data.source import FeatureSource, SourceDecorator
 from repro.obs import MetricsRegistry
-from repro.resilience import backoff
 from repro.rng import ensure_rng
 
+from . import backoff
+
 #: Exceptions retried by default: real I/O errors and the injected
-#: :class:`~repro.errors.TransientShardError` (an ``OSError`` subclass).
+#: :class:`~faultkit.faults.TransientShardError` (an ``OSError`` subclass).
 DEFAULT_RETRYABLE: tuple[type[BaseException], ...] = (OSError,)
 
 

@@ -11,14 +11,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
+from repro.errors import ReproError
+from tools.analysis import (
     AnalysisConfig,
     Finding,
+    StaticAnalysisError,
     get_rules,
     run_analysis,
 )
-from repro.analysis.rules import ALL_RULES
-from repro.errors import ReproError, StaticAnalysisError
+from tools.analysis.rules import ALL_RULES
 
 ALL_IDS = tuple(rule.id for rule in ALL_RULES)
 

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.analysis import get_rules, run_analysis
-from repro.analysis.rules import ALL_RULES, DEFAULT_CONFIG
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.sparse import FactorizedGroup, FactorizedMatrix, OneHotMatrix
+from tools.analysis import get_rules, run_analysis
+from tools.analysis.rules import ALL_RULES, DEFAULT_CONFIG
 
 SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -103,15 +103,17 @@ class TestRawSleep:
         assert [f.line for f in findings] == [1]
         assert "alias at line 2" in findings[0].message
 
-    def test_backoff_chokepoint_allowlisted_by_default_config(self, tmp_path):
-        findings = _findings(
-            tmp_path,
-            "import time\ntime.sleep(0.1)\n",
-            "raw-sleep",
-            name="repro/resilience/backoff.py",
-            config=DEFAULT_CONFIG,
-        )
-        assert findings == []
+    def test_sleepers_allowlisted_by_default_config(self, tmp_path):
+        # The load generator's pacing and the fault kit's backoff.
+        for name in ("repro/serving/benchmark.py", "faultkit/backoff.py"):
+            findings = _findings(
+                tmp_path,
+                "import time\ntime.sleep(0.1)\n",
+                "raw-sleep",
+                name=name,
+                config=DEFAULT_CONFIG,
+            )
+            assert findings == [], name
 
 
 class TestUnseededRandom:

@@ -1,11 +1,11 @@
 """The shipped tree is lint-clean, and the CLI honours its contract.
 
 This is the static-analysis suite's tier-1 gate: every rule over
-``src/`` and ``benchmarks/`` with the default config must
-report nothing — including zero unused suppressions, since an unused
-``lint-ignore`` is itself a finding.  The CLI tests pin the exit-code
-contract (0 clean / 1 findings / 2 usage error) and both entry points
-(``repro lint`` and ``python -m repro.analysis``).
+``src/``, ``benchmarks/``, ``tools/`` and ``tests/faultkit/`` with the
+default config must report nothing — including zero unused
+suppressions, since an unused ``lint-ignore`` is itself a finding.  The
+CLI tests pin the exit-code contract (0 clean / 1 findings / 2 usage
+error) and the ``python -m tools.analysis`` entry point.
 """
 
 import json
@@ -16,12 +16,16 @@ from pathlib import Path
 
 import pytest
 
-import repro.cli
-from repro.analysis import ALL_RULES, DEFAULT_CONFIG, run_analysis
-from repro.analysis.cli import main as lint_main
+from tools.analysis import ALL_RULES, DEFAULT_CONFIG, run_analysis
+from tools.analysis.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_TARGETS = [REPO_ROOT / "src", REPO_ROOT / "benchmarks"]
+LINT_TARGETS = [
+    REPO_ROOT / "src",
+    REPO_ROOT / "benchmarks",
+    REPO_ROOT / "tools",
+    REPO_ROOT / "tests" / "faultkit",
+]
 
 
 class TestTreeIsClean:
@@ -80,20 +84,13 @@ class TestCliContract:
         for rule in ALL_RULES:
             assert rule.id in out
 
-    def test_repro_lint_subcommand_shares_the_contract(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("value = 1\n")
-        assert repro.cli.main(["lint", str(tmp_path)]) == 0
-        (tmp_path / "bad.py").write_text("print('x')\n")
-        assert repro.cli.main(["lint", str(tmp_path)]) == 1
-        assert repro.cli.main(["lint", "--rule", "nope", str(tmp_path)]) == 2
-        capsys.readouterr()
-
     def test_python_dash_m_entry_point(self, tmp_path):
         (tmp_path / "ok.py").write_text("value = 1\n")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(tmp_path)],
+            [sys.executable, "-m", "tools.analysis", str(tmp_path)],
             capture_output=True,
             text=True,
+            cwd=REPO_ROOT,
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert result.returncode == 0, result.stderr

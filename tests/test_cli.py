@@ -117,15 +117,6 @@ class TestCommands:
         for name in ("expedia", "flights", "yelp"):
             assert name in out
 
-    def test_chaos_smoke_runs_training_and_serving_legs(self, capsys):
-        code = main(["chaos", "yelp", "--scale", "smoke"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "  training [ok]" in out
-        assert "  serving  [ok]" in out
-        assert "  process" not in out
-        assert out.rstrip().endswith("chaos soak PASSED")
-
     def test_run_prints_result(self, capsys):
         code = main(["run", "movies", "dt_gini", "--scale", "smoke"])
         out = capsys.readouterr().out
@@ -193,12 +184,88 @@ class TestCommands:
         expected = plain.strip().splitlines()[-1].split(" (")[0]
         assert expected in decorated
 
-    def test_fit_nonpositive_shard_spec_errors_cleanly(self, capsys):
-        code = main(["fit", "yelp", "lr_l1", "--stream", "--shards", "0",
-                     "--scale", "smoke"])
-        err = capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["fit", "yelp", "lr_l1", "--stream", "--shards", "0",
+              "--scale", "smoke"], "--shards"),
+            (["fit", "yelp", "lr_l1", "--stream", "--shard-rows", "-4"],
+             "--shard-rows"),
+            (["fit", "yelp", "nb", "--checkpoint-every", "5"],
+             "--checkpoint-dir"),
+            (["serve-bench", "yelp", "--arrival-rate", "100"], "--clients"),
+            (["serve-bench", "yelp", "--clients", "-3"], "--clients"),
+            (["serve-bench", "yelp", "--batch-size", "0"], "--batch-size"),
+            (["serve-bench", "yelp", "--rows", "0"], "--rows"),
+            (["predict", "model.repro-model", "--rows", "-95"], "--rows"),
+            (["predict", "model.repro-model", "--batch-size", "0"],
+             "--batch-size"),
+            (["simulate", "--n-r", "5", "--runs", "0"], "--runs"),
+            (["advise", "yelp", "--n-fact", "0"], "--n-fact"),
+            (["usage", "movies", "--n-fact", "0"], "--n-fact"),
+        ],
+        ids=[
+            "fit-shards-0", "fit-shard-rows-negative",
+            "fit-checkpoint-every-without-dir",
+            "serve-bench-arrival-rate-without-clients",
+            "serve-bench-clients-negative", "serve-bench-batch-size-0",
+            "serve-bench-rows-0", "predict-rows-negative",
+            "predict-batch-size-0", "simulate-runs-0", "advise-n-fact-0",
+            "usage-n-fact-0",
+        ],
+    )
+    def test_bad_count_or_missing_companion_flag_is_a_usage_error(
+        self, capsys, argv, flag
+    ):
+        """Counts are integers >= 1, and a flag that only tunes another
+        one needs it: each case exits 2 with one error line naming the
+        flag, before any dataset is built."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_info:
+            code = exit_info.code
+        captured = capsys.readouterr()
         assert code == 2
-        assert "--shards must be >= 1" in err
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0], captured.err
+        assert captured.out == ""
+
+    def test_streamed_ann_fit_writes_checkpoints(self, capsys, tmp_path):
+        code = main(
+            ["fit", "yelp", "ann", "--stream", "--shards", "3",
+             "--scale", "smoke", "--checkpoint-dir", str(tmp_path)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        # Two kept checkpoints: the last shard step of the final epoch
+        # and the epoch boundary after it.
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "ckpt-000004-000002.pkl",
+            "ckpt-000005-000000.pkl",
+        ]
+
+    def test_resumed_fit_reports_the_same_accuracies(self, capsys, tmp_path):
+        argv = ["fit", "yelp", "ann", "--stream", "--shards", "3",
+                "--scale", "smoke", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert main([*argv, "--resume"]) == 0
+        resumed = capsys.readouterr().out
+        # Compare up to the wall-clock parenthetical.
+        scores = fresh.strip().splitlines()[-1].split(" (")[0]
+        assert "test=" in scores and "train=" in scores
+        assert scores in resumed
+
+    def test_fit_stream_model_refuses_checkpoints(self, capsys, tmp_path):
+        code = main(
+            ["fit", "yelp", "dt_gini", "--stream", "--shards", "3",
+             "--scale", "smoke", "--checkpoint-dir", str(tmp_path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "fit_stream owns its own pass structure" in captured.err
+        assert "test=" not in captured.out
 
     def test_simulate_renders_series(self, capsys):
         code = main(

@@ -19,8 +19,9 @@ from repro.data import (
     source_accuracy,
 )
 from repro.datasets import generate_real_world
-from repro.resilience import RetryingSource, RetryPolicy
 from repro.streaming import StreamingMatrices
+
+from faultkit.retry import RetryingSource, RetryPolicy
 
 
 @pytest.fixture(scope="module")

@@ -23,6 +23,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="available"):
             generate_real_world("netflix")
 
+    @pytest.mark.parametrize("n_fact", [0, 5, -3])
+    def test_too_few_rows_raise_instead_of_the_default_size(self, n_fact):
+        """Only ``None`` means the spec's size; 0 is a size, and too small."""
+        message = f"n_fact must be >= 8, got {n_fact}"
+        with pytest.raises(ValueError, match=message):
+            generate_real_world("yelp", n_fact=n_fact)
+
+    def test_none_builds_the_spec_size(self):
+        ds = generate_real_world("yelp", n_fact=None)
+        assert ds.schema.fact.n_rows == REAL_WORLD_SPECS["yelp"].n_fact
+
     def test_flights_has_three_dimensions(self):
         assert len(REAL_WORLD_SPECS["flights"].dimensions) == 3
 

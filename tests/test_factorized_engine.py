@@ -576,7 +576,7 @@ class TestFactorizedServing:
         """A fault-injecting wrapper delegates ``best_model_`` lookups
         to a tuned model; the scorer must not peel through it and skip
         the wrapper's own ``predict``."""
-        from repro.resilience import FaultInjectingModel
+        from faultkit.faults import FaultInjectingModel
 
         dataset = star_dataset(n=100, n_r=5, d_s=2, d_r=3, seed=109)
         matrices = join_all_strategy().matrices(dataset)

@@ -6,9 +6,11 @@ import pytest
 from repro.core import no_join_strategy
 from repro.data import MatrixSource, SpillCacheSource
 from repro.datasets import generate_real_world
-from repro.errors import ReproError, TransientShardError
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry
-from repro.resilience import (
+
+from faultkit.chaos import ChaosKilledError, KillSwitchCheckpoint
+from faultkit.faults import (
     CORRUPT_SPILL,
     SLOW,
     TRANSIENT,
@@ -17,11 +19,10 @@ from repro.resilience import (
     FaultSchedule,
     FaultSpec,
     PoisonedRowError,
-    RetryingSource,
-    RetryPolicy,
+    TransientShardError,
     corrupt_spill_entries,
 )
-from repro.resilience.chaos import ChaosKilledError, KillSwitchCheckpoint
+from faultkit.retry import RetryingSource, RetryPolicy
 
 
 @pytest.fixture(scope="module")

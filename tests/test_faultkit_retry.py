@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from repro.core import no_join_strategy
 from repro.data import MatrixSource
 from repro.datasets import generate_real_world
-from repro.errors import TransientShardError
 from repro.obs import MetricsRegistry
-from repro.resilience import DEFAULT_RETRYABLE, RetryingSource, RetryPolicy
+
+from faultkit.faults import TransientShardError
+from faultkit.retry import DEFAULT_RETRYABLE, RetryingSource, RetryPolicy
 
 
 def no_sleep_policy(**kwargs):

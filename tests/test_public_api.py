@@ -24,9 +24,8 @@ PACKAGES = [
     "repro.experiments",
     "repro.streaming",
     "repro.serving",
-    "repro.analysis",
-    "repro.resilience",
     "repro.obs",
+    "tools.analysis",
 ]
 
 
@@ -48,6 +47,61 @@ class TestExports:
             obj = getattr(package, name)
             if inspect.isclass(obj) or inspect.isfunction(obj):
                 assert obj.__doc__, f"{package_name}.{name} lacks a docstring"
+
+
+#: Run in a fresh interpreter: import the library's layers, build the
+#: CLI parser, list any tooling module loaded, then try the removed
+#: tooling commands and record their exit codes.
+_NO_TOOLING_SCRIPT = """
+import contextlib, io, json, sys
+import repro.serving, repro.streaming, repro.experiments, repro.cli
+repro.cli.build_parser()
+tooling = ("tools", "faultkit", "tests", "repro.analysis", "repro.resilience")
+loaded = sorted(
+    name for name in sys.modules
+    if any(name == t or name.startswith(t + ".") for t in tooling)
+)
+codes = []
+for argv in (
+    ["lint"],
+    ["chaos", "yelp"],
+    ["serve-bench", "yelp", "--inject-faults", "0.1"],
+):
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes.append(repro.cli.main(argv))
+    except SystemExit as exit_info:
+        codes.append(exit_info.code)
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+class TestLibraryLoadsNoTooling:
+    def test_commands_and_imports_load_no_tooling(self):
+        """The lint suite and the test-side fault kit stay out of the
+        library: importing its layers and building the CLI loads
+        neither, and their old commands are usage errors."""
+        import json
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        result = subprocess.run(
+            [sys.executable, "-c", _NO_TOOLING_SCRIPT],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={
+                "PYTHONPATH": f"{root / 'src'}:{root / 'tests'}",
+                "PATH": "/usr/bin:/bin",
+            },
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        outcome = json.loads(result.stdout.strip().splitlines()[-1])
+        assert outcome["loaded"] == []
+        assert outcome["codes"] == [2, 2, 2]
 
 
 class TestVersion:

@@ -25,8 +25,9 @@ from repro.ml.neural import MLPClassifier
 from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 from repro.ml.tree import DecisionTreeClassifier
 from repro.obs import tracer
-from repro.resilience.chaos import models_identical
 from repro.streaming import StreamingTrainer
+
+from faultkit.chaos import models_identical
 from test_streaming_models import assert_same_tree
 
 #: Passes the step-size bound's power iteration makes before FISTA's.

@@ -11,14 +11,15 @@ from repro.errors import (
     ServerOverloadedError,
 )
 from repro.experiments import fit_pipeline, get_scale
-from repro.resilience import FaultInjectingModel, PoisonedRowError
-from repro.resilience.chaos import chaos_serving_run, chaos_training_run
 from repro.serving import (
     MicroBatcher,
     PredictionServer,
     artifact_from_pipeline,
 )
 from repro.serving.benchmark import _request_stream
+
+from faultkit.chaos import chaos_serving_run, chaos_training_run
+from faultkit.faults import FaultInjectingModel, PoisonedRowError
 
 
 @pytest.fixture(scope="module")
@@ -196,15 +197,27 @@ class TestChaosVerdicts:
         assert verdict["poisoned_rows"] >= 1
         assert verdict["deadline_expired"] == verdict["deadline_rows"]
 
-    def test_training_leg_passes_end_to_end(self, dataset):
+    @pytest.mark.parametrize(
+        "model_key, fault_rate",
+        [
+            ("lr_l1", 0.3),
+            # The CI fault-recovery gate: the ann on Yelp (n_fact 300),
+            # 4 shards x 2 epochs, a quarter of the shards faulted.
+            ("ann", 0.25),
+        ],
+    )
+    def test_training_leg_passes_end_to_end(
+        self, dataset, model_key, fault_rate
+    ):
         verdict = chaos_training_run(
-            dataset, "lr_l1", n_shards=4, epochs=2, fault_rate=0.3,
+            dataset, model_key, n_shards=4, epochs=2, fault_rate=fault_rate,
             seed=0, scale=get_scale("smoke"),
         )
         assert verdict["ok"], verdict
         assert verdict["killed"]
         assert verdict["faulted_identical"]
         assert verdict["resumed_identical"]
+        assert verdict["effective_fault_rate"] >= 0.10
 
     @pytest.mark.parametrize("kill_after", [2, 4])
     def test_training_leg_passes_at_the_first_and_last_kill_points(

@@ -11,13 +11,13 @@ from repro.datasets import generate_real_world
 from repro.errors import CheckpointError
 from repro.ml import CategoricalNB, L1LogisticRegression, MLPClassifier
 from repro.obs import MetricsRegistry
-from repro.resilience import CheckpointManager
-from repro.resilience.chaos import (
+from repro.streaming import CheckpointManager, StreamingTrainer
+
+from faultkit.chaos import (
     ChaosKilledError,
     KillSwitchCheckpoint,
     models_identical,
 )
-from repro.streaming import StreamingTrainer
 
 
 @pytest.fixture(scope="module")

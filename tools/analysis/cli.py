@@ -1,10 +1,8 @@
 """Command-line front end for the static-analysis suite.
 
-Two equivalent entry points share this module: ``repro lint`` (the
-subcommand registered in :mod:`repro.cli`) and ``python -m
-repro.analysis``.  Exit codes follow the lint convention the telemetry
-hygiene tool established: 0 clean, 1 findings, 2 usage error (unknown
-rule id, missing target path).
+``python -m tools.analysis`` runs :func:`main`.  Exit codes follow the
+lint convention: 0 clean, 1 findings, 2 usage error (unknown rule id,
+missing target path).
 """
 
 from __future__ import annotations
@@ -15,24 +13,29 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.engine import run_analysis
-from repro.analysis.rules import ALL_RULES, DEFAULT_CONFIG, get_rules
-from repro.errors import StaticAnalysisError
 from repro.obs import emit
+from tools.analysis.engine import StaticAnalysisError, run_analysis
+from tools.analysis.rules import ALL_RULES, DEFAULT_CONFIG, get_rules
 
-__all__ = ["add_lint_arguments", "build_parser", "main", "run_lint"]
+__all__ = ["build_parser", "main", "run_lint"]
 
 #: Scanned when no paths are given (missing ones silently skipped, so
 #: the command works from the repo root of a source checkout).
-DEFAULT_TARGETS = ("src", "benchmarks")
+DEFAULT_TARGETS = ("src", "benchmarks", "tools", "tests/faultkit")
 
 
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach the lint options (shared with the ``repro lint`` subcommand)."""
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m tools.analysis",
+        description="Static-analysis suite for the repro codebase.",
+    )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="files or directories to lint (default: src benchmarks)",
+        help=(
+            "files or directories to lint (default: src benchmarks tools"
+            " tests/faultkit)"
+        ),
     )
     parser.add_argument(
         "--rule",
@@ -52,14 +55,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="list rule ids and descriptions, then exit",
     )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="Static-analysis suite for the repro codebase.",
-    )
-    add_lint_arguments(parser)
     return parser
 
 
@@ -74,9 +69,10 @@ def run_lint(args: argparse.Namespace) -> int:
     if not paths:
         paths = [target for target in DEFAULT_TARGETS if Path(target).exists()]
         if not paths:
-            raise StaticAnalysisError(
-                "no lint targets: neither src/ nor benchmarks/ exists"
-                " here and no paths were given"
+            # StaticAnalysisError is the engine's ReproError subclass.
+            raise StaticAnalysisError(  # repro: lint-ignore[exception-hygiene]
+                f"no lint targets: none of {', '.join(DEFAULT_TARGETS)}"
+                " exists here and no paths were given"
             )
     report = run_analysis(
         paths,
@@ -91,7 +87,7 @@ def run_lint(args: argparse.Namespace) -> int:
             emit(line, error=True)
         if report.ok:
             emit(
-                f"repro lint: {report.files} file(s) clean"
+                f"lint: {report.files} file(s) clean"
                 f" ({len(report.rule_ids)} rule(s))"
             )
         else:
@@ -104,7 +100,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return run_lint(args)
     except StaticAnalysisError as error:
-        emit(f"repro lint: {error}", error=True)
+        emit(f"lint: {error}", error=True)
         return 2
 
 

@@ -1,4 +1,4 @@
-"""The rule-plugin analysis engine behind ``repro lint``.
+"""The rule-plugin analysis engine behind ``python -m tools.analysis``.
 
 The engine owns everything that is *not* rule-specific:
 
@@ -24,7 +24,7 @@ The engine owns everything that is *not* rule-specific:
 
 Rules never raise for bad *target* code; they return findings.  Usage
 errors (unknown rule id, missing path) raise
-:class:`repro.errors.StaticAnalysisError`, which the CLI maps to exit 2.
+:class:`StaticAnalysisError`, which the CLI maps to exit 2.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from repro.analysis.findings import Finding
-from repro.errors import StaticAnalysisError
+from repro.errors import ReproError
+from tools.analysis.findings import Finding
 
 __all__ = [
     "AnalysisConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "Project",
     "Rule",
     "SUPPRESS_RULE_ID",
+    "StaticAnalysisError",
     "Suppression",
     "class_members",
     "is_abstract_body",
@@ -64,6 +65,16 @@ PARSE_RULE_ID = "parse-error"
 SUPPRESS_RULE_ID = "lint-ignore"
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ignore\[([^\]]*)\]")
+
+
+class StaticAnalysisError(ReproError):
+    """A lint run could not be configured or executed.
+
+    Raised for usage errors — unknown rule ids passed to ``--rule``,
+    lint targets that do not exist — as opposed to *findings*, which are
+    reported data, not exceptions.  The CLI maps this to exit code 2
+    (findings exit 1, a clean tree exits 0).
+    """
 
 
 class Rule:
@@ -227,7 +238,7 @@ class AnalysisReport:
         return [finding.format() for finding in self.findings]
 
     def as_dict(self) -> dict[str, object]:
-        """JSON-ready report (``repro lint --format json``)."""
+        """JSON-ready report (``--format json``)."""
         return {
             "files": self.files,
             "rules": list(self.rule_ids),
@@ -241,7 +252,7 @@ def iter_python_files(paths: Sequence[Path | str]) -> list[Path]:
 
     Directories are walked recursively; explicit files are taken as-is.
     A target that exists but is neither raises
-    :class:`~repro.errors.StaticAnalysisError`, as does a missing one.
+    :class:`StaticAnalysisError`, as does a missing one.
     """
     files: list[Path] = []
     for raw in paths:
@@ -474,7 +485,7 @@ def run_analysis(
                         SUPPRESS_RULE_ID,
                         sup.comment_line,
                         f"unknown rule id {sup.rule!r} in lint-ignore"
-                        " (see `repro lint --list-rules`)",
+                        " (see `python -m tools.analysis --list-rules`)",
                     )
                 )
             elif sup.rule in selected_ids and not sup.used:

@@ -1,7 +1,7 @@
 """``unseeded-random``: every stochastic path flows through ``repro.rng``.
 
 The repo's headline guarantee — bit-identical reproduction, including
-kill/resume bit-identity across the resilience layer — dies the moment
+checkpoint/resume bit-identity — dies the moment
 one code path draws randomness the experiment seed does not control.
 This rule forbids, everywhere except the ``repro/rng.py`` chokepoint
 (default config allowlist):
@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.engine import ModuleContext, Rule
-from repro.analysis.findings import Finding
+from tools.analysis.engine import ModuleContext, Rule
+from tools.analysis.findings import Finding
 
 __all__ = ["UnseededRandomRule"]
 

@@ -29,8 +29,8 @@ import ast
 import builtins
 from typing import Iterable
 
-from repro.analysis.engine import ModuleContext, Rule
-from repro.analysis.findings import Finding
+from tools.analysis.engine import ModuleContext, Rule
+from tools.analysis.findings import Finding
 
 __all__ = ["ExceptionHygieneRule"]
 

@@ -9,9 +9,11 @@ whatever they like):
   through :func:`repro.obs.console.emit`; ``repro/obs/console.py`` is
   the allowlisted chokepoint (benchmarks are exempt by default config —
   they are reporting scripts, not library code).
-- ``raw-sleep``: no ``time.sleep()``.  Delays route through
-  :func:`repro.resilience.backoff.sleep` so they stay policy-driven and
-  fault-injectable; ``repro/resilience/backoff.py`` is the chokepoint.
+- ``raw-sleep``: no ``time.sleep()``.  Library threads wait on a
+  condition or an event, which a ``notify``/``set`` or ``close`` cuts
+  short; a sleep cannot be woken.  The allowlisted sleepers are the
+  open-loop load generator's pacing (``repro/serving/benchmark.py``)
+  and the test-side fault kit's ``faultkit/backoff.py`` chokepoint.
 
 ``from time import time as now`` followed by ``now()`` calls yields
 **one** finding — at the import, which is the root cause — with the
@@ -23,8 +25,8 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.engine import ModuleContext, Rule
-from repro.analysis.findings import Finding
+from tools.analysis.engine import ModuleContext, Rule
+from tools.analysis.findings import Finding
 
 __all__ = ["BarePrintRule", "RawSleepRule", "WallClockRule"]
 
@@ -101,15 +103,15 @@ class WallClockRule(_TimeMemberRule):
 class RawSleepRule(_TimeMemberRule):
     id = "raw-sleep"
     description = (
-        "no time.sleep() — delays route through repro.resilience.backoff.sleep"
+        "no time.sleep() — threads wait on a Condition or Event instead"
     )
     member = "sleep"
     call_message = (
-        "time.sleep() — route delays through repro.resilience.backoff.sleep"
+        "time.sleep() — wait on a threading.Condition or Event instead"
     )
     import_message = (
-        "'from time import sleep' — route delays through"
-        " repro.resilience.backoff.sleep"
+        "'from time import sleep' — wait on a threading.Condition or"
+        " Event instead"
     )
 
 

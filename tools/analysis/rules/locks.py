@@ -38,8 +38,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from repro.analysis.engine import ModuleContext, Rule
-from repro.analysis.findings import Finding
+from tools.analysis.engine import ModuleContext, Rule
+from tools.analysis.findings import Finding
 
 __all__ = ["LockDisciplineRule"]
 

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis.engine import ClassInfo, Project, Rule
-from repro.analysis.findings import Finding
+from tools.analysis.engine import ClassInfo, Project, Rule
+from tools.analysis.findings import Finding
 
 __all__ = ["FeatureSourceRule", "REQUIRED_MEMBERS"]
 
