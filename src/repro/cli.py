@@ -14,10 +14,13 @@ first:
 - ``predict``     — serve predictions from a saved artifact.
 - ``serve-bench`` — single-row vs micro-batched serving throughput.
 
-Count flags (rows, shards, sizes, runs) take integers >= 1; anything
-else, or a flag without the one it tunes (``--checkpoint-every``
-without ``--checkpoint-dir``, ``--arrival-rate`` without
-``--clients``), is a usage error with exit 2.
+Count flags (rows, shards, sizes, runs) take integers >= 1, and dataset
+sizes at least their generator's minimum (``--n-fact`` >=
+:data:`~repro.datasets.MIN_FACT_ROWS`, ``--n-train`` >=
+:data:`~repro.datasets.MIN_TRAIN_ROWS`); anything else, or a flag
+without the one it tunes (``--checkpoint-every`` without
+``--checkpoint-dir``, ``--arrival-rate`` without ``--clients``), is a
+usage error with exit 2.
 
 ``fit``, ``predict`` and ``serve-bench`` accept ``--telemetry OUT.json``:
 the command runs inside the process-wide tracer and writes its span-tree
@@ -31,6 +34,7 @@ commands double as living documentation of it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -45,6 +49,8 @@ from repro.core import (
     no_join_strategy,
 )
 from repro.datasets import (
+    MIN_FACT_ROWS,
+    MIN_TRAIN_ROWS,
     OneXrScenario,
     dataset_statistics,
     generate_real_world,
@@ -66,17 +72,23 @@ _STRATEGIES = {
 }
 
 
-def _count(text: str) -> int:
-    """The argparse ``type`` of every count flag: an integer >= 1."""
+def _count(text: str, minimum: int = 1) -> int:
+    """The argparse ``type`` of every count flag: an integer >= 1, or
+    >= ``minimum`` (see :func:`_at_least`)."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = minimum - 1
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1, got {text!r}"
+            f"expected an integer >= {minimum}, got {text!r}"
         )
     return value
+
+
+def _at_least(minimum: int):
+    """A count type with a floor above 1: a generator's own minimum."""
+    return functools.partial(_count, minimum=minimum)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,11 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(FAMILY_THRESHOLDS),
         default="decision_tree",
     )
-    p_advise.add_argument("--n-fact", type=_count, default=2000)
+    p_advise.add_argument("--n-fact", type=_at_least(MIN_FACT_ROWS), default=2000)
     p_advise.add_argument("--seed", type=int, default=0)
 
     p_stats = sub.add_parser("stats", help="Table-1-style dataset statistics")
-    p_stats.add_argument("--n-fact", type=_count, default=2000)
+    p_stats.add_argument("--n-fact", type=_at_least(MIN_FACT_ROWS), default=2000)
     p_stats.add_argument("--seed", type=int, default=0)
 
     p_run = sub.add_parser("run", help="run one experiment cell")
@@ -194,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "usage", help="FK split-usage analysis of a fitted tree (Section 5)"
     )
     p_usage.add_argument("dataset", choices=DATASET_ORDER)
-    p_usage.add_argument("--n-fact", type=_count, default=1200)
+    p_usage.add_argument("--n-fact", type=_at_least(MIN_FACT_ROWS), default=1200)
     p_usage.add_argument("--seed", type=int, default=0)
 
     p_sim = sub.add_parser(
@@ -204,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n-r", type=_count, nargs="+", default=[2, 10, 50, 200],
         help="FK domain sizes to sweep",
     )
-    p_sim.add_argument("--n-train", type=_count, default=400)
+    p_sim.add_argument("--n-train", type=_at_least(MIN_TRAIN_ROWS), default=400)
     p_sim.add_argument("--runs", type=_count, default=4)
     p_sim.add_argument("--p", type=float, default=0.1)
     p_sim.add_argument("--seed", type=int, default=0)

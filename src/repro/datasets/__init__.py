@@ -16,6 +16,7 @@ with Bayes-optimal labels where the generating distribution knows them.
 """
 
 from repro.datasets.realworld import (
+    MIN_FACT_ROWS,
     REAL_WORLD_SPECS,
     RealWorldSpec,
     dataset_statistics,
@@ -23,9 +24,16 @@ from repro.datasets.realworld import (
 )
 from repro.datasets.skew import NeedleThreadFK, UniformFK, ZipfFK
 from repro.datasets.splits import SplitDataset, three_way_split
-from repro.datasets.synthetic import OneXrScenario, RepOneXrScenario, XSXRScenario
+from repro.datasets.synthetic import (
+    MIN_TRAIN_ROWS,
+    OneXrScenario,
+    RepOneXrScenario,
+    XSXRScenario,
+)
 
 __all__ = [
+    "MIN_FACT_ROWS",
+    "MIN_TRAIN_ROWS",
     "NeedleThreadFK",
     "OneXrScenario",
     "REAL_WORLD_SPECS",

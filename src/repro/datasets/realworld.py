@@ -34,6 +34,10 @@ from repro.relational.schema import KFKConstraint, StarSchema
 from repro.relational.table import Table
 from repro.rng import ensure_rng
 
+#: Fewest fact rows :meth:`RealWorldSpec.generate` accepts: every split
+#: of the 50/25/25 train/validation/test split keeps at least two rows.
+MIN_FACT_ROWS = 8
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -114,8 +118,8 @@ class RealWorldSpec:
         """Materialise the dataset at ``n_fact`` rows (default: spec size)."""
         rng = ensure_rng(seed)
         n = self.n_fact if n_fact is None else n_fact
-        if n < 8:
-            raise ValueError(f"n_fact must be >= 8, got {n}")
+        if n < MIN_FACT_ROWS:
+            raise ValueError(f"n_fact must be >= {MIN_FACT_ROWS}, got {n}")
         n_train = n // 2
         score = np.zeros(n)
 

@@ -45,6 +45,9 @@ DIM_NAME = "R"
 RID_NAME = "RID"
 TARGET_NAME = "Y"
 
+#: Fewest training rows a simulation scenario accepts.
+MIN_TRAIN_ROWS = 4
+
 
 @dataclass
 class FactBlock:
@@ -290,8 +293,8 @@ class OneXrScenario:
     fk_sampler: object = field(default_factory=UniformFK)
 
     def _validate(self) -> None:
-        if self.n_train < 4:
-            raise ValueError(f"n_train must be >= 4, got {self.n_train}")
+        if self.n_train < MIN_TRAIN_ROWS:
+            raise ValueError(f"n_train must be >= {MIN_TRAIN_ROWS}, got {self.n_train}")
         if self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.d_r < 1:
@@ -400,8 +403,8 @@ class XSXRScenario:
     max_total_features: int = 20
 
     def _validate(self) -> None:
-        if self.n_train < 4:
-            raise ValueError(f"n_train must be >= 4, got {self.n_train}")
+        if self.n_train < MIN_TRAIN_ROWS:
+            raise ValueError(f"n_train must be >= {MIN_TRAIN_ROWS}, got {self.n_train}")
         if self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.d_s < 0 or self.d_r < 1:
@@ -475,8 +478,8 @@ class RepOneXrScenario:
     p: float = 0.1
 
     def _validate(self) -> None:
-        if self.n_train < 4:
-            raise ValueError(f"n_train must be >= 4, got {self.n_train}")
+        if self.n_train < MIN_TRAIN_ROWS:
+            raise ValueError(f"n_train must be >= {MIN_TRAIN_ROWS}, got {self.n_train}")
         if self.n_r < 1:
             raise ValueError(f"n_r must be >= 1, got {self.n_r}")
         if self.d_r < 1 or self.d_s < 0:

@@ -29,9 +29,13 @@ makes training streamable, and the tree has one builder,
 breadth-first over any :class:`repro.data.FeatureSource`, one pass per
 level, and ``fit(X, y)`` runs it over one in-memory shard.  Integer
 histograms are associative over shards, so the tree is **identical**
-for every shard layout.  One descent routes rows in training and in
-prediction; it reads raw codes row by row, so factorized shards are
-gathered first.
+for every shard layout.  Training routes rows node by node
+(:meth:`DecisionTreeClassifier._descend`), and so does prediction under
+``unseen='random'``, whose per-node draws fix that order.  Otherwise
+prediction routes the whole batch one tree level per round of array
+gathers over a flat form of the tree (:class:`_FlatTree`), built on the
+first prediction; its probabilities are the node-by-node walk's, bit
+for bit.  Both read raw codes, so factorized shards are gathered first.
 
 One split search scores every prefix candidate of every feature at
 once (:meth:`DecisionTreeClassifier._best_split`).  It decides as a
@@ -54,7 +58,7 @@ import numpy as np
 from repro.data.source import MatrixSource, ShardPasses
 from repro.errors import UnseenCategoryError
 from repro.ml.base import Estimator, check_fitted, check_X_y
-from repro.ml.encoding import CategoricalMatrix
+from repro.ml.encoding import CategoricalMatrix, check_code_ranges
 from repro.ml.sparse import gathered
 from repro.ml.tree.criteria import entropy, impurity_function, split_information
 from repro.rng import ensure_rng
@@ -97,6 +101,28 @@ class _BestSplit:
     weighted_gain: float
     left_counts: np.ndarray
     right_counts: np.ndarray
+
+
+@dataclass(frozen=True)
+class _FlatTree:
+    """A fitted tree as arrays, so a batch moves one level per gather.
+
+    Node ``i`` sends a row whose code of feature ``feature[i]`` is ``c``
+    to node ``child[offset[i] + c]``: an internal node's ``goes_left``
+    written out as child indices, a leaf's slot (on the narrowest
+    feature) pointing at itself.  ``depth`` rounds therefore bring every
+    row to its leaf.  ``proba[i]`` is node ``i``'s
+    ``counts / counts.sum()``; ``seen[level_offsets[j] + c]`` tells
+    whether training saw level ``c`` of feature ``j``.
+    """
+
+    feature: np.ndarray
+    offset: np.ndarray
+    child: np.ndarray
+    proba: np.ndarray
+    depth: int
+    seen: np.ndarray
+    level_offsets: np.ndarray
 
 
 def _gathered_shard(X, y) -> tuple:
@@ -352,9 +378,16 @@ class DecisionTreeClassifier(Estimator):
             "n_classes_",
             "_root_impurity",
             "_n_total",
+            "_flat",
         ):
             if hasattr(self, attribute):
                 delattr(self, attribute)
+
+    def __getstate__(self) -> dict:
+        # The flat form is a cache of ``root_``: pickles carry the tree.
+        state = self.__dict__.copy()
+        state.pop("_flat", None)
+        return state
 
     def _validate_hyperparameters(self) -> None:
         # Written as ``not value >= bound`` so that NaN fails too.
@@ -503,35 +536,91 @@ class DecisionTreeClassifier(Estimator):
         return np.argmax(proba, axis=1)
 
     def predict_proba(self, X: CategoricalMatrix) -> np.ndarray:
-        """Per-class probabilities from leaf class frequencies."""
+        """Per-class probabilities from leaf class frequencies.
+
+        Under ``unseen='error'`` or ``'majority'`` the batch moves one
+        tree level per round of gathers over the flat form
+        (:class:`_FlatTree`), ``depth_`` rounds in all.  ``'error'``
+        first looks all codes up in one seen mask and names the first
+        unseen feature in column order, with the code of its first
+        offending row.  ``unseen='random'`` descends node by node
+        (:meth:`_descend`), whose order fixes the draws.  Factorized
+        batches are gathered first.
+        """
         check_fitted(self, "root_")
         if X.n_features != len(self.n_levels_):
             raise ValueError(
                 f"expected {len(self.n_levels_)} features, got {X.n_features}"
             )
         X = gathered(X)
-        self._enforce_unseen_policy(X)
-        out = np.zeros((X.n_rows, self.n_classes_), dtype=np.float64)
-        rng = (
-            ensure_rng(self.random_state)
-            if self.unseen == "random"
-            else None
-        )
-        for leaf, rows in self._descend(
-            self.root_, X, np.arange(X.n_rows), rng
-        ):
-            out[rows] = leaf.counts / leaf.counts.sum()
-        return out
+        if X.n_levels != self.n_levels_:
+            # The flat tables cover the training domains only.
+            check_code_ranges(X.codes, self.n_levels_, self.feature_names_)
+        if self.unseen == "random":
+            out = np.zeros((X.n_rows, self.n_classes_), dtype=np.float64)
+            for leaf, rows in self._descend(
+                self.root_, X, np.arange(X.n_rows),
+                ensure_rng(self.random_state),
+            ):
+                out[rows] = leaf.counts / leaf.counts.sum()
+            return out
+        flat = self._flat_tree()
+        codes = X.codes
+        if self.unseen == "error":
+            seen = flat.seen[codes + flat.level_offsets]
+            if not seen.all():
+                j = int(np.argmin(seen.all(axis=0)))
+                code = codes[np.argmin(seen[:, j]), j]
+                raise UnseenCategoryError(self.feature_names_[j], int(code))
+        rows = np.arange(X.n_rows)
+        node = np.zeros(X.n_rows, dtype=np.intp)
+        for _ in range(flat.depth):
+            node = flat.child[flat.offset[node] + codes[rows, flat.feature[node]]]
+        return flat.proba[node]
 
-    def _enforce_unseen_policy(self, X: CategoricalMatrix) -> None:
-        if self.unseen != "error":
-            return
-        for j in range(X.n_features):
-            seen = self.seen_levels_[j]
-            codes = X.codes[:, j]
-            bad = codes[~seen[codes]]
-            if bad.size:
-                raise UnseenCategoryError(self.feature_names_[j], int(bad[0]))
+    def _flat_tree(self) -> _FlatTree:
+        """The fitted tree's flat form, built on first use and dropped by
+        :meth:`_reset`.  Nodes are numbered breadth first.  Threads that
+        predict at once may each build it; the builds are equal and the
+        last one stays."""
+        flat = getattr(self, "_flat", None)
+        if flat is not None:
+            return flat
+        nodes = [self.root_]
+        for node in nodes:  # the list grows as it is read
+            if not node.is_leaf:
+                nodes += (node.left, node.right)
+        splits = [node for node in nodes if not node.is_leaf]
+        levels = np.asarray(self.n_levels_, dtype=np.int64)
+        # A leaf sends every level of the narrowest feature to itself.  A
+        # tree without features is a stump and never reads its table.
+        leaf_width, leaf_feature = min(
+            zip(self.n_levels_, range(levels.size)), default=(0, 0)
+        )
+        is_split = np.array([not node.is_leaf for node in nodes])
+        widths = np.full(len(nodes), leaf_width)
+        widths[is_split] = [node.goes_left.size for node in splits]
+        feature = np.full(len(nodes), leaf_feature)
+        feature[is_split] = [node.feature for node in splits]
+        # Every slot starts at its own node, which is right for leaves;
+        # breadth first, the k-th split's children are nodes 2k+1, 2k+2.
+        child = np.repeat(np.arange(len(nodes)), widths)
+        left = np.repeat(2 * np.arange(len(splits)) + 1, widths[is_split])
+        goes_left = np.concatenate(
+            [np.zeros(0, dtype=bool), *(node.goes_left for node in splits)]
+        )
+        child[np.repeat(is_split, widths)] = np.where(goes_left, left, left + 1)
+        counts = np.array([node.counts for node in nodes])
+        self._flat = flat = _FlatTree(
+            feature=feature,
+            offset=np.cumsum(widths) - widths,
+            child=child,
+            proba=counts / counts.sum(axis=1, keepdims=True),
+            depth=max(node.depth for node in nodes),
+            seen=np.concatenate([np.zeros(0, dtype=bool), *self.seen_levels_]),
+            level_offsets=np.cumsum(levels) - levels,
+        )
+        return flat
 
     # ------------------------------------------------------------------
     # Introspection

@@ -63,8 +63,9 @@ def resolve_dimension_rows(
             f"outside the key domain of size {row_of_code.size}"
         )
     dim_rows = row_of_code[fk_codes]
-    dangling = np.unique(fk_codes[dim_rows < 0])
-    if dangling.size:
+    missing = dim_rows < 0
+    if missing.any():
+        dangling = np.unique(fk_codes[missing])
         rid = schema.constraint(name).rid_column
         domain = schema.dimension(name).column(rid).domain
         labels = domain.decode(dangling[:5])

@@ -3,6 +3,12 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import (
+    MIN_FACT_ROWS,
+    MIN_TRAIN_ROWS,
+    OneXrScenario,
+    generate_real_world,
+)
 
 
 class TestParser:
@@ -203,6 +209,12 @@ class TestCommands:
             (["simulate", "--n-r", "5", "--runs", "0"], "--runs"),
             (["advise", "yelp", "--n-fact", "0"], "--n-fact"),
             (["usage", "movies", "--n-fact", "0"], "--n-fact"),
+            # Positive but below the generators' minimums.
+            (["advise", "yelp", "--n-fact", "5"], "--n-fact"),
+            (["stats", "--n-fact", "7"], "--n-fact"),
+            (["usage", "movies", "--n-fact", "1"], "--n-fact"),
+            (["simulate", "--n-train", "1"], "--n-train"),
+            (["simulate", "--n-train", "3"], "--n-train"),
         ],
         ids=[
             "fit-shards-0", "fit-shard-rows-negative",
@@ -211,7 +223,8 @@ class TestCommands:
             "serve-bench-clients-negative", "serve-bench-batch-size-0",
             "serve-bench-rows-0", "predict-rows-negative",
             "predict-batch-size-0", "simulate-runs-0", "advise-n-fact-0",
-            "usage-n-fact-0",
+            "usage-n-fact-0", "advise-n-fact-5", "stats-n-fact-7",
+            "usage-n-fact-1", "simulate-n-train-1", "simulate-n-train-3",
         ],
     )
     def test_bad_count_or_missing_companion_flag_is_a_usage_error(
@@ -230,6 +243,25 @@ class TestCommands:
                   if "error:" in line]
         assert len(errors) == 1 and flag in errors[0], captured.err
         assert captured.out == ""
+
+    def test_dataset_size_floors_are_the_generators_minimums(self):
+        """``--n-fact`` and ``--n-train`` accept exactly the smallest
+        sizes the generators build."""
+        parser = build_parser()
+        for argv, attribute, minimum in [
+            (["advise", "yelp", "--n-fact"], "n_fact", MIN_FACT_ROWS),
+            (["stats", "--n-fact"], "n_fact", MIN_FACT_ROWS),
+            (["usage", "movies", "--n-fact"], "n_fact", MIN_FACT_ROWS),
+            (["simulate", "--n-train"], "n_train", MIN_TRAIN_ROWS),
+        ]:
+            args = parser.parse_args([*argv, str(minimum)])
+            assert getattr(args, attribute) == minimum
+        generate_real_world("yelp", n_fact=MIN_FACT_ROWS)
+        OneXrScenario(n_train=MIN_TRAIN_ROWS, n_r=2).sample(seed=0)
+        with pytest.raises(ValueError, match="n_fact"):
+            generate_real_world("yelp", n_fact=MIN_FACT_ROWS - 1)
+        with pytest.raises(ValueError, match="n_train"):
+            OneXrScenario(n_train=MIN_TRAIN_ROWS - 1, n_r=2).sample(seed=0)
 
     def test_streamed_ann_fit_writes_checkpoints(self, capsys, tmp_path):
         code = main(

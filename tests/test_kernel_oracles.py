@@ -1,9 +1,9 @@
-"""The tuned cells' four kernels against the implementations they replaced.
+"""Five kernels against the implementations they replaced.
 
-Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells spend
-their time in was rewritten for speed with its arithmetic unchanged, so
-each must reproduce its plain predecessor exactly (``np.array_equal``
-and ``==``, no tolerance):
+Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells and the
+served tree spend their time in was rewritten for speed with its
+arithmetic unchanged, so each must reproduce its plain predecessor
+exactly (``np.array_equal`` and ``==``, no tolerance):
 
 - :meth:`OneHotMatrix.match_counts` (float32 one-hot GEMM for narrow
   features plus one equality pass per wide one) against the broadcast
@@ -16,16 +16,29 @@ and ``==``, no tolerance):
 - :meth:`DecisionTreeClassifier._best_split` (every prefix candidate of
   every feature scored at once) against the feature-by-feature scan
   :func:`reference_best_split`, which ``tests/test_streaming_models.py``
-  also grows its depth-first reference trees with.
+  also grows its depth-first reference trees with;
+- :meth:`DecisionTreeClassifier.predict_proba` (the whole batch one
+  level per gather over the flat tree, one seen-mask lookup under
+  ``unseen="error"``) against the node-by-node walk
+  :func:`node_by_node_proba`, with its per-feature unseen check.
 """
+
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.errors import SchemaError, UnseenCategoryError
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
 from repro.ml.linear import logistic
-from repro.ml.sparse import GEMM_MAX_LEVELS, OneHotMatrix
+from repro.ml.sparse import (
+    GEMM_MAX_LEVELS,
+    FactorizedGroup,
+    FactorizedMatrix,
+    OneHotMatrix,
+    gathered,
+)
 from repro.ml.svm.kernels import linear_kernel, polynomial_kernel, rbf_kernel
 from repro.ml.svm.smo import solve_smo
 from repro.ml.tree import DecisionTreeClassifier
@@ -510,3 +523,209 @@ def test_gini_split_search_picks(case):
     best = _search(tree, stats, stats[0].sum(axis=0))
     got = None if best is None else (best.feature, best.goes_left.tolist())
     assert got == GINI_PICKS[case]
+
+
+# ----------------------------------------------------------------------
+# DecisionTreeClassifier.predict_proba
+# ----------------------------------------------------------------------
+def node_by_node_proba(tree, X):
+    """``predict_proba`` as one walk over the tree's nodes.
+
+    Under ``unseen="error"``, one feature at a time, the first feature
+    with a level training never saw raises with the code of its first
+    such row.  Then rows go down depth first, left before right, one
+    ``goes_left`` lookup per visited node, and each leaf writes
+    ``counts / counts.sum()`` into its rows.
+    """
+    X = gathered(X)
+    if tree.unseen == "error":
+        for j in range(X.n_features):
+            codes = X.codes[:, j]
+            bad = codes[~tree.seen_levels_[j][codes]]
+            if bad.size:
+                raise UnseenCategoryError(tree.feature_names_[j], int(bad[0]))
+    out = np.zeros((X.n_rows, tree.n_classes_), dtype=np.float64)
+    stack = [(tree.root_, np.arange(X.n_rows))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if node.is_leaf:
+            out[rows] = node.counts / node.counts.sum()
+            continue
+        mask = node.goes_left[X.codes[rows, node.feature]]
+        stack.append((node.right, rows[~mask]))
+        stack.append((node.left, rows[mask]))
+    return out
+
+
+def _assert_same_proba(tree, X):
+    """The tree's probabilities equal the walk's bit for bit, or both
+    raise the same unseen-level error."""
+    try:
+        expected = node_by_node_proba(tree, X)
+    except UnseenCategoryError as error:
+        with pytest.raises(UnseenCategoryError) as got:
+            tree.predict_proba(X)
+        assert (got.value.feature, got.value.code) == (error.feature, error.code)
+        return
+    got = tree.predict_proba(X)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+#: The star of :func:`_star`: fact features ``s0`` (2 levels) and ``s1``
+#: (5), the FK (12 dimension rows) and the dimension's ``r0`` (3) and
+#: ``r1`` (4).
+_STAR_NAMES = ("s0", "s1", "fk", "r0", "r1")
+_STAR_LEVELS = (2, 5, 12, 3, 4)
+
+
+def _star(n, seed, n_classes=2):
+    """``n`` rows of the star, its ``(12, 2)`` dimension block, labels,
+    and which rows use only the levels training sees (FK below 9 and
+    ``s1`` below 4)."""
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, _STAR_LEVELS[3:], size=(12, 2))
+    fk = rng.integers(0, 12, size=n)
+    fact = rng.integers(0, _STAR_LEVELS[:2], size=(n, 2))
+    codes = np.column_stack([fact, fk, block[fk]])
+    score = fact[:, 0] + block[fk, 0] + (fk % 3 == 0) + rng.integers(0, 2, size=n)
+    y = score % n_classes
+    seen = (fk < 9) & (fact[:, 1] < 4)
+    return codes, block, y, seen
+
+
+def _star_matrix(codes):
+    return CategoricalMatrix(codes, _STAR_LEVELS, _STAR_NAMES)
+
+
+def _factorized_star(codes, block):
+    """The same rows with the dimension's features left in their block."""
+    return FactorizedMatrix(
+        _STAR_NAMES, _STAR_LEVELS, np.array([0, 1, 2]), codes[:, :3],
+        [FactorizedGroup("R", np.array([3, 4]), codes[:, 2], block)],
+    )
+
+
+def _star_split(seed, n_classes=2):
+    """A 900-row star: training rows are those of the first 600 that use
+    seen levels; the other 300 rows (every level) are test rows."""
+    codes, block, y, seen = _star(900, seed, n_classes)
+    train = np.flatnonzero(seen[:600])
+    return _star_matrix(codes[train]), y[train], codes[600:], block, seen[600:]
+
+
+def _fitted_star(criterion, unseen, seed=0, n_classes=2, **params):
+    """A tree fit on a star split, with the split's test rows."""
+    X, y, codes, block, seen = _star_split(seed, n_classes)
+    params = {"minsplit": 6, "cp": 0.0, **params}
+    tree = DecisionTreeClassifier(criterion=criterion, unseen=unseen, **params)
+    return tree.fit(X, y), codes, block, seen
+
+
+@pytest.mark.parametrize("unseen", ["error", "majority"])
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+@pytest.mark.parametrize(
+    "case",
+    ["seen_levels", "unseen_levels", "three_classes", "stump", "zero_rows",
+     "zero_features", "factorized"],
+)
+def test_flat_prediction_equals_the_node_by_node_walk(case, criterion, unseen):
+    if case == "zero_features":
+        tree = DecisionTreeClassifier(criterion=criterion, unseen=unseen)
+        tree.fit(CategoricalMatrix.empty(40), np.arange(40) % 2)
+        for X in (CategoricalMatrix.empty(7), CategoricalMatrix.empty(0)):
+            _assert_same_proba(tree, X)
+        return
+    tree, codes, block, seen = _fitted_star(
+        criterion, unseen,
+        n_classes=3 if case == "three_classes" else 2,
+        **({"minsplit": 10_000} if case == "stump" else {}),
+    )
+    assert tree.depth_ == 0 if case == "stump" else tree.depth_ >= 3
+    if case == "zero_rows":
+        batches = [_star_matrix(codes[:0])]
+    elif case == "factorized":
+        batches = [_factorized_star(codes, block),
+                   _factorized_star(codes[seen], block)]
+    elif case == "seen_levels":
+        batches = [_star_matrix(codes[seen]), _star_matrix(codes[seen][:1])]
+    else:
+        batches = [_star_matrix(codes), _star_matrix(codes[seen])]
+    for X in batches:
+        _assert_same_proba(tree, X)
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+def test_flat_prediction_equals_the_walk_on_random_trees(criterion):
+    """200 random data sets: 1-5 features of 1-40 levels (some unseen in
+    training), 2-3 classes, minsplit 2-13, both policies; 30 test rows,
+    and those of them whose every level training saw."""
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n_levels = tuple(
+            int(k) for k in rng.integers(1, 41, size=rng.integers(1, 6))
+        )
+        n = int(rng.integers(1, 120))
+        codes = rng.integers(0, n_levels, size=(n + 30, len(n_levels)))
+        noise = rng.integers(0, 2, size=n + 30)
+        y = (codes.sum(axis=1) + noise) % int(rng.integers(2, 4))
+        names = tuple(f"f{j}" for j in range(len(n_levels)))
+        tree = DecisionTreeClassifier(
+            criterion=criterion,
+            minsplit=seed % 12 + 2,
+            cp=0.0,
+            unseen=("error", "majority")[seed % 2],
+        ).fit(CategoricalMatrix(codes[:n], n_levels, names), y[:n])
+        test = codes[n:]
+        seen = np.all(
+            [tree.seen_levels_[j][test[:, j]] for j in range(len(n_levels))],
+            axis=0,
+        )
+        for rows in (test, test[seen]):
+            _assert_same_proba(tree, CategoricalMatrix(rows, n_levels, names))
+
+
+def test_batch_domains_wider_than_training_are_range_checked():
+    """Codes inside the training domains route as the walk does; a code
+    past them raises instead of reading another node's slot."""
+    tree, codes, _, _ = _fitted_star("gini", "majority")
+    wider = tuple(k + 3 for k in _STAR_LEVELS)
+    _assert_same_proba(tree, CategoricalMatrix(codes, wider, _STAR_NAMES))
+    codes = codes.copy()
+    codes[5, 2] = _STAR_LEVELS[2]
+    with pytest.raises(SchemaError, match="fk"):
+        tree.predict_proba(CategoricalMatrix(codes, wider, _STAR_NAMES))
+
+
+def test_refit_predicts_like_a_fresh_fit():
+    """Refitting the same object on other data must drop the first
+    tree's flat form."""
+    X_train, y_train, codes, _, _ = _star_split(0)
+    X_other, y_other, _, _, _ = _star_split(1)
+    tree = DecisionTreeClassifier(minsplit=6, cp=0.0, unseen="majority")
+    X = _star_matrix(codes)
+    first = tree.fit(X_train, y_train).predict_proba(X)
+    refit = tree.fit(X_other, y_other).predict_proba(X)
+    fresh = DecisionTreeClassifier(minsplit=6, cp=0.0, unseen="majority")
+    fresh.fit(X_other, y_other)
+    assert not np.array_equal(refit, first)
+    assert np.array_equal(refit, fresh.predict_proba(X))
+    assert np.array_equal(refit, node_by_node_proba(fresh, X))
+
+
+@pytest.mark.parametrize("predicted", [False, True], ids=["never", "already"])
+def test_pickled_tree_predicts_like_a_fresh_fit(predicted):
+    """A pickle carries the tree, not its flat form: an unpickled tree,
+    like one saved before the flat form existed, builds its own."""
+    tree, codes, _, _ = _fitted_star("entropy", "majority")
+    fresh, _, _, _ = _fitted_star("entropy", "majority")
+    X = _star_matrix(codes)
+    if predicted:
+        tree.predict_proba(X)
+    payload = pickle.dumps(tree)
+    assert payload == pickle.dumps(fresh)
+    restored = pickle.loads(payload)
+    assert np.array_equal(restored.predict_proba(X), fresh.predict_proba(X))
+    assert np.array_equal(restored.predict_proba(X), node_by_node_proba(fresh, X))

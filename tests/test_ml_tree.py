@@ -205,6 +205,23 @@ class TestUnseenPolicy:
         assert info.value.feature == "f"
         assert info.value.code == 2
 
+    def test_error_names_the_first_unseen_feature_in_column_order(self):
+        """Two features have unseen levels; row 0's unseen ``f2`` comes
+        first by row, but ``f1`` comes first by column, so the error
+        names ``f1`` with the code of its first offending row (row 1)."""
+        X = CategoricalMatrix(
+            np.array([[0, 0], [1, 1], [0, 1], [1, 0]] * 3), (4, 4), ("f1", "f2")
+        )
+        tree = DecisionTreeClassifier(minsplit=2, cp=0.0).fit(
+            X, np.array([0, 1, 1, 0] * 3)
+        )
+        X_new = CategoricalMatrix(
+            np.array([[0, 3], [3, 0], [2, 2], [1, 1]]), (4, 4), ("f1", "f2")
+        )
+        with pytest.raises(UnseenCategoryError) as info:
+            tree.predict_proba(X_new)
+        assert (info.value.feature, info.value.code) == ("f1", 3)
+
     def test_majority_policy_routes_unseen(self):
         tree = self._fit_small("majority")
         X_new = CategoricalMatrix(np.array([[2]]), (3,), ("f",))
