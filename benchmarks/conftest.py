@@ -109,12 +109,9 @@ SIM_STRATEGIES = [join_all_strategy(), no_join_strategy(), no_fk_strategy()]
 
 def tree_factory():
     """Gini tree with the reduced Section 3.2 grid (simulation model)."""
-    from repro.ml import DecisionTreeClassifier, GridSearch
+    from repro.experiments import default_tree_tuner
 
-    return GridSearch(
-        DecisionTreeClassifier(unseen="majority", random_state=0),
-        grid={"minsplit": [10, 100], "cp": [1e-3, 0.01]},
-    )
+    return default_tree_tuner()
 
 
 def svm_factory():

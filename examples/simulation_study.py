@@ -12,19 +12,12 @@ Run:  python examples/simulation_study.py
 
 from repro.core import join_all_strategy, no_fk_strategy, no_join_strategy
 from repro.datasets import OneXrScenario
-from repro.experiments import FigureSeries, sweep
-from repro.ml import DecisionTreeClassifier, GridSearch, KNeighborsClassifier
+from repro.experiments import FigureSeries, default_tree_tuner, sweep
+from repro.ml import GridSearch, KNeighborsClassifier
 
 N_TRAIN = 400
 N_R_VALUES = [2, 10, 50, 200]
 STRATEGIES = [join_all_strategy(), no_join_strategy(), no_fk_strategy()]
-
-
-def tree_factory():
-    return GridSearch(
-        DecisionTreeClassifier(unseen="majority", random_state=0),
-        grid={"minsplit": [10, 100], "cp": [1e-3, 0.01]},
-    )
 
 
 def nn_factory():
@@ -49,7 +42,9 @@ def run_model(label: str, model_factory) -> FigureSeries:
 
 
 def main() -> None:
-    for label, factory in (("decision tree", tree_factory), ("1-NN", nn_factory)):
+    for label, factory in (
+        ("decision tree", default_tree_tuner), ("1-NN", nn_factory)
+    ):
         figure = run_model(label, factory)
         print(figure.render())
         gap = figure.max_gap("JoinAll", "NoJoin")

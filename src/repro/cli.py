@@ -60,6 +60,7 @@ from repro.experiments import (
     MODEL_REGISTRY,
     STREAMABLE_MODELS,
     FigureSeries,
+    default_tree_tuner,
     get_scale,
     run_experiment,
     sweep,
@@ -421,18 +422,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.ml import DecisionTreeClassifier, GridSearch
-
-    def tree_factory():
-        return GridSearch(
-            DecisionTreeClassifier(unseen="majority", random_state=0),
-            grid={"minsplit": [10, 100], "cp": [1e-3, 0.01]},
-        )
-
     results = sweep(
         lambda n_r: OneXrScenario(n_train=args.n_train, n_r=n_r, p=args.p),
         values=args.n_r,
-        model_factory=tree_factory,
+        model_factory=default_tree_tuner,
         strategies=[join_all_strategy(), no_join_strategy(), no_fk_strategy()],
         n_runs=args.runs,
         seed=args.seed,

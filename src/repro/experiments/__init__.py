@@ -35,6 +35,7 @@ from repro.experiments.runner import (
     FittedPipeline,
     ModelSpec,
     RunResult,
+    default_tree_tuner,
     fit_pipeline,
     make_streaming_model,
     run_experiment,
@@ -57,6 +58,7 @@ __all__ = [
     "SMOKE",
     "STREAMABLE_MODELS",
     "Scale",
+    "default_tree_tuner",
     "fit_pipeline",
     "fk_usage_across_datasets",
     "fk_usage_report",

@@ -29,17 +29,10 @@ from repro.core.strategies import (
 from repro.datasets.splits import SplitDataset
 from repro.datasets.synthetic import OneXrScenario
 from repro.experiments.reporting import FigureSeries
-from repro.ml import DecisionTreeClassifier, GridSearch
+from repro.experiments.runner import default_tree_tuner
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.metrics import zero_one_error
 from repro.rng import ensure_rng, spawn_rngs
-
-
-def _default_tree_factory() -> GridSearch:
-    return GridSearch(
-        DecisionTreeClassifier(unseen="majority", random_state=0),
-        grid={"minsplit": [10, 100], "cp": [1e-3, 0.01]},
-    )
 
 
 def _compress_splits(
@@ -86,7 +79,7 @@ def run_compression_experiment(
     """
     if not budgets:
         raise ValueError("need at least one budget")
-    model_factory = model_factory or _default_tree_factory
+    model_factory = model_factory or default_tree_tuner
     strategy = no_join_strategy()
     matrices = strategy.matrices(dataset)
     fk_features = [
@@ -142,7 +135,7 @@ def run_smoothing_experiment(
             raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    model_factory = model_factory or _default_tree_factory
+    model_factory = model_factory or default_tree_tuner
     strategies = [join_all_strategy(), no_join_strategy(), no_fk_strategy()]
     figures = {
         method: FigureSeries(

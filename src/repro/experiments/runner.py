@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.strategies import JoinStrategy, StrategyMatrices
 from repro.data import SourceSpec, source_accuracy
 from repro.datasets.splits import SplitDataset
-from repro.experiments.config import Scale, get_scale
+from repro.experiments.config import DEFAULT, Scale, get_scale
 from repro.ml import (
     CategoricalNB,
     DecisionTreeClassifier,
@@ -172,6 +172,12 @@ MODEL_REGISTRY: dict[str, ModelSpec] = {
         _lr_spec(),
     )
 }
+
+
+def default_tree_tuner() -> GridSearch:
+    """The simulations' tree: the ``dt_gini`` tuner at the ``DEFAULT``
+    scale, a gini tree (``unseen="majority"``) over minsplit x cp."""
+    return MODEL_REGISTRY["dt_gini"].make_tuner(DEFAULT)
 
 
 @dataclass

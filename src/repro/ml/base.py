@@ -53,10 +53,14 @@ class Estimator:
     """Base class for all classifiers.
 
     Subclasses declare hyper-parameters in ``_param_names`` and store
-    them as attributes of the same name in ``__init__``.
+    them as attributes of the same name in ``__init__``.  A subclass
+    whose fitted model yields, through ``prune(value)``, the model a fit
+    at any larger value of one hyper-parameter would give names that
+    hyper-parameter in ``_prunable_param``.
     """
 
     _param_names: tuple[str, ...] = ()
+    _prunable_param: str | None = None
 
     def get_params(self) -> dict[str, Any]:
         """Return the hyper-parameters as a name → value dict."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -36,13 +37,23 @@ class GridSearchResult:
 class GridSearch:
     """Exhaustive hyper-parameter search against a validation split.
 
+    Grid points that differ only in the estimator's prunable parameter
+    (``_prunable_param``: a tree's ``cp``) share one fit, made at that
+    parameter's smallest value in the grid; every other point of the
+    group is that model's ``prune(value)``, the model its own fit would
+    give.  A tree grid of minsplit x cp therefore grows one tree per
+    minsplit.  Each result's ``fit_seconds`` is the time that point's
+    model took to make: its fit, or for a pruned point its prune.  Other
+    estimators fit every point.
+
     Parameters
     ----------
     estimator:
         A template estimator; each grid point clones it with overrides.
     grid:
         ``{param: [values...]}``; the cross product is searched.  An empty
-        grid evaluates the template's own parameters once.
+        grid evaluates the template's own parameters once; an axis
+        without values is an error.
     """
 
     estimator: Estimator
@@ -50,12 +61,39 @@ class GridSearch:
 
     def candidates(self) -> list[dict[str, Any]]:
         """All grid points as parameter dicts, in deterministic order."""
-        if not self.grid:
-            return [{}]
+        for name, values in self.grid.items():
+            if len(values) == 0:
+                raise ValueError(
+                    f"grid axis {name!r} has no values, so the grid has no "
+                    f"points"
+                )
         names = list(self.grid)
         return [
             dict(zip(names, values))
             for values in itertools.product(*(self.grid[n] for n in names))
+        ]
+
+    def _fit_points(self) -> list[int]:
+        """Per grid point, the index of the point whose fit it comes from.
+
+        A point maps to the point of its group with the prunable
+        parameter's smallest value (the first, among equal ones), and
+        to itself when the grid does not vary that parameter.
+        """
+        names = list(self.grid)
+        positions = list(
+            itertools.product(*(range(len(self.grid[n])) for n in names))
+        )
+        axis = self.estimator._prunable_param
+        if axis not in self.grid:
+            return list(range(len(positions)))
+        at = names.index(axis)
+        values = self.grid[axis]
+        lowest = min(range(len(values)), key=values.__getitem__)
+        index = {position: i for i, position in enumerate(positions)}
+        return [
+            index[position[:at] + (lowest,) + position[at + 1:]]
+            for position in positions
         ]
 
     def fit(
@@ -67,18 +105,34 @@ class GridSearch:
     ) -> "GridSearch":
         """Search the grid; keeps the best model and the full trace.
 
-        Ties are broken toward the earlier grid point so results are
-        reproducible.
+        Points are scored in grid order, and ties are broken toward the
+        earlier grid point so results are reproducible.  A group's fit
+        happens when its first point is reached, even if the fitted
+        point comes later, and is kept only until its last point.
         """
+        candidates = self.candidates()
+        sources = self._fit_points()
+        uses = Counter(sources)
+        fits: dict[int, tuple[Estimator, float]] = {}
         self.results_: list[GridSearchResult] = []
         best_score = -np.inf
         best_model: Estimator | None = None
         best_params: dict[str, Any] = {}
-        for params in self.candidates():
-            model = self.estimator.clone(**params)
-            started = time.perf_counter()
-            model.fit(X_train, y_train)
-            elapsed = time.perf_counter() - started
+        for index, params in enumerate(candidates):
+            source = sources[index]
+            if source not in fits:
+                model = self.estimator.clone(**candidates[source])
+                started = time.perf_counter()
+                model.fit(X_train, y_train)
+                fits[source] = (model, time.perf_counter() - started)
+            model, elapsed = fits[source]
+            if index != source:
+                started = time.perf_counter()
+                model = model.prune(params[self.estimator._prunable_param])
+                elapsed = time.perf_counter() - started
+            uses[source] -= 1
+            if not uses[source]:
+                del fits[source]
             score = model.score(X_val, y_val)
             self.results_.append(
                 GridSearchResult(

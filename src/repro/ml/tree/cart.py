@@ -14,7 +14,10 @@ Hyper-parameters mirror R's ``rpart`` (the package the paper used):
 - ``minbucket`` — minimum child size (defaults to ``minsplit // 3``,
   rpart's default);
 - ``cp`` — complexity parameter: a split must reduce the tree's overall
-  impurity by at least ``cp`` relative to the root's impurity.
+  impurity by at least ``cp`` relative to the root's impurity.  The test
+  reads only the chosen split's own gain, so a grown tree prunes
+  exactly to any larger ``cp`` (:meth:`DecisionTreeClassifier.prune`):
+  grid search grows one tree per ``minsplit`` and derives the rest.
 
 Unseen-level behaviour at prediction time is explicit: ``unseen='error'``
 reproduces the R crash the paper reports for foreign-key features
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -167,6 +170,7 @@ class DecisionTreeClassifier(Estimator):
         "unseen",
         "random_state",
     )
+    _prunable_param = "cp"
 
     def __init__(
         self,
@@ -313,7 +317,7 @@ class DecisionTreeClassifier(Estimator):
             next_frontier: list[TreeNode] = []
             for node in frontier:
                 best = self._best_split(stats[id(node)], node.counts, offsets)
-                if best is None or not self._passes_cp(best):
+                if best is None or not self._passes_cp(best.weighted_gain):
                     continue  # stays a leaf
                 node.feature = best.feature
                 node.goes_left = best.goes_left
@@ -420,15 +424,50 @@ class DecisionTreeClassifier(Estimator):
             and (self.max_depth is None or depth < self.max_depth)
         )
 
-    def _passes_cp(self, best: _BestSplit) -> bool:
-        """rpart-style complexity pruning: the split's impurity decrease,
-        normalised by root impurity and total training size, must reach cp."""
+    def _passes_cp(self, gain: float) -> bool:
+        """rpart-style complexity pruning: a split's impurity decrease
+        (its ``weighted_gain``), normalised by root impurity and total
+        training size, must reach cp."""
         if self._root_impurity > 0:
-            relative_gain = best.weighted_gain / (
-                self._root_impurity * self._n_total
-            )
+            relative_gain = gain / (self._root_impurity * self._n_total)
             return relative_gain >= self.cp
         return self.cp <= 0
+
+    def prune(self, cp: float) -> "DecisionTreeClassifier":
+        """The tree a fit at the larger complexity ``cp`` grows, without
+        refitting.
+
+        Which split a node takes does not depend on ``cp``; only
+        :meth:`_passes_cp` does, on the split's stored ``gain``.  So a
+        fit at ``cp >= self.cp`` grows this tree cut, top down, at every
+        split that fails the test at ``cp``: that node keeps its counts
+        and becomes a leaf.  Returns ``self.clone(cp=cp)`` holding the
+        cut tree, recounted ``split_counts_`` and this tree's other
+        fitted state, set in the order a fit sets it and shared, not
+        copied (fitted arrays are never written), without the flat
+        form.  It equals the direct fit at ``cp`` node for node, and
+        their pickles are equal bytes.  ``self`` is unchanged.
+        """
+        check_fitted(self, "root_")
+        pruned = self.clone(cp=cp)
+        pruned._validate_hyperparameters()
+        if not cp >= self.cp:
+            raise ValueError(
+                f"a tree grown at cp={self.cp} prunes only to a cp at least "
+                f"as large, got {cp}"
+            )
+        for name, value in self.__getstate__().items():
+            if name not in self._param_names:
+                setattr(pruned, name, value)
+
+        def cut(node: TreeNode) -> TreeNode:
+            if node.is_leaf or not pruned._passes_cp(node.gain):
+                return TreeNode(node.counts, node.prediction, node.depth)
+            return replace(node, left=cut(node.left), right=cut(node.right))
+
+        pruned.root_ = cut(self.root_)
+        pruned.split_counts_ = pruned._count_splits()
+        return pruned
 
     def _best_split(
         self, histogram: np.ndarray, node_counts: np.ndarray, offsets: np.ndarray

@@ -117,16 +117,17 @@ class FactorizedScorer:
                 f"categorical naive Bayes; artifact model is "
                 f"{type(model).__name__}"
             )
-        self._fact_tables: list[tuple[str, int, np.ndarray]] = []
+        fact: list[int] = []
         dims: dict[str, list[int]] = {}
         for position, feature in enumerate(self.feature_names):
             owner = features._foreign_of.get(feature)
             if owner is None:
-                self._fact_tables.append(
-                    (feature, n_levels[position], tables[position])
-                )
+                fact.append(position)
             else:
                 dims.setdefault(owner[0], []).append(position)
+        self._fact_features = tuple(self.feature_names[p] for p in fact)
+        self._fact_levels = tuple(n_levels[p] for p in fact)
+        self._fact_tables = [tables[p] for p in fact]
         self._dim_contrib: dict[str, np.ndarray] = {}
         for name, positions in dims.items():
             block = features.dimension_block(name)
@@ -146,16 +147,24 @@ class FactorizedScorer:
 
         ``dim_rows`` maps each joined dimension to its resolved row per
         fact row (:meth:`~repro.data.encoder.ShardEncoder.dimension_rows`).
-        Per fact feature: one range check and one score-table gather.
-        Per joined dimension: one ``contrib[dim_rows]`` gather — the
-        per-dimension work was all done at load.
+        One range check over the stacked fact codes, which names the
+        first offending feature in column order; then per fact feature
+        one score-table gather, and per joined dimension one
+        ``contrib[dim_rows]`` gather — the per-dimension work was all
+        done at load.
         """
         n = len(next(iter(fact_codes.values())))
         scores = np.tile(self._prior, (n,) + (1,) * np.ndim(self._prior))
-        for feature, n_levels, table in self._fact_tables:
-            codes = np.asarray(fact_codes[feature], dtype=np.int64)
-            check_code_ranges(codes[:, np.newaxis], (n_levels,), (feature,))
-            scores += table[codes]
+        if self._fact_tables:
+            # Stacked feature-major, so each feature's min/max and gather
+            # read contiguous memory.
+            codes = np.stack([
+                np.asarray(fact_codes[feature], dtype=np.int64)
+                for feature in self._fact_features
+            ])
+            check_code_ranges(codes.T, self._fact_levels, self._fact_features)
+            for table, feature_codes in zip(self._fact_tables, codes):
+                scores += table[feature_codes]
         for name, contrib in self._dim_contrib.items():
             scores += contrib[dim_rows[name]]
         if self._kind == "linear":

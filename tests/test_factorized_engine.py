@@ -34,7 +34,7 @@ from repro.datasets import (
     ZipfFK,
     generate_real_world,
 )
-from repro.errors import SpillCorruptionError
+from repro.errors import SchemaError, SpillCorruptionError
 from repro.experiments import runner
 from repro.experiments.config import get_scale
 from repro.ml.encoding import CategoricalMatrix
@@ -605,6 +605,29 @@ class TestFactorizedServing:
             scorer.predict_codes(codes, encoder.dimension_rows(codes)),
             artifact.model.predict(X_gathered),
         )
+
+    def test_scorer_names_the_first_out_of_range_fact_feature(self, force_layout):
+        """One range check covers every fact feature of a batch and names
+        the first offending one in column order, wherever its bad row."""
+        dataset = star_dataset(n=100, n_r=5, d_s=2, d_r=3, seed=67)
+        artifact = _train_served_model(force_layout, dataset)
+        encoder = ShardEncoder(dataset.schema, join_all_strategy())
+        scorer = FactorizedScorer(artifact, encoder)
+        rows = dataset.schema.fact.select(dataset.test)
+        codes = {
+            column: rows.codes(column).copy()
+            for column in encoder.required_columns
+        }
+        first, second = scorer._fact_features[:2]
+        levels = dict(zip(encoder.feature_names, encoder.n_levels))
+        codes[second][0] = levels[second]
+        codes[first][-1] = -1
+        dim_rows = encoder.dimension_rows(codes)
+        with pytest.raises(SchemaError, match=f"feature '{first}'"):
+            scorer.predict_codes(codes, dim_rows)
+        codes[first][-1] = 0
+        with pytest.raises(SchemaError, match=f"feature '{second}'"):
+            scorer.predict_codes(codes, dim_rows)
 
 
 def _tampered(array: np.ndarray) -> np.ndarray:

@@ -1,9 +1,9 @@
-"""Five kernels against the implementations they replaced.
+"""Seven kernels against the implementations they replaced.
 
 Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells and the
 served tree spend their time in was rewritten for speed with its
 arithmetic unchanged, so each must reproduce its plain predecessor
-exactly (``np.array_equal`` and ``==``, no tolerance):
+exactly (``np.array_equal``, ``==`` and equal pickles, no tolerance):
 
 - :meth:`OneHotMatrix.match_counts` (float32 one-hot GEMM for narrow
   features plus one equality pass per wide one) against the broadcast
@@ -20,15 +20,28 @@ exactly (``np.array_equal`` and ``==``, no tolerance):
 - :meth:`DecisionTreeClassifier.predict_proba` (the whole batch one
   level per gather over the flat tree, one seen-mask lookup under
   ``unseen="error"``) against the node-by-node walk
-  :func:`node_by_node_proba`, with its per-feature unseen check.
+  :func:`node_by_node_proba`, with its per-feature unseen check;
+- :meth:`DecisionTreeClassifier.prune` against a direct fit at the
+  larger ``cp``;
+- :meth:`GridSearch.fit` over a tree grid (one fit per group of points
+  that differ only in ``cp``, the others pruned from it) against one
+  fit per grid point, :func:`per_point_grid_search`.
 """
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.strategies import join_all_strategy, no_join_strategy
+from repro.datasets import generate_real_world
+from repro.datasets.realworld import DATASET_ORDER
 from repro.errors import SchemaError, UnseenCategoryError
+from repro.experiments.config import DEFAULT, PAPER
+from repro.experiments.runner import MODEL_REGISTRY
+from repro.ml import GridSearch
 from repro.ml.encoding import CategoricalMatrix
 from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
 from repro.ml.linear import logistic
@@ -729,3 +742,184 @@ def test_pickled_tree_predicts_like_a_fresh_fit(predicted):
     restored = pickle.loads(payload)
     assert np.array_equal(restored.predict_proba(X), fresh.predict_proba(X))
     assert np.array_equal(restored.predict_proba(X), node_by_node_proba(fresh, X))
+
+
+# ----------------------------------------------------------------------
+# DecisionTreeClassifier.prune
+# ----------------------------------------------------------------------
+PRUNE_CPS = (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1)
+
+
+def _random_tree_data(seed):
+    """Random categorical training and test rows: 1-4 features of 1-12
+    levels, 2-3 classes, 1-150 training rows; the 40 test rows use
+    every level, so some are unseen in training."""
+    rng = np.random.default_rng(seed)
+    n_levels = tuple(int(k) for k in rng.integers(1, 13, size=rng.integers(1, 5)))
+    n = int(rng.integers(1, 151))
+    codes = rng.integers(0, n_levels, size=(n + 40, len(n_levels)))
+    noise = rng.integers(0, 2, size=n + 40)
+    y = (codes.sum(axis=1) + noise) % int(rng.integers(2, 4))
+    names = tuple(f"f{j}" for j in range(len(n_levels)))
+    return (
+        CategoricalMatrix(codes[:n], n_levels, names),
+        y[:n],
+        CategoricalMatrix(codes[n:], n_levels, names),
+    )
+
+
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+def test_pruned_tree_equals_a_direct_fit(criterion):
+    """10 random data sets x minsplit {1, 4, 12}: every tree grown at
+    one cp of :data:`PRUNE_CPS` prunes to the direct fit at every cp at
+    least as large, pickle for pickle, whether or not it predicted
+    before (and so holds a flat form, which the pruned tree must not
+    inherit)."""
+    for seed in range(10):
+        X, y, X_test = _random_tree_data(seed)
+        for minsplit in (1, 4, 12):
+            direct = {
+                cp: DecisionTreeClassifier(
+                    criterion=criterion, minsplit=minsplit, cp=cp,
+                    unseen="majority", random_state=0,
+                ).fit(X, y)
+                for cp in PRUNE_CPS
+            }
+            payloads = {cp: pickle.dumps(tree) for cp, tree in direct.items()}
+            for low, tree in direct.items():
+                for high in PRUNE_CPS[PRUNE_CPS.index(low):]:
+                    assert pickle.dumps(tree.prune(high)) == payloads[high]
+                tree.predict_proba(X_test)
+                for high in PRUNE_CPS[PRUNE_CPS.index(low):]:
+                    pruned = tree.prune(high)
+                    assert pickle.dumps(pruned) == payloads[high]
+                    assert np.array_equal(
+                        pruned.predict_proba(X_test),
+                        direct[high].predict_proba(X_test),
+                    )
+
+
+@pytest.mark.parametrize("state", ["seed", "generator"])
+def test_pruned_tree_draws_like_a_direct_fit(state):
+    """Under ``unseen="random"`` a pruned tree shares its source's
+    ``random_state`` as ``clone`` does, a ``Generator`` included, and
+    draws for unseen test levels exactly as the direct fit does."""
+    for seed in range(15):
+        X, y, X_test = _random_tree_data(seed)
+        random_state = seed if state == "seed" else np.random.default_rng(seed)
+        tree = DecisionTreeClassifier(
+            minsplit=2, cp=0.0, unseen="random", random_state=random_state
+        ).fit(X, y)
+        for cp in PRUNE_CPS:
+            pruned = tree.prune(cp)
+            direct = tree.clone(cp=cp).fit(X, y)
+            assert pruned.random_state is direct.random_state is random_state
+            assert pickle.dumps(pruned) == pickle.dumps(direct)
+            if state == "generator":
+                before = random_state.bit_generator.state
+            got = pruned.predict_proba(X_test)
+            if state == "generator":
+                after = random_state.bit_generator.state
+                random_state.bit_generator.state = before
+            assert np.array_equal(got, direct.predict_proba(X_test))
+            if state == "generator":
+                assert random_state.bit_generator.state == after
+
+
+# ----------------------------------------------------------------------
+# GridSearch.fit over a tree grid
+# ----------------------------------------------------------------------
+def per_point_grid_search(search, X_train, y_train, X_val, y_val):
+    """``search.fit`` as one fit per grid point, scored in grid order,
+    the first of equal scores winning: the ``(params, validation
+    accuracy)`` trace and the best point's score, model and params."""
+    results, best = [], (-np.inf, None, {})
+    for params in search.candidates():
+        model = search.estimator.clone(**params)
+        model.fit(X_train, y_train)
+        score = model.score(X_val, y_val)
+        results.append((params, score))
+        if score > best[0]:
+            best = (score, model, params)
+    return results, best
+
+
+def _assert_search_equals_the_oracle(make_search, X_train, y_train, X_val, y_val):
+    """A search and the per-point loop agree on the trace, the best
+    point and its score, and the best tree's pickle.  ``make_search``
+    builds each its own template, so a ``Generator`` seed is not shared
+    between the two."""
+    search = make_search().fit(X_train, y_train, X_val, y_val)
+    results, (score, model, params) = per_point_grid_search(
+        make_search(), X_train, y_train, X_val, y_val
+    )
+    assert [
+        (result.params, result.validation_accuracy) for result in search.results_
+    ] == results
+    assert search.best_params_ == params
+    assert search.best_validation_accuracy_ == float(score)
+    assert pickle.dumps(search.best_model_) == pickle.dumps(model)
+
+
+TREE_SCALES = {"default": DEFAULT, "paper": PAPER}
+
+
+@pytest.mark.parametrize("dataset", DATASET_ORDER)
+@pytest.mark.parametrize("criterion", ["gini", "entropy", "gain_ratio"])
+@pytest.mark.parametrize("scale", TREE_SCALES.values(), ids=TREE_SCALES.keys())
+def test_tree_grid_search_equals_one_fit_per_point(scale, criterion, dataset):
+    """The registry's tree tuner at the DEFAULT and PAPER scales, on an
+    emulator (n_fact 800, seed 0; JoinAll, or NoJoin for every other
+    data set)."""
+    strategy = (join_all_strategy, no_join_strategy)[
+        DATASET_ORDER.index(dataset) % 2
+    ]()
+    matrices = strategy.matrices(generate_real_world(dataset, n_fact=800, seed=0))
+    _assert_search_equals_the_oracle(
+        lambda: MODEL_REGISTRY[f"dt_{criterion}"].make_tuner(scale),
+        matrices.X_train, matrices.y_train,
+        matrices.X_validation, matrices.y_validation,
+    )
+
+
+#: cp values a drawn grid picks from, repeats allowed.
+_CP_VALUES = (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from(["gini", "entropy", "gain_ratio"]),
+    st.sampled_from(["default", "paper", "drawn"]),
+    st.lists(st.sampled_from(_CP_VALUES), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=3),
+    st.booleans(),
+    st.sampled_from(["majority", "random-seed", "random-generator"]),
+)
+def test_tree_grid_search_equals_one_fit_per_point_on_drawn_data(
+    seed, criterion, grid_name, cps, minsplits, cp_first, unseen
+):
+    """Drawn data under the DEFAULT and PAPER grids and drawn grids (cp
+    repeats, its smallest value anywhere, the cp axis first or second),
+    under ``unseen="majority"`` and ``"random"`` with a seed or a
+    ``Generator``: scoring the validation rows in grid order keeps the
+    draws the per-point loop makes."""
+    X, y, X_val = _random_tree_data(seed)
+    y_val = np.random.default_rng(seed + 1).integers(0, 2, size=X_val.n_rows)
+    if grid_name == "drawn":
+        axes = [("cp", cps), ("minsplit", minsplits)]
+        grid = dict(axes if cp_first else axes[::-1])
+    else:
+        grid = TREE_SCALES[grid_name].grid_for("dt_gini")
+
+    def make_search():
+        policy, _, state = unseen.partition("-")
+        random_state = np.random.default_rng(seed) if state == "generator" else 0
+        return GridSearch(
+            DecisionTreeClassifier(
+                criterion=criterion, unseen=policy, random_state=random_state
+            ),
+            grid,
+        )
+
+    _assert_search_equals_the_oracle(make_search, X, y, X_val, y_val)

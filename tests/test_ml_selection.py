@@ -114,6 +114,56 @@ class TestGridSearch:
         assert np.isfinite(search.best_validation_accuracy_)
 
 
+    def test_empty_axis_is_a_usage_error(self, monkeypatch):
+        """An axis with no values leaves the grid without points: that
+        is an error before any fit, not an all-NaN search."""
+        fits = []
+        monkeypatch.setattr(
+            DecisionTreeClassifier, "fit",
+            lambda self, X, y: fits.append(self.get_params()),
+        )
+        X_tr, y_tr, X_val, y_val = _dataset(n=40)
+        search = GridSearch(
+            DecisionTreeClassifier(), grid={"minsplit": [1], "cp": []}
+        )
+        with pytest.raises(ValueError, match="'cp' has no values"):
+            search.fit(X_tr, y_tr, X_val, y_val)
+        assert fits == []
+
+    def test_tree_grid_grows_one_tree_per_minsplit(self, monkeypatch):
+        """The paper's cp axis ends in its smallest value, 0: that point
+        is grown first and the others are pruned from it."""
+        grown = []
+        fit = DecisionTreeClassifier.fit
+
+        def counted(self, X, y):
+            grown.append((self.minsplit, self.cp))
+            return fit(self, X, y)
+
+        monkeypatch.setattr(DecisionTreeClassifier, "fit", counted)
+        X_tr, y_tr, X_val, y_val = _dataset()
+        grid = {"minsplit": [2, 50], "cp": [1e-3, 0.1, 0.0]}
+        search = GridSearch(DecisionTreeClassifier(unseen="majority"), grid)
+        search.fit(X_tr, y_tr, X_val, y_val)
+        assert grown == [(2, 0.0), (50, 0.0)]
+        assert [r.params for r in search.results_] == search.candidates()
+
+    def test_other_estimators_fit_every_point(self, monkeypatch):
+        fitted = []
+        fit = CategoricalNB.fit
+
+        def counted(self, X, y):
+            fitted.append(self.alpha)
+            return fit(self, X, y)
+
+        monkeypatch.setattr(CategoricalNB, "fit", counted)
+        X_tr, y_tr, X_val, y_val = _dataset(n=100)
+        GridSearch(CategoricalNB(), grid={"alpha": [2.0, 0.5, 1.0]}).fit(
+            X_tr, y_tr, X_val, y_val
+        )
+        assert fitted == [2.0, 0.5, 1.0]
+
+
 class TestBackwardSelection:
     def test_drops_noise_feature(self):
         X_tr, y_tr, X_val, y_val = _dataset(n=600, seed=3)

@@ -1,5 +1,7 @@
 """Tests for the CART decision tree (criteria, fitting, prediction, export)."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,44 @@ class TestFitting:
         X, y = _single_feature_data()
         tree = DecisionTreeClassifier(minsplit=2, cp=0.0).fit(X, y)
         assert tree.split_counts_["f"] >= 1
+
+
+class TestPrune:
+    def _noisy_tree(self, cp=1e-3):
+        X, y = _single_feature_data(n=500, k=12, seed=3)
+        noisy = y.copy()
+        noisy[::7] = 1 - noisy[::7]
+        return DecisionTreeClassifier(minsplit=2, cp=cp).fit(X, noisy)
+
+    def test_prune_leaves_its_source_unchanged(self):
+        tree = self._noisy_tree()
+        tree.predict(CategoricalMatrix(np.arange(12)[:, None], (12,), ("f",)))
+        before = pickle.dumps(tree)
+        flat = tree._flat
+        shallow = tree.prune(0.05)
+        assert shallow.n_leaves_ < tree.n_leaves_
+        assert shallow.cp == 0.05 and tree.cp == 1e-3
+        assert pickle.dumps(tree) == before
+        assert tree._flat is flat
+        assert not hasattr(shallow, "_flat")
+
+    def test_prune_to_a_smaller_cp_raises(self):
+        tree = self._noisy_tree(cp=0.01)
+        with pytest.raises(ValueError, match="at least"):
+            tree.prune(1e-3)
+        with pytest.raises(ValueError, match="cp must be >= 0"):
+            tree.prune(float("nan"))
+        assert tree.prune(0.01).n_leaves_ == tree.n_leaves_
+
+    def test_prune_before_fit_raises(self):
+        with pytest.raises(NotFittedError):
+            DecisionTreeClassifier().prune(0.1)
+
+    def test_split_counts_are_recounted(self):
+        tree = self._noisy_tree(cp=0.0)
+        stump = tree.prune(1.0)
+        assert tree.split_counts_["f"] > 0
+        assert stump.root_.is_leaf and stump.split_counts_ == {"f": 0}
 
 
 class TestUnseenPolicy:

@@ -26,9 +26,14 @@ from repro.core import (
 )
 from repro.datasets import OneXrScenario, generate_real_world
 from repro.datasets.realworld import DATASET_ORDER
-from repro.experiments import AccuracyTable, get_scale, run_experiment, sweep
+from repro.experiments import (
+    AccuracyTable,
+    default_tree_tuner,
+    get_scale,
+    run_experiment,
+    sweep,
+)
 from repro.ml import (
-    DecisionTreeClassifier,
     GridSearch,
     KernelSVC,
     KNeighborsClassifier,
@@ -39,14 +44,6 @@ N_TRAIN = 500
 TUPLE_RATIOS = (50, 20, 6, 3, 1.5)
 #: A NoJoin - JoinAll test-error gap within this counts as "safe".
 GAP_TOLERANCE = 0.02
-
-
-def _tree():
-    """The benchmarks' simulation tree: gini over a reduced rpart grid."""
-    return GridSearch(
-        DecisionTreeClassifier(unseen="majority", random_state=0),
-        grid={"minsplit": [10, 100], "cp": [1e-3, 0.01]},
-    )
 
 
 def _linear():
@@ -87,7 +84,7 @@ def _gaps(model_factory) -> dict[float, float]:
 
 @pytest.fixture(scope="module")
 def tree_gaps():
-    return _gaps(_tree)
+    return _gaps(default_tree_tuner)
 
 
 @pytest.fixture(scope="module")

@@ -120,7 +120,7 @@ def depth_first_tree(X, y, **params):
             for j, k in enumerate(X.n_levels)
         ]
         best = reference_best_split(tree, histograms, counts)
-        if best is None or not tree._passes_cp(best):
+        if best is None or not tree._passes_cp(best.weighted_gain):
             return node
         mask = best.goes_left[X.codes[rows, best.feature]]
         node.feature = best.feature
