@@ -49,12 +49,11 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "8.1.0"
+__version__ = "9.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).
 _SERVING_EXPORTS = (
-    "FeatureService",
     "MicroBatcher",
     "ModelArtifact",
     "PredictionServer",

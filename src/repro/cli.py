@@ -246,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rows", type=_count, default=10, help="test rows to predict"
     )
     p_pred.add_argument(
-        "--batch-size", type=_count, default=64, help="micro-batch size"
-    )
-    p_pred.add_argument(
         "--telemetry",
         default=None,
         metavar="OUT.json",
@@ -488,30 +485,28 @@ def _cmd_save_model(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     from repro.serving import PredictionServer, load_artifact
 
-    def run() -> tuple[int, PredictionServer | None]:
+    def run() -> tuple[int, PredictionServer]:
         artifact = load_artifact(args.artifact)
         dataset = generate_real_world(
             artifact.dataset_name,
             n_fact=artifact.metadata.get("n_fact"),
             seed=artifact.metadata.get("seed", 0),
         )
-        server = PredictionServer(
-            artifact, dataset.schema, max_batch_size=args.batch_size
-        )
-        rows = dataset.test[: args.rows]
-        fact_rows = dataset.schema.fact.select(rows)
-        predictions = server.predict_table(fact_rows)
-        target = dataset.schema.fact.column(dataset.schema.target)
-        observed = target.domain.decode(target.codes[rows])
-        hits = sum(p == o for p, o in zip(predictions, observed))
-        emit(f"{artifact.summary()}")
-        for i, (p, o) in enumerate(zip(predictions, observed)):
-            emit(f"  row {rows[i]}: predicted={p!r} observed={o!r}")
-        emit(
-            f"accuracy {hits}/{len(predictions)} = "
-            f"{hits / len(predictions):.3f}"
-        )
-        emit(server.stats())
+        with PredictionServer(artifact, dataset.schema) as server:
+            rows = dataset.test[: args.rows]
+            fact_rows = dataset.schema.fact.select(rows)
+            predictions = server.predict_table(fact_rows)
+            target = dataset.schema.fact.column(dataset.schema.target)
+            observed = target.domain.decode(target.codes[rows])
+            hits = sum(p == o for p, o in zip(predictions, observed))
+            emit(f"{artifact.summary()}")
+            for i, (p, o) in enumerate(zip(predictions, observed)):
+                emit(f"  row {rows[i]}: predicted={p!r} observed={o!r}")
+            emit(
+                f"accuracy {hits}/{len(predictions)} = "
+                f"{hits / len(predictions):.3f}"
+            )
+            emit(server.stats())
         return 0, server
 
     if args.telemetry is None:
@@ -520,9 +515,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         code, server = run()
     # The server's registry carries the serving latency breakdown; the
     # report's metrics section scopes to it.
-    _write_telemetry(
-        args.telemetry, metrics=server.metrics if server else None
-    )
+    _write_telemetry(args.telemetry, metrics=server.metrics)
     return code
 
 

@@ -14,8 +14,8 @@ dense in-memory matrices in the experiment runner, per-shard joins in
   a fit) and the shared :func:`source_accuracy` scoring loop.
 - :mod:`repro.data.encoder` — :class:`ShardEncoder`, the single
   fact-rows → feature-matrix encode path, shared verbatim by serving
-  micro-batches (:class:`repro.serving.FeatureService` subclasses it)
-  and streaming shards (:class:`repro.streaming.StreamingMatrices`
+  micro-batches (each :class:`repro.serving.PredictionServer` builds
+  one) and streaming shards (:class:`repro.streaming.StreamingMatrices`
   encodes through it), with the thread-safe
   :class:`DimensionIndexCache` behind both.
 - :mod:`repro.data.spill` — :class:`SpillCacheSource`, a decorator

@@ -7,9 +7,9 @@ codes to dimension rows, lay out the foreign features, and stack them
 with the fact features in strategy order.  :class:`ShardEncoder` is
 that path, stated once and shared:
 
-- :class:`repro.serving.FeatureService` *is* a ``ShardEncoder`` (it
-  subclasses it, adding nothing but serving docs), so the request path
-  and the training path cannot drift apart.
+- :class:`repro.serving.PredictionServer` encodes requests and
+  assembles each micro-batch through one ``ShardEncoder``, so the
+  request path and the training path cannot drift apart.
 - :class:`repro.streaming.StreamingMatrices` encodes every shard
   through one, so out-of-core training reuses the same cached
   dimension indexes a server would — each shard costs O(1) numpy

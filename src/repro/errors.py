@@ -102,24 +102,5 @@ class CheckpointError(ReproError):
     """
 
 
-class ServerOverloadedError(ReproError):
-    """The serving admission queue is full; the request was shed.
-
-    Load shedding is the backpressure primitive of the serving plane:
-    rejecting at admission keeps queue wait bounded for accepted
-    requests (an HTTP frontend maps this to a 429).  The request was
-    never enqueued — retrying after a backoff is safe.
-    """
-
-
-class DeadlineExceededError(ReproError):
-    """A queued request's deadline expired before its batch ran.
-
-    The row was dropped at flush time without being predicted; the
-    caller's ``result()`` raises this instead of returning a stale
-    answer that arrived too late to be useful.
-    """
-
-
 class ConvergenceWarning(UserWarning):
     """An iterative solver stopped at its iteration limit."""

@@ -26,8 +26,8 @@ def dimension_row_index(schema: StarSchema, name: str) -> np.ndarray:
 
     Entries for codes that never occur in the dimension are ``-1``;
     :func:`resolve_dimension_rows` turns a lookup that lands on one into
-    a loud :class:`ReferentialIntegrityError`.  The serving layer
-    (:mod:`repro.serving.feature_service`) caches these index arrays so
+    a loud :class:`ReferentialIntegrityError`.  The shared encoder
+    (:mod:`repro.data.encoder`) caches these index arrays so
     per-request KFK lookups are O(1) gathers instead of re-joins.
     """
     table = schema.dimension(name)

@@ -4,16 +4,18 @@ The offline layers decide *whether* a KFK join is safe to avoid; this
 subpackage operationalises the answer.  A trained pipeline is exported
 as a versioned :class:`ModelArtifact` (fitted model + strategy + feature
 order + schema fingerprint + advisor verdicts), loaded into a
-:class:`PredictionServer`, and served straight off fact rows: the
-:class:`FeatureService` replays the strategy with cached dimension
-indexes (avoided dimensions are never touched), and the
+:class:`PredictionServer`, and served straight off fact rows: a
+:class:`~repro.data.encoder.ShardEncoder` (the encode path training
+shards take too) replays the strategy with cached dimension indexes
+(avoided dimensions are never touched), and the
 :class:`MicroBatcher` coalesces single-row requests into vectorized
 batches.
 
 The runtime is thread-safe: concurrent request threads share one
 server, a background deadline flusher bounds queueing latency, and the
 dimension-index cache builds each cold entry exactly once under racing
-access.  Linear and Naive Bayes artifacts are scored through a
+access.  A failing batch fails each of its requests, and the server
+keeps serving.  Linear and Naive Bayes artifacts are scored through a
 :class:`~repro.serving.factorized.FactorizedScorer` built at load
 time, which folds each joined dimension's features into one
 per-dimension-row table.
@@ -28,6 +30,7 @@ Typical flow::
     server.predict_one({"Gender": "F", "Age": "old", "Employer": "acme"})
 """
 
+from repro.data.encoder import CacheStats, DimensionIndexCache
 from repro.serving.artifacts import (
     ARTIFACT_FORMAT_VERSION,
     ModelArtifact,
@@ -44,11 +47,6 @@ from repro.serving.benchmark import (
     concurrent_serving_throughput,
     serving_throughput,
 )
-from repro.serving.feature_service import (
-    CacheStats,
-    DimensionIndexCache,
-    FeatureService,
-)
 from repro.serving.server import PredictionServer, ServerStats
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "CacheStats",
     "ConcurrencyReport",
     "DimensionIndexCache",
-    "FeatureService",
     "MicroBatcher",
     "ModelArtifact",
     "PendingPrediction",

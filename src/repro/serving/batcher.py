@@ -38,7 +38,6 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import DeadlineExceededError, ServerOverloadedError
 from repro.obs import MetricsRegistry
 
 
@@ -142,9 +141,6 @@ class BatcherStats:
     failed_flushes: int = 0
     rows_failed: int = 0
     failure_reasons: dict[str, int] = field(default_factory=dict)
-    shed_requests: int = 0
-    deadline_expired: int = 0
-    rows_quarantined: int = 0
 
     @property
     def mean_batch(self) -> float:
@@ -163,9 +159,6 @@ class BatcherStats:
             "failed_flushes": self.failed_flushes,
             "rows_failed": self.rows_failed,
             "failure_reasons": dict(self.failure_reasons),
-            "shed_requests": self.shed_requests,
-            "deadline_expired": self.deadline_expired,
-            "rows_quarantined": self.rows_quarantined,
         }
 
 
@@ -202,23 +195,11 @@ class MicroBatcher:
         histograms.  A :class:`~repro.serving.server.PredictionServer`
         passes its own, so per-stage serving latency lands in one
         snapshot.  ``None`` keeps a private registry.
-    max_queue_rows:
-        Admission bound: a ``submit`` arriving with this many rows
-        already queued is *shed* — counted as ``serving.shed_requests``
-        and rejected with
-        :class:`~repro.errors.ServerOverloadedError` without being
-        enqueued, so accepted rows keep a bounded queue wait (the
-        backpressure an HTTP frontend would surface as 429).  ``None``
-        (the default) admits everything.
-    quarantine:
-        When true, a failing batch is bisected into micro-batches so a
-        predict exception poisons only the offending rows: good rows
-        still resolve, each poisoned row's handle fails with the
-        model's own error (tallied as
-        ``serving.batcher.rows_quarantined``), and the batcher — and
-        the server above it — survives.  When false (the default), a
-        batch failure fails every co-batched handle, the pre-existing
-        all-or-nothing semantics.
+
+    A failing batch fails every co-batched handle: each re-raises its
+    own chained copy of the error from ``result()``, the failure is
+    tallied (``failed_flushes``, ``rows_failed``, ``failure_reasons``),
+    and the batcher keeps serving.
     """
 
     #: Per-reason flush/failure tallies live under these metric prefixes.
@@ -233,24 +214,15 @@ class MicroBatcher:
         clock: Callable[[], float] = time.monotonic,
         background_flush: bool = True,
         registry: MetricsRegistry | None = None,
-        max_queue_rows: int | None = None,
-        quarantine: bool = False,
     ):
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_s is not None and max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        if max_queue_rows is not None and max_queue_rows < 1:
-            raise ValueError(
-                f"max_queue_rows must be >= 1, got {max_queue_rows}"
-            )
         self.batch_fn = batch_fn
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
-        self.max_queue_rows = max_queue_rows
-        self.quarantine = quarantine
         self.clock = clock
-        self.background_flush = background_flush
         self.metrics = registry if registry is not None else MetricsRegistry()
         self._submitted = self.metrics.counter("serving.batcher.submitted")
         self._flushes = self.metrics.counter("serving.batcher.flushes")
@@ -259,13 +231,6 @@ class MicroBatcher:
             "serving.batcher.failed_flushes"
         )
         self._rows_failed = self.metrics.counter("serving.batcher.rows_failed")
-        self._shed = self.metrics.counter("serving.shed_requests")
-        self._deadline_expired = self.metrics.counter(
-            "serving.batcher.deadline_expired"
-        )
-        self._quarantined = self.metrics.counter(
-            "serving.batcher.rows_quarantined"
-        )
         self._batch_rows = self.metrics.gauge("serving.batcher.batch_rows")
         self._queue_depth = self.metrics.gauge("serving.batcher.queue_depth")
         self._queue_wait = self.metrics.histogram("serving.latency.queue_wait_s")
@@ -279,11 +244,8 @@ class MicroBatcher:
         # waiters never contend with submitters.
         self._delivered = threading.Condition()
         # Each entry carries its submission time (per self.clock), so a
-        # flush can account the row's full queue wait, and an optional
-        # absolute deadline (same clock) after which the row expires.
-        self._queue: list[
-            tuple[Any, PendingPrediction, float, float | None]
-        ] = []
+        # flush can account the row's full queue wait.
+        self._queue: list[tuple[Any, PendingPrediction, float]] = []
         # Human-readable description of the most recent batch failure,
         # folded into result() timeout messages so an operator can tell
         # a wedged flusher from a failing model.  A bare string
@@ -319,9 +281,6 @@ class MicroBatcher:
             failed_flushes=self._failed_flushes.value,
             rows_failed=self._rows_failed.value,
             failure_reasons=self._reasons(self._FAILURE_REASON_PREFIX),
-            shed_requests=self._shed.value,
-            deadline_expired=self._deadline_expired.value,
-            rows_quarantined=self._quarantined.value,
         )
 
     def _reasons(self, prefix: str) -> dict[str, int]:
@@ -347,54 +306,22 @@ class MicroBatcher:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def submit(
-        self, payload: Any, deadline_s: float | None = None
-    ) -> PendingPrediction:
+    def submit(self, payload: Any) -> PendingPrediction:
         """Queue one row; may flush inline if a trigger fires.
 
         Thread-safe; the batch function runs outside the lock, so other
         submitters are never blocked behind a running batch.
-
-        Parameters
-        ----------
-        payload:
-            The row to predict.
-        deadline_s:
-            Per-request deadline, relative to now.  A row whose
-            deadline passes before its batch runs is dropped at flush
-            time: its handle fails with
-            :class:`~repro.errors.DeadlineExceededError` instead of
-            returning an answer that arrived too late to use.
-
-        Raises
-        ------
-        ServerOverloadedError
-            If the admission queue already holds ``max_queue_rows``
-            rows.  The payload was *not* enqueued; retrying after a
-            backoff is safe.
         """
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be > 0, got {deadline_s}")
         pending = PendingPrediction(self)
         batch = None
         now = self.clock()
-        expires = None if deadline_s is None else now + deadline_s
         with self._lock:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed MicroBatcher")
-            if (
-                self.max_queue_rows is not None
-                and len(self._queue) >= self.max_queue_rows
-            ):
-                self._shed.inc()
-                raise ServerOverloadedError(
-                    f"admission queue full ({len(self._queue)} rows >= "
-                    f"max_queue_rows {self.max_queue_rows}); request shed"
-                )
             self._new_submits += 1
             if self._oldest is None:
                 self._oldest = now
-            self._queue.append((payload, pending, now, expires))
+            self._queue.append((payload, pending, now))
             if len(self._queue) >= self.max_batch_size:
                 batch = self._take_locked()
             elif self._flusher is not None and len(self._queue) == 1:
@@ -424,14 +351,12 @@ class MicroBatcher:
         self._run_batch(batch, reason=reason, reraise=True)
         return len(batch)
 
-    def close(self, flush: bool = True) -> None:
-        """Stop the deadline flusher and (by default) drain the queue.
+    def close(self) -> None:
+        """Stop the deadline flusher and drain the queue.
 
-        Idempotent.  Further ``submit`` calls raise.  With ``flush``
-        (the default) queued rows run through the batch function one
-        last time; with ``flush=False`` they are *failed* instead —
-        either way no handle is left permanently pending, so a blocked
-        ``result()`` always wakes.
+        Idempotent.  Further ``submit`` calls raise.  Queued rows run
+        through the batch function one last time, so no handle is left
+        permanently pending and a blocked ``result()`` always wakes.
         """
         with self._lock:
             if self._closed:
@@ -440,30 +365,12 @@ class MicroBatcher:
             self._wakeup.notify_all()
         if self._flusher is not None:
             self._flusher.join(timeout=5.0)
-        if flush:
-            self.flush(reason="close")
-            return
-        with self._lock:
-            batch = self._take_locked()
-        if batch is not None:
-            error = RuntimeError(
-                f"MicroBatcher closed with {len(batch)} unflushed rows "
-                f"(close(flush=False))"
-            )
-            self._failed_flushes.inc()
-            self._rows_failed.inc(len(batch))
-            self._count_reason(self._FAILURE_REASON_PREFIX, "RuntimeError")
-            for _, pending, *_ in batch:
-                pending._fail(_chained_copy(error))
-            with self._delivered:
-                self._delivered.notify_all()
+        self.flush(reason="close")
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _take_locked(
-        self,
-    ) -> list[tuple[Any, PendingPrediction, float, float | None]] | None:
+    def _take_locked(self) -> list[tuple[Any, PendingPrediction, float]] | None:
         """Detach the current queue (caller holds the lock)."""
         if self._new_submits:
             self._submitted.inc(self._new_submits)
@@ -533,7 +440,8 @@ class MicroBatcher:
         return True
 
     def _flush_loop(self) -> None:
-        """Deadline enforcement: sleep until the oldest row expires."""
+        """Deadline enforcement: sleep until the oldest row has waited
+        ``max_wait_s``, then flush."""
         while True:
             with self._lock:
                 while not self._queue and not self._closed:
@@ -554,83 +462,9 @@ class MicroBatcher:
                 # them); the daemon thread itself must survive them.
                 self._run_batch(batch, reason="deadline", reraise=False)
 
-    def _expire_rows(
-        self,
-        batch: list[tuple[Any, PendingPrediction, float, float | None]],
-        flushed_at: float,
-    ) -> list[tuple[Any, PendingPrediction, float, float | None]]:
-        """Drop rows whose deadline passed; returns the live remainder.
-
-        An expired row is failed with
-        :class:`~repro.errors.DeadlineExceededError` *before* the batch
-        function runs, so its prediction is never computed — the whole
-        point of a deadline is not spending capacity on an answer the
-        caller has already given up on.
-        """
-        live = []
-        expired = []
-        for entry in batch:
-            _, _, _, expires = entry
-            if expires is not None and flushed_at >= expires:
-                expired.append(entry)
-            else:
-                live.append(entry)
-        if expired:
-            self._deadline_expired.inc(len(expired))
-            self._rows_failed.inc(len(expired))
-            self._count_reason(
-                self._FAILURE_REASON_PREFIX, "DeadlineExceededError"
-            )
-            for _, pending, submitted_at, expires in expired:
-                pending._fail(
-                    DeadlineExceededError(
-                        f"deadline expired {flushed_at - expires:.4f} s "
-                        f"before the batch ran (queued for "
-                        f"{flushed_at - submitted_at:.4f} s)"
-                    )
-                )
-            with self._delivered:
-                self._delivered.notify_all()
-        return live
-
-    def _bisect(
-        self, payloads: list[Any]
-    ) -> tuple[list[Any], dict[int, BaseException]]:
-        """Run ``batch_fn`` isolating failures to the offending rows.
-
-        Recursive micro-batch bisection: a failing range is split in
-        half and each half retried, down to single rows — so ``k``
-        poisoned rows in a batch of ``n`` cost ``O(k log n)`` extra
-        batch calls, not ``n`` singleton calls.  Returns the results
-        (aligned with ``payloads``, ``None`` where failed) and the
-        per-index errors.
-        """
-        try:
-            results = self.batch_fn(payloads)
-            if len(results) != len(payloads):
-                raise ValueError(
-                    f"batch_fn returned {len(results)} results for "
-                    f"{len(payloads)} payloads"
-                )
-            return list(results), {}
-        # Quarantine-by-bisection: the error is returned as data so
-        # the poisoned row's future receives it while its batchmates
-        # still get answers.  # repro: lint-ignore[exception-hygiene]
-        except BaseException as error:
-            if len(payloads) == 1:
-                return [None], {0: error}
-            mid = len(payloads) // 2
-            left, left_errors = self._bisect(payloads[:mid])
-            right, right_errors = self._bisect(payloads[mid:])
-            errors = dict(left_errors)
-            errors.update(
-                (index + mid, err) for index, err in right_errors.items()
-            )
-            return left + right, errors
-
     def _run_batch(
         self,
-        batch: list[tuple[Any, PendingPrediction, float, float | None]],
+        batch: list[tuple[Any, PendingPrediction, float]],
         reason: str,
         reraise: bool,
     ) -> None:
@@ -641,20 +475,12 @@ class MicroBatcher:
         # parks the result in one append, so per-row accounting costs
         # the batch almost nothing.
         submitted_times = np.fromiter(
-            (submitted_at for _, _, submitted_at, _ in batch),
+            (submitted_at for _, _, submitted_at in batch),
             np.float64,
             len(batch),
         )
         self._queue_wait.observe_many(flushed_at - submitted_times)
-        batch = self._expire_rows(batch, flushed_at)
-        if not batch:
-            return
-        submitted_times = np.fromiter(
-            (submitted_at for _, _, submitted_at, _ in batch),
-            np.float64,
-            len(batch),
-        )
-        payloads = [payload for payload, _, _, _ in batch]
+        payloads = [payload for payload, _, _ in batch]
         try:
             results = self.batch_fn(payloads)
             if len(results) != len(payloads):
@@ -665,9 +491,6 @@ class MicroBatcher:
         except BaseException as error:
             self._failed_flushes.inc()
             self._last_failure = f"{type(error).__name__}: {error}"
-            if self.quarantine:
-                self._quarantine_batch(batch, payloads, reason)
-                return
             self._rows_failed.inc(len(payloads))
             self._count_reason(
                 self._FAILURE_REASON_PREFIX, type(error).__name__
@@ -676,14 +499,14 @@ class MicroBatcher:
             # one); every co-batched handle records its own chained
             # copy so concurrent result() re-raises never share (and
             # race on) one traceback.
-            for _, pending, *_ in batch:
+            for _, pending, _ in batch:
                 pending._fail(_chained_copy(error))
             with self._delivered:
                 self._delivered.notify_all()
             if reraise:
                 raise
             return
-        for (_, pending, _, _), result in zip(batch, results):
+        for (_, pending, _), result in zip(batch, results):
             pending._resolve(result)
         with self._delivered:
             self._delivered.notify_all()
@@ -696,37 +519,3 @@ class MicroBatcher:
         self._rows_flushed.inc(len(payloads))
         self._batch_rows.set(len(payloads))
         self._count_reason(self._FLUSH_REASON_PREFIX, reason)
-
-    def _quarantine_batch(
-        self,
-        batch: list[tuple[Any, PendingPrediction, float, float | None]],
-        payloads: list[Any],
-        reason: str,
-    ) -> None:
-        """Recover a failed batch by bisecting around the poisoned rows.
-
-        Good rows resolve normally (counted as a flush); each poisoned
-        row's handle fails with the model's own error and is tallied as
-        quarantined.  Never re-raises — surviving is the point.
-        """
-        results, errors = self._bisect(payloads)
-        self._quarantined.inc(len(errors))
-        self._rows_failed.inc(len(errors))
-        reasons = {type(err).__name__ for err in errors.values()}
-        for name in sorted(reasons):
-            self._count_reason(self._FAILURE_REASON_PREFIX, name)
-        delivered = 0
-        for index, (entry, result) in enumerate(zip(batch, results)):
-            _, pending, _, _ = entry
-            if index in errors:
-                pending._fail(errors[index])
-            else:
-                pending._resolve(result)
-                delivered += 1
-        with self._delivered:
-            self._delivered.notify_all()
-        if delivered:
-            self._flushes.inc()
-            self._rows_flushed.inc(delivered)
-            self._batch_rows.set(delivered)
-            self._count_reason(self._FLUSH_REASON_PREFIX, reason)

@@ -77,9 +77,9 @@ class FactorizedScorer:
         :class:`~repro.ml.linear.logistic.L1LogisticRegression` or a
         :class:`~repro.ml.naive_bayes.CategoricalNB`.
     features:
-        The server's :class:`~repro.serving.feature_service.FeatureService`
-        (any :class:`~repro.data.encoder.ShardEncoder`): supplies the
-        feature layout and each joined dimension's memoised code block.
+        The server's :class:`~repro.data.encoder.ShardEncoder`: supplies
+        the feature layout and each joined dimension's memoised code
+        block.
 
     Construction walks every joined dimension's block once; afterwards
     :meth:`predict_codes` reads only the request's fact codes and each

@@ -3,8 +3,9 @@
 :class:`PredictionServer` ties the serving subsystem together: it loads
 a :class:`~repro.serving.artifacts.ModelArtifact` against a live star
 schema (verifying the schema fingerprint), builds a
-:class:`~repro.serving.feature_service.FeatureService` for the
-artifact's strategy, and exposes three serving styles:
+:class:`~repro.data.encoder.ShardEncoder` for the artifact's strategy
+(the encode path training shards take too), and exposes three serving
+styles:
 
 - ``predict_one(row)`` — the low-latency single-row path,
 - ``predict_batch(rows)`` — a caller-assembled batch,
@@ -41,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.data.encoder import ShardEncoder
 from repro.errors import SchemaError
 from repro.obs import MetricsRegistry
 from repro.relational.schema import StarSchema
@@ -51,7 +53,6 @@ from repro.serving.factorized import (
     FactorizedScorer,
     supports_factorized_serving,
 )
-from repro.serving.feature_service import FeatureService
 
 #: The per-stage serving latency histograms a server maintains, as
 #: (stage key, metric name) pairs; :meth:`ServerStats.as_dict` and the
@@ -88,9 +89,6 @@ class ServerStats:
     rows_failed: int = 0
     queue_wait_seconds: float = 0.0
     latency_ms: dict = field(default_factory=dict)
-    shed_requests: int = 0
-    deadline_expired: int = 0
-    rows_quarantined: int = 0
 
     @property
     def mean_latency_ms(self) -> float:
@@ -120,9 +118,6 @@ class ServerStats:
             "cache_hit_rate": self.cache_hit_rate,
             "failed_flushes": self.failed_flushes,
             "rows_failed": self.rows_failed,
-            "shed_requests": self.shed_requests,
-            "deadline_expired": self.deadline_expired,
-            "rows_quarantined": self.rows_quarantined,
             "latency_ms": {
                 stage: dict(values)
                 for stage, values in self.latency_ms.items()
@@ -149,10 +144,9 @@ class PredictionServer:
         A loaded :class:`ModelArtifact`.
     schema:
         The live star schema to serve against.  Its fingerprint must
-        match the artifact's training schema unless
-        ``validate_fingerprint=False``.  Fingerprints cover structure
-        and closed domains only — dimension *rows* may change freely —
-        so disabling the check is rarely the right fix.
+        match the artifact's training schema.  Fingerprints cover
+        structure and closed domains only — dimension *rows* may change
+        freely.
     max_batch_size, max_wait_s:
         Micro-batcher configuration for the ``submit`` path.
     background_flush:
@@ -161,25 +155,13 @@ class PredictionServer:
     telemetry:
         When true (the default) the server keeps one metrics registry —
         request counters, cache accounting, and the per-stage latency
-        histograms — shared by its feature service and micro-batcher.
+        histograms — shared by its encoder and micro-batcher.
         ``telemetry=False`` swaps in a disabled registry: instrumented
         code runs with no-op metrics, and :meth:`stats` reports zeros.
         This is the off-switch the overhead benchmark measures against.
-    max_queue_rows:
-        Admission bound on the ``submit`` path: with this many rows
-        already queued, further submissions are shed with
-        :class:`~repro.errors.ServerOverloadedError` (counted as
-        ``serving.shed_requests``) instead of growing the queue without
-        bound.  ``None`` (the default) admits everything.
-    quarantine:
-        Enable poisoned-row quarantine on the micro-batcher: a predict
-        exception fails only the offending rows (isolated by
-        micro-batch bisection), not every co-batched request, and the
-        server survives.
-    default_deadline_s:
-        Default per-request deadline applied by :meth:`submit` when the
-        caller passes none; ``None`` (the default) leaves requests
-        without a deadline.
+
+    A failing batch fails every request in it (each handle re-raises
+    its own copy of the error), and the server keeps serving.
     """
 
     def __init__(
@@ -188,19 +170,14 @@ class PredictionServer:
         schema: StarSchema,
         max_batch_size: int = 64,
         max_wait_s: float | None = 0.005,
-        validate_fingerprint: bool = True,
         background_flush: bool = True,
         telemetry: bool = True,
-        max_queue_rows: int | None = None,
-        quarantine: bool = False,
-        default_deadline_s: float | None = None,
     ):
-        if validate_fingerprint:
-            artifact.check_schema(schema)
+        artifact.check_schema(schema)
         self.artifact = artifact
         self.schema = schema
         self.metrics = MetricsRegistry(enabled=telemetry)
-        self.features = FeatureService(
+        self.features = ShardEncoder(
             schema, artifact.strategy, registry=self.metrics
         )
         if self.features.feature_names != artifact.feature_names:
@@ -214,15 +191,12 @@ class PredictionServer:
             if supports_factorized_serving(artifact.model)
             else None
         )
-        self.default_deadline_s = default_deadline_s
         self.batcher = MicroBatcher(
             self._predict_encoded,
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
             background_flush=background_flush,
             registry=self.metrics,
-            max_queue_rows=max_queue_rows,
-            quarantine=quarantine,
         )
         self._requests = self.metrics.counter("serving.requests")
         self._rows = self.metrics.counter("serving.rows")
@@ -264,11 +238,7 @@ class PredictionServer:
         self._request_latency.observe(time.perf_counter() - started)
         return results
 
-    def submit(
-        self,
-        row: Mapping[str, object],
-        deadline_s: float | None = None,
-    ) -> PendingPrediction:
+    def submit(self, row: Mapping[str, object]) -> PendingPrediction:
         """Queue one row on the micro-batcher (high-throughput path).
 
         Safe to call from any number of request threads; the row is
@@ -281,28 +251,12 @@ class PredictionServer:
         batcher (``serving.batcher.submitted``) rather than by a second
         counter here — :meth:`stats` folds them back into ``requests``,
         keeping this path at zero per-row metric calls.
-
-        ``deadline_s`` (defaulting to the server's
-        ``default_deadline_s``) bounds how stale the row may go: if its
-        batch runs after the deadline the handle fails with
-        :class:`~repro.errors.DeadlineExceededError`.  When the
-        admission queue is full (``max_queue_rows``) the request is
-        shed with :class:`~repro.errors.ServerOverloadedError` before
-        encoding results are queued.
         """
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        return self.batcher.submit(
-            self.features.encode_requests([row]), deadline_s=deadline_s
-        )
+        return self.batcher.submit(self.features.encode_requests([row]))
 
     def flush(self) -> int:
         """Force the micro-batcher to drain; returns rows flushed."""
         return self.batcher.flush()
-
-    def poll(self) -> bool:
-        """Flush the micro-batcher if its wait deadline expired."""
-        return self.batcher.poll()
 
     def close(self) -> None:
         """Drain the batcher and stop its flusher."""
@@ -385,9 +339,6 @@ class PredictionServer:
             cache_hit_rate=cache.hit_rate,
             failed_flushes=batcher.failed_flushes,
             rows_failed=batcher.rows_failed,
-            shed_requests=batcher.shed_requests,
-            deadline_expired=batcher.deadline_expired,
-            rows_quarantined=batcher.rows_quarantined,
             queue_wait_seconds=self.metrics.histogram(
                 "serving.latency.queue_wait_s"
             ).sum,

@@ -13,11 +13,10 @@ it to check that the library's recovery paths hold bit for bit:
   exponential backoff around shard reads.
 - :mod:`faultkit.backoff` — the kit's one ``time.sleep`` chokepoint
   (allowlisted by the ``raw-sleep`` lint rule).
-- :mod:`faultkit.chaos` — the two chaos legs: training clean, under
-  faults and through a :class:`~faultkit.chaos.KillSwitchCheckpoint`
-  kill and resume; serving clean and under poisoned rows, shedding and
-  deadlines.  Each leg returns a verdict whose ``ok`` holds only when
-  the answers match the clean run.
+- :mod:`faultkit.chaos` — the chaos leg: training clean, under faults
+  and through a :class:`~faultkit.chaos.KillSwitchCheckpoint` kill and
+  resume.  It returns a verdict whose ``ok`` holds only when the
+  answers match the clean run.
 
 The tests import it as ``faultkit``: pytest puts ``tests/`` on
 ``sys.path`` when it loads ``tests/conftest.py``.

@@ -1,31 +1,20 @@
-"""Chaos legs: training and serving under faults, correctness asserted.
+"""The chaos leg: training under faults, correctness asserted.
 
 Fault injection (:mod:`faultkit.faults`) and the recovery it checks
 (:class:`~faultkit.retry.RetryPolicy`,
-:class:`~repro.streaming.CheckpointManager`, the serving plane's load
-shedding and quarantine) are only trustworthy together, so this module
-runs them together and *checks the answers*:
-
-- **Training leg** (:func:`chaos_training_run`) — fits a clean
-  baseline, then the same model under a seeded transient-fault
-  schedule read through a :class:`~faultkit.retry.RetryingSource`,
-  then a third run that :class:`KillSwitchCheckpoint` kills at its
-  ``kill_after``-th checkpoint write and that is resumed from the
-  newest checkpoint on disk.  All three must produce bit-identical
-  parameter arrays; a chaos run that merely *finishes* proves nothing.
-- **Serving leg** (:func:`chaos_serving_run`) — replays one request
-  stream through a clean server and through a server whose model is
-  wrapped in :class:`~faultkit.faults.FaultInjectingModel`, with a
-  bounded admission queue and quarantine enabled.  Every admitted,
-  non-poisoned request must answer exactly what the clean server
-  answered; poisoned rows must surface as
-  :class:`~faultkit.faults.PoisonedRowError`, shed requests and
-  expired deadlines must match the server's own accounting.
+:class:`~repro.streaming.CheckpointManager`) are only trustworthy
+together, so :func:`chaos_training_run` runs them together and *checks
+the answers*: it fits a clean baseline, then the same model under a
+seeded transient-fault schedule read through a
+:class:`~faultkit.retry.RetryingSource`, then a third run that
+:class:`KillSwitchCheckpoint` kills at its ``kill_after``-th checkpoint
+write and that is resumed from the newest checkpoint on disk.  All
+three must produce bit-identical parameter arrays; a chaos run that
+merely *finishes* proves nothing.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -34,21 +23,11 @@ import numpy as np
 from repro.core.strategies import no_join_strategy
 from repro.data.source import FeatureSource
 from repro.data.spec import SourceSpec
-from repro.errors import (
-    DeadlineExceededError,
-    ReproError,
-    ServerOverloadedError,
-)
+from repro.errors import ReproError
 from repro.obs import MetricsRegistry
 from repro.streaming.checkpoint import CheckpointManager
 
-from .faults import (
-    TRANSIENT,
-    FaultInjectingModel,
-    FaultInjectingSource,
-    FaultSchedule,
-    PoisonedRowError,
-)
+from .faults import TRANSIENT, FaultInjectingSource, FaultSchedule
 from .retry import RetryingSource, RetryPolicy
 
 
@@ -273,117 +252,5 @@ def chaos_training_run(
         and counters["resilience.retries"] >= 1
         and counters["resilience.checkpoints"] >= 1
         and counters["resilience.resumes"] >= 1
-    )
-    return verdict
-
-
-def chaos_serving_run(
-    dataset,
-    model_key: str = "dt_gini",
-    *,
-    rows: int = 160,
-    poison_rate: float = 0.08,
-    max_queue_rows: int = 16,
-    deadline_rows: int = 4,
-    seed: int = 0,
-    scale=None,
-) -> dict:
-    """Serve one request stream clean and under chaos; compare answers.
-
-    The chaos server's model poisons a content-keyed fraction of rows,
-    its admission queue is bounded below the stream length (so shedding
-    *must* happen; shed requests are retried after an explicit flush,
-    mimicking a client honouring back-pressure), and quarantine
-    bisection isolates poisoned rows.  ``deadline_rows`` extra requests
-    are submitted with a microsecond deadline and must all expire.
-
-    ``ok`` is true iff every admitted non-poisoned request matched the
-    clean server's answer, at least one row was poisoned (when
-    ``poison_rate > 0``) and the server's shed/quarantine/deadline
-    accounting equals what the client actually observed.
-    """
-    from repro.experiments.runner import fit_pipeline
-    from repro.serving.artifacts import artifact_from_pipeline
-    from repro.serving.benchmark import _request_stream
-    from repro.serving.server import PredictionServer
-
-    pipeline = fit_pipeline(dataset, model_key, no_join_strategy(), scale=scale)
-    artifact = artifact_from_pipeline(pipeline, dataset.schema)
-    chaos_artifact = dataclasses.replace(
-        artifact,
-        model=FaultInjectingModel(artifact.model, rate=poison_rate, seed=seed),
-    )
-
-    with PredictionServer(
-        artifact, dataset.schema, max_wait_s=None, background_flush=False
-    ) as clean_server:
-        requests = _request_stream(clean_server, dataset, rows)
-        clean = [clean_server.predict_one(row) for row in requests]
-
-    shed = 0
-    poisoned: list[int] = []
-    mismatched = 0
-    expired = 0
-    with PredictionServer(
-        chaos_artifact,
-        dataset.schema,
-        max_wait_s=None,
-        background_flush=False,
-        max_queue_rows=max_queue_rows,
-        quarantine=True,
-    ) as server:
-        handles = []
-        for row in requests:
-            try:
-                handles.append(server.submit(row))
-            except ServerOverloadedError:
-                # A well-behaved client's response to back-pressure:
-                # drain, then resubmit the shed request.
-                shed += 1
-                server.flush()
-                handles.append(server.submit(row))
-        server.flush()
-        for index, handle in enumerate(handles):
-            try:
-                answer = handle.result(timeout=60.0)
-            except PoisonedRowError:
-                poisoned.append(index)
-            else:
-                if answer != clean[index]:
-                    mismatched += 1
-        # The deadline leg: admission long before the flush, with a
-        # deadline only a time machine could meet.
-        late = [
-            server.submit(requests[i % len(requests)], deadline_s=1e-6)
-            for i in range(deadline_rows)
-        ]
-        server.flush()
-        for handle in late:
-            try:
-                handle.result(timeout=60.0)
-            except DeadlineExceededError:
-                expired += 1
-        stats = server.stats()
-
-    verdict = {
-        "model_key": model_key,
-        "rows": rows,
-        "poison_rate": poison_rate,
-        "max_queue_rows": max_queue_rows,
-        "mismatched": mismatched,
-        "shed": shed,
-        "poisoned_rows": len(poisoned),
-        "deadline_rows": deadline_rows,
-        "deadline_expired": expired,
-        "stats": stats.as_dict(),
-    }
-    verdict["ok"] = bool(
-        mismatched == 0
-        and shed >= 1
-        and (poison_rate == 0 or poisoned)
-        and expired == deadline_rows
-        and stats.shed_requests == shed
-        and stats.rows_quarantined == len(poisoned)
-        and stats.deadline_expired == expired
     )
     return verdict

@@ -20,8 +20,8 @@ states each failure as data:
   :class:`~repro.data.SpillCacheSource`'s on-disk entries, exercising
   its checksum-verified recovery path.
 - :class:`FaultInjectingModel` — wraps a fitted predictor so a seeded,
-  content-keyed subset of rows raises at predict time (the
-  poisoned-row scenario the micro-batch quarantine bisects around).
+  content-keyed subset of rows raises at predict time (a poisoned row
+  fails every request in its micro-batch).
 
 Everything is counted through ``resilience.faults_injected`` (plus a
 per-kind breakdown) so a chaos report can reconcile injected faults

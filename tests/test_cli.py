@@ -204,7 +204,7 @@ class TestCommands:
             (["serve-bench", "yelp", "--batch-size", "0"], "--batch-size"),
             (["serve-bench", "yelp", "--rows", "0"], "--rows"),
             (["predict", "model.repro-model", "--rows", "-95"], "--rows"),
-            (["predict", "model.repro-model", "--batch-size", "0"],
+            (["predict", "model.repro-model", "--batch-size", "64"],
              "--batch-size"),
             (["simulate", "--n-r", "5", "--runs", "0"], "--runs"),
             (["advise", "yelp", "--n-fact", "0"], "--n-fact"),
@@ -222,7 +222,8 @@ class TestCommands:
             "serve-bench-arrival-rate-without-clients",
             "serve-bench-clients-negative", "serve-bench-batch-size-0",
             "serve-bench-rows-0", "predict-rows-negative",
-            "predict-batch-size-0", "simulate-runs-0", "advise-n-fact-0",
+            "predict-batch-size-removed", "simulate-runs-0",
+            "advise-n-fact-0",
             "usage-n-fact-0", "advise-n-fact-5", "stats-n-fact-7",
             "usage-n-fact-1", "simulate-n-train-1", "simulate-n-train-3",
         ],
@@ -230,9 +231,10 @@ class TestCommands:
     def test_bad_count_or_missing_companion_flag_is_a_usage_error(
         self, capsys, argv, flag
     ):
-        """Counts are integers >= 1, and a flag that only tunes another
-        one needs it: each case exits 2 with one error line naming the
-        flag, before any dataset is built."""
+        """Counts are integers >= 1, a flag that only tunes another one
+        needs it, and a removed flag is unrecognised: each case exits 2
+        with one error line naming the flag, before any dataset is
+        built."""
         try:
             code = main(argv)
         except SystemExit as exit_info:
@@ -338,6 +340,28 @@ class TestCommands:
         assert code == 0
         assert "predicted=" in out
         assert "accuracy" in out
+
+    def test_predict_closes_its_server(self, capsys, tmp_path):
+        """``predict`` stops the server's deadline flusher before it
+        returns, instead of leaving the thread running."""
+        import threading
+
+        path = tmp_path / "yelp.repro-model"
+        assert main(
+            [
+                "save-model", "yelp", "dt_gini",
+                "--scale", "smoke", "--out", str(path),
+            ]
+        ) == 0
+        before = set(threading.enumerate())
+        assert main(["predict", str(path), "--rows", "3"]) == 0
+        capsys.readouterr()
+        left_running = [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.is_alive()
+        ]
+        assert left_running == []
 
     def test_save_model_advised_strategy(self, capsys, tmp_path):
         path = tmp_path / "advised.repro-model"

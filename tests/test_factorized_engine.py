@@ -43,7 +43,7 @@ from repro.ml.naive_bayes import CategoricalNB
 from repro.ml.selection import BackwardSelection
 from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 from repro.relational import StarSchema
-from repro.serving import FeatureService, PredictionServer
+from repro.serving import PredictionServer
 from repro.serving.artifacts import ModelArtifact, schema_fingerprint
 from repro.serving.factorized import (
     FactorizedScorer,
@@ -118,7 +118,7 @@ class TestFactorizeOrGatherPlan:
         assert factorize_dimension(10_000, 1_266, 8)
         assert not factorize_dimension(10_000, 50_000, 14)
         flights = generate_real_world("flights", n_fact=4_000, seed=101)
-        features = FeatureService(flights.schema, join_all_strategy())
+        features = ShardEncoder(flights.schema, join_all_strategy())
         assert len(features.joined_dimensions) == 3
         batch = flights.schema.fact.select(flights.test[:64])
         assert isinstance(features.assemble_table(batch), CategoricalMatrix)

@@ -104,6 +104,67 @@ class TestLibraryLoadsNoTooling:
         assert outcome["codes"] == [2, 2, 2]
 
 
+#: What a caller may set on each serving entry point: the parameters
+#: with a default, and for ``repro predict`` its optional flags.  An
+#: option that appears or goes has to be entered here, on purpose.
+SERVING_OPTIONS = {
+    "PredictionServer": (
+        "max_batch_size", "max_wait_s", "background_flush", "telemetry",
+    ),
+    "PredictionServer.submit": (),
+    "MicroBatcher": (
+        "max_batch_size", "max_wait_s", "clock", "background_flush",
+        "registry",
+    ),
+    "MicroBatcher.submit": (),
+    "MicroBatcher.close": (),
+    "repro predict": ("--rows", "--telemetry"),
+}
+
+
+def _settable(entry_point):
+    if entry_point == "repro predict":
+        import argparse
+
+        from repro.cli import build_parser
+
+        (commands,) = (
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        return tuple(
+            action.option_strings[-1]
+            for action in commands.choices["predict"]._actions
+            if action.option_strings
+            and not isinstance(action, argparse._HelpAction)
+        )
+    import repro.serving
+
+    target = repro.serving
+    for part in entry_point.split("."):
+        target = getattr(target, part)
+    return tuple(
+        name
+        for name, parameter in inspect.signature(target).parameters.items()
+        if parameter.default is not inspect.Parameter.empty
+    )
+
+
+class TestServingOptions:
+    @pytest.mark.parametrize(
+        "entry_point",
+        sorted(SERVING_OPTIONS),
+        ids=lambda name: name.replace(" ", "-"),
+    )
+    def test_serving_entry_point_options_are_the_pinned_ones(
+        self, entry_point
+    ):
+        """Admission shedding, deadlines, quarantine, the fingerprint
+        off-switch, ``close(flush=)`` and ``predict --batch-size`` are
+        gone, and no option has taken their place."""
+        assert _settable(entry_point) == SERVING_OPTIONS[entry_point]
+
+
 class TestVersion:
     def test_version_string(self):
         import repro

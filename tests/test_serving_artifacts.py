@@ -15,10 +15,10 @@ from repro.core import (
 )
 from repro.datasets import generate_real_world
 from repro.errors import SchemaError
+from repro.data.encoder import ShardEncoder
 from repro.experiments import fit_pipeline, get_scale
 from repro.serving import (
     ARTIFACT_FORMAT_VERSION,
-    FeatureService,
     artifact_from_pipeline,
     load_artifact,
     read_manifest,
@@ -51,7 +51,7 @@ def test_round_trip_predictions_bit_identical(
         save_artifact(artifact, tmp_path / f"{model_key}.repro-model")
     )
 
-    service = FeatureService(dataset.schema, loaded.strategy)
+    service = ShardEncoder(dataset.schema, loaded.strategy)
     X = service.assemble_table(dataset.schema.fact)
     np.testing.assert_array_equal(
         loaded.predict_codes(X), pipeline.predict(X)

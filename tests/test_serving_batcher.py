@@ -304,21 +304,6 @@ class TestBackgroundFlusher:
             batcher.submit(6)
         batcher.close()  # idempotent
 
-    def test_close_without_flush_fails_handles_instead_of_hanging(self):
-        """Regression: result() after close(flush=False) used to wait on
-        the delivery condition with the flusher already dead — hanging
-        forever (or timing out) on a row nothing would ever run."""
-        batcher = MicroBatcher(
-            doubling_batch_fn, max_batch_size=100, max_wait_s=10.0
-        )
-        pending = batcher.submit(5)
-        batcher.close(flush=False)
-        with pytest.raises(RuntimeError, match="unflushed"):
-            pending.result(timeout=5.0)
-        stats = batcher.stats
-        assert stats.rows_failed == 1
-        assert stats.rows_flushed + stats.rows_failed == stats.submitted
-
     def test_racing_result_waits_for_in_flight_batch(self):
         """Regression: with no flusher thread, result() on a handle whose
         batch another thread had already detached used to force-flush an

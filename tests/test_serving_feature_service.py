@@ -1,4 +1,5 @@
-"""Feature-service assembly, cache accounting, and loud RI failures."""
+"""Serving-time assembly through the shared ``ShardEncoder``: cache
+accounting and loud RI failures."""
 
 import numpy as np
 import pytest
@@ -19,14 +20,15 @@ from repro.relational import (
     Table,
     join_all,
 )
-from repro.serving import DimensionIndexCache, FeatureService
+from repro.data.encoder import ShardEncoder
+from repro.serving import DimensionIndexCache
 
 
 class TestAssembly:
     def test_joinall_matches_offline_join(self, churn_schema):
         """Serving-time gathers reproduce the materialised join exactly."""
         strategy = join_all_strategy()
-        service = FeatureService(churn_schema, strategy)
+        service = ShardEncoder(churn_schema, strategy)
         offline = CategoricalMatrix.from_table(
             join_all(churn_schema), strategy.feature_names(churn_schema)
         )
@@ -36,35 +38,35 @@ class TestAssembly:
         assert online.n_levels == offline.n_levels
 
     def test_nofk_requires_fk_for_gather_but_not_as_feature(self, churn_schema):
-        service = FeatureService(churn_schema, no_fk_strategy())
+        service = ShardEncoder(churn_schema, no_fk_strategy())
         assert "Employer" not in service.feature_names
         assert "Employer" in service.required_columns
         online = service.assemble_table(churn_schema.fact)
         assert "State" in online.names and "Revenue" in online.names
 
     def test_nojoin_never_touches_dimensions(self, churn_schema):
-        service = FeatureService(churn_schema, no_join_strategy())
+        service = ShardEncoder(churn_schema, no_join_strategy())
         service.assemble_table(churn_schema.fact)
         service.assemble_table(churn_schema.fact)
         assert service.cache.stats.lookups == 0
         assert service.joined_dimensions == ()
 
     def test_missing_required_column_raises(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         with pytest.raises(SchemaError, match="lacks"):
             service.assemble({"Gender": np.array([0]), "Age": np.array([1])})
 
     def test_out_of_range_fact_codes_raise(self, churn_schema):
         """assemble() must range-check caller-supplied fact codes; a bad
         code would otherwise wrap through the implicit engine's gathers."""
-        service = FeatureService(churn_schema, no_join_strategy())
+        service = ShardEncoder(churn_schema, no_join_strategy())
         bad = {c: np.array([0]) for c in service.required_columns}
         bad["Gender"] = np.array([-1])
         with pytest.raises(SchemaError, match="out of range"):
             service.assemble(bad)
 
     def test_ragged_batch_raises(self, churn_schema):
-        service = FeatureService(churn_schema, no_join_strategy())
+        service = ShardEncoder(churn_schema, no_join_strategy())
         with pytest.raises(SchemaError, match="ragged"):
             service.assemble(
                 {
@@ -77,7 +79,7 @@ class TestAssembly:
 
 class TestRequestEncoding:
     def test_label_rows_encode_through_fact_domains(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         X = service.assemble_rows(
             [{"Gender": "F", "Age": "old", "Employer": "initech"}]
         )
@@ -88,7 +90,7 @@ class TestRequestEncoding:
     def test_label_rows_round_trip_to_the_fact_codes(self):
         dataset = generate_real_world("flights", n_fact=300, seed=0)
         fact = dataset.schema.fact
-        service = FeatureService(dataset.schema, join_all_strategy())
+        service = ShardEncoder(dataset.schema, join_all_strategy())
         columns = service.required_columns
         labels = {
             c: fact.domain(c).decode(fact.codes(c)[dataset.test])
@@ -105,26 +107,26 @@ class TestRequestEncoding:
         np.testing.assert_array_equal(encoded, expected)
 
     def test_out_of_domain_label_raises(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         with pytest.raises(SchemaError, match="closed domain"):
             service.encode_requests(
                 [{"Gender": "F", "Age": "old", "Employer": "hooli"}]
             )
 
     def test_missing_column_in_request_raises(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         with pytest.raises(SchemaError, match="lacks fact column"):
             service.encode_requests([{"Gender": "F"}])
 
     def test_empty_batch_rejected(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         with pytest.raises(ValueError, match="empty"):
             service.encode_requests([])
 
 
 class TestCacheAccounting:
     def test_hits_and_misses(self, churn_schema):
-        service = FeatureService(churn_schema, join_all_strategy())
+        service = ShardEncoder(churn_schema, join_all_strategy())
         service.assemble_table(churn_schema.fact)
         stats = service.cache.stats
         assert stats.misses == 1 and stats.hits == 0
@@ -190,12 +192,12 @@ def _two_dimension_schema(dangling: bool = False) -> StarSchema:
 class TestReferentialIntegrity:
     def test_dangling_fk_fails_loudly_with_labels(self):
         schema = _two_dimension_schema(dangling=True)
-        service = FeatureService(schema, join_all_strategy())
+        service = ShardEncoder(schema, join_all_strategy())
         with pytest.raises(ReferentialIntegrityError, match="b2"):
             service.assemble_table(schema.fact)
 
     def test_valid_fks_resolve(self):
         schema = _two_dimension_schema(dangling=False)
-        service = FeatureService(schema, join_all_strategy())
+        service = ShardEncoder(schema, join_all_strategy())
         X = service.assemble_table(schema.fact)
         assert X.n_rows == 3

@@ -1,4 +1,5 @@
-"""Serving degradation: shedding, deadlines, quarantine, chaos verdicts."""
+"""Serving and training under failure: a poisoned batch, timeout
+diagnostics, and the training chaos leg's verdicts."""
 
 import dataclasses
 
@@ -6,10 +7,6 @@ import pytest
 
 from repro.core import no_join_strategy
 from repro.datasets import generate_real_world
-from repro.errors import (
-    DeadlineExceededError,
-    ServerOverloadedError,
-)
 from repro.experiments import fit_pipeline, get_scale
 from repro.serving import (
     MicroBatcher,
@@ -18,7 +15,7 @@ from repro.serving import (
 )
 from repro.serving.benchmark import _request_stream
 
-from faultkit.chaos import chaos_serving_run, chaos_training_run
+from faultkit.chaos import chaos_training_run
 from faultkit.faults import FaultInjectingModel, PoisonedRowError
 
 
@@ -35,68 +32,13 @@ def artifact(dataset):
     return artifact_from_pipeline(pipeline, dataset.schema)
 
 
-def inline_server(artifact, dataset, **kwargs):
-    kwargs.setdefault("max_wait_s", None)
-    kwargs.setdefault("background_flush", False)
-    return PredictionServer(artifact, dataset.schema, **kwargs)
+def inline_server(artifact, dataset):
+    return PredictionServer(
+        artifact, dataset.schema, max_wait_s=None, background_flush=False
+    )
 
 
-class TestLoadShedding:
-    def test_admission_beyond_queue_bound_sheds(self, artifact, dataset):
-        with inline_server(artifact, dataset, max_queue_rows=4) as server:
-            rows = _request_stream(server, dataset, 5)
-            handles = [server.submit(row) for row in rows[:4]]
-            with pytest.raises(ServerOverloadedError, match="request shed"):
-                server.submit(rows[4])
-            # Shedding rejects without losing admitted work...
-            server.flush()
-            assert all(h.done() for h in handles)
-            # ...and a drained queue admits again.
-            server.submit(rows[4]).result(timeout=10.0)
-            assert server.stats().shed_requests == 1
-
-    def test_queue_bound_validation(self, artifact, dataset):
-        with pytest.raises(ValueError, match="max_queue_rows"):
-            inline_server(artifact, dataset, max_queue_rows=0)
-
-
-class TestDeadlines:
-    def test_expired_row_fails_instead_of_answering_late(
-        self, artifact, dataset
-    ):
-        with inline_server(artifact, dataset) as server:
-            rows = _request_stream(server, dataset, 2)
-            late = server.submit(rows[0], deadline_s=1e-6)
-            live = server.submit(rows[1])
-            server.flush()
-            with pytest.raises(DeadlineExceededError, match="deadline"):
-                late.result(timeout=10.0)
-            assert live.result(timeout=10.0) is not None
-            stats = server.stats()
-            assert stats.deadline_expired == 1
-            # The expired row never reached the model.
-            assert stats.rows == 1
-
-    def test_default_deadline_applies_to_every_submit(
-        self, artifact, dataset
-    ):
-        with inline_server(
-            artifact, dataset, default_deadline_s=1e-6
-        ) as server:
-            rows = _request_stream(server, dataset, 1)
-            handle = server.submit(rows[0])
-            server.flush()
-            with pytest.raises(DeadlineExceededError):
-                handle.result(timeout=10.0)
-
-    def test_deadline_validation(self, artifact, dataset):
-        with inline_server(artifact, dataset) as server:
-            rows = _request_stream(server, dataset, 1)
-            with pytest.raises(ValueError, match="deadline_s"):
-                server.submit(rows[0], deadline_s=0.0)
-
-
-class TestQuarantine:
+class TestPoisonedBatch:
     @pytest.fixture(scope="class")
     def chaos_artifact(self, artifact):
         return dataclasses.replace(
@@ -104,32 +46,7 @@ class TestQuarantine:
             model=FaultInjectingModel(artifact.model, rate=0.1, seed=0),
         )
 
-    def test_poisoned_rows_isolated_clean_rows_answered(
-        self, artifact, dataset, chaos_artifact
-    ):
-        # Below the default max_batch_size, so the explicit flush() is
-        # the only trigger and the whole stream fails as one batch.
-        rows_n = 48
-        with inline_server(artifact, dataset) as clean_server:
-            rows = _request_stream(clean_server, dataset, rows_n)
-            expected = [clean_server.predict_one(row) for row in rows]
-        with inline_server(
-            chaos_artifact, dataset, quarantine=True
-        ) as server:
-            handles = [server.submit(row) for row in rows]
-            server.flush()
-            poisoned = 0
-            for handle, want in zip(handles, expected):
-                try:
-                    assert handle.result(timeout=10.0) == want
-                except PoisonedRowError:
-                    poisoned += 1
-            stats = server.stats()
-        assert poisoned >= 1, "pick a rate/seed that poisons this stream"
-        assert stats.rows_quarantined == poisoned
-        assert poisoned < rows_n
-
-    def test_without_quarantine_whole_batch_fails(
+    def test_a_poisoned_row_fails_its_whole_batch(
         self, dataset, chaos_artifact
     ):
         with inline_server(chaos_artifact, dataset) as server:
@@ -144,6 +61,9 @@ class TestQuarantine:
                 except PoisonedRowError:
                     failures += 1
             assert failures == len(handles)
+            stats = server.stats()
+            assert stats.failed_flushes == 1
+            assert stats.rows_failed == len(handles)
 
 
 class TestTimeoutDiagnostics:
@@ -181,22 +101,16 @@ class TestTimeoutDiagnostics:
             message = str(info.value)
             assert "1 failed flush(es)" in message
             assert "RuntimeError: model fell over" in message
+            # close() drains: the queued row runs, and fails, once more.
+            with pytest.raises(RuntimeError, match="fell over"):
+                batcher.close()
+            with pytest.raises(RuntimeError, match="fell over"):
+                stuck.result(timeout=0)
         finally:
-            batcher.close(flush=False)
+            batcher.close()
 
 
 class TestChaosVerdicts:
-    def test_serving_leg_passes_end_to_end(self, dataset):
-        verdict = chaos_serving_run(
-            dataset, "dt_gini", rows=96, poison_rate=0.1,
-            max_queue_rows=16, seed=0, scale=get_scale("smoke"),
-        )
-        assert verdict["ok"], verdict
-        assert verdict["mismatched"] == 0
-        assert verdict["shed"] >= 1
-        assert verdict["poisoned_rows"] >= 1
-        assert verdict["deadline_expired"] == verdict["deadline_rows"]
-
     @pytest.mark.parametrize(
         "model_key, fault_rate",
         [

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core import join_all_strategy, no_join_strategy
+from repro.data.encoder import ShardEncoder
 from repro.datasets import generate_real_world
 from repro.errors import SchemaError
 from repro.experiments import fit_pipeline, get_scale
 from repro.relational import CategoricalColumn, StarSchema
 from repro.relational.column import OTHERS_LABEL
 from repro.serving import (
-    FeatureService,
     PredictionServer,
     artifact_from_pipeline,
 )
@@ -67,7 +67,7 @@ class TestPathsAgree:
     ):
         fact_rows = dataset.schema.fact.select(dataset.test)
         served = server.predict_table(fact_rows)
-        service = FeatureService(dataset.schema, artifact.strategy)
+        service = ShardEncoder(dataset.schema, artifact.strategy)
         expected = artifact.model.predict(service.assemble_table(fact_rows))
         assert served == artifact.decode_labels(np.asarray(expected))
 
@@ -178,14 +178,17 @@ class TestGuards:
         with pytest.raises(SchemaError, match="fingerprint mismatch"):
             PredictionServer(artifact, other.schema)
 
-    def test_mismatch_can_be_overridden_but_feature_check_still_guards(
-        self, artifact
+    def test_feature_check_guards_behind_a_matching_fingerprint(
+        self, artifact, dataset
     ):
-        other = generate_real_world("movies", n_fact=300, seed=0)
-        with pytest.raises(SchemaError):
-            PredictionServer(
-                artifact, other.schema, validate_fingerprint=False
-            )
+        """The fingerprint passes, but the strategy's replayed feature
+        order differs from the one the artifact was trained on."""
+        tampered = dataclasses.replace(
+            artifact, feature_names=artifact.feature_names[::-1]
+        )
+        tampered.check_schema(dataset.schema)
+        with pytest.raises(SchemaError, match="strategy replay produced"):
+            PredictionServer(tampered, dataset.schema)
 
     @pytest.mark.parametrize(
         "label, message",

@@ -15,10 +15,10 @@ import pytest
 
 from repro.core import no_join_strategy
 from repro.data import MatrixSource, SpillCacheSource
+from repro.data.encoder import ShardEncoder
 from repro.datasets import generate_real_world
 from repro.experiments import fit_pipeline, get_scale
 from repro.serving import (
-    FeatureService,
     MicroBatcher,
     PredictionServer,
     artifact_from_pipeline,
@@ -39,7 +39,7 @@ def _round_trip(stats):
 
 class TestAsDictRoundTrips:
     def test_cache_stats(self, dataset):
-        service = FeatureService(dataset.schema, no_join_strategy())
+        service = ShardEncoder(dataset.schema, no_join_strategy())
         service.assemble_table(dataset.schema.fact.select(dataset.train[:5]))
         decoded = _round_trip(service.cache.stats)
         assert {"hits", "misses", "builds", "lookups",
