@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+from collections import defaultdict
 import json
 import platform
 import statistics
@@ -102,8 +103,9 @@ def measure_op_costs(batch_size: int, number: int) -> dict[str, float]:
         "histogram_observe_many": _time_op(
             lambda: many.observe_many(waits), max(1, number // batch_size)
         ),
-        # _count_reason resolves the per-reason counter through the
-        # registry (one registry lock + dict hit) before incrementing.
+        # A registry lookup (one registry lock + dict hit).  The batched
+        # path makes none (_count_reason keeps its counters); the op
+        # stays priced so a lookup put on the hot path shows in the gate.
         "registry_counter_lookup": _time_op(
             lambda: registry.counter("bench.reason.size"), number
         ),
@@ -117,14 +119,14 @@ def measure_op_costs(batch_size: int, number: int) -> dict[str, float]:
 BATCHED_OPS_PER_FLUSH = {
     # _take_locked: submitted.inc(n), queue_depth.set
     # _run_batch:   flushes.inc, rows_flushed.inc(n), batch_rows.set,
-    #               2 x observe_many, _count_reason (lookup + inc)
+    #               2 x observe_many, _count_reason (a kept counter's inc)
     # _predict_encoded (one concatenated code array per flush):
     #               assemble/predict observe, rows.inc(n)
     "counter_inc": 5,
     "gauge_set": 2,
     "histogram_observe": 2,
     "histogram_observe_many": 2,
-    "registry_counter_lookup": 1,
+    "registry_counter_lookup": 0,
 }
 
 #: Metric calls per request on the predict_one path.
@@ -180,8 +182,8 @@ class _InstrumentSwap:
             (batcher, "_rows_flushed"): batcher._rows_flushed,
             (batcher, "_batch_rows"): batcher._batch_rows,
             (batcher, "_queue_depth"): batcher._queue_depth,
-            # _count_reason resolves through batcher.metrics.
-            (batcher, "metrics"): batcher.metrics,
+            # _count_reason's kept per-reason counters.
+            (batcher, "_reason_counters"): batcher._reason_counters,
             (server, "_assemble_seconds"): server._assemble_seconds,
             (server, "_predict_seconds"): server._predict_seconds,
             (server, "_rows"): server._rows,
@@ -189,7 +191,11 @@ class _InstrumentSwap:
             (server, "_request_latency"): server._request_latency,
         }
         self._null = {
-            (owner, name): null if name == "metrics" else null.counter("x")
+            (owner, name): (
+                defaultdict(lambda: null.counter("x"))
+                if name == "_reason_counters"
+                else null.counter("x")
+            )
             for (owner, name), real in self._real.items()
         }
 

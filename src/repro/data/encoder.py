@@ -23,6 +23,14 @@ group); any other is gathered into per-row code columns.  A batch with
 no blocked dimension is a plain
 :class:`~repro.ml.encoding.CategoricalMatrix`.
 
+Assembly follows one plan, built with the encoder: a batch (or shard)
+is one ``(n, k)`` code table, its fact features first; the per-row
+columns go into one preallocated ``(n, d)`` array, the fact features
+with one slice (or fancy index) of the table and each gathered
+dimension with one gather of its memoised ``(|D|, d_R)`` block by the
+resolved rows.  The per-dimension work does not grow with the number of
+features a dimension keeps.
+
 Correctness notes: the gather-based assembly is byte-identical to the
 offline ``kfk_join`` + project path (``tests/test_serving_feature_service.py``
 and the streaming equivalence suite both assert it), dangling foreign
@@ -38,6 +46,7 @@ import threading
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,13 +172,47 @@ class DimensionIndexCache:
         return len(self._entries)
 
 
+class _DimensionPlan(NamedTuple):
+    """How :meth:`ShardEncoder.assemble` reads one joined dimension."""
+
+    name: str
+    #: Its FK's column in a code table (``required_columns`` order).
+    fk_column: int
+    #: Positions of its kept features: the block's column order.
+    positions: np.ndarray
+    #: Its rows, ``|D|``.
+    n_rows: int
+
+
+class _Layout(NamedTuple):
+    """Where a batch's per-row columns go, for one set of blocked dimensions."""
+
+    #: Feature positions of the per-row columns, ascending.
+    positions: np.ndarray
+    #: Per-row columns of the fact features.
+    fact: "slice | np.ndarray"
+    #: ``(plan index, per-row columns)`` of each gathered dimension.
+    gathered: tuple
+
+
+def _columns(index: np.ndarray) -> "slice | np.ndarray":
+    """``index`` as a slice when it is a run of adjacent columns (a
+    slice write copies about twice as fast as a fancy one)."""
+    if len(index) and np.array_equal(
+        index, np.arange(index[0], index[0] + len(index))
+    ):
+        return slice(int(index[0]), int(index[0]) + len(index))
+    return index
+
+
 #: Per-pass cost of a blocked dimension, in gathered codes (see
 #: :func:`factorize_dimension`): a fixed part, and per kept feature a
 #: per-column part plus a part per dimension row.  A least-squares fit to
-#: the fit times of ``benchmarks/bench_factorized.py``, rounded.
-BLOCK_FIXED_COST = 12_000
-BLOCK_COLUMN_COST = 1_300
-BLOCK_ROW_COST = 2
+#: the fit times of two ``benchmarks/bench_factorized.py`` sweeps,
+#: rounded (README, "Factorize-or-gather plan").
+BLOCK_FIXED_COST = 2_000
+BLOCK_COLUMN_COST = 300
+BLOCK_ROW_COST = 1
 
 
 def factorize_dimension(n_rows: int, dim_rows: int, kept_features: int) -> bool:
@@ -177,14 +220,14 @@ def factorize_dimension(n_rows: int, dim_rows: int, kept_features: int) -> bool:
 
     Gathering the dimension into a shard of ``n_rows`` fact rows makes
     every kernel pass touch ``n·d_R`` codes.  Keeping it as a block
-    costs a fixed ``BLOCK_FIXED_COST`` per pass, ``BLOCK_COLUMN_COST``
-    per block column (one numpy call each) and ``BLOCK_ROW_COST`` per
-    block cell (a strided column read), all in gathered-code units; the
-    dimension blocks when that is no more than the gather.  The tuple
-    ratio ``n/|D|`` alone cannot decide: at ``|D| = 100`` the block wins
-    from ratio 20 with ``d_R = 40`` but only from ratio 40 with
-    ``d_R = 8``, and at ``|D| = 1000`` from ratio 5.  The rule sits on
-    the right side of every point of the sweep (README,
+    costs a fixed ``BLOCK_FIXED_COST`` per pass (the dimension's gather
+    or ``bincount`` calls), ``BLOCK_COLUMN_COST`` per block column (one
+    add each) and ``BLOCK_ROW_COST`` per block cell (one gathered code),
+    all in gathered-code units; the dimension blocks when that is no
+    more than the gather.  The tuple ratio ``n/|D|`` alone cannot
+    decide: at ``|D| = 100`` the block wins from ratio 5 with
+    ``d_R = 40`` but only from ratio 10 with ``d_R = 8``.  The rule sits
+    on the right side of every point of the sweep (README,
     "Factorize-or-gather plan").
 
     Pure, and looked up at call time: tests and the benchmark force a
@@ -252,8 +295,8 @@ class ShardEncoder:
                     f"strategy feature {feature!r} is neither a fact column "
                     f"nor a foreign feature of a joined dimension"
                 )
-        # The plan's per-dimension inputs: |D| and the kept features d_R,
-        # in feature order (the block's column order).
+        # Each joined dimension's kept features, in feature order (the
+        # block's column order).
         self._dimension_features: dict[str, list[str]] = {}
         for feature in self.feature_names:
             owner = self._foreign_of.get(feature)
@@ -261,28 +304,44 @@ class ShardEncoder:
                 self._dimension_features.setdefault(owner[0], []).append(
                     feature
                 )
-        self._dimension_rows: dict[str, int] = {
-            name: schema.dimension(name).n_rows
-            for name in self._dimension_features
-        }
         self._fact_levels = [len(schema.feature_domain(f)) for f in self._fact_features]
         needed = list(self._fact_features)
         for name in self.joined_dimensions:
             fk = schema.constraint(name).fk_column
-            if fk not in needed:
+            if name in self._dimension_features and fk not in needed:
                 needed.append(fk)
         self._required_columns: tuple[str, ...] = tuple(needed)
         # Views, never copies: an FK domain can hold 50,000 labels.
         self._code_indexes = [(c, schema.fact.domain(c).index) for c in needed]
+        # The assembly plan.  A code table's first columns are the fact
+        # features in feature order; each dimension reads its FK column
+        # and fills its kept features' positions, in the order their first
+        # feature appears (the order FK resolution errors surface in).
+        positions = {feature: p for p, feature in enumerate(self.feature_names)}
+        self._fact_positions = np.array(
+            [positions[f] for f in self._fact_features], dtype=np.int64
+        )
+        self._plans = tuple(
+            _DimensionPlan(
+                name,
+                needed.index(self._foreign_of[features[0]][1]),
+                np.array([positions[f] for f in features], dtype=np.int64),
+                schema.dimension(name).n_rows,
+            )
+            for name, features in self._dimension_features.items()
+        )
+        self._layouts: dict[tuple[bool, ...], _Layout] = {}
+        self._layout((False,) * len(self._plans))
 
     @property
     def required_columns(self) -> tuple[str, ...]:
         """Fact columns a block of rows must provide.
 
         Home features and usable FKs that are themselves features, plus
-        the FK of every joined dimension (needed for the gather even when
-        the FK is not a feature, e.g. under NoFK).  Fixed for the
-        encoder's lifetime, so it is precomputed off the hot path.
+        the FK of every joined dimension that keeps a feature (needed for
+        the gather even when the FK is not a feature, e.g. under NoFK).
+        Fixed for the encoder's lifetime, so it is precomputed off the
+        hot path.
         """
         return self._required_columns
 
@@ -318,24 +377,97 @@ class ShardEncoder:
     # Assembly
     # ------------------------------------------------------------------
     def assemble(
-        self, fact_codes: Mapping[str, np.ndarray]
+        self, fact_codes: "Mapping[str, np.ndarray] | np.ndarray"
     ) -> "CategoricalMatrix | FactorizedMatrix":
         """Assemble the feature matrix for pre-encoded fact columns.
 
         ``fact_codes`` maps each :attr:`required_columns` entry to an
-        ``(n,)`` int code vector.  Each joined dimension's FK is
+        ``(n,)`` int code vector, or is the ``(n, k)`` code array
+        :meth:`encode_requests` returns (its columns in
+        :attr:`required_columns` order).  Each joined dimension's FK is
         resolved to dimension rows once; a foreign key with no dimension
         row raises :class:`repro.errors.ReferentialIntegrityError`
         loudly rather than gathering garbage.  :func:`factorize_dimension`
         then decides, from ``n``, ``|D|`` and ``d_R``, whether the
-        dimension's features are gathered from the cached dimension
-        index into per-row columns or kept as its ``(|D|, d_R)`` block
-        (memoised, so a blocked dimension costs ``O(n)`` here).  With no
-        blocked dimension the result is a
+        dimension's features are gathered into per-row columns or kept
+        as its ``(|D|, d_R)`` block (memoised, so a blocked dimension
+        costs ``O(n)`` here).  The per-row columns are written into one
+        preallocated array: the fact features with one slice or fancy
+        index of the code table, each gathered dimension with one gather
+        of its block.  With no blocked dimension the result is a
         :class:`~repro.ml.encoding.CategoricalMatrix`, otherwise a
         :class:`~repro.ml.sparse.FactorizedMatrix` with the same column
         layout.
         """
+        codes = self._code_table(fact_codes)
+        n = codes.shape[0]
+        # One cache lookup, one FK resolution and one layout decision per
+        # dimension per batch, however many of its features are kept.
+        entries, dim_rows, blocked = [], [], []
+        for plan in self._plans:
+            entry = self.cache.get(plan.name)
+            entries.append(entry)
+            dim_rows.append(
+                resolve_dimension_rows(
+                    self.schema,
+                    plan.name,
+                    codes[:, plan.fk_column],
+                    row_of_code=entry.row_of_code,
+                )
+            )
+            blocked.append(
+                factorize_dimension(n, plan.n_rows, len(plan.positions))
+            )
+        # Caller-supplied fact codes are the one unverified input here: one
+        # check per batch before any kernel reads them.
+        fact = codes[:, : len(self._fact_features)]
+        check_code_ranges(fact, self._fact_levels, self._fact_features)
+        layout = self._layout(tuple(blocked))
+        out = np.empty((n, len(layout.positions)), dtype=np.int64)
+        out[:, layout.fact] = fact
+        for i, columns in layout.gathered:
+            out[:, columns] = self._block(self._plans[i].name, entries[i])[
+                dim_rows[i]
+            ]
+        if not any(blocked):
+            # Fact codes were range-checked above and dimension codes
+            # come from validated tables, so skip the per-batch scan.
+            return CategoricalMatrix(
+                out, self.n_levels, self.feature_names, validate=False
+            )
+        return FactorizedMatrix(
+            self.feature_names,
+            self.n_levels,
+            layout.positions,
+            out,
+            [
+                # dimension_block, which counts one cache hit of its own
+                # when it first stacks the block: the cache's hit count
+                # per batch stays what assembly has always reported.
+                FactorizedGroup(
+                    plan.name, plan.positions, rows,
+                    self.dimension_block(plan.name),
+                )
+                for plan, rows, block in zip(self._plans, dim_rows, blocked)
+                if block
+            ],
+        )
+
+    def _code_table(
+        self, fact_codes: "Mapping[str, np.ndarray] | np.ndarray"
+    ) -> np.ndarray:
+        """A batch's ``(n, k)`` code table, columns in
+        :attr:`required_columns` order."""
+        if isinstance(fact_codes, np.ndarray):
+            if fact_codes.ndim != 2 or fact_codes.shape[1] != len(
+                self._required_columns
+            ):
+                raise SchemaError(
+                    f"code array has shape {fact_codes.shape}, expected "
+                    f"(n, {len(self._required_columns)}): one column per "
+                    f"required column"
+                )
+            return fact_codes.astype(np.int64, copy=False)
         n = None
         for column, codes in fact_codes.items():
             codes = np.asarray(codes)
@@ -348,74 +480,57 @@ class ShardEncoder:
                 )
         if n is None:
             raise ValueError("cannot assemble an empty request batch")
+        if not self._required_columns:
+            return np.empty((n, 0), dtype=np.int64)
+        try:
+            columns = [fact_codes[column] for column in self._required_columns]
+        except KeyError:
+            self._raise_first_missing(fact_codes)
+            raise
+        return np.stack(columns, axis=1).astype(np.int64, copy=False)
 
-        # One cache lookup, one FK resolution and one layout decision per
-        # dimension per batch, however many of its features are kept.
-        entries: dict[str, _DimensionIndex] = {}
-        dim_rows: dict[str, np.ndarray] = {}
-        blocks: dict[str, list[int]] = {}
-        columns: list[np.ndarray] = []
-        positions: list[int] = []
-        fact: list[np.ndarray] = []
-        for position, feature in enumerate(self.feature_names):
+    def _raise_first_missing(self, fact_codes: Mapping[str, np.ndarray]) -> None:
+        """Raise what a feature-order walk over ``fact_codes`` meets first.
+
+        A missing fact column, or a dimension whose FK is missing or
+        dangling, in the order of the features: the same error whatever
+        else the batch lacks.
+        """
+        resolved = set()
+        for feature in self.feature_names:
             owner = self._foreign_of.get(feature)
             if owner is None:
-                try:
-                    codes = np.asarray(fact_codes[feature], dtype=np.int64)
-                except KeyError:
+                if feature not in fact_codes:
                     raise SchemaError(
                         f"request batch lacks fact column {feature!r}"
-                    ) from None
-                fact.append(codes)
-            else:
-                name = owner[0]
-                if name not in entries:
-                    entries[name], dim_rows[name] = self._resolve(
-                        name, owner[1], fact_codes
                     )
-                    if factorize_dimension(
-                        n,
-                        self._dimension_rows[name],
-                        len(self._dimension_features[name]),
-                    ):
-                        blocks[name] = []
-                if name in blocks:
-                    blocks[name].append(position)
-                    continue
-                codes = entries[name].feature_codes[feature][dim_rows[name]]
-            columns.append(codes)
-            positions.append(position)
-        # Caller-supplied fact codes are the one unverified input here: one
-        # check per batch before any kernel reads them, stacked feature-major
-        # so each feature's min/max reads contiguous memory.
-        if fact:
-            check_code_ranges(np.stack(fact).T, self._fact_levels, self._fact_features)
-        if not blocks:
-            if not columns:
-                return CategoricalMatrix.empty(n)
-            # Fact codes were range-checked above and dimension codes
-            # come from validated tables, so skip the per-batch scan.
-            return CategoricalMatrix(
-                np.stack(columns, axis=1), self.n_levels, self.feature_names,
-                validate=False,
-            )
-        return FactorizedMatrix(
-            self.feature_names,
-            self.n_levels,
-            np.asarray(positions, dtype=np.int64),
-            (
-                np.stack(columns, axis=1)
-                if columns
-                else np.zeros((n, 0), dtype=np.int64)
-            ),
-            [
-                FactorizedGroup(
-                    name, block_positions, dim_rows[name],
-                    self.dimension_block(name),
+            elif owner[0] not in resolved:
+                resolved.add(owner[0])
+                self._resolve(owner[0], owner[1], fact_codes)
+
+    def _layout(self, blocked: tuple[bool, ...]) -> _Layout:
+        """The per-row column layout when the plans ``blocked`` flags are
+        kept as blocks, built once per combination."""
+        layout = self._layouts.get(blocked)
+        if layout is None:
+            gathered = [
+                i for i, is_blocked in enumerate(blocked) if not is_blocked
+            ]
+            positions = np.sort(
+                np.concatenate(
+                    [self._fact_positions]
+                    + [self._plans[i].positions for i in gathered]
                 )
-                for name, block_positions in blocks.items()
-            ],
-        )
+            )
+            layout = self._layouts[blocked] = _Layout(
+                positions,
+                _columns(np.searchsorted(positions, self._fact_positions)),
+                tuple(
+                    (i, _columns(np.searchsorted(positions, self._plans[i].positions)))
+                    for i in gathered
+                ),
+            )
+        return layout
 
     def _resolve(
         self, name: str, fk: str, fact_codes: Mapping[str, np.ndarray]
@@ -456,22 +571,33 @@ class ShardEncoder:
         """A joined dimension's ``(|D|, d_R)`` code block, memoised.
 
         Column ``c`` holds the codes of the dimension's ``c``-th kept
-        feature (feature order) for every dimension row.  Stacking the
-        cached per-feature code columns costs ``O(|D|·d_R)`` once;
-        afterwards a blocked dimension costs no per-dimension-row work
-        at assembly.  Entries are immutable and the stack is
-        deterministic, so racing threads writing the same key is benign.
+        feature (feature order) for every dimension row, in the
+        narrowest unsigned integer type that holds them: every gathered
+        dimension's block stays for the encoder's lifetime, and a
+        50,000-row, 14-feature one is 0.7 MB as bytes, 5.6 MB as int64.
+        Stacking the cached per-feature code columns costs
+        ``O(|D|·d_R)`` once; afterwards a dimension costs no
+        per-dimension-row work at assembly.  Entries are immutable and
+        the stack is deterministic, so racing threads writing the same
+        key is benign.
         """
         block = self._block_cache.get(name)
         if block is None:
-            entry = self.cache.get(name)
-            block = np.stack(
-                [
-                    entry.feature_codes[feature]
-                    for feature in self._dimension_features[name]
-                ],
-                axis=1,
-            ).astype(np.int64, copy=False)
+            block = self._block(name, self.cache.get(name))
+        return block
+
+    def _block(self, name: str, entry: _DimensionIndex) -> np.ndarray:
+        """:meth:`dimension_block`, stacked from an index the caller holds."""
+        block = self._block_cache.get(name)
+        if block is None:
+            features = self._dimension_features[name]
+            levels = max(len(self.schema.feature_domain(f)) for f in features)
+            block = np.empty(
+                (self.schema.dimension(name).n_rows, len(features)),
+                dtype=np.min_scalar_type(levels - 1),
+            )
+            for c, feature in enumerate(features):
+                block[:, c] = entry.feature_codes[feature]
             self._block_cache[name] = block
         return block
 
@@ -487,8 +613,7 @@ class ShardEncoder:
         self, rows: Sequence[Mapping[str, object]]
     ) -> "CategoricalMatrix | FactorizedMatrix":
         """Encode label-valued request rows and assemble their features."""
-        codes = self.encode_requests(rows)
-        return self.assemble(dict(zip(self._required_columns, codes.T)))
+        return self.assemble(self.encode_requests(rows))
 
     def encode_shard(
         self, fact_rows: Table

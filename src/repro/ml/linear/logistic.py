@@ -47,38 +47,14 @@ def _soft_threshold(w: np.ndarray, t: float) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    positive = z >= 0
-    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
-    e = np.exp(z[~positive])
-    out[~positive] = e / (1.0 + e)
-    return out
+    """The logistic function, never exponentiating a positive number.
 
-
-def _lipschitz_bound(X, seed: int = 0, iterations: int = 30) -> float:
-    """Upper bound on the logistic-loss gradient Lipschitz constant.
-
-    ``X`` may be any :mod:`repro.ml.sparse` operand (or a dense array);
-    power iteration only needs the two matrix-vector products, which
-    every layout provides.
+    ``exp(-|z|)`` is ``exp(-z)`` where ``z >= 0`` and ``exp(z)`` elsewhere,
+    so one exponential serves both branches of the stable form.
     """
-    n = X.shape[0]
-    rng = ensure_rng(seed)
-    v = rng.normal(size=X.shape[1])
-    norm = np.linalg.norm(v)
-    if norm == 0 or X.shape[1] == 0:
-        return 1.0
-    v /= norm
-    sigma = 1.0
-    for _ in range(iterations):
-        u = sparse.matmul(X, v)
-        v = sparse.rmatmul(X, u)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            break
-        sigma = norm
-        v /= norm
-    return max(sigma / (4.0 * n), 1e-12)
+    e = np.exp(-np.abs(z))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
 def _prepare(X, y) -> tuple:
@@ -131,13 +107,15 @@ def _gradient(
 def _power_lipschitz(
     power_step, n: int, width: int, seed: int = 0, iterations: int = 30
 ) -> float:
-    """:func:`_lipschitz_bound` driven through a shard-pass function.
+    """Upper bound on the logistic-loss gradient Lipschitz constant.
 
-    ``X.T @ (X @ v)`` decomposes over row blocks as
-    ``Σ_s X_s.T @ (X_s @ v)``, so each power iteration is one
-    ``power_step`` over the shards with only width-sized state held
-    between steps.  With a single shard the arithmetic matches
-    :func:`_lipschitz_bound` exactly.
+    Power iteration on ``X.T @ X`` for an ``(n, width)`` operand, with
+    ``power_step(v)`` computing ``X.T @ (X @ v)``: for one operand
+    ``rmatmul(X, matmul(X, v))``, which every :mod:`repro.ml.sparse`
+    layout provides.  Over shards it decomposes as
+    ``Σ_s X_s.T @ (X_s @ v)`` (:func:`_power_step`), with only
+    width-sized state held between steps; with a single shard the
+    estimate equals the one-operand one exactly.
     """
     rng = ensure_rng(seed)
     v = rng.normal(size=width)
@@ -319,7 +297,10 @@ class L1LogisticRegression(Estimator):
         compute it once per shard and pass it to :meth:`partial_fit`.
         """
         encoded = sparse.encode_features(X)
-        return _lipschitz_bound(encoded) + (0.25 if self.fit_intercept else 0.0)
+        return _power_lipschitz(
+            lambda v: sparse.rmatmul(encoded, sparse.matmul(encoded, v)),
+            *encoded.shape,
+        ) + (0.25 if self.fit_intercept else 0.0)
 
     def partial_fit(
         self,
@@ -370,9 +351,7 @@ class L1LogisticRegression(Estimator):
             z_w, z_b, t_acc = w.copy(), b, 1.0
         signed = np.where(y > 0, 1.0, -1.0)
         if lipschitz is None:
-            lipschitz = _lipschitz_bound(encoded) + (
-                0.25 if self.fit_intercept else 0.0
-            )
+            lipschitz = self.lipschitz_bound(X)
         elif lipschitz <= 0:
             raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
         step = 1.0 / lipschitz

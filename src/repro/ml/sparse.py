@@ -42,7 +42,12 @@ the per-dimension work once over the block (``O(|D|·d_R)``) and touch
 the fact rows only through a single gather or ``bincount`` by FK code
 (``O(n)`` per dimension).  Total per pass: ``O(n + |D|·d_R)`` instead
 of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out, exactly the
-regime where the paper's join-avoidance question bites.
+regime where the paper's join-avoidance question bites.  Each group
+also keeps its block once as a C-ordered ``(d_R, |D|)`` array of
+one-hot column indexes (:meth:`FactorizedGroup.flat_block`), so the
+block work is one gather of the operand (``matmul``) or one
+``bincount`` (``rmatmul``) per dimension, not one numpy call per block
+column.
 
 Which layout a shard gets is decided per dimension by the encoder
 (:func:`repro.data.encoder.factorize_dimension`), not by the models:
@@ -68,6 +73,28 @@ from repro.ml.encoding import CategoricalMatrix
 #: a crossover of ~90-140 levels for a test-by-train block and ~220 for
 #: a training Gram.  Either side of it the counts are identical.
 GEMM_MAX_LEVELS = 128
+
+
+#: Row length from which numpy sums a row pairwise, eight partial sums
+#: at a time; a shorter row it adds left to right from zero.
+PAIRWISE_MIN = 8
+
+
+def _gather_sum(W: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """``out[i] = sum_j W[flat[i, j]]`` for ``flat`` of shape ``(n, d)``.
+
+    A 1-D ``W`` with at least :data:`PAIRWISE_MIN` columns gathers once
+    and lets ``sum(axis=1)`` add each row pairwise.  Otherwise the
+    columns are added in order from zeros, one gather each — for a 1-D
+    ``W`` exactly the order ``sum(axis=1)`` uses on a short row, at one
+    vectorized add per column instead of one reduction per row.
+    """
+    if W.ndim == 1 and flat.shape[1] >= PAIRWISE_MIN:
+        return W[flat].sum(axis=1)
+    out = np.zeros((flat.shape[0],) + W.shape[1:], dtype=np.float64)
+    for j in range(flat.shape[1]):
+        out += W[flat[:, j]]
+    return out
 
 
 class OneHotMatrix:
@@ -193,15 +220,7 @@ class OneHotMatrix:
             raise ValueError(
                 f"operand has {W.shape[0]} rows, expected width {self.width}"
             )
-        if self.n_features == 0:
-            return np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        flat = self._flat_codes()
-        if W.ndim == 1:
-            return W[flat].sum(axis=1)
-        out = np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        for j in range(self.n_features):
-            out += W[flat[:, j]]
-        return out
+        return _gather_sum(W, self._flat_codes())
 
     def rmatmul(self, V: np.ndarray) -> np.ndarray:
         """``X.T @ V`` for ``V`` of shape ``(n,)`` or ``(n, k)``.
@@ -369,7 +388,9 @@ class FactorizedGroup:
         the codes of feature ``positions[c]`` for every dimension row.
     """
 
-    __slots__ = ("name", "positions", "dim_rows", "block")
+    __slots__ = (
+        "name", "positions", "dim_rows", "_block", "_flat", "_span", "_offsets"
+    )
 
     def __init__(
         self,
@@ -381,31 +402,104 @@ class FactorizedGroup:
         self.name = name
         self.positions = np.asarray(positions, dtype=np.int64)
         self.dim_rows = np.asarray(dim_rows, dtype=np.int64)
-        self.block = np.asarray(block, dtype=np.int64)
-        if self.block.ndim != 2 or self.block.shape[1] != len(self.positions):
+        self._block = np.asarray(block, dtype=np.int64)
+        self._flat: np.ndarray | None = None
+        self._span: slice | None = None
+        self._offsets: np.ndarray | None = None
+        if self._block.ndim != 2 or self._block.shape[1] != len(self.positions):
             raise ValueError(
-                f"group {name!r} block has shape {self.block.shape}, "
+                f"group {name!r} block has shape {self._block.shape}, "
                 f"expected (n_dim_rows, {len(self.positions)})"
             )
 
     @property
+    def block(self) -> np.ndarray:
+        """The ``(|D|, d_R)`` code block (re-derived on a resident group)."""
+        if self._block is None:
+            return (self._flat - self._starts(self._offsets)).T
+        return self._block
+
+    @property
     def n_dim_rows(self) -> int:
         """Distinct dimension rows the block covers, ``|D|``."""
-        return self.block.shape[0]
+        if self._block is None:
+            return self._flat.shape[1]
+        return self._block.shape[0]
 
     @property
     def nbytes(self) -> int:
-        return int(
-            self.positions.nbytes + self.dim_rows.nbytes + self.block.nbytes
-        )
+        """Resident bytes: positions, resolved rows, block, flat block."""
+        held = [self.positions, self.dim_rows, self._block, self._flat]
+        return int(sum(array.nbytes for array in held if array is not None))
+
+    def span(self, offsets: np.ndarray) -> slice:
+        """The one-hot columns from the group's first feature to its last.
+
+        The encoder keeps a dimension's features adjacent, so the span
+        is exactly the group's columns there; in general it may cover
+        other features' columns too, which the kernels leave alone.
+        Kept after first use, like :meth:`flat_block`.
+        """
+        if self._span is None:
+            self._span = (
+                slice(
+                    int(offsets[self.positions.min()]),
+                    int(offsets[self.positions.max() + 1]),
+                )
+                if len(self.positions)
+                else slice(0, 0)
+            )
+        return self._span
+
+    def _starts(self, offsets: np.ndarray) -> np.ndarray:
+        """Each block column's first one-hot column, from the span's start."""
+        starts = offsets[self.positions] - self.span(offsets).start
+        return starts[:, np.newaxis]
+
+    def flat_block(self, offsets: np.ndarray) -> np.ndarray:
+        """The block as kernel columns: a C-ordered ``(d_R, |D|)`` array.
+
+        Row ``c`` holds feature ``positions[c]``'s codes shifted to its
+        one-hot columns, counted from :meth:`span`'s start — one gather
+        or one ``bincount`` over it reads every block column at once.
+        Built on first use and kept; ``offsets`` are the matrix's.
+        """
+        if self._flat is None:
+            self._offsets = offsets
+            # C order keeps each block column contiguous for the kernels'
+            # per-column adds (the transpose alone would be F-ordered).
+            self._flat = np.add(
+                self._block.T, self._starts(offsets), order="C"
+            )
+        return self._flat
+
+    def resident(self, offsets: np.ndarray) -> "FactorizedGroup":
+        """A copy to keep across passes, holding the flat block only.
+
+        Like :meth:`OneHotMatrix.resident`: the flat block is a fresh
+        array, so the copy borrows nothing from the source's block, and
+        its :attr:`block` is re-derived on each access.
+        """
+        group = object.__new__(FactorizedGroup)
+        group.name = self.name
+        group.positions = self.positions.copy()
+        group.dim_rows = self.dim_rows.copy()
+        group._flat = self.flat_block(offsets)
+        group._span = self._span
+        group._offsets = offsets
+        group._block = None
+        return group
 
     def take_rows(self, rows: np.ndarray | slice) -> "FactorizedGroup":
-        """The group restricted to a fact-row subset (block is shared)."""
+        """The group restricted to a fact-row subset (blocks are shared)."""
         group = object.__new__(FactorizedGroup)
         group.name = self.name
         group.positions = self.positions
         group.dim_rows = self.dim_rows[rows]
-        group.block = self.block
+        group._block = self._block
+        group._flat = self._flat
+        group._span = self._span
+        group._offsets = self._offsets
         return group
 
     def __repr__(self) -> str:
@@ -507,9 +601,10 @@ class FactorizedMatrix:
         """A copy to keep across passes, owning every array it holds.
 
         It keeps what the kernels read: the fact columns' flat codes and
-        a copy of each group's positions, resolved rows and block — a
-        source may reuse or drop a shard's arrays once the next shard
-        is read.  Its :attr:`fact_codes` are re-derived on each access.
+        each group's flat block, plus copies of the groups' positions and
+        resolved rows — a source may reuse or drop a shard's arrays once
+        the next shard is read.  Its :attr:`fact_codes` and its groups'
+        blocks are re-derived on each access.
         """
         view = object.__new__(FactorizedMatrix)
         view.names = self.names
@@ -518,15 +613,7 @@ class FactorizedMatrix:
         view.fact_positions = self.fact_positions.copy()
         view._fact_codes = None
         view._fact_flat = self._fact_flat_codes()
-        view.groups = tuple(
-            FactorizedGroup(
-                group.name,
-                group.positions.copy(),
-                group.dim_rows.copy(),
-                group.block.copy(),
-            )
-            for group in self.groups
-        )
+        view.groups = tuple(group.resident(self.offsets) for group in self.groups)
         return view
 
     # ------------------------------------------------------------------
@@ -622,27 +709,20 @@ class FactorizedMatrix:
 
         The per-row part is :class:`OneHotMatrix`'s gather-sum; each
         dimension contributes ``block @ w`` evaluated once over its
-        ``|D|`` rows and broadcast to the fact rows by one gather.
+        ``|D|`` rows — one gather of ``W`` by the flat block, its columns
+        added in order — and broadcast to the fact rows by one gather.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.shape[0] != self.width:
             raise ValueError(
                 f"operand has {W.shape[0]} rows, expected width {self.width}"
             )
-        out = np.zeros((self.n_rows,) + W.shape[1:], dtype=np.float64)
-        if len(self.fact_positions):
-            flat = self._fact_flat_codes()
-            if W.ndim == 1:
-                out += W[flat].sum(axis=1)
-            else:
-                for j in range(flat.shape[1]):
-                    out += W[flat[:, j]]
+        out = _gather_sum(W, self._fact_flat_codes())
         for group in self.groups:
-            contrib = np.zeros(
-                (group.n_dim_rows,) + W.shape[1:], dtype=np.float64
-            )
-            for c, position in enumerate(group.positions):
-                contrib += W[group.block[:, c] + self.offsets[position]]
+            columns = W[group.span(self.offsets)][group.flat_block(self.offsets)]
+            contrib = np.zeros(columns.shape[1:], dtype=np.float64)
+            for column in columns:
+                contrib += column
             out += contrib[group.dim_rows]
         return out
 
@@ -651,8 +731,9 @@ class FactorizedMatrix:
 
         The operand collapses to per-dimension-row totals first
         (``O(n)``), then those ``(|D|,)`` totals scatter through the
-        block (``O(|D|·d_R)``) — the gradient never re-touches each
-        fact row's copy of its dimension features.
+        flat block in one more ``bincount`` over the group's one-hot
+        span (``O(|D|·d_R)``) — the gradient never re-touches each fact
+        row's copy of its dimension features.
         """
         V = np.asarray(V, dtype=np.float64)
         if V.shape[0] != self.n_rows:
@@ -679,24 +760,23 @@ class FactorizedMatrix:
                     flat_all, weights=weights, minlength=self.width
                 )
         for group in self.groups:
-            totals = np.empty(
-                (group.n_dim_rows, V2.shape[1]), dtype=np.float64
-            )
+            span = group.span(self.offsets)
+            flat = group.flat_block(self.offsets).ravel()
+            d_r = len(group.positions)
             for column in range(V2.shape[1]):
-                totals[:, column] = np.bincount(
+                totals = np.bincount(
                     group.dim_rows,
                     weights=V2[:, column],
                     minlength=group.n_dim_rows,
                 )
-            for c, position in enumerate(group.positions):
-                offset = int(self.offsets[position])
-                n_levels = self.n_levels[position]
-                for column in range(V2.shape[1]):
-                    out[offset : offset + n_levels, column] += np.bincount(
-                        group.block[:, c],
-                        weights=totals[:, column],
-                        minlength=n_levels,
-                    )
+                # Block columns own disjoint one-hot columns, so each slot
+                # sums its rows in row order, as one bincount per block
+                # column did; slots of other features in the span get 0.
+                out[span, column] += np.bincount(
+                    flat,
+                    weights=np.tile(totals, d_r),
+                    minlength=span.stop - span.start,
+                )
         return out.reshape((self.width,) + V.shape[1:])
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs import MetricsRegistry
+from repro.obs import Counter, MetricsRegistry
 
 
 def _chained_copy(error: BaseException) -> BaseException:
@@ -237,6 +237,9 @@ class MicroBatcher:
         self._request_latency = self.metrics.histogram(
             "serving.latency.request_s"
         )
+        # Per-reason counters by metric name, filled on each reason's
+        # first flush (see _count_reason).
+        self._reason_counters: dict[str, Counter] = {}
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         # Delivery signal for blocking result() calls: notified once per
@@ -294,7 +297,17 @@ class MicroBatcher:
         return reasons
 
     def _count_reason(self, prefix: str, reason: str) -> None:
-        self.metrics.counter(prefix + reason).inc()
+        """Count one flush or failure under its reason's counter.
+
+        Each reason's counter is looked up in the registry once and then
+        kept, so a flush makes no registry lookup.
+        """
+        name = prefix + reason
+        try:
+            counter = self._reason_counters[name]
+        except KeyError:
+            counter = self._reason_counters[name] = self.metrics.counter(name)
+        counter.inc()
 
     def __len__(self) -> int:
         with self._lock:

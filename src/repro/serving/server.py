@@ -282,14 +282,15 @@ class PredictionServer:
         artifact's model predicts from.
         """
         encoded = np.concatenate(payloads)
-        columns = dict(zip(self.features.required_columns, encoded.T))
+        if self._scorer is not None:
+            columns = dict(zip(self.features.required_columns, encoded.T))
         started = time.perf_counter()
         if self._scorer is not None:
             dim_rows = self.features.dimension_rows(columns)
             assembled = time.perf_counter()
             codes = self._scorer.predict_codes(columns, dim_rows)
         else:
-            X = self.features.assemble(columns)
+            X = self.features.assemble(encoded)
             assembled = time.perf_counter()
             codes = self.artifact.predict_codes(X)
         finished = time.perf_counter()

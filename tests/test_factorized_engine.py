@@ -14,6 +14,9 @@ every join strategy, skewed and uniform FK distributions, empty and
 one-class shards, and unseen-FK serving rows.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -26,6 +29,7 @@ from repro.core import (
     no_join_strategy,
 )
 from repro.data import SourceSpec
+from repro.data import encoder as encoder_module
 from repro.data.encoder import ShardEncoder, factorize_dimension
 from repro.datasets import (
     OneXrScenario,
@@ -92,23 +96,38 @@ class TestFactorizeOrGatherPlan:
     """The plan reads each dimension's layout off ``n``, ``|D|``, ``d_R``."""
 
     #: ``(d_R, |D|, n/|D|)`` points of the benchmark sweep where the
-    #: blocked layout trained faster in every run (README,
-    #: "Factorize-or-gather plan").
+    #: blocked layout trained faster in both sweeps the constants were
+    #: fitted to (README, "Factorize-or-gather plan").
     WINS = [
-        (8, 100, 40), (8, 100, 100),
-        (8, 1000, 10), (8, 1000, 20), (8, 1000, 40), (8, 1000, 100),
-        (40, 100, 20), (40, 100, 40), (40, 100, 100),
+        (8, 100, 10), (8, 100, 20), (8, 100, 40), (8, 100, 100),
+        (8, 1000, 5), (8, 1000, 10), (8, 1000, 20), (8, 1000, 40),
+        (8, 1000, 100),
+        (40, 100, 5), (40, 100, 10), (40, 100, 20), (40, 100, 40),
+        (40, 100, 100),
         (40, 1000, 5), (40, 1000, 10), (40, 1000, 20), (40, 1000, 40),
         (40, 1000, 100),
     ]
     #: ... and where gathering did.
-    LOSSES = [(8, 100, 5), (8, 100, 10), (40, 100, 5), (40, 100, 10)]
+    LOSSES = [(8, 100, 5)]
 
     def test_factorizes_at_the_sweeps_winning_points(self):
         for d_r, dim_rows, ratio in self.WINS:
             assert factorize_dimension(ratio * dim_rows, dim_rows, d_r)
         for d_r, dim_rows, ratio in self.LOSSES:
             assert not factorize_dimension(ratio * dim_rows, dim_rows, d_r)
+
+    def test_committed_sweep_and_readme_quote_the_constants(self):
+        """The rule's constants, the committed sweep they were fitted to
+        and the README's rule line change together (a re-fit that leaves
+        one behind fails here)."""
+        root = Path(__file__).resolve().parents[1]
+        names = ("BLOCK_FIXED_COST", "BLOCK_COLUMN_COST", "BLOCK_ROW_COST")
+        constants = {name: getattr(encoder_module, name) for name in names}
+        sweep = json.loads((root / "BENCH_factorized.json").read_text())
+        assert sweep["block_costs"] == constants
+        fixed, column, row = (constants[name] for name in names)
+        rule = f"`n · d_R >= {fixed:,} + d_R · ({column:,} + {row:,} · \\|D\\|)`"
+        assert rule in (root / "README.md").read_text()
 
     def test_benchmark_shapes(self):
         """``stream_fista``'s 10k-row Expedia shards block the 1,266-row
@@ -683,7 +702,7 @@ class TestSourceSpecEngine:
         """No option asks for it: the plan blocks the 4-row dimension
         once a shard has enough rows, and gathers it otherwise."""
         dataset = star_dataset(n=3000, n_r=4, d_s=1, d_r=12, seed=97)
-        source = SourceSpec(shard_rows=2400).build(
+        source = SourceSpec(shard_rows=2700).build(
             dataset, join_all_strategy(), "train"
         )
         shards = [source.shard(i) for i in range(source.n_shards)]

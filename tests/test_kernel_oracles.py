@@ -1,9 +1,10 @@
-"""Seven kernels against the implementations they replaced.
+"""Twelve kernels against the implementations they replaced.
 
-Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells and the
-served tree spend their time in was rewritten for speed with its
-arithmetic unchanged, so each must reproduce its plain predecessor
-exactly (``np.array_equal``, ``==`` and equal pickles, no tolerance):
+Each kernel the paper's tuned tree, SVM, 1-NN and L1-path cells, the
+streamed FISTA fit and the served tree spend their time in was rewritten
+for speed with its arithmetic unchanged, so each must reproduce its
+plain predecessor exactly (``np.array_equal``, ``==`` and equal
+pickles, no tolerance):
 
 - :meth:`OneHotMatrix.match_counts` (float32 one-hot GEMM for narrow
   features plus one equality pass per wide one) against the broadcast
@@ -25,24 +26,46 @@ exactly (``np.array_equal``, ``==`` and equal pickles, no tolerance):
   larger ``cp``;
 - :meth:`GridSearch.fit` over a tree grid (one fit per group of points
   that differ only in ``cp``, the others pruned from it) against one
-  fit per grid point, :func:`per_point_grid_search`.
+  fit per grid point, :func:`per_point_grid_search`;
+- :meth:`FactorizedMatrix.matmul` / :meth:`FactorizedMatrix.rmatmul`
+  (one gather or ``bincount`` per dimension over its flat block)
+  against one per block column, :func:`per_column_matmul` /
+  :func:`per_column_rmatmul`;
+- a 1-D :meth:`OneHotMatrix.matmul` over fewer than eight columns (adds
+  in column order) against the row sum :func:`row_sum_matmul`;
+- ``logistic._sigmoid`` (one ``exp(-|z|)``, picked by ``np.where``)
+  against the four-mask form :func:`masked_sigmoid`;
+- ``lipschitz_bound`` on one operand against a fit's shard-pass
+  estimate (the same power-iteration loop);
+- :meth:`ShardEncoder.assemble` (one plan: a slice of the code table
+  for the fact columns, one block gather per dimension, into one
+  array) against the feature-by-feature :func:`per_feature_assemble`,
+  errors and cache accounting included.
 """
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.strategies import join_all_strategy, no_join_strategy
+from repro.core.strategies import (
+    join_all_strategy,
+    no_fk_strategy,
+    no_join_strategy,
+)
+from repro.data import encoder as encoder_module
+from repro.data.encoder import ShardEncoder
+from repro.data.source import MatrixSource, ShardPasses
 from repro.datasets import generate_real_world
 from repro.datasets.realworld import DATASET_ORDER
 from repro.errors import SchemaError, UnseenCategoryError
 from repro.experiments.config import DEFAULT, PAPER
 from repro.experiments.runner import MODEL_REGISTRY
 from repro.ml import GridSearch
-from repro.ml.encoding import CategoricalMatrix
+from repro.ml.encoding import CategoricalMatrix, check_code_ranges
 from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
 from repro.ml.linear import logistic
 from repro.ml.sparse import (
@@ -57,6 +80,13 @@ from repro.ml.svm.smo import solve_smo
 from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.tree.cart import _BestSplit
 from repro.ml.tree.criteria import impurity_function, split_information
+from repro.relational import (
+    CategoricalColumn,
+    Domain,
+    KFKConstraint,
+    StarSchema,
+    Table,
+)
 from repro.rng import ensure_rng
 
 
@@ -923,3 +953,510 @@ def test_tree_grid_search_equals_one_fit_per_point_on_drawn_data(
         )
 
     _assert_search_equals_the_oracle(make_search, X, y, X_val, y_val)
+
+
+# ----------------------------------------------------------------------
+# FactorizedMatrix.matmul / rmatmul, the 1-D gather-sum, _sigmoid
+# ----------------------------------------------------------------------
+def per_column_matmul(X: FactorizedMatrix, W: np.ndarray) -> np.ndarray:
+    """``X @ W`` with one gather per block column (the plain kernel)."""
+    W = np.asarray(W, dtype=np.float64)
+    out = np.zeros((X.n_rows,) + W.shape[1:], dtype=np.float64)
+    if len(X.fact_positions):
+        flat = X.fact_codes + X.offsets[X.fact_positions][np.newaxis, :]
+        if W.ndim == 1:
+            out += W[flat].sum(axis=1)
+        else:
+            for j in range(flat.shape[1]):
+                out += W[flat[:, j]]
+    for group in X.groups:
+        contrib = np.zeros((group.n_dim_rows,) + W.shape[1:], dtype=np.float64)
+        for c, position in enumerate(group.positions):
+            contrib += W[group.block[:, c] + X.offsets[position]]
+        out += contrib[group.dim_rows]
+    return out
+
+
+def per_column_rmatmul(X: FactorizedMatrix, V: np.ndarray) -> np.ndarray:
+    """``X.T @ V`` with one ``bincount`` per block column (the plain kernel)."""
+    V = np.asarray(V, dtype=np.float64)
+    if X.n_features == 0:
+        return np.zeros((0,) + V.shape[1:], dtype=np.float64)
+    k = 1 if V.ndim == 1 else int(np.prod(V.shape[1:]))
+    V2 = V.reshape(V.shape[0], k)
+    out = np.zeros((X.width, k), dtype=np.float64)
+    d_fact = len(X.fact_positions)
+    if d_fact:
+        flat = (X.fact_codes + X.offsets[X.fact_positions][np.newaxis, :]).ravel()
+        for column in range(k):
+            weights = V2[:, column] if d_fact == 1 else np.repeat(V2[:, column], d_fact)
+            out[:, column] += np.bincount(flat, weights=weights, minlength=X.width)
+    for group in X.groups:
+        totals = np.empty((group.n_dim_rows, k), dtype=np.float64)
+        for column in range(k):
+            totals[:, column] = np.bincount(
+                group.dim_rows, weights=V2[:, column], minlength=group.n_dim_rows
+            )
+        for c, position in enumerate(group.positions):
+            offset = int(X.offsets[position])
+            n_levels = X.n_levels[position]
+            for column in range(k):
+                out[offset : offset + n_levels, column] += np.bincount(
+                    group.block[:, c], weights=totals[:, column], minlength=n_levels
+                )
+    return out.reshape((X.width,) + V.shape[1:])
+
+
+def row_sum_matmul(X: OneHotMatrix, w: np.ndarray) -> np.ndarray:
+    """A 1-D ``X @ w`` as one gather and a row sum (the plain kernel)."""
+    return w[X.codes + X.offsets[:-1][np.newaxis, :]].sum(axis=1)
+
+
+def masked_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean masks (the plain kernel)."""
+    out = np.empty_like(z)
+    positive = z >= 0
+    out[positive] = 1.0 / (1.0 + np.exp(-z[positive]))
+    e = np.exp(z[~positive])
+    out[~positive] = e / (1.0 + e)
+    return out
+
+
+def _assert_bitwise(got, expected):
+    """Equal bit for bit, signed zeros and infinities included.  Any NaN
+    equals any NaN: which NaN ``inf - inf`` propagates through a sum is
+    the one bit pattern the two summation loops may differ in."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got, expected, equal_nan=True)
+    numbers = ~np.isnan(expected)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(expected[numbers]))
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1.0, -1.0])
+
+
+def _operand(rng, shape, kind):
+    """Random normals, the special values, or a mix of both."""
+    normals = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    if kind == "normal":
+        return normals
+    specials = rng.choice(SPECIALS, size=shape)
+    if kind == "special":
+        return specials
+    return np.where(rng.random(shape) < 0.2, specials, normals)
+
+
+def _random_factorized(seed, n, d_fact, widths, interleave):
+    """A random factorized matrix: ``d_fact`` per-row columns and one
+    group per entry of ``widths``, its features adjacent or interleaved
+    with every other feature (a span wider than the group)."""
+    rng = np.random.default_rng(seed)
+    d = d_fact + sum(widths)
+    levels = rng.integers(1, 6, size=d)
+    order = rng.permutation(d) if interleave else np.arange(d)
+    fact_positions = np.sort(order[:d_fact])
+    groups, start = [], d_fact
+    for g, width in enumerate(widths):
+        positions = np.sort(order[start : start + width])
+        start += width
+        n_dim = int(rng.integers(1, 9))
+        block = rng.integers(0, levels[positions], size=(n_dim, width))
+        dim_rows = rng.integers(0, n_dim, size=n)
+        groups.append(FactorizedGroup(f"D{g}", positions, dim_rows, block))
+    fact = rng.integers(0, levels[fact_positions], size=(n, d_fact))
+    names = [f"f{j}" for j in range(d)]
+    return FactorizedMatrix(names, levels, fact_positions, fact, groups)
+
+
+FACTORIZED_SHAPES = {
+    "one-group": (40, 3, (2,), False),
+    "three-groups": (60, 2, (1, 3, 4), False),
+    "interleaved": (50, 4, (2, 3), True),
+    "no-fact-columns": (30, 0, (3, 2), False),
+    "interleaved-no-fact": (30, 0, (2, 2), True),
+    "wide-fact": (30, 9, (5,), True),
+    "zero-rows": (0, 3, (2, 1), False),
+    "one-row": (1, 1, (1,), False),
+}
+
+
+@pytest.mark.parametrize("kind", ["normal", "special", "mixed"])
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize(
+    "shape", FACTORIZED_SHAPES.values(), ids=FACTORIZED_SHAPES.keys()
+)
+def test_factorized_kernels_equal_the_per_column_loops(shape, ndim, kind):
+    for seed in range(4):
+        X = _random_factorized(seed, *shape)
+        rng = np.random.default_rng(100 + seed)
+        trailing = () if ndim == 1 else (3,)
+        W = _operand(rng, (X.width,) + trailing, kind)
+        V = _operand(rng, (X.n_rows,) + trailing, kind)
+        with np.errstate(all="ignore"):
+            for operand in (X, X.resident()):
+                _assert_bitwise(operand.matmul(W), per_column_matmul(X, W))
+                _assert_bitwise(operand.rmatmul(V), per_column_rmatmul(X, V))
+
+
+@pytest.mark.parametrize("layout", ["plan", "gather", "factorize"])
+def test_encoded_shard_kernels_equal_the_per_column_loops(force_layout, layout):
+    """A 10k-row Expedia shard (the plan blocks hotels and gathers
+    searches), with zeros of both signs in the weights as FISTA's
+    soft-threshold leaves them."""
+    expedia = generate_real_world("expedia", n_fact=20_000, seed=101)
+    encoder = ShardEncoder(expedia.schema, join_all_strategy())
+    rows = expedia.schema.fact.select(expedia.train[:10_000])
+    if layout == "plan":
+        X, _ = encoder.encode_shard(rows)
+    else:
+        with force_layout(layout):
+            X, _ = encoder.encode_shard(rows)
+    if not isinstance(X, FactorizedMatrix):
+        X = FactorizedMatrix(X.names, X.n_levels, np.arange(X.n_features), X.codes, [])
+    rng = np.random.default_rng(7)
+    w = rng.normal(size=X.width)
+    w[rng.random(X.width) < 0.5] = -0.0
+    v = rng.normal(size=X.n_rows)
+    for operand in (X, X.resident()):
+        _assert_bitwise(operand.matmul(w), per_column_matmul(X, w))
+        _assert_bitwise(operand.rmatmul(v), per_column_rmatmul(X, v))
+        _assert_bitwise(operand.matmul(np.full(X.width, -0.0)), np.zeros(X.n_rows))
+
+
+def test_flat_blocks_are_c_ordered_and_resident_bytes_do_not_grow():
+    """Each block column is one contiguous row of the flat block (an
+    F-ordered ``codes.T + offsets`` made the gather ~30% slower), and a
+    resident group holds the flat block in place of the block."""
+    X = _random_factorized(3, 40, 2, (3, 4), True)
+    resident = X.resident()
+    for group, kept in zip(X.groups, resident.groups):
+        flat = group.flat_block(X.offsets)
+        assert flat.flags.c_contiguous
+        assert flat.shape == (len(group.positions), group.n_dim_rows)
+        assert kept.flat_block(X.offsets) is flat
+        assert np.array_equal(kept.block, group.block)
+        assert kept.n_dim_rows == group.n_dim_rows
+        assert kept.nbytes == (
+            group.positions.nbytes + group.dim_rows.nbytes + group.block.nbytes
+        )
+        sliced = kept.take_rows(slice(5, 9))
+        assert np.array_equal(sliced.block, group.block)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_one_dimensional_matmul_equals_the_row_sum(d):
+    """Below numpy's 8-wide pairwise unroll a row sum adds left to right
+    from zero; the column-by-column adds that replace it do the same."""
+    rng = np.random.default_rng(d)
+    levels = tuple(int(k) for k in rng.integers(1, 7, size=d))
+    for n in (0, 1, 37):
+        codes = np.column_stack([rng.integers(0, k, size=n) for k in levels])
+        X = OneHotMatrix(CategoricalMatrix(codes.reshape(n, d), levels, [f"f{j}" for j in range(d)]))
+        for kind in ("normal", "special", "mixed"):
+            w = _operand(rng, (X.width,), kind)
+            with np.errstate(all="ignore"):
+                _assert_bitwise(X.matmul(w), row_sum_matmul(X, w))
+                _assert_bitwise(X.resident().matmul(w), row_sum_matmul(X, w))
+
+
+def test_sigmoid_equals_the_masked_form():
+    rng = np.random.default_rng(0)
+    z = np.concatenate(
+        [
+            SPECIALS,
+            [5e-324, -5e-324, 709.0, -709.0, 745.0, -745.0, 36.0, -36.0],
+            rng.normal(size=4_000) * 10.0 ** rng.integers(-8, 3, size=4_000),
+        ]
+    )
+    for values in (z, rng.permutation(z), z[:0], z[4:5], -z):
+        _assert_bitwise(logistic._sigmoid(values), masked_sigmoid(values))
+
+
+@pytest.mark.parametrize("layout", ["gather", "factorize"])
+def test_one_operand_lipschitz_equals_the_shard_pass_estimate(force_layout, layout):
+    """``lipschitz_bound`` (power iteration on ``rmatmul(X, matmul(X,
+    v))``) and a fit's ``_lipschitz`` (the same loop over shard passes)
+    return the same float on one shard of either layout."""
+    dataset = generate_real_world("flights", n_fact=2_000, seed=3)
+    encoder = ShardEncoder(dataset.schema, join_all_strategy())
+    rows = dataset.schema.fact.select(dataset.train)
+    with force_layout(layout):
+        X, y = encoder.encode_shard(rows)
+    assert isinstance(X, FactorizedMatrix) == (layout == "factorize")
+    for fit_intercept in (True, False):
+        model = L1LogisticRegression(fit_intercept=fit_intercept)
+        passes = ShardPasses(MatrixSource(X, y), logistic._prepare)
+        assert model.lipschitz_bound(X) == logistic._lipschitz(passes, fit_intercept)
+
+
+# ----------------------------------------------------------------------
+# ShardEncoder.assemble
+# ----------------------------------------------------------------------
+def per_feature_assemble(encoder: ShardEncoder, fact_codes):
+    """Feature-by-feature assembly from a column mapping (the plain
+    path): one read, gather and stack entry per feature."""
+    n = None
+    for column, codes in fact_codes.items():
+        codes = np.asarray(codes)
+        if n is None:
+            n = codes.shape[0]
+        elif codes.shape[0] != n:
+            raise SchemaError(
+                f"ragged request batch: column {column!r} has "
+                f"{codes.shape[0]} rows, expected {n}"
+            )
+    if n is None:
+        raise ValueError("cannot assemble an empty request batch")
+    entries, dim_rows, blocks = {}, {}, {}
+    columns, positions, fact = [], [], []
+    for position, feature in enumerate(encoder.feature_names):
+        owner = encoder._foreign_of.get(feature)
+        if owner is None:
+            try:
+                codes = np.asarray(fact_codes[feature], dtype=np.int64)
+            except KeyError:
+                raise SchemaError(
+                    f"request batch lacks fact column {feature!r}"
+                ) from None
+            fact.append(codes)
+        else:
+            name = owner[0]
+            if name not in entries:
+                entries[name], dim_rows[name] = encoder._resolve(
+                    name, owner[1], fact_codes
+                )
+                if encoder_module.factorize_dimension(
+                    n,
+                    encoder.schema.dimension(name).n_rows,
+                    len(encoder._dimension_features[name]),
+                ):
+                    blocks[name] = []
+            if name in blocks:
+                blocks[name].append(position)
+                continue
+            codes = entries[name].feature_codes[feature][dim_rows[name]]
+        columns.append(codes)
+        positions.append(position)
+    if fact:
+        check_code_ranges(
+            np.stack(fact).T, encoder._fact_levels, encoder._fact_features
+        )
+    if not blocks:
+        if not columns:
+            return CategoricalMatrix.empty(n)
+        return CategoricalMatrix(
+            np.stack(columns, axis=1), encoder.n_levels, encoder.feature_names,
+            validate=False,
+        )
+    return FactorizedMatrix(
+        encoder.feature_names,
+        encoder.n_levels,
+        np.asarray(positions, dtype=np.int64),
+        np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.int64),
+        [
+            FactorizedGroup(
+                name, block_positions, dim_rows[name], encoder.dimension_block(name)
+            )
+            for name, block_positions in blocks.items()
+        ],
+    )
+
+
+def _assert_same_matrix(got, expected):
+    assert type(got) is type(expected)
+    assert got.names == expected.names and got.n_levels == expected.n_levels
+    if isinstance(expected, CategoricalMatrix):
+        assert got.codes.dtype == expected.codes.dtype
+        assert got.codes.flags.c_contiguous == expected.codes.flags.c_contiguous
+        assert np.array_equal(got.codes, expected.codes)
+        return
+    assert np.array_equal(got.fact_positions, expected.fact_positions)
+    assert np.array_equal(got.fact_codes, expected.fact_codes)
+    assert [g.name for g in got.groups] == [g.name for g in expected.groups]
+    for group, oracle in zip(got.groups, expected.groups):
+        assert np.array_equal(group.positions, oracle.positions)
+        assert np.array_equal(group.dim_rows, oracle.dim_rows)
+        assert np.array_equal(group.block, oracle.block)
+
+
+def _raised(call):
+    try:
+        call()
+    except Exception as error:  # noqa: BLE001 - the exception is the result
+        return type(error), str(error)
+    return None
+
+
+def _batches(dataset, encoder, sizes):
+    fact = dataset.schema.fact
+    rows = np.concatenate([dataset.train, dataset.test])
+    start = 0
+    for size in sizes:
+        chosen = fact.select(rows[start : start + size])
+        start += size
+        yield {c: chosen.codes(c) for c in encoder.required_columns}
+
+
+ASSEMBLY_CASES = {
+    # name: (dataset, n_fact, strategy, layout, batch sizes)
+    "flights-joinall-served": ("flights", 4_000, join_all_strategy, "plan", (64, 1, 64, 0)),
+    "expedia-joinall-plan": ("expedia", 20_000, join_all_strategy, "plan", (10_000, 64, 10_000)),
+    "yelp-nofk-no-fact-columns": ("yelp", 1_000, no_fk_strategy, "plan", (64, 0)),
+    "yelp-nofk-blocked": ("yelp", 1_000, no_fk_strategy, "factorize", (200, 3)),
+    "movies-joinall-gathered": ("movies", 1_000, join_all_strategy, "gather", (100, 0)),
+    "movies-joinall-blocked": ("movies", 1_000, join_all_strategy, "factorize", (100, 0, 7)),
+    "flights-mixed": ("flights", 4_000, join_all_strategy, "mixed", (64, 500)),
+    "walmart-nojoin": ("walmart", 1_000, no_join_strategy, "plan", (64, 0)),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_CASES.values(), ids=ASSEMBLY_CASES.keys())
+def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
+    """Matrices, and the cache's hits, misses and builds after every
+    batch, from a mapping and from the code array ``encode_requests``
+    returns, against the per-feature path on its own encoder."""
+    name, n_fact, strategy, layout, sizes = case
+    dataset = generate_real_world(name, n_fact=n_fact, seed=5)
+    oracle_encoder = ShardEncoder(dataset.schema, strategy())
+    encoders = {
+        "mapping": ShardEncoder(dataset.schema, strategy()),
+        "array": ShardEncoder(dataset.schema, strategy()),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        if layout == "mixed":  # block the airline, gather the airports
+            patch.setattr(
+                encoder_module, "factorize_dimension",
+                lambda n, dim_rows, kept: kept == 5,
+            )
+        elif layout != "plan":
+            patch.setattr(
+                encoder_module, "factorize_dimension",
+                lambda *shape: layout == "factorize",
+            )
+        for codes in _batches(dataset, oracle_encoder, sizes):
+            expected = per_feature_assemble(oracle_encoder, codes)
+            table = np.stack(
+                [codes[c] for c in oracle_encoder.required_columns], axis=1
+            )
+            inputs = {"mapping": codes, "array": table}
+            for form, encoder in encoders.items():
+                _assert_same_matrix(encoder.assemble(inputs[form]), expected)
+                assert encoder.cache.stats == oracle_encoder.cache.stats
+
+
+def _bad_batches(dataset, encoder):
+    """(label, mapping) pairs that each break one rule, or several."""
+    fact = dataset.schema.fact
+    good = {c: fact.codes(c)[dataset.test[:20]].copy() for c in encoder.required_columns}
+    fact_features = encoder._fact_features
+    fks = [c for c in encoder.required_columns if c not in fact_features]
+    dims = list(encoder._dimension_features)
+    fk_of = {
+        name: dataset.schema.constraint(name).fk_column for name in dims
+    }
+
+    def changed(**columns):
+        return {**good, **columns}
+
+    def without(*names):
+        return {c: v for c, v in good.items() if c not in names}
+
+    yield "ragged", changed(**{encoder.required_columns[-1]: good[encoder.required_columns[-1]][:3]})
+    yield "empty", {}
+    if fact_features:
+        first = fact_features[0]
+        yield "missing-fact-column", without(fact_features[-1])
+        yield "missing-every-column", {"unrelated": np.zeros(20, dtype=np.int64)}
+        bad = good[first].copy()
+        bad[-1] = -1
+        yield "fact-code-below-range", changed(**{first: bad})
+        bad = good[fact_features[-1]].copy()
+        bad[0] = 10**6
+        yield "fact-code-above-range", changed(**{fact_features[-1]: bad})
+    for name in dims:
+        fk = fk_of[name]
+        bad = good[fk].copy()
+        bad[len(bad) // 2] = 10**7
+        yield f"dangling-{name}", changed(**{fk: bad})
+        bad2 = good[fk].copy()
+        bad2[:] = -1
+        if fact_features:
+            wrong = good[fact_features[0]].copy()
+            wrong[0] = -5
+            yield f"dangling-{name}-and-bad-fact-code", changed(
+                **{fk: bad2, fact_features[0]: wrong}
+            )
+            yield f"dangling-{name}-and-missing-fact-column", {
+                **without(fact_features[-1]), fk: bad2,
+            }
+    for fk in fks:
+        yield f"missing-fk-{fk}", without(fk)
+    if len(dims) > 1:
+        first, last = fk_of[dims[0]], fk_of[dims[-1]]
+        bad = good[first].copy()
+        bad[0] = 10**7
+        yield "dangling-first-and-missing-last-fk", {**without(last), first: bad}
+
+
+def _dangling_star():
+    """Two dimensions; the fact's key ``b2`` is in D2's key domain but has
+    no D2 row, a referential-integrity violation inside the domain."""
+    key_a, key_b, flag = Domain.of_size(3, prefix="a"), Domain.of_size(3, prefix="b"), Domain.boolean()
+    d1 = Table("D1", [CategoricalColumn("A", key_a, [0, 1, 2]), CategoricalColumn("A_f", flag, [0, 1, 0])])
+    d2 = Table("D2", [CategoricalColumn("B", key_b, [0, 1]), CategoricalColumn("B_f", flag, [1, 1])])
+    fact = Table(
+        "F",
+        [
+            CategoricalColumn("Y", flag, [0, 1, 0, 1]),
+            CategoricalColumn("H", flag, [1, 0, 0, 1]),
+            CategoricalColumn("A", key_a, [0, 1, 2, 0]),
+            CategoricalColumn("B", key_b, [0, 1, 2, 1]),
+        ],
+    )
+    return StarSchema(
+        fact=fact,
+        target="Y",
+        dimensions=[
+            (d1, KFKConstraint("A", "D1", "A")),
+            (d2, KFKConstraint("B", "D2", "B")),
+        ],
+        validate=False,
+    )
+
+
+ERROR_CASES = {
+    "churn-joinall": ("churn", join_all_strategy),
+    "churn-nofk": ("churn", no_fk_strategy),
+    "dangling-star-joinall": ("dangling", join_all_strategy),
+    "dangling-star-nofk": ("dangling", no_fk_strategy),
+    "flights-joinall": ("flights", join_all_strategy),
+    "flights-nofk": ("flights", no_fk_strategy),
+    "yelp-nofk": ("yelp", no_fk_strategy),
+}
+
+
+@pytest.mark.parametrize("layout", ["gather", "factorize"])
+@pytest.mark.parametrize("case", ERROR_CASES.values(), ids=ERROR_CASES.keys())
+def test_assembly_errors_equal_the_per_feature_path(case, layout, force_layout, churn_schema):
+    """The same exception type and message for every malformed batch,
+    and the same cache accounting after it."""
+    name, strategy = case
+    if name in ("churn", "dangling"):
+        schema = churn_schema if name == "churn" else _dangling_star()
+        dataset = SimpleNamespace(schema=schema, test=np.arange(schema.fact.n_rows))
+    else:
+        dataset = generate_real_world(name, n_fact=1_000, seed=9)
+        schema = dataset.schema
+    oracle_encoder = ShardEncoder(schema, strategy())
+    encoder = ShardEncoder(schema, strategy())
+    seen = 0
+    with force_layout(layout):
+        for label, batch in _bad_batches(dataset, encoder):
+            expected = _raised(lambda: per_feature_assemble(oracle_encoder, batch))
+            got = _raised(lambda: encoder.assemble(batch))
+            assert got == expected, label
+            assert expected is not None, label
+            assert encoder.cache.stats == oracle_encoder.cache.stats, label
+            seen += 1
+    assert seen >= 4

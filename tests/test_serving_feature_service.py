@@ -51,6 +51,33 @@ class TestAssembly:
         assert service.cache.stats.lookups == 0
         assert service.joined_dimensions == ()
 
+    def test_a_joined_dimension_that_keeps_no_feature_needs_no_fk(self):
+        """Under NoFK a dimension with no foreign features is joined but
+        contributes nothing, so its FK is not a required column and a
+        batch or request without it assembles."""
+        key, flag = Domain.of_size(2, prefix="c"), Domain.boolean()
+        keys_only = Table("D3", [CategoricalColumn("C", key, [0, 1])])
+        fact = Table(
+            "F",
+            [
+                CategoricalColumn("Y", flag, [0, 1, 0]),
+                CategoricalColumn("H", flag, [1, 0, 0]),
+                CategoricalColumn("C", key, [0, 1, 1]),
+            ],
+        )
+        schema = StarSchema(
+            fact=fact,
+            target="Y",
+            dimensions=[(keys_only, KFKConstraint("C", "D3", "C"))],
+        )
+        service = ShardEncoder(schema, no_fk_strategy())
+        assert service.joined_dimensions == ("D3",)
+        assert service.required_columns == ("H",)
+        X = service.assemble({"H": fact.codes("H")})
+        np.testing.assert_array_equal(X.codes[:, 0], fact.codes("H"))
+        X = service.assemble_rows([{"H": "1"}])
+        assert X.codes.shape == (1, 1)
+
     def test_missing_required_column_raises(self, churn_schema):
         service = ShardEncoder(churn_schema, join_all_strategy())
         with pytest.raises(SchemaError, match="lacks"):
@@ -64,6 +91,18 @@ class TestAssembly:
         bad["Gender"] = np.array([-1])
         with pytest.raises(SchemaError, match="out of range"):
             service.assemble(bad)
+
+    def test_code_array_must_have_one_column_per_required_column(
+        self, churn_schema
+    ):
+        service = ShardEncoder(churn_schema, join_all_strategy())
+        codes = service.encode_requests(
+            [{"Gender": "F", "Age": "old", "Employer": "initech"}]
+        )
+        assert isinstance(service.assemble(codes), CategoricalMatrix)
+        for bad in (codes[:, :-1], codes[0]):
+            with pytest.raises(SchemaError, match="one column per"):
+                service.assemble(bad)
 
     def test_ragged_batch_raises(self, churn_schema):
         service = ShardEncoder(churn_schema, no_join_strategy())

@@ -97,10 +97,31 @@ def test_one_size_triggered_flush_makes_the_batched_table(served, bench):
         # The last submit fills the batch and flushes it inline.
         assert all(handle.done() for handle in handles)
 
-    submit_one_batch()  # warm: tree flat form, reason counter
+    submit_one_batch()  # warm: tree flat form, the "size" reason counter
     counts = _count_ops(submit_one_batch)
     assert counts == _table(bench.BATCHED_OPS_PER_FLUSH)
+    # The reason counter is kept on the batcher: no registry lookup.
+    assert counts["registry_counter_lookup"] == 0
     assert server.batcher.stats.flush_reasons == {"size": 2}
+
+
+def test_the_instrument_swap_silences_the_reason_counters(served, bench):
+    """With the gate's end-to-end swap off, a flush counts no reason, so
+    the kept per-reason counters are among the instruments it swaps."""
+    server, requests = served
+    swap = bench._InstrumentSwap(server)
+    before = server.batcher.stats.flush_reasons
+    try:
+        swap.set_enabled(False)
+        for row in requests:
+            server.submit(row)
+        assert server.batcher.stats.flush_reasons == before
+    finally:
+        swap.set_enabled(True)
+    for row in requests:
+        server.submit(row)
+    after = server.batcher.stats.flush_reasons
+    assert after == {**before, "size": before["size"] + 1}
 
 
 def test_one_predict_one_makes_the_single_table(served, bench):
