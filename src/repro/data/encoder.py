@@ -441,14 +441,12 @@ class ShardEncoder:
             layout.positions,
             out,
             [
-                # dimension_block, which counts one cache hit of its own
-                # when it first stacks the block: the cache's hit count
-                # per batch stays what assembly has always reported.
                 FactorizedGroup(
-                    plan.name, plan.positions, rows,
-                    self.dimension_block(plan.name),
+                    plan.name, plan.positions, rows, self._block(plan.name, entry)
                 )
-                for plan, rows, block in zip(self._plans, dim_rows, blocked)
+                for plan, entry, rows, block in zip(
+                    self._plans, entries, dim_rows, blocked
+                )
                 if block
             ],
         )

@@ -9,12 +9,14 @@ paths:
 
 - **Implicit (default for all numeric models)** —
   :meth:`CategoricalMatrix.onehot_view` wraps the codes in a
-  :class:`repro.ml.sparse.OneHotMatrix`, which answers every product,
-  gradient, Gram block and distance the models need with per-feature
-  gathers and scatter-adds over the codes.  The dense ``(n, Σ levels)``
-  matrix is never allocated, so cost scales with ``n × d`` instead of
-  ``n × Σ levels`` — the difference between feasible and infeasible for
-  foreign keys with domains in the thousands to millions.
+  :class:`repro.ml.sparse.OneHotMatrix` (the kernel operand
+  :class:`~repro.ml.sparse.FactorizedMatrix` with no blocks), which
+  answers every product, gradient, Gram block and distance the models
+  need with per-feature gathers and scatter-adds over the codes.  The
+  dense ``(n, Σ levels)`` matrix is never allocated, so cost scales
+  with ``n × d`` instead of ``n × Σ levels`` — the difference between
+  feasible and infeasible for foreign keys with domains in the
+  thousands to millions.
 - **Dense (test oracle)** — :meth:`CategoricalMatrix.onehot`
   materialises the full float64 one-hot matrix.  Kept as the reference
   implementation: tests substitute

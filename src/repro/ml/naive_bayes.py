@@ -22,7 +22,17 @@ import numpy as np
 
 from repro.ml.base import Estimator, check_fitted, check_X_y
 from repro.ml.encoding import CategoricalMatrix
-from repro.ml.sparse import FactorizedMatrix
+from repro.ml.sparse import FactorizedMatrix, OneHotMatrix
+
+
+def _operand(X: "CategoricalMatrix | FactorizedMatrix") -> FactorizedMatrix:
+    """A shard of either layout as per-row codes plus blocks: a gathered
+    shard is its no-block :class:`~repro.ml.sparse.OneHotMatrix`.
+
+    Not :func:`repro.ml.sparse.encode_features`, which tests substitute
+    with the dense one-hot oracle: Naive Bayes counts codes.
+    """
+    return OneHotMatrix(X) if isinstance(X, CategoricalMatrix) else X
 
 
 class CategoricalNB(Estimator):
@@ -112,31 +122,22 @@ class CategoricalNB(Estimator):
                 f"{self.n_classes_} classes"
             )
         self.class_count_ += np.bincount(y, minlength=self.n_classes_)
-        if isinstance(X, FactorizedMatrix):
-            self._accumulate_factorized(X, y)
-        else:
-            for j in range(X.n_features):
-                k = self.n_levels_[j]
-                self.feature_count_[j] += np.bincount(
-                    y * k + X.codes[:, j], minlength=self.n_classes_ * k
-                ).reshape(self.n_classes_, k)
+        self._accumulate(_operand(X), y)
         self._finalize()
         return self
 
-    def _accumulate_factorized(
-        self, X: FactorizedMatrix, y: np.ndarray
-    ) -> None:
-        """Add a factorized shard's counts without gathering the join.
+    def _accumulate(self, X: FactorizedMatrix, y: np.ndarray) -> None:
+        """Add a shard's counts without gathering the join.
 
-        Fact features accumulate exactly as gathered codes would.  For
-        each joined dimension, one ``bincount`` collapses the shard to
-        a ``(n_classes, |D|)`` class-by-dimension-row table, and every
+        Per-row features count their codes directly.  For each blocked
+        dimension, one ``bincount`` collapses the shard to a
+        ``(n_classes, |D|)`` class-by-dimension-row table, and every
         foreign feature's counts are that table scattered through the
         dimension's code block — ``O(n + |D|·d_R)`` instead of
         ``O(n·d)``.  The per-(class, row) multiplicities are exact
         integers well below 2**53, so the float ``bincount`` weights
         round-trip exactly and the accumulated counts stay
-        **bit-identical** to the gathered path.
+        **bit-identical** to counting gathered codes.
         """
         C = self.n_classes_
         for c, position in enumerate(X.fact_positions):
@@ -200,26 +201,21 @@ class CategoricalNB(Estimator):
             raise ValueError(
                 f"expected {len(self.n_levels_)} features, got {X.n_features}"
             )
+        X = _operand(X)
         jll = np.tile(self.class_log_prior_, (X.n_rows, 1))
-        if isinstance(X, FactorizedMatrix):
-            for c, position in enumerate(X.fact_positions):
-                jll += self.feature_log_prob_[position][
-                    :, X.fact_codes[:, c]
+        for c, position in enumerate(X.fact_positions):
+            jll += self.feature_log_prob_[position][:, X.fact_codes[:, c]].T
+        for group in X.groups:
+            # Per-dimension-row class scores once over the block, then
+            # one gather by resolved row per fact row.
+            dim_jll = np.zeros(
+                (group.n_dim_rows, self.n_classes_), dtype=np.float64
+            )
+            for c, position in enumerate(group.positions):
+                dim_jll += self.feature_log_prob_[position][
+                    :, group.block[:, c]
                 ].T
-            for group in X.groups:
-                # Per-dimension-row class scores once over the block,
-                # then one gather by resolved row per fact row.
-                dim_jll = np.zeros(
-                    (group.n_dim_rows, self.n_classes_), dtype=np.float64
-                )
-                for c, position in enumerate(group.positions):
-                    dim_jll += self.feature_log_prob_[position][
-                        :, group.block[:, c]
-                    ].T
-                jll += dim_jll[group.dim_rows]
-            return jll
-        for j in range(X.n_features):
-            jll += self.feature_log_prob_[j][:, X.codes[:, j]].T
+            jll += dim_jll[group.dim_rows]
         return jll
 
     def predict(self, X: CategoricalMatrix) -> np.ndarray:

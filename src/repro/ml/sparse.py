@@ -1,18 +1,45 @@
-"""Sparse categorical kernels: implicit one-hot and factorized.
+"""Sparse categorical kernels: one implicit one-hot operand.
 
 A one-hot encoded categorical matrix has exactly one nonzero per feature
 per row, so every product the numeric models compute against it is a
 gather or a scatter over the integer codes — multiplying the explicit
-zeros is pure waste.  :class:`OneHotMatrix` is a read-only *view* over a
-:class:`~repro.ml.encoding.CategoricalMatrix` that implements the four
-kernels the models actually need, without ever allocating the dense
-``(n, sum(n_levels))`` array:
+zeros is pure waste.  :class:`FactorizedMatrix` is the read-only kernel
+operand of an encoded shard.  It answers the products the models need
+without ever allocating the dense ``(n, sum(n_levels))`` array:
 
-- :meth:`OneHotMatrix.matmul` — ``X @ W`` as per-feature row-gathers of
-  ``W`` summed across features (forward passes, decision functions);
-- :meth:`OneHotMatrix.rmatmul` — ``X.T @ V`` as scatter-adds
-  (``np.add.at`` / weighted ``bincount``) into the one-hot columns
-  (gradients, ``lambda_max`` screening);
+- :meth:`FactorizedMatrix.matmul` — ``X @ W`` as row-gathers of ``W``
+  summed across features (forward passes, decision functions);
+- :meth:`FactorizedMatrix.rmatmul` — ``X.T @ V`` as weighted
+  ``bincount`` scatters into the one-hot columns (gradients,
+  ``lambda_max`` screening).
+
+Cost is ``O(n·d)`` per pass instead of ``O(n · sum(n_levels))`` — for
+the paper's foreign keys with domains in the thousands to millions this
+is the difference between training being dominated by multiplying zeros
+and running at code-array speed.
+
+The operand also factorizes the KFK *join* out of the hot path.  A
+gathered code table stores every fact row's copy of its dimension row,
+so every kernel pass re-touches ``O(n·d)`` codes even though a joined
+dimension has only ``|D|`` distinct rows.  The operand keeps the
+per-row code columns as ``(n, d_fact)`` plus, per blocked dimension, one
+``(n,)`` FK-resolved row vector and one ``(|D|, d_R)`` code block;
+kernels run the per-dimension work once over the block (``O(|D|·d_R)``)
+and touch the fact rows only through a single gather or ``bincount`` by
+FK code (``O(n)`` per dimension).  Total per pass: ``O(n + |D|·d_R)``
+instead of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out,
+exactly the regime where the paper's join-avoidance question bites.
+Each group also keeps its block once as a C-ordered ``(d_R, |D|)``
+array of one-hot column indexes (:meth:`FactorizedGroup.flat_block`),
+so the block work is one gather of the operand (``matmul``) or one
+``bincount`` (``rmatmul``) per dimension, not one numpy call per block
+column.
+
+A gathered shard's operand is :class:`OneHotMatrix`, the
+:class:`FactorizedMatrix` with no blocks: every feature is a per-row
+column, so both layouts run the one copy of each kernel.  It adds what
+needs every feature's per-row codes:
+
 - :meth:`OneHotMatrix.match_counts` / :meth:`OneHotMatrix.squared_distances`
   — Gram blocks and squared Euclidean distances via code-match counts:
   for one-hot blocks ``x·z`` equals the number of matching features and
@@ -21,33 +48,7 @@ kernels the models actually need, without ever allocating the dense
   each wide one (a foreign key) by one code-equality pass; the counts
   are small integers, so the split is exact (see
   :data:`GEMM_MAX_LEVELS`);
-- :meth:`OneHotMatrix.column_means` / :meth:`OneHotMatrix.column_scales`
-  — per-one-hot-column statistics from a single ``bincount`` over the
-  codes, exposed for downstream scalers and diagnostics (nothing in
-  :mod:`repro.ml.preprocessing` consumes them yet).
-
-Cost is ``O(n·d)`` per pass instead of ``O(n · sum(n_levels))`` — for
-the paper's foreign keys with domains in the thousands to millions this
-is the difference between training being dominated by multiplying zeros
-and running at code-array speed.
-
-:class:`FactorizedMatrix` goes one step further and factorizes the KFK
-*join* itself out of the hot path.  A gathered code table stores every
-fact row's copy of its dimension row, so every kernel pass re-touches
-``O(n·d)`` codes even though a joined dimension has only ``|D|``
-distinct rows.  The factorized layout keeps the per-row code columns
-as ``(n, d_fact)`` plus, per blocked dimension, one ``(n,)``
-FK-resolved row vector and one ``(|D|, d_R)`` code block; kernels run
-the per-dimension work once over the block (``O(|D|·d_R)``) and touch
-the fact rows only through a single gather or ``bincount`` by FK code
-(``O(n)`` per dimension).  Total per pass: ``O(n + |D|·d_R)`` instead
-of ``O(n·d)`` — the win grows with the ``n/|D|`` fan-out, exactly the
-regime where the paper's join-avoidance question bites.  Each group
-also keeps its block once as a C-ordered ``(d_R, |D|)`` array of
-one-hot column indexes (:meth:`FactorizedGroup.flat_block`), so the
-block work is one gather of the operand (``matmul``) or one
-``bincount`` (``rmatmul``) per dimension, not one numpy call per block
-column.
+- :meth:`OneHotMatrix.toarray` — the dense one-hot encoding.
 
 Which layout a shard gets is decided per dimension by the encoder
 (:func:`repro.data.encoder.factorize_dimension`), not by the models:
@@ -95,279 +96,6 @@ def _gather_sum(W: np.ndarray, flat: np.ndarray) -> np.ndarray:
     for j in range(flat.shape[1]):
         out += W[flat[:, j]]
     return out
-
-
-class OneHotMatrix:
-    """An implicit view of ``CategoricalMatrix.onehot()``.
-
-    Holds only the ``(n, d)`` integer codes and the per-feature column
-    offsets of the one-hot layout (block ``j`` starts at
-    ``offsets[j]`` and has width ``n_levels[j]``), exactly matching the
-    column order of the dense encoding.
-
-    Parameters
-    ----------
-    source:
-        The categorical matrix to view.  The codes are shared, not
-        copied; the view is read-only.
-    """
-
-    __slots__ = ("_codes", "n_levels", "offsets", "_flat")
-
-    def __init__(self, source: CategoricalMatrix):
-        self._codes = source.codes
-        self.n_levels = tuple(int(k) for k in source.n_levels)
-        self.offsets = np.concatenate(
-            ([0], np.cumsum(self.n_levels))
-        ).astype(np.int64)
-        self._flat: np.ndarray | None = None
-
-    def _replace_codes(self, codes: np.ndarray) -> "OneHotMatrix":
-        view = object.__new__(OneHotMatrix)
-        view._codes = codes
-        view.n_levels = self.n_levels
-        view.offsets = self.offsets
-        view._flat = None
-        return view
-
-    def resident(self) -> "OneHotMatrix":
-        """A copy to keep across passes, holding only the flat codes.
-
-        The kernels read nothing else, and the flat codes are a fresh
-        array, so the copy borrows nothing from the codes it came from
-        (a source may reuse or drop a shard's arrays once the next shard
-        is read).  Its :attr:`codes` are re-derived on each access.
-        """
-        view = object.__new__(OneHotMatrix)
-        view._codes = None
-        view.n_levels = self.n_levels
-        view.offsets = self.offsets
-        view._flat = self._flat_codes()
-        return view
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def codes(self) -> np.ndarray:
-        """The ``(n, d)`` integer codes."""
-        if self._codes is None:
-            return self._flat - self.offsets[:-1][np.newaxis, :]
-        return self._codes
-
-    def _table(self) -> np.ndarray:
-        """The ``(n, d)`` table held: the codes, or only the flat codes."""
-        return self._flat if self._codes is None else self._codes
-
-    @property
-    def n_rows(self) -> int:
-        """Number of examples."""
-        return self._table().shape[0]
-
-    @property
-    def n_features(self) -> int:
-        """Number of categorical features (one-hot blocks)."""
-        return self._table().shape[1]
-
-    @property
-    def width(self) -> int:
-        """Width of the implied one-hot encoding, ``sum(n_levels)``."""
-        return int(self.offsets[-1])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        """Shape of the implied dense matrix, ``(n, width)``."""
-        return (self.n_rows, self.width)
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the view: codes, offsets, flat-code cache.
-
-        Part of the ``shard_working_set_bytes`` the streaming scale
-        benchmark records; compare against ``n_rows * width * 8`` for
-        the dense encoding this view stands in for (the benchmark's
-        ``shard_dense_equivalent_bytes``).
-        """
-        codes = self._codes.nbytes if self._codes is not None else 0
-        flat = self._flat.nbytes if self._flat is not None else 0
-        return int(codes + self.offsets.nbytes + flat)
-
-    def _flat_codes(self) -> np.ndarray:
-        """Codes shifted into one-hot column positions, cached."""
-        if self._flat is None:
-            self._flat = self.codes + self.offsets[:-1][np.newaxis, :]
-        return self._flat
-
-    def take_rows(self, rows: np.ndarray | slice) -> "OneHotMatrix":
-        """A view over a subset of examples (index array, mask or slice)."""
-        if not isinstance(rows, slice):
-            rows = np.asarray(rows)
-            if rows.dtype == bool:
-                rows = np.flatnonzero(rows)
-        return self._replace_codes(self.codes[rows])
-
-    # ------------------------------------------------------------------
-    # Kernels
-    # ------------------------------------------------------------------
-    def matmul(self, W: np.ndarray) -> np.ndarray:
-        """``X @ W`` for ``W`` of shape ``(width,)`` or ``(width, k)``.
-
-        Each output row sums one gathered entry (or row) of ``W`` per
-        feature: ``out[i] = sum_j W[offsets[j] + codes[i, j]]``.
-        """
-        W = np.asarray(W, dtype=np.float64)
-        if W.shape[0] != self.width:
-            raise ValueError(
-                f"operand has {W.shape[0]} rows, expected width {self.width}"
-            )
-        return _gather_sum(W, self._flat_codes())
-
-    def rmatmul(self, V: np.ndarray) -> np.ndarray:
-        """``X.T @ V`` for ``V`` of shape ``(n,)`` or ``(n, k)``.
-
-        Scatter-adds each example's value(s) into the one-hot columns
-        its codes select — a weighted ``bincount`` per operand column
-        (``np.add.at`` is an order of magnitude slower on this shape).
-        """
-        V = np.asarray(V, dtype=np.float64)
-        if V.shape[0] != self.n_rows:
-            raise ValueError(
-                f"operand has {V.shape[0]} rows, expected {self.n_rows}"
-            )
-        if self.n_features == 0:
-            return np.zeros((0,) + V.shape[1:], dtype=np.float64)
-        flat = self._flat_codes()
-        if V.ndim == 1:
-            weights = V if self.n_features == 1 else np.repeat(V, self.n_features)
-            return np.bincount(
-                flat.ravel(), weights=weights, minlength=self.width
-            )
-        # One-hot blocks are disjoint per feature, so every output slot
-        # accumulates its contributions in row order under both the
-        # flat bincount and the old per-feature scatter — the results
-        # are bit-identical, the bincount is just much faster.  The
-        # trailing dimension is explicit: reshape(n, -1) cannot infer
-        # -1 for a 0-row operand (empty shards are legal).
-        flat_all = flat.ravel()
-        V2 = V.reshape(V.shape[0], int(np.prod(V.shape[1:])))
-        out = np.empty((self.width, V2.shape[1]), dtype=np.float64)
-        for column in range(V2.shape[1]):
-            weights = (
-                V2[:, column]
-                if self.n_features == 1
-                else np.repeat(V2[:, column], self.n_features)
-            )
-            out[:, column] = np.bincount(
-                flat_all, weights=weights, minlength=self.width
-            )
-        return out.reshape((self.width,) + V.shape[1:])
-
-    def match_counts(self, other: "OneHotMatrix") -> np.ndarray:
-        """Pairwise counts of matching features — the linear-kernel Gram.
-
-        For one-hot blocks ``x_i · z_j`` is exactly the number of
-        features on which the code vectors agree, so this *is*
-        ``self.onehot() @ other.onehot().T``.  It is computed in two
-        parts that add into one float32 ``(n, m)`` count array:
-
-        - features with at most :data:`GEMM_MAX_LEVELS` levels go
-          through one float32 GEMM of their one-hot encodings (built
-          once when ``other is self``, as for a training Gram);
-        - each wider feature (in the paper's data, the foreign keys)
-          adds one ``np.equal`` pass over its code columns.
-
-        Every product and partial sum is an integer no larger than
-        ``d``, exact in float32 while ``d < 2**24``, so the counts do
-        not depend on BLAS's summation order; they are cast to float64
-        once, equal bit for bit to counting equal codes.
-        """
-        if not isinstance(other, OneHotMatrix):
-            raise TypeError(
-                f"match_counts needs another OneHotMatrix, got "
-                f"{type(other).__name__}"
-            )
-        if self.n_levels != other.n_levels:
-            raise ValueError(
-                "match_counts requires identical feature domains; got "
-                f"{self.n_levels} vs {other.n_levels}"
-            )
-        counts = np.zeros((self.n_rows, other.n_rows), dtype=np.float32)
-        narrow = np.array(
-            [k <= GEMM_MAX_LEVELS for k in self.n_levels], dtype=bool
-        )
-        if narrow.any():
-            left = self._narrow_onehot(narrow)
-            right = left if other is self else other._narrow_onehot(narrow)
-            np.matmul(left, right.T, out=counts)
-        wide = np.flatnonzero(~narrow)
-        if wide.size:
-            A, B = self.codes, other.codes
-            equal = np.empty(counts.shape, dtype=bool)
-            for j in wide:
-                np.equal(A[:, j, np.newaxis], B[np.newaxis, :, j], out=equal)
-                counts += equal
-        return counts.astype(np.float64)
-
-    def _narrow_onehot(self, narrow: np.ndarray) -> np.ndarray:
-        """The float32 one-hot encoding of the features ``narrow`` selects."""
-        levels = np.asarray(self.n_levels, dtype=np.int64)[narrow]
-        offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
-        rows = np.arange(self.n_rows)[:, np.newaxis]
-        out = np.zeros((self.n_rows, int(levels.sum())), dtype=np.float32)
-        out[rows, self.codes[:, narrow] + offsets] = 1.0
-        return out
-
-    def squared_distances(self, other: "OneHotMatrix") -> np.ndarray:
-        """Pairwise squared Euclidean distances in one-hot space.
-
-        Each mismatching feature contributes exactly 2 (a 1 where the
-        other has 0, twice), so ``||x - z||^2 = 2 (d - matches)`` —
-        the identity behind the paper's Section 5 distance analysis.
-        """
-        return 2.0 * (self.n_features - self.match_counts(other))
-
-    # ------------------------------------------------------------------
-    # Column statistics (preprocessing)
-    # ------------------------------------------------------------------
-    def column_counts(self) -> np.ndarray:
-        """Occurrences of each one-hot column, from one ``bincount``."""
-        if self.n_features == 0:
-            return np.zeros(0, dtype=np.float64)
-        return np.bincount(
-            self._flat_codes().ravel(), minlength=self.width
-        ).astype(np.float64)
-
-    def column_means(self) -> np.ndarray:
-        """Mean of each one-hot column (level occurrence rates)."""
-        if self.n_rows == 0:
-            return np.zeros(self.width, dtype=np.float64)
-        return self.column_counts() / self.n_rows
-
-    def column_scales(self) -> np.ndarray:
-        """Standard deviation of each (Bernoulli) one-hot column."""
-        p = self.column_means()
-        return np.sqrt(p * (1.0 - p))
-
-    # ------------------------------------------------------------------
-    # Dense escape hatch
-    # ------------------------------------------------------------------
-    def toarray(self) -> np.ndarray:
-        """Materialise the dense one-hot equivalent.
-
-        The single owner of the dense construction:
-        ``CategoricalMatrix.onehot()`` delegates here.
-        """
-        out = np.zeros(self.shape, dtype=np.float64)
-        if self.n_features:
-            rows = np.repeat(np.arange(self.n_rows), self.n_features)
-            out[rows, self._flat_codes().ravel()] = 1.0
-        return out
-
-    def __repr__(self) -> str:
-        return (
-            f"OneHotMatrix(n={self.n_rows}, d={self.n_features}, "
-            f"width={self.width})"
-        )
 
 
 class FactorizedGroup:
@@ -476,9 +204,9 @@ class FactorizedGroup:
     def resident(self, offsets: np.ndarray) -> "FactorizedGroup":
         """A copy to keep across passes, holding the flat block only.
 
-        Like :meth:`OneHotMatrix.resident`: the flat block is a fresh
-        array, so the copy borrows nothing from the source's block, and
-        its :attr:`block` is re-derived on each access.
+        Like :meth:`FactorizedMatrix.resident`: the flat block is a
+        fresh array, so the copy borrows nothing from the source's
+        block, and its :attr:`block` is re-derived on each access.
         """
         group = object.__new__(FactorizedGroup)
         group.name = self.name
@@ -510,34 +238,30 @@ class FactorizedGroup:
 
 
 class FactorizedMatrix:
-    """A KFK-factorized encoded shard: fact codes + per-dimension blocks.
+    """An encoded shard's one-hot operand: per-row codes + per-dimension blocks.
 
-    Where :class:`OneHotMatrix` views one gathered ``(n, d)`` code
-    table, this keeps the join factorized: the per-row feature columns
-    (fact features and any dimension the encoder chose to gather) as
-    ``(n, d_fact)`` codes, and per blocked dimension a
-    :class:`FactorizedGroup` holding the ``(n,)`` resolved dimension
-    rows plus the dimension's ``(|D|, d_R)`` code block.  The column
-    layout (``names`` / ``n_levels`` / ``offsets``) is identical to the
-    gathered matrix's one-hot layout, so every kernel here computes the
-    same value :class:`OneHotMatrix` would — it just never expands the
-    blocked dimensions per fact row:
+    The per-row feature columns (fact features and any dimension the
+    encoder chose to gather) are ``(n, d_fact)`` codes; each blocked
+    dimension is a :class:`FactorizedGroup` holding the ``(n,)``
+    resolved dimension rows plus the dimension's ``(|D|, d_R)`` code
+    block.  The column layout (``names`` / ``n_levels`` / ``offsets``)
+    is the gathered matrix's one-hot layout, so every kernel computes
+    the value the gathered shard's operand would — it just never
+    expands the blocked dimensions per fact row:
 
     - :meth:`matmul` runs ``O(|D|·d_R)`` per dimension over the block,
       then one ``O(n)`` gather by resolved row;
     - :meth:`rmatmul` reduces the operand to per-dimension-row totals
       with one ``O(n)`` ``bincount``, then scatters the ``(|D|,)``
       totals through the block;
-    - :meth:`column_counts` multiplies per-dimension-row group *sizes*
-      into the block's level counts (integer-exact);
     - :meth:`gather` is the escape hatch back to the gathered code
       table, for models that need per-row codes (Gram blocks,
       distances, tree routing, minibatches).
 
-    Float results match :class:`OneHotMatrix` to 1e-10 (summation
-    grouping differs); integer-valued results are bit-identical.  The
-    per-row columns run :class:`OneHotMatrix`'s exact arithmetic, so a
-    matrix with no groups matches it bit for bit.
+    Float results match the gathered shard's to 1e-10 (summation
+    grouping differs); integer-valued results are bit-identical.  A
+    gathered shard's operand is the matrix with no groups,
+    :class:`OneHotMatrix`, whose kernels run the per-row part alone.
     """
 
     __slots__ = (
@@ -577,17 +301,16 @@ class FactorizedMatrix:
                 f"fact_codes has {self.fact_codes.shape[1]} columns for "
                 f"{len(self.fact_positions)} fact positions"
             )
-        covered = np.concatenate(
-            [self.fact_positions] + [g.positions for g in self.groups]
+        # Sorted, not np.unique: a gathered shard's view is built per
+        # call, and np.unique's first call imports numpy.ma (~17 ms on
+        # numpy 2.4, 2-CPU host).
+        covered = np.sort(
+            np.concatenate([self.fact_positions] + [g.positions for g in self.groups])
         )
-        if (
-            len(covered) != len(self.names)
-            or len(np.unique(covered)) != len(self.names)
-            or (len(covered) and (covered.min() < 0 or covered.max() >= len(self.names)))
-        ):
+        if not np.array_equal(covered, np.arange(len(self.names))):
             raise ValueError(
                 "fact_positions and group positions must partition "
-                f"range({len(self.names)}); got {sorted(covered.tolist())}"
+                f"range({len(self.names)}); got {covered.tolist()}"
             )
         n = self.fact_codes.shape[0]
         for group in self.groups:
@@ -597,24 +320,33 @@ class FactorizedMatrix:
                     f"dim_rows, expected {n}"
                 )
 
-    def resident(self) -> "FactorizedMatrix":
-        """A copy to keep across passes, owning every array it holds.
-
-        It keeps what the kernels read: the fact columns' flat codes and
-        each group's flat block, plus copies of the groups' positions and
-        resolved rows — a source may reuse or drop a shard's arrays once
-        the next shard is read.  Its :attr:`fact_codes` and its groups'
-        blocks are re-derived on each access.
-        """
-        view = object.__new__(FactorizedMatrix)
+    def _view(self, fact_positions, fact_codes, fact_flat, groups):
+        """A matrix of this type over the same columns, holding these arrays."""
+        view = object.__new__(type(self))
         view.names = self.names
         view.n_levels = self.n_levels
         view.offsets = self.offsets
-        view.fact_positions = self.fact_positions.copy()
-        view._fact_codes = None
-        view._fact_flat = self._fact_flat_codes()
-        view.groups = tuple(group.resident(self.offsets) for group in self.groups)
+        view.fact_positions = fact_positions
+        view._fact_codes = fact_codes
+        view._fact_flat = fact_flat
+        view.groups = groups
         return view
+
+    def resident(self) -> "FactorizedMatrix":
+        """A copy to keep across passes, owning every array it holds.
+
+        It keeps what the kernels read: the per-row columns' flat codes
+        and each group's flat block, plus copies of the groups' positions
+        and resolved rows — a source may reuse or drop a shard's arrays
+        once the next shard is read.  Its :attr:`fact_codes` and its
+        groups' blocks are re-derived on each access.
+        """
+        return self._view(
+            self.fact_positions.copy(),
+            None,
+            self._fact_flat_codes(),
+            tuple(group.resident(self.offsets) for group in self.groups),
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -659,11 +391,14 @@ class FactorizedMatrix:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes: fact codes, offsets, groups, flat-code cache.
+        """Resident bytes: per-row codes, positions, offsets, groups and
+        the flat-code cache.
 
-        The number to compare against the gathered layout's
-        ``n·d·8``-byte code table — the factorized layout is smaller by
-        roughly the dimension fan-out.
+        Part of the ``shard_working_set_bytes`` the streaming scale
+        benchmark records; compare against ``n_rows * width * 8`` for
+        the dense encoding this operand stands in for, or the gathered
+        layout's ``n·d·8``-byte code table — a blocked layout is smaller
+        by roughly the dimension fan-out.
         """
         codes = self._fact_codes.nbytes if self._fact_codes is not None else 0
         flat = self._fact_flat.nbytes if self._fact_flat is not None else 0
@@ -676,7 +411,7 @@ class FactorizedMatrix:
         )
 
     def _fact_flat_codes(self) -> np.ndarray:
-        """Fact codes shifted into one-hot column positions, cached."""
+        """Per-row codes shifted into one-hot column positions, cached."""
         if self._fact_flat is None:
             self._fact_flat = (
                 self.fact_codes
@@ -685,32 +420,31 @@ class FactorizedMatrix:
         return self._fact_flat
 
     def take_rows(self, rows: np.ndarray | slice) -> "FactorizedMatrix":
-        """A subset of examples: fact codes and per-group dimension rows
-        are sliced, the dimension blocks are shared."""
+        """A subset of examples (index array, mask or slice): per-row
+        codes and per-group dimension rows are sliced, the dimension
+        blocks are shared."""
         if not isinstance(rows, slice):
             rows = np.asarray(rows)
             if rows.dtype == bool:
                 rows = np.flatnonzero(rows)
-        view = object.__new__(FactorizedMatrix)
-        view.names = self.names
-        view.n_levels = self.n_levels
-        view.offsets = self.offsets
-        view.fact_positions = self.fact_positions
-        view._fact_codes = self.fact_codes[rows]
-        view.groups = tuple(g.take_rows(rows) for g in self.groups)
-        view._fact_flat = None
-        return view
+        return self._view(
+            self.fact_positions,
+            self.fact_codes[rows],
+            None,
+            tuple(g.take_rows(rows) for g in self.groups),
+        )
 
     # ------------------------------------------------------------------
     # Kernels
     # ------------------------------------------------------------------
     def matmul(self, W: np.ndarray) -> np.ndarray:
-        """``X @ W`` with per-dimension work on the block, not the rows.
+        """``X @ W`` for ``W`` of shape ``(width,)`` or ``(width, k)``.
 
-        The per-row part is :class:`OneHotMatrix`'s gather-sum; each
-        dimension contributes ``block @ w`` evaluated once over its
-        ``|D|`` rows — one gather of ``W`` by the flat block, its columns
-        added in order — and broadcast to the fact rows by one gather.
+        Each per-row column adds one gathered entry (or row) of ``W``:
+        ``out[i] = sum_j W[offsets[j] + codes[i, j]]``.  Each dimension
+        contributes ``block @ w`` evaluated once over its ``|D|`` rows —
+        one gather of ``W`` by the flat block, its columns added in
+        order — and broadcast to the fact rows by one gather.
         """
         W = np.asarray(W, dtype=np.float64)
         if W.shape[0] != self.width:
@@ -727,97 +461,63 @@ class FactorizedMatrix:
         return out
 
     def rmatmul(self, V: np.ndarray) -> np.ndarray:
-        """``X.T @ V`` via one ``bincount`` by dimension row per group.
-
-        The operand collapses to per-dimension-row totals first
-        (``O(n)``), then those ``(|D|,)`` totals scatter through the
-        flat block in one more ``bincount`` over the group's one-hot
-        span (``O(|D|·d_R)``) — the gradient never re-touches each fact
-        row's copy of its dimension features.
-        """
+        """``X.T @ V`` for ``V`` of shape ``(n,)`` or ``(n, k)``: one
+        :meth:`_rmatvec` per operand column."""
         V = np.asarray(V, dtype=np.float64)
         if V.shape[0] != self.n_rows:
             raise ValueError(
                 f"operand has {V.shape[0]} rows, expected {self.n_rows}"
             )
-        if self.n_features == 0:
-            return np.zeros((0,) + V.shape[1:], dtype=np.float64)
+        if V.ndim == 1:
+            return self._rmatvec(V)
         # An explicit trailing dimension: reshape(n, -1) cannot infer
         # -1 for a 0-row operand (empty shards are legal).
-        k = 1 if V.ndim == 1 else int(np.prod(V.shape[1:]))
-        V2 = V.reshape(V.shape[0], k)
-        out = np.zeros((self.width, V2.shape[1]), dtype=np.float64)
-        d_fact = len(self.fact_positions)
-        if d_fact:
-            flat_all = self._fact_flat_codes().ravel()
-            for column in range(V2.shape[1]):
-                weights = (
-                    V2[:, column]
-                    if d_fact == 1
-                    else np.repeat(V2[:, column], d_fact)
-                )
-                out[:, column] += np.bincount(
-                    flat_all, weights=weights, minlength=self.width
-                )
-        for group in self.groups:
-            span = group.span(self.offsets)
-            flat = group.flat_block(self.offsets).ravel()
-            d_r = len(group.positions)
-            for column in range(V2.shape[1]):
-                totals = np.bincount(
-                    group.dim_rows,
-                    weights=V2[:, column],
-                    minlength=group.n_dim_rows,
-                )
-                # Block columns own disjoint one-hot columns, so each slot
-                # sums its rows in row order, as one bincount per block
-                # column did; slots of other features in the span get 0.
-                out[span, column] += np.bincount(
-                    flat,
-                    weights=np.tile(totals, d_r),
-                    minlength=span.stop - span.start,
-                )
+        V2 = V.reshape(V.shape[0], int(np.prod(V.shape[1:])))
+        out = np.empty((self.width, V2.shape[1]), dtype=np.float64)
+        for column in range(V2.shape[1]):
+            out[:, column] = self._rmatvec(V2[:, column])
         return out.reshape((self.width,) + V.shape[1:])
 
-    # ------------------------------------------------------------------
-    # Column statistics (preprocessing)
-    # ------------------------------------------------------------------
-    def column_counts(self) -> np.ndarray:
-        """Occurrences of each one-hot column from per-group sizes.
+    def _rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """``X.T @ v`` for one ``(n,)`` operand column.
 
-        Each dimension needs only its FK group sizes (one ``bincount``
-        over the resolved rows) scattered through the block — integer
-        arithmetic, bit-identical to the gathered layout's full scan.
+        The per-row columns scatter each example's value into the one-hot
+        columns its codes select: one weighted ``bincount`` (``np.add.at``
+        is an order of magnitude slower on this shape).  Each dimension
+        first collapses ``v`` to per-dimension-row totals (``O(n)``), then
+        scatters those ``(|D|,)`` totals through the flat block in one
+        more ``bincount`` over the group's one-hot span (``O(|D|·d_R)``) —
+        the gradient never re-touches each fact row's copy of its
+        dimension features.
         """
-        out = np.zeros(self.width, dtype=np.float64)
-        if self.n_features == 0:
-            return np.zeros(0, dtype=np.float64)
-        if len(self.fact_positions):
-            out += np.bincount(
-                self._fact_flat_codes().ravel(), minlength=self.width
+        d_fact = len(self.fact_positions)
+        if d_fact and len(v):  # a bincount over no rows comes back int64
+            # One-hot blocks are disjoint per feature, so every slot sums
+            # its rows in row order, as a per-feature scatter would.  The
+            # bincount fills every slot, so it is the output rather than
+            # an add to zeros: the same bits, as a bincount never yields
+            # -0.0.
+            out = np.bincount(
+                self._fact_flat_codes().ravel(),
+                weights=v if d_fact == 1 else np.repeat(v, d_fact),
+                minlength=self.width,
             )
+        else:
+            out = np.zeros(self.width, dtype=np.float64)
         for group in self.groups:
-            sizes = np.bincount(
-                group.dim_rows, minlength=group.n_dim_rows
-            ).astype(np.float64)
-            for c, position in enumerate(group.positions):
-                offset = int(self.offsets[position])
-                n_levels = self.n_levels[position]
-                out[offset : offset + n_levels] += np.bincount(
-                    group.block[:, c], weights=sizes, minlength=n_levels
-                )
+            span = group.span(self.offsets)
+            totals = np.bincount(
+                group.dim_rows, weights=v, minlength=group.n_dim_rows
+            )
+            # Block columns own disjoint one-hot columns, so each slot
+            # sums its rows in row order, as one bincount per block
+            # column did; slots of other features in the span get 0.
+            out[span] += np.bincount(
+                group.flat_block(self.offsets).ravel(),
+                weights=np.tile(totals, len(group.positions)),
+                minlength=span.stop - span.start,
+            )
         return out
-
-    def column_means(self) -> np.ndarray:
-        """Mean of each one-hot column (level occurrence rates)."""
-        if self.n_rows == 0:
-            return np.zeros(self.width, dtype=np.float64)
-        return self.column_counts() / self.n_rows
-
-    def column_scales(self) -> np.ndarray:
-        """Standard deviation of each (Bernoulli) one-hot column."""
-        p = self.column_means()
-        return np.sqrt(p * (1.0 - p))
 
     # ------------------------------------------------------------------
     # Gathered escape hatch
@@ -841,18 +541,148 @@ class FactorizedMatrix:
 
     def __repr__(self) -> str:
         return (
-            f"FactorizedMatrix(n={self.n_rows}, d={self.n_features}, "
+            f"{type(self).__name__}(n={self.n_rows}, d={self.n_features}, "
             f"d_fact={len(self.fact_positions)}, "
             f"groups={[g.name for g in self.groups]}, width={self.width})"
         )
 
 
+class OneHotMatrix(FactorizedMatrix):
+    """An implicit view of ``CategoricalMatrix.onehot()``: the
+    :class:`FactorizedMatrix` with no blocks.
+
+    Every feature is a per-row column (``fact_positions = arange(d)``),
+    so the inherited kernels run their per-row part alone, and
+    :meth:`take_rows` and :meth:`resident` return a ``OneHotMatrix``.
+    It adds the kernels that read every feature's per-row codes.
+
+    Parameters
+    ----------
+    source:
+        The categorical matrix to view.  The codes are shared, not
+        copied; the view is read-only.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, source: CategoricalMatrix):
+        super().__init__(
+            source.names,
+            source.n_levels,
+            np.arange(source.n_features),
+            source.codes,
+            (),
+        )
+
+    def __setstate__(self, state) -> None:
+        """Also load a view pickled by 9.x (an SVC artifact's support
+        vectors): slots ``_codes``, ``n_levels``, ``offsets`` and
+        ``_flat``, and no feature names, so the features are numbered."""
+        slots = state[1]
+        if "_codes" in slots:
+            codes, flat = slots["_codes"], slots["_flat"]
+            d = (flat if codes is None else codes).shape[1]
+            slots = {
+                "names": tuple(f"x{j}" for j in range(d)),
+                "n_levels": slots["n_levels"],
+                "offsets": slots["offsets"],
+                "fact_positions": np.arange(d, dtype=np.int64),
+                "_fact_codes": codes,
+                "groups": (),
+                "_fact_flat": flat,
+            }
+        for name, value in slots.items():
+            setattr(self, name, value)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The ``(n, d)`` integer codes."""
+        return self.fact_codes
+
+    def match_counts(self, other: "OneHotMatrix") -> np.ndarray:
+        """Pairwise counts of matching features — the linear-kernel Gram.
+
+        For one-hot blocks ``x_i · z_j`` is exactly the number of
+        features on which the code vectors agree, so this *is*
+        ``self.onehot() @ other.onehot().T``.  It is computed in two
+        parts that add into one float32 ``(n, m)`` count array:
+
+        - features with at most :data:`GEMM_MAX_LEVELS` levels go
+          through one float32 GEMM of their one-hot encodings (built
+          once when ``other is self``, as for a training Gram);
+        - each wider feature (in the paper's data, the foreign keys)
+          adds one ``np.equal`` pass over its code columns.
+
+        Every product and partial sum is an integer no larger than
+        ``d``, exact in float32 while ``d < 2**24``, so the counts do
+        not depend on BLAS's summation order; they are cast to float64
+        once, equal bit for bit to counting equal codes.
+        """
+        if not isinstance(other, OneHotMatrix):
+            raise TypeError(
+                f"match_counts needs another OneHotMatrix, got "
+                f"{type(other).__name__}"
+            )
+        if self.n_levels != other.n_levels:
+            raise ValueError(
+                "match_counts requires identical feature domains; got "
+                f"{self.n_levels} vs {other.n_levels}"
+            )
+        counts = np.zeros((self.n_rows, other.n_rows), dtype=np.float32)
+        narrow = np.array(
+            [k <= GEMM_MAX_LEVELS for k in self.n_levels], dtype=bool
+        )
+        if narrow.any():
+            left = self._narrow_onehot(narrow)
+            right = left if other is self else other._narrow_onehot(narrow)
+            np.matmul(left, right.T, out=counts)
+        wide = np.flatnonzero(~narrow)
+        if wide.size:
+            A, B = self.codes, other.codes
+            equal = np.empty(counts.shape, dtype=bool)
+            for j in wide:
+                np.equal(A[:, j, np.newaxis], B[np.newaxis, :, j], out=equal)
+                counts += equal
+        return counts.astype(np.float64)
+
+    def _narrow_onehot(self, narrow: np.ndarray) -> np.ndarray:
+        """The float32 one-hot encoding of the features ``narrow`` selects."""
+        levels = np.asarray(self.n_levels, dtype=np.int64)[narrow]
+        offsets = np.concatenate(([0], np.cumsum(levels[:-1])))
+        rows = np.arange(self.n_rows)[:, np.newaxis]
+        out = np.zeros((self.n_rows, int(levels.sum())), dtype=np.float32)
+        out[rows, self.codes[:, narrow] + offsets] = 1.0
+        return out
+
+    def squared_distances(self, other: "OneHotMatrix") -> np.ndarray:
+        """Pairwise squared Euclidean distances in one-hot space.
+
+        Each mismatching feature contributes exactly 2 (a 1 where the
+        other has 0, twice), so ``||x - z||^2 = 2 (d - matches)`` —
+        the identity behind the paper's Section 5 distance analysis.
+        """
+        return 2.0 * (self.n_features - self.match_counts(other))
+
+    # ------------------------------------------------------------------
+    # Dense escape hatch
+    # ------------------------------------------------------------------
+    def toarray(self) -> np.ndarray:
+        """Materialise the dense one-hot equivalent.
+
+        The single owner of the dense construction:
+        ``CategoricalMatrix.onehot()`` delegates here.
+        """
+        out = np.zeros(self.shape, dtype=np.float64)
+        if self.n_features:
+            rows = np.repeat(np.arange(self.n_rows), self.n_features)
+            out[rows, self._fact_flat_codes().ravel()] = 1.0
+        return out
+
+
 # ----------------------------------------------------------------------
 # Layout dispatch
 # ----------------------------------------------------------------------
-def encode_features(
-    X: "CategoricalMatrix | FactorizedMatrix",
-) -> "OneHotMatrix | FactorizedMatrix":
+def encode_features(X: "CategoricalMatrix | FactorizedMatrix") -> FactorizedMatrix:
     """The kernel operand for an encoded shard of either layout.
 
     A :class:`FactorizedMatrix` is its own operand; a gathered
@@ -879,39 +709,33 @@ def gathered(X: "CategoricalMatrix | FactorizedMatrix") -> CategoricalMatrix:
     return X
 
 
-def matmul(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", W: np.ndarray
-) -> np.ndarray:
+def matmul(A: "FactorizedMatrix | np.ndarray", W: np.ndarray) -> np.ndarray:
     """``A @ W`` for any layout's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.matmul(W)
     return A @ W
 
 
-def rmatmul(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", V: np.ndarray
-) -> np.ndarray:
+def rmatmul(A: "FactorizedMatrix | np.ndarray", V: np.ndarray) -> np.ndarray:
     """``A.T @ V`` for any layout's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.rmatmul(V)
     return A.T @ V
 
 
 def take_rows(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray", rows: np.ndarray | slice
-) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
+    A: "FactorizedMatrix | np.ndarray", rows: np.ndarray | slice
+) -> "FactorizedMatrix | np.ndarray":
     """Row subset of any layout's operand."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.take_rows(rows)
     return A[rows]
 
 
-def resident(
-    A: "OneHotMatrix | FactorizedMatrix | np.ndarray",
-) -> "OneHotMatrix | FactorizedMatrix | np.ndarray":
+def resident(A: "FactorizedMatrix | np.ndarray") -> "FactorizedMatrix | np.ndarray":
     """Any layout's operand in a form to keep across passes, owning its
     arrays.  A dense operand (the test oracle's) is already a fresh
     array of its own and is kept as it is."""
-    if isinstance(A, (OneHotMatrix, FactorizedMatrix)):
+    if isinstance(A, FactorizedMatrix):
         return A.resident()
     return A

@@ -10,10 +10,6 @@ proves the real serving/obs classes pass clean.
 
 from pathlib import Path
 
-import numpy as np
-
-from repro.ml.encoding import CategoricalMatrix
-from repro.ml.sparse import FactorizedGroup, FactorizedMatrix, OneHotMatrix
 from tools.analysis import get_rules, run_analysis
 from tools.analysis.rules import ALL_RULES, DEFAULT_CONFIG
 
@@ -545,25 +541,3 @@ class TestFeatureSource:
         )
         assert {f.line for f in findings} == {1, 2}
 
-
-class TestEngineConformance:
-    """Both kernel operands offer the sizing and column-stats surface
-    their callers (working-set accounting, resident bytes, scalers) use
-    without a type switch."""
-
-    def test_shipped_engine_matrices_pass_clean(self):
-        X = CategoricalMatrix(
-            np.array([[0, 1], [2, 0], [1, 1], [0, 0]]), (3, 2), ("a", "d")
-        )
-        factorized = FactorizedMatrix(
-            X.names, X.n_levels, np.array([0]), X.codes[:, :1],
-            [FactorizedGroup("D", np.array([1]), np.array([1, 0, 1, 0]),
-                             np.array([[0], [1]]))],
-        )
-        for operand in (OneHotMatrix(X), factorized):
-            for member in (
-                "nbytes", "column_counts", "column_means", "column_scales",
-            ):
-                assert hasattr(operand, member), (type(operand), member)
-            assert operand.nbytes > 0
-            assert np.array_equal(operand.column_counts(), X.onehot().sum(axis=0))

@@ -182,22 +182,6 @@ class TestKernelEquivalence:
         assert np.allclose(factorized.rmatmul(v), view.rmatmul(v), **TOL)
         assert np.allclose(factorized.rmatmul(V), view.rmatmul(V), **TOL)
 
-    def test_column_stats_match_gathered(self, force_layout):
-        dataset = star_dataset(skew=True, seed=7)
-        gathered, factorized, _ = encode_both(
-            force_layout, dataset, join_all_strategy()
-        )
-        view = gathered.onehot_view()
-        assert np.array_equal(
-            factorized.column_counts(), view.column_counts()
-        )
-        assert np.allclose(
-            factorized.column_means(), view.column_means(), **TOL
-        )
-        assert np.allclose(
-            factorized.column_scales(), view.column_scales(), **TOL
-        )
-
     def test_gather_reproduces_the_code_table(self, force_layout):
         dataset = star_dataset(seed=11)
         gathered, factorized, _ = encode_both(

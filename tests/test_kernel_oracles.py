@@ -28,9 +28,10 @@ pickles, no tolerance):
   that differ only in ``cp``, the others pruned from it) against one
   fit per grid point, :func:`per_point_grid_search`;
 - :meth:`FactorizedMatrix.matmul` / :meth:`FactorizedMatrix.rmatmul`
-  (one gather or ``bincount`` per dimension over its flat block)
-  against one per block column, :func:`per_column_matmul` /
-  :func:`per_column_rmatmul`;
+  (one gather or ``bincount`` per dimension over its flat block; the
+  per-row ``bincount`` written, not added to zeros) against one per
+  block column, :func:`per_column_matmul` / :func:`per_column_rmatmul`,
+  with and without blocks (a gathered shard's :class:`OneHotMatrix`);
 - a 1-D :meth:`OneHotMatrix.matmul` over fewer than eight columns (adds
   in column order) against the row sum :func:`row_sum_matmul`;
 - ``logistic._sigmoid`` (one ``exp(-|z|)``, picked by ``np.where``)
@@ -1050,7 +1051,8 @@ def _operand(rng, shape, kind):
 def _random_factorized(seed, n, d_fact, widths, interleave):
     """A random factorized matrix: ``d_fact`` per-row columns and one
     group per entry of ``widths``, its features adjacent or interleaved
-    with every other feature (a span wider than the group)."""
+    with every other feature (a span wider than the group).  With no
+    groups it is the gathered shard's operand, a :class:`OneHotMatrix`."""
     rng = np.random.default_rng(seed)
     d = d_fact + sum(widths)
     levels = rng.integers(1, 6, size=d)
@@ -1066,6 +1068,8 @@ def _random_factorized(seed, n, d_fact, widths, interleave):
         groups.append(FactorizedGroup(f"D{g}", positions, dim_rows, block))
     fact = rng.integers(0, levels[fact_positions], size=(n, d_fact))
     names = [f"f{j}" for j in range(d)]
+    if not widths:
+        return OneHotMatrix(CategoricalMatrix(fact, levels, names))
     return FactorizedMatrix(names, levels, fact_positions, fact, groups)
 
 
@@ -1078,6 +1082,11 @@ FACTORIZED_SHAPES = {
     "wide-fact": (30, 9, (5,), True),
     "zero-rows": (0, 3, (2, 1), False),
     "one-row": (1, 1, (1,), False),
+    "no-block-zero-rows": (0, 3, (), False),
+    "no-block-one-column": (30, 1, (), False),
+    "no-block-narrow": (40, 5, (), False),
+    "no-block-eight-columns": (40, 8, (), False),
+    "no-block-wide": (40, 11, (), False),
 }
 
 
@@ -1089,6 +1098,7 @@ FACTORIZED_SHAPES = {
 def test_factorized_kernels_equal_the_per_column_loops(shape, ndim, kind):
     for seed in range(4):
         X = _random_factorized(seed, *shape)
+        assert isinstance(X, OneHotMatrix) == (not shape[2])
         rng = np.random.default_rng(100 + seed)
         trailing = () if ndim == 1 else (3,)
         W = _operand(rng, (X.width,) + trailing, kind)
@@ -1113,7 +1123,7 @@ def test_encoded_shard_kernels_equal_the_per_column_loops(force_layout, layout):
         with force_layout(layout):
             X, _ = encoder.encode_shard(rows)
     if not isinstance(X, FactorizedMatrix):
-        X = FactorizedMatrix(X.names, X.n_levels, np.arange(X.n_features), X.codes, [])
+        X = OneHotMatrix(X)
     rng = np.random.default_rng(7)
     w = rng.normal(size=X.width)
     w[rng.random(X.width) < 0.5] = -0.0
@@ -1256,7 +1266,10 @@ def per_feature_assemble(encoder: ShardEncoder, fact_codes):
         np.stack(columns, axis=1) if columns else np.zeros((n, 0), dtype=np.int64),
         [
             FactorizedGroup(
-                name, block_positions, dim_rows[name], encoder.dimension_block(name)
+                name,
+                block_positions,
+                dim_rows[name],
+                encoder._block(name, entries[name]),
             )
             for name, block_positions in blocks.items()
         ],
@@ -1315,7 +1328,8 @@ ASSEMBLY_CASES = {
 def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
     """Matrices, and the cache's hits, misses and builds after every
     batch, from a mapping and from the code array ``encode_requests``
-    returns, against the per-feature path on its own encoder."""
+    returns, against the per-feature path on its own encoder.  Each
+    batch looks up each joined dimension that keeps a feature once."""
     name, n_fact, strategy, layout, sizes = case
     dataset = generate_real_world(name, n_fact=n_fact, seed=5)
     oracle_encoder = ShardEncoder(dataset.schema, strategy())
@@ -1334,7 +1348,14 @@ def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
                 encoder_module, "factorize_dimension",
                 lambda *shape: layout == "factorize",
             )
-        for codes in _batches(dataset, oracle_encoder, sizes):
+        kept = sum(
+            any(
+                feature in oracle_encoder.feature_names
+                for feature in dataset.schema.foreign_features(dimension)
+            )
+            for dimension in oracle_encoder.joined_dimensions
+        )
+        for k, codes in enumerate(_batches(dataset, oracle_encoder, sizes), 1):
             expected = per_feature_assemble(oracle_encoder, codes)
             table = np.stack(
                 [codes[c] for c in oracle_encoder.required_columns], axis=1
@@ -1342,7 +1363,9 @@ def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
             inputs = {"mapping": codes, "array": table}
             for form, encoder in encoders.items():
                 _assert_same_matrix(encoder.assemble(inputs[form]), expected)
-                assert encoder.cache.stats == oracle_encoder.cache.stats
+                stats = encoder.cache.stats
+                assert stats == oracle_encoder.cache.stats
+                assert stats.hits + stats.misses == k * kept
 
 
 def _bad_batches(dataset, encoder):

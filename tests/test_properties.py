@@ -278,23 +278,6 @@ class TestImplicitOneHotEquivalence:
             va.squared_distances(vb), expected, rtol=0.0, atol=1e-10
         )
 
-    @settings(deadline=None, max_examples=30)
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=0, max_value=5),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_column_statistics_match_dense(self, n_rows, n_features, seed):
-        X, _ = self._random_case(n_rows, n_features, seed)
-        view = X.onehot_view()
-        hot = X.onehot()
-        assert np.allclose(
-            view.column_means(), hot.mean(axis=0), rtol=0.0, atol=1e-10
-        )
-        assert np.allclose(
-            view.column_scales(), hot.std(axis=0), rtol=0.0, atol=1e-10
-        )
-
     @settings(deadline=None, max_examples=25)
     @given(
         st.integers(min_value=1, max_value=30),

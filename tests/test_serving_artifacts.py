@@ -17,6 +17,7 @@ from repro.datasets import generate_real_world
 from repro.errors import SchemaError
 from repro.data.encoder import ShardEncoder
 from repro.experiments import fit_pipeline, get_scale
+from repro.ml import sparse
 from repro.serving import (
     ARTIFACT_FORMAT_VERSION,
     artifact_from_pipeline,
@@ -27,7 +28,7 @@ from repro.serving import (
 )
 from repro.serving.artifacts import strategy_from_dict, strategy_to_dict
 
-MODEL_FAMILIES = ["lr_l1", "nb_bfs", "dt_gini", "ann"]
+MODEL_FAMILIES = ["lr_l1", "nb_bfs", "dt_gini", "ann", "svm_rbf"]
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +59,49 @@ def test_round_trip_predictions_bit_identical(
     )
     assert loaded.feature_names == tuple(pipeline.feature_names)
     assert loaded.model_key == model_key
+
+
+@pytest.mark.parametrize("resident", [False, True], ids=["codes", "flat-codes"])
+def test_svc_artifact_pickled_by_9x_predicts_alike(
+    dataset, scale, resident, tmp_path
+):
+    """9.x pickled an SVC's support vectors in the view's own slots
+    (``_codes``, ``n_levels``, ``offsets``, ``_flat``; no names).  Such
+    an artifact loads with today's view and predicts bit for bit."""
+    pipeline = fit_pipeline(dataset, "svm_rbf", no_join_strategy(), scale=scale)
+    artifact = artifact_from_pipeline(pipeline, dataset.schema)
+    svc = artifact.model.best_model_
+    vectors = svc.support_vectors_
+    legacy_type = type(
+        "OneHotMatrix",
+        (),
+        {
+            "__slots__": ("_codes", "n_levels", "offsets", "_flat"),
+            "__module__": "repro.ml.sparse",
+        },
+    )
+    legacy = object.__new__(legacy_type)
+    legacy._codes = None if resident else vectors.codes
+    legacy.n_levels = vectors.n_levels
+    legacy.offsets = vectors.offsets
+    legacy._flat = vectors.codes + vectors.offsets[:-1] if resident else None
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "OneHotMatrix", legacy_type)
+        patch.setattr(svc, "support_vectors_", legacy)
+        path = save_artifact(artifact, tmp_path / "svm_rbf.repro-model")
+    loaded = load_artifact(path)
+
+    restored = loaded.model.best_model_.support_vectors_
+    assert type(restored) is sparse.OneHotMatrix
+    assert restored.n_levels == vectors.n_levels
+    assert np.array_equal(restored.codes, vectors.codes)
+    X = ShardEncoder(dataset.schema, loaded.strategy).assemble_table(
+        dataset.schema.fact
+    )
+    np.testing.assert_array_equal(
+        loaded.model.best_model_.decision_function(X), svc.decision_function(X)
+    )
+    np.testing.assert_array_equal(loaded.predict_codes(X), pipeline.predict(X))
 
 
 def test_round_trip_preserves_advice_and_metadata(dataset, scale, tmp_path):
