@@ -8,6 +8,9 @@ first:
 - ``run``         — one experiment cell (dataset × model × strategy).
 - ``fit``         — fit one model configuration, in memory or
   out-of-core (``--stream`` with ``--shard-rows``/``--shards``).
+  ``--checkpoint-dir`` checkpoints the one epoch-looped model,
+  ``ann``; every other model fits in one ``fit_stream`` call the
+  trainer cannot cut, and refuses the flag with exit 2.
 - ``simulate``    — a OneXr Monte Carlo sweep over the FK domain size.
 - ``usage``       — FK split-usage analysis of a fitted tree.
 - ``save-model``  — fit a pipeline and export it as a serving artifact.
@@ -172,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "write atomic training checkpoints here (requires --stream; "
-            "logistic training switches to mode='incremental', the "
-            "checkpointable path)"
+            "only ann's epoch loop checkpoints, other models exit 2)"
         ),
     )
     p_fit.add_argument(
@@ -387,18 +389,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             args.dataset, n_fact=scale.n_fact, seed=args.seed
         )
         strategy = _STRATEGIES[args.strategy]()
-        # Checkpointing needs a loop the trainer can cut at a shard
-        # boundary: incremental mode for the logistic model, the
-        # default epoch loop for partial_fit models.
-        mode = (
-            "incremental"
-            if args.checkpoint_dir is not None and args.model == "lr_l1"
-            else "exact"
-        )
         every = 1 if args.checkpoint_every is None else args.checkpoint_every
         result = run_experiment(
             dataset, args.model, strategy, scale=scale, source=spec,
-            seed=args.seed, mode=mode, checkpoint=args.checkpoint_dir,
+            seed=args.seed, checkpoint=args.checkpoint_dir,
             checkpoint_every=every, resume=args.resume,
         )
         if args.stream:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -392,13 +393,18 @@ def _run_source_experiment(
     spec: SourceSpec,
     scale: Scale | None,
     seed: int,
-    mode: str = "exact",
     checkpoint=None,
     checkpoint_every: int = 1,
     resume: bool = False,
 ) -> RunResult:
-    """One single-configuration cell over :class:`SourceSpec`-built sources."""
-    from repro.streaming import StreamingTrainer
+    """One single-configuration cell over :class:`SourceSpec`-built sources.
+
+    A checkpoint directory becomes a
+    :class:`~repro.streaming.CheckpointManager` on the process-wide
+    registry, beside the sources' metrics, so a ``--telemetry`` report
+    carries the ``resilience.*`` counts.
+    """
+    from repro.streaming import CheckpointManager, StreamingTrainer
 
     scale = scale or get_scale()
     model = make_streaming_model(model_key, scale, seed)
@@ -410,11 +416,12 @@ def _run_source_experiment(
         sources = spec.split_sources(
             dataset, strategy, registry=global_registry()
         )
+    if isinstance(checkpoint, (str, Path)):
+        checkpoint = CheckpointManager(checkpoint, registry=global_registry())
     try:
         trainer = StreamingTrainer(
             model,
             seed=seed,
-            mode=mode,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -455,7 +462,6 @@ def run_experiment(
     matrices: StrategyMatrices | None = None,
     source: SourceSpec | None = None,
     seed: int = 0,
-    mode: str = "exact",
     checkpoint=None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -483,11 +489,11 @@ def run_experiment(
     ``random_state=0`` grids and ignores ``seed``; vary the dataset
     generation seed to resample a tuned cell.
 
-    ``mode``, ``checkpoint``, ``checkpoint_every`` and ``resume`` are
-    forwarded to the source path's
-    :class:`~repro.streaming.StreamingTrainer` (checkpoint/resume
-    semantics are documented there).  The tuned path builds no trainer,
-    so it rejects any of them set away from its default with a
+    ``checkpoint``, ``checkpoint_every`` and ``resume`` are forwarded to
+    the source path's :class:`~repro.streaming.StreamingTrainer`
+    (checkpoint/resume semantics are documented there; only the MLP's
+    epoch loop checkpoints).  The tuned path builds no trainer, so it
+    rejects any of them set away from its default with a
     ``ValueError`` naming the argument.
     """
     if source is not None:
@@ -498,11 +504,10 @@ def run_experiment(
             )
         return _run_source_experiment(
             dataset, model_key, strategy, source, scale, seed,
-            mode=mode, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, resume=resume,
+            checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+            resume=resume,
         )
     for name, given in (
-        ("mode", mode != "exact"),
         ("checkpoint", checkpoint is not None),
         ("checkpoint_every", checkpoint_every != 1),
         ("resume", resume),

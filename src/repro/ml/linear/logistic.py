@@ -25,9 +25,8 @@ between passes and the rest are re-read each pass.  ``fit`` itself
 delegates to ``fit_stream`` with the whole matrix as a single
 shard, so the in-memory and out-of-core paths share one code path and a
 single-shard streaming fit is bit-identical to an in-memory fit by
-construction.  :meth:`L1LogisticRegression.partial_fit` is the cheaper
-inexact alternative: it advances FISTA on one shard's data only, with
-the momentum restart that makes shard epochs stable.
+construction.  There is no per-shard solver: every fit, streamed or
+not, runs the one exact FISTA loop.
 """
 
 from __future__ import annotations
@@ -104,48 +103,36 @@ def _gradient(
     return grad_w, grad_b
 
 
-def _power_lipschitz(
-    power_step, n: int, width: int, seed: int = 0, iterations: int = 30
-) -> float:
-    """Upper bound on the logistic-loss gradient Lipschitz constant.
-
-    Power iteration on ``X.T @ X`` for an ``(n, width)`` operand, with
-    ``power_step(v)`` computing ``X.T @ (X @ v)``: for one operand
-    ``rmatmul(X, matmul(X, v))``, which every :mod:`repro.ml.sparse`
-    layout provides.  Over shards it decomposes as
-    ``Σ_s X_s.T @ (X_s @ v)`` (:func:`_power_step`), with only
-    width-sized state held between steps; with a single shard the
-    estimate equals the one-operand one exactly.
-    """
-    rng = ensure_rng(seed)
-    v = rng.normal(size=width)
-    norm = np.linalg.norm(v)
-    if norm == 0 or width == 0:
-        return 1.0
-    v /= norm
-    sigma = 1.0
-    for _ in range(iterations):
-        v = power_step(v)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            break
-        sigma = norm
-        v /= norm
-    return max(sigma / (4.0 * n), 1e-12)
+#: Power-iteration steps behind the step-size bound, each one shard pass.
+_POWER_ITERATIONS = 30
 
 
 def _lipschitz(passes: ShardPasses, fit_intercept: bool) -> float:
     """FISTA's step-size bound over the rows ``passes`` reads.
 
-    It depends on ``X`` alone (plus the intercept's 1/4), so a lambda
-    path estimates it once for all its penalties.
+    An upper bound on the logistic-loss gradient Lipschitz constant:
+    power iteration on ``X.T @ X``, one :func:`_power_step` shard pass
+    per step with only width-sized state held between steps, plus the
+    intercept's 1/4.  It depends on ``X`` alone, so a lambda path
+    estimates it once for all its penalties.
     """
     stream = passes.source
-    return _power_lipschitz(
-        lambda v: _power_step(passes, v),
-        int(stream.n_rows),
-        int(stream.onehot_width),
-    ) + (0.25 if fit_intercept else 0.0)
+    intercept = 0.25 if fit_intercept else 0.0
+    width = int(stream.onehot_width)
+    v = ensure_rng(0).normal(size=width)
+    norm = np.linalg.norm(v)
+    if norm == 0 or width == 0:
+        return 1.0 + intercept
+    v /= norm
+    sigma = 1.0
+    for _ in range(_POWER_ITERATIONS):
+        v = _power_step(passes, v)
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            break
+        sigma = norm
+        v /= norm
+    return max(sigma / (4.0 * int(stream.n_rows)), 1e-12) + intercept
 
 
 class L1LogisticRegression(Estimator):
@@ -275,105 +262,10 @@ class L1LogisticRegression(Estimator):
         return self
 
     def _reset(self) -> None:
-        """Drop learned state so a new training session starts fresh.
-
-        Shared by ``fit``/``fit_stream`` and by
-        :class:`repro.streaming.StreamingTrainer`, whose incremental
-        mode drives :meth:`partial_fit` directly and must not silently
-        warm-start from an earlier session.
-        """
-        for attribute in (
-            "coef_", "intercept_", "n_features_", "n_iter_", "_momentum"
-        ):
+        """Drop learned state so a new fit starts fresh."""
+        for attribute in ("coef_", "intercept_", "n_features_", "n_iter_"):
             if hasattr(self, attribute):
                 delattr(self, attribute)
-
-    def lipschitz_bound(self, X: CategoricalMatrix) -> float:
-        """The FISTA step-size bound for one data block.
-
-        Costs ~30 power-iteration passes over ``X``; it depends only on
-        the data, so callers that revisit the same shard across epochs
-        (:class:`repro.streaming.StreamingTrainer`'s incremental mode)
-        compute it once per shard and pass it to :meth:`partial_fit`.
-        """
-        encoded = sparse.encode_features(X)
-        return _power_lipschitz(
-            lambda v: sparse.rmatmul(encoded, sparse.matmul(encoded, v)),
-            *encoded.shape,
-        ) + (0.25 if self.fit_intercept else 0.0)
-
-    def partial_fit(
-        self,
-        X: CategoricalMatrix,
-        y: np.ndarray,
-        n_iter: int = 1,
-        restart: bool = False,
-        lipschitz: float | None = None,
-    ) -> "L1LogisticRegression":
-        """Advance FISTA by ``n_iter`` iterations on one shard's data.
-
-        Unlike :meth:`fit_stream` — which computes exact full-batch
-        gradients by streaming every shard each iteration — this is the
-        cheap incremental scheme: each call optimises against the given
-        shard only, continuing from the current coefficients.  The first
-        call initialises from zeros.  ``restart=True`` resets the FISTA
-        momentum, the standard restart that keeps shard epochs stable
-        when consecutive shards pull the iterate in different
-        directions (:class:`repro.streaming.StreamingTrainer` restarts
-        at every epoch boundary).
-
-        ``lipschitz`` takes a precomputed :meth:`lipschitz_bound` for
-        this shard; omitted, it is re-estimated here (~30 extra passes
-        over the shard — worth caching when shards are revisited).
-        """
-        y = check_X_y(X, y)
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if n_iter < 1:
-            raise ValueError(f"n_iter must be >= 1, got {n_iter}")
-        encoded = sparse.encode_features(X)
-        n, d = encoded.shape
-        if hasattr(self, "coef_"):
-            if self.coef_.shape[0] != d:
-                raise ValueError(
-                    f"shard encodes to width {d}, model has width "
-                    f"{self.coef_.shape[0]}; shards must share closed domains"
-                )
-            w = self.coef_
-            b = self.intercept_
-            z_w, z_b, t_acc = getattr(self, "_momentum", (w.copy(), b, 1.0))
-        else:
-            w = np.zeros(d)
-            b = 0.0
-            z_w, z_b, t_acc = w.copy(), b, 1.0
-            self.n_iter_ = 0
-        if restart:
-            z_w, z_b, t_acc = w.copy(), b, 1.0
-        signed = np.where(y > 0, 1.0, -1.0)
-        if lipschitz is None:
-            lipschitz = self.lipschitz_bound(X)
-        elif lipschitz <= 0:
-            raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
-        step = 1.0 / lipschitz
-        for _ in range(n_iter):
-            margin = signed * (sparse.matmul(encoded, z_w) + z_b)
-            probs = _sigmoid(-margin)
-            residual = -(signed * probs) / n
-            grad_w = sparse.rmatmul(encoded, residual)
-            grad_b = residual.sum() if self.fit_intercept else 0.0
-            w_new = _soft_threshold(z_w - step * grad_w, step * self.lam)
-            b_new = z_b - step * grad_b
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            momentum = (t_acc - 1.0) / t_new
-            z_w = w_new + momentum * (w_new - w)
-            z_b = b_new + momentum * (b_new - b)
-            w, b, t_acc = w_new, b_new, t_new
-            self.n_iter_ += 1
-        self.coef_ = w
-        self.intercept_ = b
-        self._momentum = (z_w, z_b, t_acc)
-        self.n_features_ = X.n_features
-        return self
 
     def loss(self, X: CategoricalMatrix, y: np.ndarray) -> float:
         """The penalised objective on ``(X, y)`` at the fitted weights.

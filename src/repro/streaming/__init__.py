@@ -7,7 +7,7 @@ training**.  A single-shard streaming fit is bit-identical to the
 in-memory fit (the logistic and tree ``fit`` methods are literally
 ``fit_stream`` over one shard, and the MLP's ``fit`` runs the epoch
 pass ``partial_fit`` runs); Naive Bayes counts and tree histograms are
-integers, so any shard layout gives the same model; multi-shard exact
+integers, so any shard layout gives the same model; multi-shard
 logistic regression runs the same full-batch FISTA iterates with
 gradients accumulated shard by shard, differing only in floating-point
 association.
@@ -21,11 +21,11 @@ association.
   layer's exact assembly path), with shard-indexed
   referential-integrity errors.
 - :mod:`repro.streaming.trainer` — :class:`StreamingTrainer`:
-  deterministic shard shuffling, exact/incremental logistic modes,
-  ``fit_stream`` dispatch for the count/histogram models (NB, trees),
-  per-shard MLP epochs, and shard-accumulated scoring.
+  ``fit_stream`` dispatch for the one-algorithm fits (exact FISTA,
+  NB counts, tree histograms), the MLP's per-shard epochs with
+  deterministic shard shuffling, and shard-accumulated scoring.
 - :mod:`repro.streaming.checkpoint` — :class:`CheckpointManager`:
-  atomic, checksummed checkpoints behind
+  atomic, checksummed checkpoints of the MLP's epoch loop behind
   ``StreamingTrainer(checkpoint=..., resume=True)``, with resumed runs
   bit-identical to uninterrupted ones.
 - :mod:`repro.streaming.benchmark` — the peak-memory scaling harness

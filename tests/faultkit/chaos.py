@@ -136,12 +136,12 @@ def chaos_training_run(
     dataset:
         A :class:`~repro.datasets.splits.SplitDataset`.
     model_key:
-        ``"ann"`` or ``"lr_l1"``: the streaming models whose epoch loop
-        can checkpoint (count/histogram ``fit_stream`` models cannot be
-        cut mid-pass).
+        ``"ann"``, the one streaming model whose epoch loop can
+        checkpoint (a ``fit_stream`` model cannot be cut mid-pass).
     n_shards, epochs:
-        Shard layout and pass count; ``kill_after`` defaults to half
-        the total shard steps (at least 2) so the kill lands mid-run.
+        Shard layout and the model's epoch count (set with
+        ``clone(epochs=...)``); ``kill_after`` defaults to half the
+        total shard steps (at least 2) so the kill lands mid-run.
         The leg checkpoints every step, so the kill comes at step
         ``kill_after``, before its checkpoint is written.
     fault_rate:
@@ -151,13 +151,12 @@ def chaos_training_run(
     from repro.experiments.runner import make_streaming_model
     from repro.streaming import StreamingTrainer
 
-    if model_key not in ("ann", "lr_l1"):
+    if model_key != "ann":
         raise ValueError(
-            f"chaos training needs a checkpointable streaming model "
-            f"('ann', 'lr_l1'), got {model_key!r}"
+            f"chaos training needs the checkpointable streaming model "
+            f"'ann', got {model_key!r}"
         )
     registry = MetricsRegistry()
-    mode = "incremental" if model_key == "lr_l1" else "exact"
     spec = SourceSpec(n_shards=n_shards)
     train = spec.split_sources(
         dataset, no_join_strategy(), splits=("train",), registry=registry
@@ -178,10 +177,13 @@ def chaos_training_run(
         train.n_shards, rate=fault_rate, seed=seed
     )
 
-    def trainer(model, **extra) -> StreamingTrainer:
-        return StreamingTrainer(
-            model, epochs=epochs, seed=seed, mode=mode, **extra
+    def fresh_model():
+        return make_streaming_model(model_key, scale, seed).clone(
+            epochs=epochs
         )
+
+    def trainer(model, **extra) -> StreamingTrainer:
+        return StreamingTrainer(model, seed=seed, **extra)
 
     def faulted(source: FeatureSource) -> FeatureSource:
         # Fresh wrappers per leg: attempt counters restart, so every
@@ -194,17 +196,17 @@ def chaos_training_run(
         )
 
     try:
-        baseline = make_streaming_model(model_key, scale, seed)
+        baseline = fresh_model()
         trainer(baseline).fit(train)
 
-        survivor = make_streaming_model(model_key, scale, seed)
+        survivor = fresh_model()
         trainer(survivor).fit(faulted(train))
 
         with tempfile.TemporaryDirectory(prefix="repro-chaos-") as directory:
             killer = KillSwitchCheckpoint(
                 directory, kill_after, registry=registry
             )
-            victim = make_streaming_model(model_key, scale, seed)
+            victim = fresh_model()
             killed = False
             try:
                 trainer(
@@ -212,7 +214,7 @@ def chaos_training_run(
                 ).fit(faulted(train))
             except ChaosKilledError:
                 killed = True
-            resumed = make_streaming_model(model_key, scale, seed)
+            resumed = fresh_model()
             trainer(
                 resumed,
                 checkpoint=CheckpointManager(directory, registry=registry),

@@ -291,15 +291,45 @@ class TestCommands:
         assert "test=" in scores and "train=" in scores
         assert scores in resumed
 
-    def test_fit_stream_model_refuses_checkpoints(self, capsys, tmp_path):
+    def test_checkpointed_fit_reports_resilience_metrics(
+        self, capsys, tmp_path
+    ):
+        """The runner's checkpoint manager counts into the process-wide
+        registry, which ``--telemetry`` writes: 5 smoke epochs x 3
+        shards are 15 saves, and the resumed run is one resume."""
+        import json
+
+        from repro import obs
+
+        obs.registry().reset()  # the report reads the process-wide tally
+        argv = ["fit", "yelp", "ann", "--stream", "--shards", "3",
+                "--scale", "smoke", "--checkpoint-dir", str(tmp_path / "ck")]
+        fresh = tmp_path / "fresh.json"
+        assert main([*argv, "--telemetry", str(fresh)]) == 0
+        metrics = json.loads(fresh.read_text())["metrics"]
+        assert metrics["resilience.checkpoints"] == 15
+        assert metrics["resilience.checkpoint_bytes"]["count"] == 15
+        assert metrics["resilience.resumes"] == 0
+        resumed = tmp_path / "resumed.json"
+        assert main([*argv, "--resume", "--telemetry", str(resumed)]) == 0
+        capsys.readouterr()
+        assert json.loads(resumed.read_text())["metrics"][
+            "resilience.resumes"
+        ] == 1
+
+    @pytest.mark.parametrize("model", ["dt_gini", "nb", "lr_l1"])
+    def test_fit_stream_model_refuses_checkpoints(
+        self, capsys, tmp_path, model
+    ):
         code = main(
-            ["fit", "yelp", "dt_gini", "--stream", "--shards", "3",
+            ["fit", "yelp", model, "--stream", "--shards", "3",
              "--scale", "smoke", "--checkpoint-dir", str(tmp_path)]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert "fit_stream owns its own pass structure" in captured.err
         assert "test=" not in captured.out
+        assert list(tmp_path.iterdir()) == []
 
     def test_simulate_renders_series(self, capsys):
         code = main(

@@ -89,7 +89,6 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "argument",
         [
-            {"mode": "incremental"},
             {"checkpoint": "checkpoints"},
             {"checkpoint_every": 2},
             {"resume": True},

@@ -368,19 +368,11 @@ class TestPlannedStreamMatchesGathered:
         return OneXrScenario(n_train=4800, n_r=2, d_s=2, d_r=12).sample(5)
 
     @pytest.mark.parametrize(
-        "model_key, mode",
-        [
-            ("lr_l1", "exact"),
-            ("lr_l1", "incremental"),
-            ("ann", "exact"),
-            ("nb", "exact"),
-            ("dt_gini", "exact"),
-            ("dt_entropy", "exact"),
-            ("dt_gain_ratio", "exact"),
-        ],
+        "model_key",
+        ["lr_l1", "ann", "nb", "dt_gini", "dt_entropy", "dt_gain_ratio"],
     )
     def test_plan_matches_forced_gather(
-        self, model_key, mode, force_layout, monkeypatch
+        self, model_key, force_layout, monkeypatch
     ):
         dataset = self._dataset()
         strategy = join_all_strategy()
@@ -396,16 +388,13 @@ class TestPlannedStreamMatchesGathered:
         def recording(*args, **kwargs):
             model = make(*args, **kwargs)
             if model_key == "lr_l1":
-                # Incremental mode takes one step per shard visit up to
-                # max_iter visits; 200 keeps both modes to seconds.
+                # 200 FISTA iterations keep the fit to seconds.
                 model.max_iter = 200
             built.append(model)
             return model
 
         monkeypatch.setattr(runner, "make_streaming_model", recording)
-        run = dict(
-            scale=get_scale("smoke"), source=spec, mode=mode, seed=3
-        )
+        run = dict(scale=get_scale("smoke"), source=spec, seed=3)
         planned = runner.run_experiment(dataset, model_key, strategy, **run)
         with force_layout("gather"):
             gathered = runner.run_experiment(

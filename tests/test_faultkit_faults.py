@@ -251,9 +251,9 @@ class TestKillSwitch:
         manager = KillSwitchCheckpoint(
             tmp_path, kill_after=source.n_shards + 1
         )
-        model = MLPClassifier(hidden_sizes=(4,), random_state=0)
+        model = MLPClassifier(hidden_sizes=(4,), epochs=2, random_state=0)
         with pytest.raises(ChaosKilledError):
-            StreamingTrainer(model, epochs=2, checkpoint=manager).fit(source)
+            StreamingTrainer(model, checkpoint=manager).fit(source)
         # Epoch 1 saved every step; the kill came one step into epoch 2.
         epoch, shard, _ = manager.latest()
         assert (epoch, shard) == (1, 0)

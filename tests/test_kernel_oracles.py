@@ -36,8 +36,9 @@ pickles, no tolerance):
   in column order) against the row sum :func:`row_sum_matmul`;
 - ``logistic._sigmoid`` (one ``exp(-|z|)``, picked by ``np.where``)
   against the four-mask form :func:`masked_sigmoid`;
-- ``lipschitz_bound`` on one operand against a fit's shard-pass
-  estimate (the same power-iteration loop);
+- ``logistic._lipschitz`` (power iteration over shard passes, each
+  step a :func:`logistic._power_step` sum) on one shard against the
+  same loop on one operand, :func:`one_operand_lipschitz`;
 - :meth:`ShardEncoder.assemble` (one plan: a slice of the code table
   for the fact columns, one block gather per dimension, into one
   array) against the feature-by-feature :func:`per_feature_assemble`,
@@ -65,7 +66,7 @@ from repro.datasets.realworld import DATASET_ORDER
 from repro.errors import SchemaError, UnseenCategoryError
 from repro.experiments.config import DEFAULT, PAPER
 from repro.experiments.runner import MODEL_REGISTRY
-from repro.ml import GridSearch
+from repro.ml import GridSearch, sparse
 from repro.ml.encoding import CategoricalMatrix, check_code_ranges
 from repro.ml.linear import L1LogisticRegression, LogisticRegressionPath
 from repro.ml.linear import logistic
@@ -320,13 +321,13 @@ def test_path_equals_a_chain_of_warm_started_fits(monkeypatch):
     X, y = _logistic_problem()
     path = LogisticRegressionPath(nlambda=8, max_iter=400, tol=1e-4)
     estimates = []
-    power_lipschitz = logistic._power_lipschitz
+    lipschitz = logistic._lipschitz
 
     def counted(*args, **kwargs):
         estimates.append(args)
-        return power_lipschitz(*args, **kwargs)
+        return lipschitz(*args, **kwargs)
 
-    monkeypatch.setattr(logistic, "_power_lipschitz", counted)
+    monkeypatch.setattr(logistic, "_lipschitz", counted)
     models = path.fit(X, y)
     assert len(estimates) == 1  # one power iteration for the whole path
 
@@ -1183,11 +1184,33 @@ def test_sigmoid_equals_the_masked_form():
         _assert_bitwise(logistic._sigmoid(values), masked_sigmoid(values))
 
 
+def one_operand_lipschitz(X, fit_intercept: bool) -> float:
+    """FISTA's step-size bound by power iteration on one operand's
+    ``rmatmul(X, matmul(X, v))`` (the plain loop, no shard passes)."""
+    encoded = sparse.encode_features(X)
+    n, width = encoded.shape
+    intercept = 0.25 if fit_intercept else 0.0
+    v = ensure_rng(0).normal(size=width)
+    norm = np.linalg.norm(v)
+    if norm == 0 or width == 0:
+        return 1.0 + intercept
+    v /= norm
+    sigma = 1.0
+    for _ in range(30):
+        v = sparse.rmatmul(encoded, sparse.matmul(encoded, v))
+        norm = np.linalg.norm(v)
+        if norm == 0:
+            break
+        sigma = norm
+        v /= norm
+    return max(sigma / (4.0 * n), 1e-12) + intercept
+
+
 @pytest.mark.parametrize("layout", ["gather", "factorize"])
 def test_one_operand_lipschitz_equals_the_shard_pass_estimate(force_layout, layout):
-    """``lipschitz_bound`` (power iteration on ``rmatmul(X, matmul(X,
-    v))``) and a fit's ``_lipschitz`` (the same loop over shard passes)
-    return the same float on one shard of either layout."""
+    """A fit's ``_lipschitz`` (power iteration over shard passes) and
+    :func:`one_operand_lipschitz` return the same float on one shard
+    of either layout."""
     dataset = generate_real_world("flights", n_fact=2_000, seed=3)
     encoder = ShardEncoder(dataset.schema, join_all_strategy())
     rows = dataset.schema.fact.select(dataset.train)
@@ -1195,9 +1218,10 @@ def test_one_operand_lipschitz_equals_the_shard_pass_estimate(force_layout, layo
         X, y = encoder.encode_shard(rows)
     assert isinstance(X, FactorizedMatrix) == (layout == "factorize")
     for fit_intercept in (True, False):
-        model = L1LogisticRegression(fit_intercept=fit_intercept)
         passes = ShardPasses(MatrixSource(X, y), logistic._prepare)
-        assert model.lipschitz_bound(X) == logistic._lipschitz(passes, fit_intercept)
+        assert logistic._lipschitz(passes, fit_intercept) == (
+            one_operand_lipschitz(X, fit_intercept)
+        )
 
 
 # ----------------------------------------------------------------------

@@ -323,6 +323,14 @@ class TestMLPPartialFit:
         with pytest.raises(ValueError, match="classes"):
             model.partial_fit(X, y, n_classes=5)
 
+    def test_partial_fit_width_mismatch_rejected(self):
+        X, y = _separable(n=60, seed=3)
+        model = MLPClassifier(hidden_sizes=(4,), epochs=1, random_state=0)
+        model.partial_fit(X, y)
+        narrower = X.select_features([0])
+        with pytest.raises(ValueError, match="expected 2 features, got 1"):
+            model.partial_fit(narrower, y)
+
 
 class TestL1Logistic:
     def test_learns_separable(self):
@@ -366,38 +374,6 @@ class TestL1Logistic:
         lam_max = path.lambda_max(X, y)
         model = L1LogisticRegression(lam=lam_max * 1.01, max_iter=300).fit(X, y)
         assert model.n_nonzero_ == 0
-
-    def test_partial_fit_fresh_full_budget_equals_fit(self):
-        X, y = _separable(n=120, seed=2)
-        reference = L1LogisticRegression(lam=1e-3, max_iter=80).fit(X, y)
-        incremental = L1LogisticRegression(lam=1e-3, max_iter=80)
-        incremental.partial_fit(X, y, n_iter=80)
-        assert np.array_equal(reference.coef_, incremental.coef_)
-        assert reference.intercept_ == incremental.intercept_
-
-    def test_partial_fit_improves_loss_across_calls(self):
-        X, y = _separable(n=120, seed=2)
-        model = L1LogisticRegression(lam=1e-3)
-        model.partial_fit(X, y, n_iter=2)
-        early = model.loss(X, y)
-        for _ in range(30):
-            model.partial_fit(X, y, n_iter=2)
-        assert model.loss(X, y) < early
-
-    def test_partial_fit_width_mismatch_rejected(self):
-        X, y = _separable(n=60, seed=3)
-        model = L1LogisticRegression().partial_fit(X, y)
-        narrower = X.select_features(list(range(X.n_features - 1)))
-        with pytest.raises(ValueError, match="width"):
-            model.partial_fit(narrower, y[: narrower.n_rows])
-
-    def test_fit_discards_partial_fit_momentum(self):
-        X, y = _separable(n=60, seed=4)
-        model = L1LogisticRegression(max_iter=50)
-        model.partial_fit(X, y, n_iter=5)
-        model.fit(X, y)
-        fresh = L1LogisticRegression(max_iter=50).fit(X, y)
-        assert np.array_equal(model.coef_, fresh.coef_)
 
     def test_loss_requires_fit(self):
         X, y = _separable(n=20)

@@ -7,6 +7,7 @@ the modules behind them.
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
@@ -108,22 +109,41 @@ class TestLibraryLoadsNoTooling:
 #: with a default, and for ``repro predict`` its optional flags.  An
 #: option that appears or goes has to be entered here, on purpose.
 SERVING_OPTIONS = {
-    "PredictionServer": (
+    "repro.serving.PredictionServer": (
         "max_batch_size", "max_wait_s", "background_flush", "telemetry",
     ),
-    "PredictionServer.submit": (),
-    "MicroBatcher": (
+    "repro.serving.PredictionServer.submit": (),
+    "repro.serving.MicroBatcher": (
         "max_batch_size", "max_wait_s", "clock", "background_flush",
         "registry",
     ),
-    "MicroBatcher.submit": (),
-    "MicroBatcher.close": (),
+    "repro.serving.MicroBatcher.submit": (),
+    "repro.serving.MicroBatcher.close": (),
     "repro predict": ("--rows", "--telemetry"),
+}
+
+#: The same for training.  A model's own ``epochs`` sets the trainer's
+#: epoch loop.
+TRAINING_OPTIONS = {
+    "repro.streaming.StreamingTrainer": (
+        "seed", "checkpoint", "checkpoint_every", "resume",
+    ),
+    "repro.experiments.run_experiment": (
+        "scale", "matrices", "source", "seed", "checkpoint",
+        "checkpoint_every", "resume",
+    ),
+    "repro fit": (
+        "--strategy", "--stream", "--shard-rows", "--shards",
+        "--spill-cache", "--checkpoint-dir", "--checkpoint-every",
+        "--resume", "--scale", "--seed", "--telemetry",
+    ),
 }
 
 
 def _settable(entry_point):
-    if entry_point == "repro predict":
+    """The optional flags of a ``repro`` command, or the parameters with
+    a default of the callable at a dotted path."""
+    if entry_point.startswith("repro "):
         import argparse
 
         from repro.cli import build_parser
@@ -132,17 +152,14 @@ def _settable(entry_point):
             action for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         )
+        command = commands.choices[entry_point.removeprefix("repro ")]
         return tuple(
             action.option_strings[-1]
-            for action in commands.choices["predict"]._actions
+            for action in command._actions
             if action.option_strings
             and not isinstance(action, argparse._HelpAction)
         )
-    import repro.serving
-
-    target = repro.serving
-    for part in entry_point.split("."):
-        target = getattr(target, part)
+    target = pkgutil.resolve_name(entry_point)
     return tuple(
         name
         for name, parameter in inspect.signature(target).parameters.items()
@@ -154,7 +171,7 @@ class TestServingOptions:
     @pytest.mark.parametrize(
         "entry_point",
         sorted(SERVING_OPTIONS),
-        ids=lambda name: name.replace(" ", "-"),
+        ids=lambda name: name.removeprefix("repro.serving.").replace(" ", "-"),
     )
     def test_serving_entry_point_options_are_the_pinned_ones(
         self, entry_point
@@ -163,6 +180,20 @@ class TestServingOptions:
         off-switch, ``close(flush=)`` and ``predict --batch-size`` are
         gone, and no option has taken their place."""
         assert _settable(entry_point) == SERVING_OPTIONS[entry_point]
+
+
+class TestTrainingOptions:
+    @pytest.mark.parametrize(
+        "entry_point",
+        sorted(TRAINING_OPTIONS),
+        ids=lambda name: name.rsplit(".", 1)[-1].replace(" ", "-"),
+    )
+    def test_training_entry_point_options_are_the_pinned_ones(
+        self, entry_point
+    ):
+        """The incremental logistic mode and the trainer's test-only
+        knobs are gone, and no option has taken their place."""
+        assert _settable(entry_point) == TRAINING_OPTIONS[entry_point]
 
 
 class TestVersion:

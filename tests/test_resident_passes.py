@@ -1,13 +1,12 @@
 """The resident-shard reader shared by every multi-pass fit.
 
 Exact FISTA, the streamed tree's level passes and the trainer's MLP
-and incremental-LR epochs all read through one
-:class:`~repro.data.source.ShardPasses`: it keeps the first
-``RESIDENT_SHARDS`` shards a fit prepares for every later pass and
-re-reads the rest.  Which shards are resident must never change a
-fitted bit, a shard within the cap is encoded once per fit, and a kept
-FISTA shard owns its arrays (a source may reuse or drop a shard's
-arrays once the next one is read).
+epochs all read through one :class:`~repro.data.source.ShardPasses`:
+it keeps the first ``RESIDENT_SHARDS`` shards a fit prepares for every
+later pass and re-reads the rest.  Which shards are resident must
+never change a fitted bit, a shard within the cap is encoded once per
+fit, and a kept FISTA shard owns its arrays (a source may reuse or
+drop a shard's arrays once the next one is read).
 """
 
 import numpy as np
@@ -24,10 +23,14 @@ from repro.ml.linear import L1LogisticRegression
 from repro.ml.neural import MLPClassifier
 from repro.ml.sparse import FactorizedGroup, FactorizedMatrix
 from repro.ml.tree import DecisionTreeClassifier
-from repro.obs import tracer
-from repro.streaming import StreamingTrainer
+from repro.obs import MetricsRegistry, tracer
+from repro.streaming import CheckpointManager, StreamingTrainer
 
-from faultkit.chaos import models_identical
+from faultkit.chaos import (
+    ChaosKilledError,
+    KillSwitchCheckpoint,
+    models_identical,
+)
 from test_streaming_models import assert_same_tree
 
 #: Passes the step-size bound's power iteration makes before FISTA's.
@@ -70,16 +73,7 @@ CONSUMERS = {
     ),
     "mlp": (
         lambda stream: StreamingTrainer(
-            MLPClassifier(hidden_sizes=(8,), random_state=0),
-            epochs=EPOCHS,
-        ).fit(stream),
-        lambda model: EPOCHS,
-    ),
-    "incremental_lr": (
-        lambda stream: StreamingTrainer(
-            L1LogisticRegression(lam=1e-3),
-            mode="incremental",
-            epochs=EPOCHS,
+            MLPClassifier(hidden_sizes=(8,), epochs=EPOCHS, random_state=0)
         ).fit(stream),
         lambda model: EPOCHS,
     ),
@@ -152,6 +146,37 @@ class TestResidency:
 class TestEveryMultiPassFit(TestResidency):
     """The tree's level passes and the trainer's epochs read through
     the same reader, so they keep the same residency guarantees."""
+
+
+@pytest.mark.parametrize("layout", ["gather", "factorize"])
+def test_resumed_epoch_loop_encodes_each_shard_once(
+    yelp, force_layout, tmp_path, layout
+):
+    """A resumed fit's first pass starts mid-epoch: the shards before
+    its cursor are encoded once, by the next epoch, and the fit is the
+    uninterrupted one."""
+
+    def mlp():
+        return MLPClassifier(hidden_sizes=(8,), epochs=EPOCHS, random_state=0)
+
+    with force_layout(layout):
+        stream = join_all_strategy().streaming_matrices(
+            yelp, n_shards=N_SHARDS
+        )
+        baseline = StreamingTrainer(mlp()).fit(stream)
+        killer = KillSwitchCheckpoint(tmp_path, kill_after=3)
+        with pytest.raises(ChaosKilledError):
+            StreamingTrainer(mlp(), checkpoint=killer, resume=True).fit(stream)
+        assert killer.latest()[:2] == (0, 2)
+        registry = MetricsRegistry()
+        manager = CheckpointManager(tmp_path, registry=registry)
+        before = _encoded_shards(stream)
+        resumed = StreamingTrainer(
+            mlp(), checkpoint=manager, resume=True
+        ).fit(stream)
+        assert registry.get("resilience.resumes").value == 1
+        assert _encoded_shards(stream) - before == N_SHARDS
+    assert models_identical(baseline, resumed)
 
 
 class _TrackingSource(MatrixSource):

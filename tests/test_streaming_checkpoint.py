@@ -9,7 +9,12 @@ from repro.core import no_join_strategy
 from repro.data import MatrixSource
 from repro.datasets import generate_real_world
 from repro.errors import CheckpointError
-from repro.ml import CategoricalNB, L1LogisticRegression, MLPClassifier
+from repro.ml import (
+    CategoricalNB,
+    DecisionTreeClassifier,
+    L1LogisticRegression,
+    MLPClassifier,
+)
 from repro.obs import MetricsRegistry
 from repro.streaming import CheckpointManager, StreamingTrainer
 
@@ -105,9 +110,7 @@ class TestCheckpointManager:
         source = MatrixSource(*train_matrix, shard_rows=29)
         registry = MetricsRegistry()
         manager = CheckpointManager(tmp_path, registry=registry)
-        StreamingTrainer(
-            _mlp(), epochs=2, seed=0, checkpoint=manager
-        ).fit(source)
+        StreamingTrainer(_mlp(), seed=0, checkpoint=manager).fit(source)
         saves = registry.get("resilience.checkpoints").value
         assert saves == 2 * source.n_shards
         assert registry.get("resilience.checkpoint_bytes").count == saves
@@ -115,21 +118,17 @@ class TestCheckpointManager:
         assert registry.get("resilience.resumes").value == 0
         with pytest.raises(CheckpointError, match="different run"):
             StreamingTrainer(
-                _mlp(), epochs=3, seed=0, checkpoint=manager, resume=True
+                _mlp(epochs=3), seed=0, checkpoint=manager, resume=True
             ).fit(source)
         assert registry.get("resilience.resumes").value == 0
         StreamingTrainer(
-            _mlp(), epochs=2, seed=0, checkpoint=manager, resume=True
+            _mlp(), seed=0, checkpoint=manager, resume=True
         ).fit(source)
         assert registry.get("resilience.resumes").value == 1
 
 
-def _mlp(seed=0):
-    return MLPClassifier(hidden_sizes=(8,), epochs=2, random_state=seed)
-
-
-def _lr():
-    return L1LogisticRegression(lam=1e-3, max_iter=100, tol=1e-5)
+def _mlp(epochs=2):
+    return MLPClassifier(hidden_sizes=(8,), epochs=epochs, random_state=0)
 
 
 def _cursor(steps: int, n_shards: int) -> tuple[int, int]:
@@ -143,69 +142,43 @@ class TestKillResumeBitIdentity:
     before writing it, so keeping k steps means killing on save k + 1.
     """
 
-    @pytest.mark.parametrize("saved_steps", [1, 3, 5])
+    # Four shards: 4 saved steps resume at epoch 1's start, the others
+    # mid-epoch.
+    @pytest.mark.parametrize("saved_steps", [1, 2, 3, 4, 5])
     def test_mlp_resume_matches_uninterrupted(
         self, train_matrix, tmp_path, saved_steps
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         baseline = _mlp()
-        StreamingTrainer(baseline, epochs=2, seed=0).fit(source)
+        StreamingTrainer(baseline, seed=0).fit(source)
 
         victim = _mlp()
         killer = KillSwitchCheckpoint(tmp_path, saved_steps + 1)
         with pytest.raises(ChaosKilledError):
             StreamingTrainer(
-                victim, epochs=2, seed=0, resume=True, checkpoint=killer,
+                victim, seed=0, resume=True, checkpoint=killer,
             ).fit(source)
         assert killer.latest()[:2] == _cursor(saved_steps, source.n_shards)
         resumed = _mlp()
         StreamingTrainer(
-            resumed, epochs=2, seed=0, checkpoint=tmp_path, resume=True
+            resumed, seed=0, checkpoint=tmp_path, resume=True
         ).fit(source)
         assert models_identical(baseline, resumed)
         np.testing.assert_array_equal(
             baseline.predict(train_matrix[0]), resumed.predict(train_matrix[0])
         )
 
-    @pytest.mark.parametrize("saved_steps", [2, 4])
-    def test_incremental_lr_resume_matches_uninterrupted(
-        self, train_matrix, tmp_path, saved_steps
-    ):
-        source = MatrixSource(*train_matrix, shard_rows=29)
-        baseline = _lr()
-        StreamingTrainer(
-            baseline, epochs=2, seed=0, mode="incremental"
-        ).fit(source)
-
-        victim = _lr()
-        killer = KillSwitchCheckpoint(tmp_path, saved_steps + 1)
-        with pytest.raises(ChaosKilledError):
-            StreamingTrainer(
-                victim, epochs=2, seed=0, mode="incremental",
-                checkpoint=killer, resume=True,
-            ).fit(source)
-        # Four shards: 4 saved steps resume at epoch 1's start, where
-        # momentum restarts.
-        assert killer.latest()[:2] == _cursor(saved_steps, source.n_shards)
-        resumed = _lr()
-        StreamingTrainer(
-            resumed, epochs=2, seed=0, mode="incremental",
-            checkpoint=tmp_path, resume=True,
-        ).fit(source)
-        assert models_identical(baseline, resumed)
-        np.testing.assert_array_equal(baseline.coef_, resumed.coef_)
-
     def test_sparse_checkpoint_cadence_still_bit_identical(
         self, train_matrix, tmp_path
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         baseline = _mlp()
-        StreamingTrainer(baseline, epochs=2, seed=0).fit(source)
+        StreamingTrainer(baseline, seed=0).fit(source)
         victim = _mlp()
         killer = KillSwitchCheckpoint(tmp_path, kill_after=3)
         with pytest.raises(ChaosKilledError):
             StreamingTrainer(
-                victim, epochs=2, seed=0, checkpoint=killer,
+                victim, seed=0, checkpoint=killer,
                 checkpoint_every=3, resume=True,
             ).fit(source)
         # 4 shards, a save every 3 steps and at each epoch's end: the
@@ -215,7 +188,7 @@ class TestKillResumeBitIdentity:
         assert killer.latest()[:2] == (1, 0)
         resumed = _mlp()
         StreamingTrainer(
-            resumed, epochs=2, seed=0, checkpoint=str(tmp_path),
+            resumed, seed=0, checkpoint=str(tmp_path),
             checkpoint_every=3, resume=True,
         ).fit(source)
         assert models_identical(baseline, resumed)
@@ -225,10 +198,10 @@ class TestKillResumeBitIdentity:
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         baseline = _mlp()
-        StreamingTrainer(baseline, epochs=2, seed=0).fit(source)
+        StreamingTrainer(baseline, seed=0).fit(source)
         resumed = _mlp()
         StreamingTrainer(
-            resumed, epochs=2, seed=0, checkpoint=tmp_path, resume=True
+            resumed, seed=0, checkpoint=tmp_path, resume=True
         ).fit(source)
         assert models_identical(baseline, resumed)
 
@@ -238,11 +211,11 @@ class TestKillResumeBitIdentity:
         source = MatrixSource(*train_matrix, shard_rows=29)
         finished = _mlp()
         StreamingTrainer(
-            finished, epochs=2, seed=0, checkpoint=tmp_path, resume=True
+            finished, seed=0, checkpoint=tmp_path, resume=True
         ).fit(source)
         again = _mlp()
         StreamingTrainer(
-            again, epochs=2, seed=0, checkpoint=tmp_path, resume=True
+            again, seed=0, checkpoint=tmp_path, resume=True
         ).fit(source)
         assert models_identical(finished, again)
 
@@ -250,33 +223,56 @@ class TestKillResumeBitIdentity:
 class TestTrainerGuards:
     def test_fingerprint_mismatch_raises(self, train_matrix, tmp_path):
         source = MatrixSource(*train_matrix, shard_rows=29)
-        StreamingTrainer(
-            _mlp(), epochs=2, seed=0, checkpoint=tmp_path
-        ).fit(source)
+        StreamingTrainer(_mlp(), seed=0, checkpoint=tmp_path).fit(source)
         with pytest.raises(CheckpointError, match="different run"):
             StreamingTrainer(
-                _mlp(), epochs=3, seed=0, checkpoint=tmp_path, resume=True
+                _mlp(epochs=3), seed=0, checkpoint=tmp_path, resume=True
             ).fit(source)
 
-    def test_exact_lr_mode_refuses_checkpoint(self, train_matrix, tmp_path):
-        source = MatrixSource(*train_matrix, shard_rows=29)
-        with pytest.raises(CheckpointError, match="incremental"):
-            StreamingTrainer(
-                _lr(), mode="exact", checkpoint=tmp_path
-            ).fit(source)
-
-    def test_fit_stream_models_refuse_checkpoint(
+    def test_checkpoint_written_with_a_mode_is_refused(
         self, train_matrix, tmp_path
+    ):
+        """A 10.x checkpoint's fingerprint carried the trainer's
+        ``mode``; resuming one fails loudly instead of restarting."""
+        source = MatrixSource(*train_matrix, shard_rows=29)
+        manager = CheckpointManager(tmp_path)
+        StreamingTrainer(_mlp(), seed=0, checkpoint=manager).fit(source)
+        epoch, shard, state = manager.latest()
+        state["fingerprint"] = {**state["fingerprint"], "mode": "exact"}
+        manager.save(epoch, shard, state)
+        with pytest.raises(CheckpointError, match="different run"):
+            StreamingTrainer(
+                _mlp(), seed=0, checkpoint=manager, resume=True
+            ).fit(source)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CategoricalNB(alpha=1.0),
+            L1LogisticRegression(lam=1e-3, max_iter=100, tol=1e-5),
+            DecisionTreeClassifier(minsplit=10, cp=0.001),
+        ],
+        ids=lambda model: type(model).__name__,
+    )
+    def test_fit_stream_models_refuse_checkpoint(
+        self, train_matrix, tmp_path, model
     ):
         source = MatrixSource(*train_matrix, shard_rows=29)
         with pytest.raises(CheckpointError, match="fit_stream"):
-            StreamingTrainer(
-                CategoricalNB(alpha=1.0), checkpoint=tmp_path
-            ).fit(source)
+            StreamingTrainer(model, checkpoint=tmp_path).fit(source)
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_requires_manager(self):
         with pytest.raises(ValueError, match="resume"):
             StreamingTrainer(_mlp(), resume=True)
+
+    def test_model_epochs_validated(self, train_matrix):
+        """The model's ``epochs`` sets the loop, so a streamed fit
+        rejects 0 as the model's own ``fit`` does, instead of
+        returning an untrained model."""
+        source = MatrixSource(*train_matrix, shard_rows=29)
+        with pytest.raises(ValueError, match="epochs"):
+            StreamingTrainer(_mlp(epochs=0)).fit(source)
 
     def test_checkpoint_every_validated(self, tmp_path):
         with pytest.raises(ValueError, match="checkpoint_every"):
@@ -289,7 +285,7 @@ class TestTrainerGuards:
         source = MatrixSource(*train_matrix, shard_rows=29)
         manager = CheckpointManager(tmp_path)
         StreamingTrainer(
-            _mlp(), epochs=1, seed=0, checkpoint=manager
+            _mlp(epochs=1), seed=0, checkpoint=manager
         ).fit(source)
         _, _, state = manager.latest()
         assert isinstance(state["model"], MLPClassifier)
