@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).

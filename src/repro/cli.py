@@ -294,6 +294,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reported(path: str, run) -> int:
+    """Run ``run()`` under the tracer and write its report to ``path``.
+
+    The report's metrics section is the process-wide registry, zeroed
+    before the run, so it counts this run only, as its spans do: a
+    second run in one process reports its own counts, not the sum.
+    """
+    obs.registry().reset()
+    with obs.tracer().collect():
+        code = run()
+    _write_telemetry(path)
+    return code
+
+
 def _write_telemetry(path: str, metrics=None) -> None:
     """Write the tracer's run report (and a metrics snapshot) to ``path``."""
     report = obs.tracer().report(metrics=metrics)
@@ -406,10 +420,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
     if args.telemetry is None:
         return run()
-    with obs.tracer().collect():
-        code = run()
-    _write_telemetry(args.telemetry)
-    return code
+    return _reported(args.telemetry, run)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -561,10 +572,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
 
     if args.telemetry is None:
         return run()
-    with obs.tracer().collect():
-        code = run()
-    _write_telemetry(args.telemetry)
-    return code
+    return _reported(args.telemetry, run)
 
 
 _COMMANDS = {

@@ -348,6 +348,20 @@ class ShardEncoder:
     # ------------------------------------------------------------------
     # Request encoding
     # ------------------------------------------------------------------
+    def request_codes(self, row: Mapping[str, object]) -> list[int]:
+        """One request row's codes as a list, in :attr:`required_columns`
+        order: row ``0`` of :meth:`encode_requests` ``([row])``.
+
+        The same one lookup per required column, the same
+        :class:`SchemaError` and the same ``"Others"`` fallback, without
+        a per-row array: a micro-batch flush builds one ``(n, k)`` array
+        from its rows' lists.
+        """
+        try:
+            return [index[row[c]] for c, index in self._code_indexes]
+        except KeyError:  # a missing column or an unseen label
+            return self.encode_requests([row])[0].tolist()
+
     def encode_requests(self, rows: Sequence[Mapping[str, object]]) -> np.ndarray:
         """Encode label-valued request rows into one ``(n, k)`` code array.
 

@@ -112,8 +112,11 @@ class FactorizedGroup:
     dim_rows:
         ``(n,)`` FK-resolved dimension row per fact row.
     block:
-        ``(n_dim_rows, len(positions))`` code block: column ``c`` holds
-        the codes of feature ``positions[c]`` for every dimension row.
+        ``(n_dim_rows, len(positions))`` integer code block: column ``c``
+        holds the codes of feature ``positions[c]`` for every dimension
+        row.  Kept in its own integer type, so a group shares the
+        encoder's byte-sized memo instead of copying it;
+        :meth:`flat_block` widens it once.
     """
 
     __slots__ = (
@@ -130,7 +133,9 @@ class FactorizedGroup:
         self.name = name
         self.positions = np.asarray(positions, dtype=np.int64)
         self.dim_rows = np.asarray(dim_rows, dtype=np.int64)
-        self._block = np.asarray(block, dtype=np.int64)
+        self._block = np.asarray(block)
+        if self._block.dtype.kind not in "iu":
+            self._block = self._block.astype(np.int64)
         self._flat: np.ndarray | None = None
         self._span: slice | None = None
         self._offsets: np.ndarray | None = None

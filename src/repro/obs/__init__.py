@@ -4,9 +4,9 @@ One subsystem answers "where did this run spend its time and memory?"
 for every layer of the repo:
 
 - :mod:`repro.obs.metrics` — named :class:`Counter`/:class:`Gauge`/
-  :class:`Histogram` metrics in thread-safe registries.  Histograms are
-  fixed-bin and log-spaced, reporting p50/p95/p99 — the serving plane's
-  latency numbers come from these.
+  :class:`Histogram` metrics in thread-safe registries.  Histograms
+  share one set of log-scale buckets (8 per octave), reporting
+  p50/p95/p99 — the serving plane's latency numbers come from these.
 - :mod:`repro.obs.trace` — span-based run tracing: nested, timed
   stages (``fit`` > ``fit.epoch`` > ``fit.shard``) with optional
   tracemalloc peaks, snapshotable as a JSON run report

@@ -14,18 +14,21 @@ Three metric kinds:
 - :class:`Counter` — a monotonically increasing tally (``inc``).
 - :class:`Gauge` — a value that moves both ways (``set``/``add``), e.g.
   bytes currently spilled, shards currently queued.
-- :class:`Histogram` — fixed-bin, log-spaced value distribution built
-  for latency: observations land in one of ``bins_per_decade`` buckets
-  per decade between ``low`` and ``high``, and quantiles (p50/p95/p99)
-  are read back by interpolating within the winning bin.  Fixed bins
-  keep ``observe`` O(log bins) with a bounded footprint, however many
-  observations arrive — the property that makes it safe on the serving
-  hot path.
+- :class:`Histogram` — fixed-bucket, log-scale value distribution
+  built for latency: every histogram has the same buckets, 8 per
+  octave from ~1 ns to ~10^12, read off a value's float64 bits, and
+  quantiles (p50/p95/p99) are read back by interpolating within the
+  winning bucket.  Observations are parked raw and binned in one
+  branch-free pass on the next read, so ``observe`` is an append and
+  the footprint stays bounded however many observations arrive — the
+  property that makes it safe on the serving hot path.
 
 Concurrency contract (enforced by ``tests/test_obs_metrics.py`` under
 ``PYTHONDEVMODE=1``): any number of threads may ``inc``/``observe``
 concurrently without losing updates; each metric carries its own lock,
-so two threads touching different metrics never contend.
+so two threads touching different metrics never contend.  A component
+that keeps per-event records of its own folds them in before every
+registry read (:meth:`MetricsRegistry.fold_before_reads`).
 
 Telemetry can be turned off wholesale: a registry constructed with
 ``enabled=False`` hands out shared no-op metrics, so instrumented code
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import math
 import threading
-from bisect import bisect_right
+import weakref
+from array import array
 
 import numpy as np
 
@@ -48,20 +52,57 @@ __all__ = [
     "registry",
 ]
 
-#: Default histogram range: 1 microsecond to 1000 seconds, which covers
-#: everything from a cache-hit gather to a full out-of-core training
-#: pass when observations are in seconds.
-DEFAULT_LOW = 1e-6
-DEFAULT_HIGH = 1e3
-DEFAULT_BINS_PER_DECADE = 10
+#: The histogram range: values from ``LOWEST`` (~0.93 ns when they are
+#: seconds) up to ``HIGHEST`` (~1.1e12: a thousand-gigabyte byte count,
+#: or 35,000 years) get their own buckets.
+LOWEST = 2.0 ** -30
+HIGHEST = 2.0 ** 40
+
+#: A positive float64's bits shifted right by this keep its exponent and
+#: its top 3 mantissa bits: 8 buckets per octave.
+_KEY_SHIFT = 49
+_LOW_KEY = int(np.float64(LOWEST).view(np.int64)) >> _KEY_SHIFT
+_HIGH_KEY = int(np.float64(HIGHEST).view(np.int64)) >> _KEY_SHIFT
+
+#: Buckets per histogram: the underflow bucket, 8 per octave in range,
+#: and the overflow bucket.
+N_BUCKETS = _HIGH_KEY - _LOW_KEY + 2
+
+#: ``_EDGES[i]`` is bucket ``i``'s upper edge and bucket ``i + 1``'s
+#: lower one; the overflow bucket has no upper edge.
+_EDGES = (
+    (np.arange(_LOW_KEY, _HIGH_KEY + 1, dtype=np.int64) << _KEY_SHIFT)
+    .view(np.float64)
+    .tolist()
+)
 
 #: The quantiles every snapshot reports.
 SNAPSHOT_QUANTILES = (0.5, 0.95, 0.99)
 
-#: Batched histogram observations are buffered raw and binned lazily;
-#: once this many values are pending, the next ``observe_many`` drains
-#: them inline so the buffer stays bounded (~0.5 MB of floats).
-PENDING_DRAIN_THRESHOLD = 65536
+#: Histogram observations are parked raw and binned lazily; once this
+#: many values wait in one buffer, the next observation drains them
+#: inline so the buffer stays bounded (64 KB of floats).
+PENDING_DRAIN_THRESHOLD = 8192
+
+
+def _bucket_counts(values: np.ndarray) -> dict[int, int]:
+    """Observations per non-empty bucket of a contiguous float64 array.
+
+    Branch-free: one shift of the values' bits, one clip, one
+    ``bincount``.  Values below ``LOWEST`` (zero and subnormals too)
+    have smaller keys, and a set sign bit makes the int64 view negative,
+    so they, negatives, ``-inf`` and a negative NaN land in the
+    underflow bucket ``0``; ``inf`` and a positive NaN carry the largest
+    exponent and land in the overflow bucket ``N_BUCKETS - 1``.
+    """
+    keys = values.view(np.int64) >> _KEY_SHIFT
+    np.clip(keys, _LOW_KEY - 1, _HIGH_KEY, out=keys)
+    # Counting the raw keys skips a subtraction pass; the buckets are
+    # the bincount's tail.
+    counts = np.bincount(keys, minlength=_HIGH_KEY + 1)[_LOW_KEY - 1:]
+    return {
+        int(index): int(counts[index]) for index in np.flatnonzero(counts)
+    }
 
 
 class Counter:
@@ -152,140 +193,88 @@ class Gauge:
 
 
 class Histogram:
-    """A fixed-bin log-spaced distribution with quantile read-back.
+    """A fixed-bucket log-scale distribution with quantile read-back.
 
-    Parameters
-    ----------
-    name:
-        Registry name.
-    low, high:
-        The log-spaced range.  Observations below ``low`` land in the
-        first bin, observations above ``high`` in a dedicated overflow
-        bin (their exact values still feed ``sum``/``min``/``max``, so
-        means stay exact even when the range is misjudged).
-    bins_per_decade:
-        Bin resolution; at the default 10 a quantile is read back with
-        at most ~12% relative error, which is plenty for latency work.
+    Every histogram has the same :data:`N_BUCKETS` buckets.  A value's
+    bucket is its float64 bit pattern shifted right by 49: the exponent
+    and the top 3 mantissa bits, so each octave from :data:`LOWEST` to
+    :data:`HIGHEST` splits into 8 buckets, each at most 12.5% wide.
+    Values below ``LOWEST`` (zero, negatives, subnormals, ``-inf``) land
+    in an underflow bucket and values from ``HIGHEST`` up (``inf``, a
+    positive NaN) in an overflow bucket; exact values still feed
+    ``sum``/``min``/``max``, so means stay exact whatever the range.
+
+    Observations are parked raw and binned in one vectorized pass on the
+    next read, or inline once :data:`PENDING_DRAIN_THRESHOLD` values
+    wait in either buffer: ``observe`` appends to a float array without
+    taking the lock, ``observe_many`` parks its array under it.  Scalar
+    and batched observations share the one binning pass, so they agree
+    bucket for bucket.
     """
 
     __slots__ = (
-        "name", "low", "high", "bins_per_decade", "_lock", "_edges",
-        "_np_edges", "_counts", "_count", "_sum", "_min", "_max",
-        "_pending", "_n_pending",
+        "name", "_lock", "_values", "_counts", "_count", "_sum", "_min",
+        "_max", "_pending", "_n_pending",
     )
 
-    def __init__(
-        self,
-        name: str,
-        low: float = DEFAULT_LOW,
-        high: float = DEFAULT_HIGH,
-        bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-    ):
-        if not (0 < low < high):
-            raise ValueError(f"need 0 < low < high, got low={low} high={high}")
-        if bins_per_decade < 1:
-            raise ValueError(
-                f"bins_per_decade must be >= 1, got {bins_per_decade}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.low = low
-        self.high = high
-        self.bins_per_decade = bins_per_decade
-        n_bins = max(1, math.ceil(
-            math.log10(high / low) * bins_per_decade - 1e-9
-        ))
-        ratio = (high / low) ** (1.0 / n_bins)
-        # Upper edge of bin i is low * ratio**(i + 1); one extra
-        # overflow bin catches everything above ``high``.
-        self._edges = [low * ratio ** (i + 1) for i in range(n_bins)]
-        self._edges[-1] = high  # exact top edge, no float drift
-        self._np_edges = np.asarray(self._edges)
-        self._counts = [0] * (n_bins + 1)
         self._lock = threading.Lock()
+        self._counts = [0] * N_BUCKETS
         self._count = 0
         self._sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        # Raw arrays queued by large observe_many calls, binned lazily
-        # on the next read (or when PENDING_DRAIN_THRESHOLD is hit).
+        # Scalar observations, appended without the lock: an append is
+        # one C call under the GIL, and only the drain, under the lock,
+        # removes values, from the front, so a racing append is kept.
+        self._values = array("d")
+        # Arrays parked by observe_many (under the lock).
         self._pending: list[np.ndarray] = []
         self._n_pending = 0
 
-    def observe(self, value: float, _bisect=bisect_right) -> None:
-        """Record one observation (negative values clamp to the low bin)."""
-        index = _bisect(self._edges, value)
-        # Bare acquire/release (see Counter.inc): nothing in the guarded
-        # block can raise, and this runs once per serving request.
-        lock = self._lock
-        lock.acquire()
-        self._counts[index] += 1
-        self._count += 1
-        self._sum += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        lock.release()
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        values = self._values
+        values.append(value)
+        if len(values) >= PENDING_DRAIN_THRESHOLD:
+            self._drain()
 
     def observe_many(self, values) -> None:
         """Record a batch of observations under one lock acquisition.
 
-        The micro-batcher's per-row latency accounting goes through
-        here: a flush of N rows parks its values as one raw array and
-        binning is deferred to the next *read* (any property, quantile,
-        or snapshot) — so on the serving hot path a whole batch costs
-        one lock and one list append, tens of nanoseconds per row,
-        while readers still see every observation.  The parked buffer
-        is bounded: past :data:`PENDING_DRAIN_THRESHOLD` values the
-        drain happens inline.  Small batches (< 32) are binned
-        immediately; the deferral machinery costs more than it saves
-        there.
+        The batch is parked as one float array and binned with the
+        other parked values on the next read; past
+        :data:`PENDING_DRAIN_THRESHOLD` parked values the drain happens
+        inline, so the buffer stays bounded.
         """
-        n = len(values)
-        if n == 0:
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        if not arr.size:
             return
-        if n >= 32:
-            arr = np.asarray(values, dtype=np.float64)
-            lock = self._lock
-            lock.acquire()
-            self._pending.append(arr)
-            self._n_pending += n
-            if self._n_pending >= PENDING_DRAIN_THRESHOLD:
-                self._drain_locked()
-            lock.release()
-            return
-        edges = self._edges
-        indices = [bisect_right(edges, value) for value in values]
-        total = sum(values)
-        low, high = min(values), max(values)
         lock = self._lock
         lock.acquire()
-        counts = self._counts
-        for index in indices:
-            counts[index] += 1
-        self._count += n
-        self._sum += total
-        if low < self._min:
-            self._min = low
-        if high > self._max:
-            self._max = high
+        self._pending.append(arr)
+        self._n_pending += arr.size
+        if self._n_pending >= PENDING_DRAIN_THRESHOLD:
+            self._drain_locked()
         lock.release()
 
     def _drain_locked(self) -> None:
-        """Fold parked observe_many arrays into the bins (lock held)."""
-        if not self._n_pending:
+        """Bin every parked observation (lock held)."""
+        values = self._values
+        n = len(values)
+        if n:
+            self._pending.append(np.frombuffer(values[:n], dtype=np.float64))
+            del values[:n]
+        if not self._pending:
             return
         pending = self._pending
         arr = pending[0] if len(pending) == 1 else np.concatenate(pending)
         self._pending = []
         self._n_pending = 0
-        bincounts = np.bincount(
-            np.searchsorted(self._np_edges, arr, side="right"),
-            minlength=len(self._counts),
-        )
         counts = self._counts
-        for index in np.flatnonzero(bincounts):
-            counts[index] += int(bincounts[index])
+        for index, count in _bucket_counts(arr).items():
+            counts[index] += count
         self._count += arr.size
         self._sum += float(arr.sum())
         low, high = float(arr.min()), float(arr.max())
@@ -295,8 +284,8 @@ class Histogram:
             self._max = high
 
     def _drain(self) -> None:
-        """Fold any parked observations before a read."""
-        if self._n_pending:
+        """Bin any parked observations before a read."""
+        if self._n_pending or len(self._values):
             lock = self._lock
             lock.acquire()
             self._drain_locked()
@@ -330,8 +319,8 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Estimated ``q``-quantile (0 <= q <= 1); 0.0 before any data.
 
-        The winning bin is found by cumulative count; the value is
-        interpolated linearly between the bin's edges, clamped to the
+        The winning bucket is found by cumulative count; the value is
+        interpolated linearly between the bucket's edges, clamped to the
         true observed ``min``/``max`` so tiny samples read back sanely.
         """
         if not 0.0 <= q <= 1.0:
@@ -349,8 +338,8 @@ class Histogram:
             if bucket == 0:
                 continue
             if cumulative + bucket >= target:
-                lower = self._edges[i - 1] if i > 0 else 0.0
-                upper = self._edges[i] if i < len(self._edges) else hi
+                lower = _EDGES[i - 1] if i > 0 else 0.0
+                upper = _EDGES[i] if i < len(_EDGES) else hi
                 fraction = (target - cumulative) / bucket
                 value = lower + (upper - lower) * fraction
                 return min(max(value, lo), hi)
@@ -371,11 +360,12 @@ class Histogram:
 
     def reset(self) -> None:
         with self._lock:
-            self._counts = [0] * len(self._counts)
+            self._counts = [0] * N_BUCKETS
             self._count = 0
             self._sum = 0.0
             self._min = math.inf
             self._max = -math.inf
+            del self._values[:]
             self._pending = []
             self._n_pending = 0
 
@@ -456,16 +446,44 @@ class MetricsRegistry:
     returns the shared no-op metric and ``snapshot()`` is empty.  This
     is the telemetry off-switch instrumented hot paths are benchmarked
     against (``benchmarks/bench_telemetry_overhead.py``).
+
+    A component whose hot path keeps one record per event instead of
+    updating several metrics registers the method that folds its
+    records into them with :meth:`fold_before_reads`; every read
+    through the registry runs it first.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._lock = threading.Lock()
         self._metrics: dict[str, Counter | Gauge | Histogram] = {}
+        self._folds: list[weakref.WeakMethod] = []
+
+    def fold_before_reads(self, fold) -> None:
+        """Run the bound method ``fold`` before every read of this registry.
+
+        The accessors (``counter``/``gauge``/``histogram``), ``get``,
+        ``names``, ``snapshot`` and ``reset`` call it, so they see every
+        record the component has kept.  ``fold`` must not read the
+        registry itself.  The registry holds it weakly: a collected
+        component drops out.
+        """
+        if not self.enabled:
+            return
+        with self._lock:
+            self._folds = [ref for ref in self._folds if ref() is not None]
+            self._folds.append(weakref.WeakMethod(fold))
+
+    def _run_folds(self) -> None:
+        for ref in self._folds:
+            fold = ref()
+            if fold is not None:
+                fold()
 
     def _get_or_create(self, name: str, kind, factory):
         if not self.enabled:
             return _NULL
+        self._run_folds()
         with self._lock:
             metric = self._metrics.get(name)
             if metric is None:
@@ -483,34 +501,30 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge, lambda: Gauge(name))
 
-    def histogram(
-        self,
-        name: str,
-        low: float = DEFAULT_LOW,
-        high: float = DEFAULT_HIGH,
-        bins_per_decade: int = DEFAULT_BINS_PER_DECADE,
-    ) -> Histogram:
-        return self._get_or_create(
-            name, Histogram, lambda: Histogram(name, low, high, bins_per_decade)
-        )
+    def histogram(self, name: str) -> Histogram:
+        return self._get_or_create(name, Histogram, lambda: Histogram(name))
 
     def get(self, name: str):
         """The metric registered under ``name``, or ``None``."""
+        self._run_folds()
         with self._lock:
             return self._metrics.get(name)
 
     def names(self) -> list[str]:
+        self._run_folds()
         with self._lock:
             return sorted(self._metrics)
 
     def snapshot(self) -> dict:
         """Every metric's JSON-serializable value, keyed by name."""
+        self._run_folds()
         with self._lock:
             metrics = list(self._metrics.items())
         return {name: metric.snapshot() for name, metric in sorted(metrics)}
 
     def reset(self) -> None:
         """Zero every metric (names and kinds stay registered)."""
+        self._run_folds()
         with self._lock:
             metrics = list(self._metrics.values())
         for metric in metrics:

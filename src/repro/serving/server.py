@@ -15,8 +15,10 @@ styles:
 Requests are plain ``{fact column: label}`` mappings — the shape a fact
 row has *before* any join, which is the whole point: under a NoJoin
 artifact the server answers without touching a single dimension table.
-Every path encodes them on arrival into one ``(n, k)`` code array over
-the ``k`` required columns; a flush concatenates the queued arrays.
+A submitted row is encoded on arrival into a list of its ``k`` required
+columns' codes, and its flush turns the batch's lists into one ``(n,
+k)`` code array; ``predict_batch`` and ``predict_table`` build that
+array directly.
 
 The server is thread-safe end to end: any number of request threads may
 call the three paths concurrently.  Request counters and latency
@@ -192,7 +194,7 @@ class PredictionServer:
             else None
         )
         self.batcher = MicroBatcher(
-            self._predict_encoded,
+            self._predict_submitted,
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
             background_flush=background_flush,
@@ -223,7 +225,8 @@ class PredictionServer:
             return []
         self._requests.inc()
         started = time.perf_counter()
-        results = self._predict_encoded([self.features.encode_requests(rows)])
+        results = self._predict_encoded(self.features.encode_requests(rows))
+        self._rows.inc(len(results))
         self._request_latency.observe(time.perf_counter() - started)
         return results
 
@@ -234,7 +237,8 @@ class PredictionServer:
         codes = np.stack(
             [fact_rows.codes(c) for c in self.features.required_columns], axis=1
         )
-        results = self._predict_encoded([codes])
+        results = self._predict_encoded(codes)
+        self._rows.inc(len(results))
         self._request_latency.observe(time.perf_counter() - started)
         return results
 
@@ -242,17 +246,19 @@ class PredictionServer:
         """Queue one row on the micro-batcher (high-throughput path).
 
         Safe to call from any number of request threads; the row is
-        encoded in the calling thread (a bad row raises ``SchemaError``
-        here and queues nothing), the batch predicted wherever the flush
-        trigger fires (the submitter or the deadline flusher).
-        The row's end-to-end submit → delivery latency (queue wait
-        included) lands in the shared ``serving.latency.request_s``
-        histogram when its batch runs.  Submissions are counted by the
-        batcher (``serving.batcher.submitted``) rather than by a second
-        counter here — :meth:`stats` folds them back into ``requests``,
-        keeping this path at zero per-row metric calls.
+        encoded in the calling thread into a list of codes (a bad row
+        raises ``SchemaError`` here and queues nothing), the batch
+        predicted wherever the flush trigger fires (the submitter or the
+        deadline flusher).  The row's end-to-end submit → delivery
+        latency (queue wait included) lands in the shared
+        ``serving.latency.request_s`` histogram when its batch runs.
+        Submissions and flushed rows are counted by the batcher
+        (``serving.batcher.submitted``, ``serving.batcher.rows_flushed``)
+        rather than by second counters here — :meth:`stats` folds them
+        back into ``requests`` and ``rows``, keeping this path at zero
+        per-row metric calls.
         """
-        return self.batcher.submit(self.features.encode_requests([row]))
+        return self.batcher.submit(self.features.request_codes(row))
 
     def flush(self) -> int:
         """Force the micro-batcher to drain; returns rows flushed."""
@@ -271,17 +277,19 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _predict_encoded(self, payloads: Sequence[np.ndarray]) -> list:
-        """Assemble and predict a batch of encoded request rows.
+    def _predict_submitted(self, payloads: Sequence[list[int]]) -> list:
+        """The batcher's batch function: one flush's code lists, predicted
+        as one ``(n, k)`` array in submission order."""
+        return self._predict_encoded(np.array(payloads, dtype=np.int64))
 
-        Each payload is a code array from ``encode_requests``; they are
-        joined and predicted in a single vectorized call, in submission
-        order.  With a :class:`~repro.serving.factorized.FactorizedScorer` the
+    def _predict_encoded(self, encoded: np.ndarray) -> list:
+        """Assemble and predict an ``(n, k)`` code array in one call.
+
+        With a :class:`~repro.serving.factorized.FactorizedScorer` the
         assemble stage is only the FK resolution of each joined
         dimension; otherwise it builds the feature matrix the
         artifact's model predicts from.
         """
-        encoded = np.concatenate(payloads)
         if self._scorer is not None:
             columns = dict(zip(self.features.required_columns, encoded.T))
         started = time.perf_counter()
@@ -296,7 +304,6 @@ class PredictionServer:
         finished = time.perf_counter()
         self._assemble_seconds.observe(assembled - started)
         self._predict_seconds.observe(finished - assembled)
-        self._rows.inc(len(codes))
         return self.artifact.decode_labels(codes)
 
     # ------------------------------------------------------------------
@@ -322,11 +329,11 @@ class PredictionServer:
                 "p99": 1000.0 * histogram.p99,
             }
         return ServerStats(
-            # Direct-path calls increment ``serving.requests``; the
-            # submit path is tallied by the batcher, so total requests
-            # is the sum of both.
+            # Direct-path calls increment ``serving.requests`` and
+            # ``serving.rows``; the submit path is tallied by the
+            # batcher, so each total is the sum of both.
             requests=self._requests.value + batcher.submitted,
-            rows=self._rows.value,
+            rows=self._rows.value + batcher.rows_flushed,
             # Every predict call observes the assemble stage exactly
             # once, so the histogram's count *is* the call count — no
             # separate hot-path counter needed.

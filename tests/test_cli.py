@@ -299,9 +299,6 @@ class TestCommands:
         shards are 15 saves, and the resumed run is one resume."""
         import json
 
-        from repro import obs
-
-        obs.registry().reset()  # the report reads the process-wide tally
         argv = ["fit", "yelp", "ann", "--stream", "--shards", "3",
                 "--scale", "smoke", "--checkpoint-dir", str(tmp_path / "ck")]
         fresh = tmp_path / "fresh.json"
@@ -444,8 +441,41 @@ class TestCommands:
         assert encode["name"] == "encode.shard"
         assert encode["count"] == 2
         assert all(span["wall_s"] >= 0.0 for span in spans)
-        # The metrics section rides along and already saw the encodes.
-        assert report["metrics"]["data.encode.shards"] >= 2
+        # The metrics section rides along and counts this run's encodes:
+        # one per merged encode.shard span entry, under fit and score.
+        encodes = sum(s["count"] for s in spans if s["name"] == "encode.shard")
+        assert report["metrics"]["data.encode.shards"] == encodes == 8
+
+    def test_in_process_telemetry_runs_report_their_own_counts(
+        self, capsys, tmp_path
+    ):
+        """Each ``--telemetry`` report counts its own run only: a second
+        identical run in one process reports the same counts, not the
+        running total of the process-wide registry."""
+        import json
+
+        reports = []
+        for name in ("first.json", "second.json"):
+            path = tmp_path / name
+            assert main(
+                ["fit", "yelp", "nb", "--stream", "--shards", "2",
+                 "--scale", "smoke", "--telemetry", str(path)]
+            ) == 0
+            reports.append(json.loads(path.read_text())["metrics"])
+        capsys.readouterr()
+        first, second = reports
+        assert first["data.encode.shards"] == 8
+        assert first["datasets.generated"] == 1
+
+        def counts(metrics):
+            # Counters and histogram counts; timings differ run to run.
+            return {
+                name: value["count"] if isinstance(value, dict) else value
+                for name, value in metrics.items()
+                if not isinstance(value, dict) or "count" in value
+            }
+
+        assert counts(second) == counts(first)
 
     def test_serve_bench_reports_latency_percentiles(
         self, capsys, tmp_path

@@ -196,6 +196,20 @@ class TestKernelEquivalence:
         )
         assert factorized.nbytes < gathered.codes.nbytes
 
+    def test_blocked_group_shares_the_encoders_memo(self, force_layout):
+        """A blocked group keeps the encoder's narrow ``(|D|, d_R)`` memo
+        itself, not an int64 copy of it: each shard holds only its rows."""
+        dataset = star_dataset(n=600, n_r=4, d_r=6, seed=13)
+        encoder = ShardEncoder(dataset.schema, join_all_strategy())
+        rows = dataset.schema.fact.select(dataset.train)
+        with force_layout("factorize"):
+            X = encoder.assemble_table(rows)
+        (group,) = X.groups
+        memo = encoder.dimension_block(group.name)
+        assert memo.dtype == np.uint8
+        assert group.block is memo
+        assert np.shares_memory(group.block, memo)
+
     def test_degenerate_form_is_bit_identical_to_implicit(self, force_layout):
         """Per-row columns run OneHotMatrix's exact arithmetic: with no
         group at all the kernels are bit-identical to it."""

@@ -11,8 +11,13 @@ import threading
 
 import pytest
 
+import numpy as np
+
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import (
+    HIGHEST,
+    LOWEST,
+    N_BUCKETS,
     PENDING_DRAIN_THRESHOLD,
     Counter,
     Gauge,
@@ -77,19 +82,14 @@ class TestHistogram:
         assert histogram.p99 == pytest.approx(2.5e-3)
 
     def test_out_of_range_observations_keep_exact_moments(self):
-        histogram = Histogram("h", low=1e-3, high=1.0)
-        histogram.observe(1e-9)  # below low: first bin
-        histogram.observe(50.0)  # above high: overflow bin
+        histogram = Histogram("h")
+        histogram.observe(1e-12)  # below LOWEST: underflow bucket
+        histogram.observe(5e12)  # above HIGHEST: overflow bucket
         assert histogram.count == 2
-        assert histogram.min == 1e-9
-        assert histogram.max == 50.0
-        assert histogram.sum == pytest.approx(50.0 + 1e-9)
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError, match="0 < low < high"):
-            Histogram("h", low=1.0, high=0.5)
-        with pytest.raises(ValueError, match="bins_per_decade"):
-            Histogram("h", bins_per_decade=0)
+        assert histogram.min == 1e-12
+        assert histogram.max == 5e12
+        assert histogram.sum == pytest.approx(5e12 + 1e-12)
+        assert histogram._counts[0] == histogram._counts[-1] == 1
 
     def test_quantile_bounds_checked(self):
         with pytest.raises(ValueError, match="quantile"):
@@ -160,6 +160,98 @@ class TestObserveMany:
         histogram.reset()
         assert histogram.count == 0
         assert histogram.sum == 0.0
+
+
+def _bucket_of(value: float) -> int:
+    """The bucket one observation of ``value`` lands in."""
+    histogram = Histogram("one")
+    histogram.observe(value)
+    histogram.count  # a read bins it
+    (index,) = [i for i, count in enumerate(histogram._counts) if count]
+    return index
+
+
+#: Values at and around every bucket boundary that needs care, with the
+#: bucket each lands in (None: somewhere in range).
+EDGE_VALUES = [
+    (0.0, 0),
+    (-0.0, 0),
+    (-1.0, 0),
+    (-math.inf, 0),
+    (5e-324, 0),  # the smallest subnormal
+    (2.2250738585072014e-308, 0),  # the smallest normal
+    (math.nextafter(LOWEST, 0.0), 0),
+    (LOWEST, 1),
+    (math.nextafter(LOWEST, 1.0), 1),
+    (1.0, None),
+    (math.nextafter(1.125, 0.0), None),
+    (1.125, None),
+    (math.nextafter(HIGHEST, 0.0), N_BUCKETS - 2),
+    (HIGHEST, N_BUCKETS - 1),
+    (1e300, N_BUCKETS - 1),
+    (math.inf, N_BUCKETS - 1),
+    (math.nan, N_BUCKETS - 1),
+    (-math.nan, 0),  # its sign bit files it low, like -inf
+]
+
+
+class TestBuckets:
+    """Scalar ``observe``, small ``observe_many`` batches and one large
+    deferred batch bin every value into the same bucket."""
+
+    @staticmethod
+    def _three_ways(values):
+        scalar, small, deferred = Histogram("s"), Histogram("m"), Histogram("d")
+        for value in values:
+            scalar.observe(value)
+        for start in range(0, len(values), 7):
+            small.observe_many(values[start:start + 7])
+        deferred.observe_many(np.asarray(values))
+        for histogram in (scalar, small, deferred):
+            histogram.count  # a read bins what is parked
+        return scalar, small, deferred
+
+    @pytest.mark.parametrize("value, bucket", EDGE_VALUES)
+    def test_edge_value_lands_in_its_bucket_on_every_path(self, value, bucket):
+        scalar, small, deferred = self._three_ways([value])
+        assert scalar._counts == small._counts == deferred._counts
+        if bucket is not None:
+            assert scalar._counts[bucket] == 1
+
+    def test_in_range_buckets_split_each_octave_in_eight(self):
+        assert _bucket_of(1.125) == _bucket_of(1.0) + 1
+        assert _bucket_of(math.nextafter(1.125, 0.0)) == _bucket_of(1.0)
+        assert _bucket_of(2.0) == _bucket_of(1.0) + 8
+        assert _bucket_of(0.5) == _bucket_of(1.0) - 8
+
+    def test_random_draws_agree_and_keep_exact_moments(self):
+        rng = np.random.default_rng(2024)
+        values = np.concatenate([
+            rng.lognormal(-7.0, 3.0, 9_900),  # ~1 us to ~10 s, and beyond
+            rng.uniform(-1.0, 1.0, 50),
+            [value for value, _ in EDGE_VALUES if math.isfinite(value)],
+        ])[:10_000]
+        rng.shuffle(values)
+        scalar, small, deferred = self._three_ways(values.tolist())
+        assert scalar._counts == small._counts == deferred._counts
+        for histogram in (scalar, small, deferred):
+            assert histogram.count == values.size
+            assert histogram.min == values.min()
+            assert histogram.max == values.max()
+        # One pass over one array, in observation order, on both paths.
+        assert scalar.sum == deferred.sum == values.sum()
+        assert small.sum == pytest.approx(values.sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 0.95, 0.99])
+    def test_quantiles_fall_within_one_bucket_of_numpy(self, q):
+        rng = np.random.default_rng(7)
+        values = rng.lognormal(-7.0, 1.5, 10_000)
+        histogram = Histogram("h")
+        histogram.observe_many(values)
+        estimate = histogram.quantile(q)
+        exact = float(np.quantile(values, q))
+        assert abs(_bucket_of(estimate) - _bucket_of(exact)) <= 1
+        assert estimate == pytest.approx(exact, rel=0.125)
 
 
 class TestRegistry:

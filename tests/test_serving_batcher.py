@@ -192,6 +192,41 @@ class TestAccounting:
         assert request.count == 2
         assert request.sum >= queue_wait.sum  # delivery can only add
 
+    def test_a_read_waits_for_a_fold_in_flight(self, monkeypatch):
+        """A flush is accounted by folding its record on the next read.
+        A read that arrives while another thread folds must wait for
+        that fold, whose records have already left the queue, rather
+        than return counters that miss a completed flush."""
+        from repro.obs import Histogram
+
+        batcher = inline_batcher(max_batch_size=2, max_wait_s=None)
+        batcher.submit(1)
+        batcher.submit(2)  # one size-triggered flush, kept as a record
+        entered, release = threading.Event(), threading.Event()
+        observe_many = Histogram.observe_many
+
+        def slow_observe_many(histogram, values):
+            entered.set()
+            release.wait(5.0)
+            observe_many(histogram, values)
+
+        monkeypatch.setattr(Histogram, "observe_many", slow_observe_many)
+        folding = threading.Thread(target=batcher._fold)
+        folding.start()
+        assert entered.wait(5.0)
+        seen = {}
+        reader = threading.Thread(
+            target=lambda: seen.update(stats=batcher.stats)
+        )
+        reader.start()
+        reader.join(0.1)
+        assert reader.is_alive()  # waiting on the fold in flight
+        release.set()
+        folding.join(5.0)
+        reader.join(5.0)
+        assert seen["stats"].flushes == 1
+        assert seen["stats"].rows_flushed == 2
+
     def test_pending_submissions_visible_before_flush(self):
         """stats.submitted must include rows still sitting in the queue."""
         batcher = inline_batcher(max_batch_size=100, max_wait_s=None)

@@ -52,15 +52,82 @@ def _label_rows(server, dataset, n):
     ]
 
 
+def _with_others(dataset, feature):
+    """``dataset`` with an ``"Others"`` level added to a home feature."""
+    schema = dataset.schema
+    column = schema.fact.column(feature)
+    return dataclasses.replace(
+        dataset,
+        schema=StarSchema(
+            schema.fact.with_column(
+                CategoricalColumn(
+                    feature, column.domain.with_others(), column.codes
+                )
+            ),
+            schema.target,
+            [(schema.dimension(n), schema.constraint(n))
+             for n in schema.dimension_names],
+            fact_key=schema.fact_key,
+        ),
+    )
+
+
+@pytest.fixture(scope="module")
+def others_dataset():
+    """Flights, and its first home feature, opened to unseen labels."""
+    flights = generate_real_world("flights", n_fact=300, seed=0)
+    feature = flights.schema.home_features[0]
+    return _with_others(flights, feature), feature
+
+
 class TestPathsAgree:
-    def test_one_batch_and_submit_paths_match(self, server, dataset):
-        rows = _label_rows(server, dataset, 12)
-        one_by_one = [server.predict_one(r) for r in rows]
+    @pytest.mark.parametrize(
+        "model, strategy",
+        [
+            ("dt_gini", join_all_strategy),
+            ("dt_gini", no_join_strategy),
+            ("lr_l1", join_all_strategy),  # a FactorizedScorer model
+        ],
+        ids=["dt_gini-JoinAll", "dt_gini-NoJoin", "lr_l1-JoinAll"],
+    )
+    def test_every_path_serves_the_same_predictions(
+        self, others_dataset, model, strategy
+    ):
+        """``submit`` + flush, ``predict_one``, ``predict_batch`` and
+        ``predict_table`` predict the same rows alike: rows that carry
+        keys no model reads, and a label its ``"Others"`` domain has
+        never seen, served as ``"Others"``."""
+        dataset, feature = others_dataset
+        schema = dataset.schema
+        pipeline = fit_pipeline(
+            dataset, model, strategy(), scale=get_scale("smoke")
+        )
+        server = PredictionServer(
+            artifact_from_pipeline(pipeline, schema), schema,
+            max_batch_size=8, max_wait_s=None, background_flush=False,
+        )
+        if model == "lr_l1":
+            assert server._scorer is not None
+        indexes = dataset.test[:20]
+        rows = [
+            {**row, schema.target: "?", "not-a-column": 1}
+            for row in _label_rows(server, dataset, len(indexes))
+        ]
+        rows[3][feature] = "never-seen"
+        table = schema.fact.select(indexes)
+        codes = table.codes(feature).copy()
+        codes[3] = schema.fact.domain(feature).code_of(OTHERS_LABEL)
+        table = table.with_column(
+            CategoricalColumn(feature, schema.fact.domain(feature), codes)
+        )
+        one_by_one = [server.predict_one(row) for row in rows]
         batched = server.predict_batch(rows)
-        handles = [server.submit(r) for r in rows]
+        tabled = server.predict_table(table)
+        handles = [server.submit(row) for row in rows]
         server.flush()
-        micro = [h.result() for h in handles]
-        assert one_by_one == batched == micro
+        micro = [handle.result() for handle in handles]
+        assert one_by_one == batched == tabled == micro
+        assert server.stats().batches_flushed == 3  # 8 + 8 + 4 rows
 
     def test_predict_table_matches_in_memory_model(
         self, server, artifact, dataset
@@ -210,27 +277,12 @@ class TestGuards:
         assert len(server.batcher) == 0
         assert server.stats().requests == requests
 
-    def test_others_domain_serves_an_unseen_label_as_others(self):
+    def test_others_domain_serves_an_unseen_label_as_others(
+        self, others_dataset
+    ):
         """An unseen label encodes to the ``"Others"`` code on the request
         path, as ``Domain.encode`` does, instead of raising."""
-        dataset = generate_real_world("flights", n_fact=300, seed=0)
-        schema = dataset.schema
-        feature = schema.home_features[0]
-        column = schema.fact.column(feature)
-        others = dataclasses.replace(
-            dataset,
-            schema=StarSchema(
-                schema.fact.with_column(
-                    CategoricalColumn(
-                        feature, column.domain.with_others(), column.codes
-                    )
-                ),
-                schema.target,
-                [(schema.dimension(n), schema.constraint(n))
-                 for n in schema.dimension_names],
-                fact_key=schema.fact_key,
-            ),
-        )
+        others, feature = others_dataset
         pipeline = fit_pipeline(
             others, "dt_gini", no_join_strategy(), scale=get_scale("smoke")
         )
@@ -247,6 +299,7 @@ class TestGuards:
             OTHERS_LABEL
         )
         np.testing.assert_array_equal(codes[0], codes[1])
+        assert server.features.request_codes(unseen) == codes[1].tolist()
         handle = server.submit(unseen)
         server.flush()
         assert handle.result() == server.predict_one(as_others)

@@ -18,7 +18,7 @@ from repro.core import no_join_strategy
 from repro.datasets import generate_real_world
 from repro.experiments import fit_pipeline, get_scale
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.serving import PredictionServer, artifact_from_pipeline
+from repro.serving import MicroBatcher, PredictionServer, artifact_from_pipeline
 from repro.serving.benchmark import _request_stream
 
 BENCH = (
@@ -33,6 +33,7 @@ OPS = (
     ("gauge_set", Gauge, "set"),
     ("histogram_observe", Histogram, "observe"),
     ("histogram_observe_many", Histogram, "observe_many"),
+    ("batcher_account", MicroBatcher, "_account"),
     ("registry_counter_lookup", MetricsRegistry, "counter"),
 )
 
