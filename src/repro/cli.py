@@ -505,6 +505,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
             observed = target.domain.decode(target.codes[rows])
             hits = sum(p == o for p, o in zip(predictions, observed))
             emit(f"{artifact.summary()}")
+            read = server.features.feature_names
+            joined = server.features.joined_dimensions
+            emit(
+                f"serving reads {len(read)} of {len(artifact.feature_names)} "
+                f"features ({', '.join(read) or 'none'}); joins "
+                f"{', '.join(joined) or 'no dimension'}"
+            )
             for i, (p, o) in enumerate(zip(predictions, observed)):
                 emit(f"  row {rows[i]}: predicted={p!r} observed={o!r}")
             emit(

@@ -37,7 +37,10 @@ and the streaming equivalence suite both assert it), dangling foreign
 keys raise :class:`~repro.errors.ReferentialIntegrityError` through
 :func:`~repro.relational.join.resolve_dimension_rows` exactly as the
 join would, and dimensions the strategy avoids are never touched — the
-paper's NoJoin payoff holds on every path.
+paper's NoJoin payoff holds on every path.  An encoder built over a
+subset of the strategy's features (``features=``, for a served tree
+that reads only some) likewise never touches a dimension none of whose
+features it keeps.
 """
 
 from __future__ import annotations
@@ -254,6 +257,12 @@ class ShardEncoder:
         per-shard encode latency).  ``None`` creates a private one, so
         each encoder's stats stay exact; pass a shared registry to pool
         several components into one snapshot.
+    features:
+        The strategy's features to encode, for a model that reads only
+        some of them; ``None`` encodes all.  The encoder then requires,
+        looks up and gathers nothing else, and a joined dimension none
+        of whose features is kept is left out of
+        :attr:`joined_dimensions`.
     """
 
     def __init__(
@@ -261,6 +270,7 @@ class ShardEncoder:
         schema: StarSchema,
         strategy: "repro.core.strategies.JoinStrategy",  # noqa: F821
         registry: MetricsRegistry | None = None,
+        features: Sequence[str] | None = None,
     ):
         self.schema = schema
         self.strategy = strategy
@@ -273,16 +283,24 @@ class ShardEncoder:
         # dimension_block).
         self._block_cache: dict[str, np.ndarray] = {}
         self.feature_names: tuple[str, ...] = tuple(strategy.feature_names(schema))
-        self.joined_dimensions: tuple[str, ...] = tuple(
-            strategy.joined_dimensions(schema)
-        )
+        if features is not None:
+            kept = set(features)
+            if not kept <= set(self.feature_names):
+                raise SchemaError(
+                    f"strategy {strategy.name!r} has no features "
+                    f"{sorted(kept - set(self.feature_names))}"
+                )
+            self.feature_names = tuple(
+                f for f in self.feature_names if f in kept
+            )
+        joined = strategy.joined_dimensions(schema)
         self.n_levels: tuple[int, ...] = tuple(
             len(schema.feature_domain(name)) for name in self.feature_names
         )
         # Each feature is either a fact column (home feature or usable FK)
         # or a foreign feature gathered through (dimension, fk_column).
         self._foreign_of: dict[str, tuple[str, str]] = {}
-        for name in self.joined_dimensions:
+        for name in joined:
             fk = schema.constraint(name).fk_column
             for feature in schema.foreign_features(name):
                 self._foreign_of[feature] = (name, fk)
@@ -304,6 +322,11 @@ class ShardEncoder:
                 self._dimension_features.setdefault(owner[0], []).append(
                     feature
                 )
+        self.joined_dimensions: tuple[str, ...] = tuple(
+            name
+            for name in joined
+            if features is None or name in self._dimension_features
+        )
         self._fact_levels = [len(schema.feature_domain(f)) for f in self._fact_features]
         needed = list(self._fact_features)
         for name in self.joined_dimensions:
@@ -324,11 +347,11 @@ class ShardEncoder:
         self._plans = tuple(
             _DimensionPlan(
                 name,
-                needed.index(self._foreign_of[features[0]][1]),
-                np.array([positions[f] for f in features], dtype=np.int64),
+                needed.index(self._foreign_of[dim_features[0]][1]),
+                np.array([positions[f] for f in dim_features], dtype=np.int64),
                 schema.dimension(name).n_rows,
             )
-            for name, features in self._dimension_features.items()
+            for name, dim_features in self._dimension_features.items()
         )
         self._layouts: dict[tuple[bool, ...], _Layout] = {}
         self._layout((False,) * len(self._plans))
@@ -337,9 +360,10 @@ class ShardEncoder:
     def required_columns(self) -> tuple[str, ...]:
         """Fact columns a block of rows must provide.
 
-        Home features and usable FKs that are themselves features, plus
-        the FK of every joined dimension that keeps a feature (needed for
-        the gather even when the FK is not a feature, e.g. under NoFK).
+        Home features and usable FKs that are themselves kept features,
+        plus the FK of every joined dimension that keeps a feature
+        (needed for the gather even when the FK is not a feature, e.g.
+        under NoFK).
         Fixed for the encoder's lifetime, so it is precomputed off the
         hot path.
         """

@@ -53,7 +53,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -468,6 +468,61 @@ class DecisionTreeClassifier(Estimator):
         pruned.root_ = cut(self.root_)
         pruned.split_counts_ = pruned._count_splits()
         return pruned
+
+    def project(self, features: Sequence[int]) -> "DecisionTreeClassifier":
+        """This fitted tree over the feature subset ``features`` alone.
+
+        ``features`` lists positions in this tree's feature order and
+        must keep every feature the tree splits on.  Returns
+        ``self.clone()`` holding this tree with each split re-indexed to
+        its feature's place in ``features``, and the names, levels and
+        seen levels of those features only; the other fitted state and
+        the nodes' counts and masks are shared, not copied, and the
+        flat form is left out.  A row reaches the same leaf by the same
+        codes, and under ``unseen="random"`` draws in the same order, so
+        its ``predict_proba`` on the kept columns equals this tree's on
+        all of them, bit for bit.  ``self`` is unchanged.
+        """
+        check_fitted(self, "root_")
+        index = {int(j): i for i, j in enumerate(features)}
+        if len(index) != len(features) or not all(
+            0 <= j < len(self.n_levels_) for j in index
+        ):
+            raise ValueError(
+                f"features must be distinct positions below "
+                f"{len(self.n_levels_)}, got {list(features)}"
+            )
+        dropped = [
+            name
+            for j, (name, splits) in enumerate(self.split_counts_.items())
+            if splits and j not in index
+        ]
+        if dropped:
+            raise ValueError(
+                f"the tree splits on {dropped}, which the projection drops"
+            )
+        projected = self.clone()
+        for name, value in self.__getstate__().items():
+            if name not in self._param_names:
+                setattr(projected, name, value)
+        kept = list(index)
+        projected.feature_names_ = tuple(self.feature_names_[j] for j in kept)
+        projected.n_levels_ = tuple(self.n_levels_[j] for j in kept)
+        projected.seen_levels_ = [self.seen_levels_[j] for j in kept]
+
+        def reindex(node: TreeNode) -> TreeNode:
+            if node.is_leaf:
+                return node
+            return replace(
+                node,
+                feature=index[node.feature],
+                left=reindex(node.left),
+                right=reindex(node.right),
+            )
+
+        projected.root_ = reindex(self.root_)
+        projected.split_counts_ = projected._count_splits()
+        return projected
 
     def _best_split(
         self, histogram: np.ndarray, node_counts: np.ndarray, offsets: np.ndarray

@@ -9,7 +9,8 @@ order + schema fingerprint + advisor verdicts), loaded into a
 shards take too) replays the strategy with cached dimension indexes
 (avoided dimensions are never touched), and the
 :class:`MicroBatcher` coalesces single-row requests into vectorized
-batches.
+batches.  A decision tree is served over the features it splits on, so
+its server reads, joins and gathers nothing else.
 
 The runtime is thread-safe: concurrent request threads share one
 server, a background deadline flusher bounds queueing latency, and the

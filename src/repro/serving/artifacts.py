@@ -180,7 +180,8 @@ class ModelArtifact:
 
     def decode_labels(self, codes: np.ndarray) -> list:
         """Map predicted label codes back to target-domain labels."""
-        return [self.target_labels[int(code)] for code in codes]
+        labels = self.target_labels
+        return [labels[code] for code in codes.tolist()]
 
     def check_schema(self, schema: StarSchema) -> None:
         """Raise :class:`SchemaError` unless ``schema`` matches training."""

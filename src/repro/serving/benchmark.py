@@ -2,9 +2,9 @@
 
 The paper's Figure 1 argument is about *training* time; this module
 makes the serving-side counterpart measurable.  It fits one pipeline per
-strategy (JoinAll materialises every dimension's features at request
-time; NoJoin touches no dimension at all), then replays the same
-label-valued request stream through two paths:
+strategy (JoinAll gathers, per request batch, the features of every
+dimension its model reads; NoJoin touches no dimension at all), then
+replays the same label-valued request stream through two paths:
 
 - **single** — one ``predict_one`` call per request row, paying the full
   per-call overhead (encode, assemble, predict) every time;
@@ -55,6 +55,12 @@ class ThroughputReport:
     batch_size: int
     rates: dict[tuple[str, str], float] = field(default_factory=dict)
     latency_ms: dict[tuple[str, str], dict] = field(default_factory=dict)
+    #: Per strategy, the request columns its server reads, and the
+    #: dimension-index lookups its two measured servers made.  A tree
+    #: is served over the features it splits on, so a JoinAll tree that
+    #: splits on FKs alone reads what the NoJoin tree reads.
+    required_columns: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    dimension_lookups: dict[str, int] = field(default_factory=dict)
 
     @property
     def speedup(self) -> float | None:
@@ -86,6 +92,11 @@ class ThroughputReport:
                 f"{request.get('p50', 0.0):8.3f} "
                 f"{request.get('p95', 0.0):8.3f} "
                 f"{request.get('p99', 0.0):8.3f}"
+            )
+        for strategy, columns in self.required_columns.items():
+            lines.append(
+                f"{strategy} reads {len(columns)} request columns and made "
+                f"{self.dimension_lookups.get(strategy, 0)} dimension lookups"
             )
         if self.speedup is not None:
             lines.append(
@@ -189,6 +200,13 @@ def serving_throughput(
         report.rates[(strategy.name, "batched")] = rows / seconds
         report.latency_ms[(strategy.name, "batched")] = (
             batched.stats().latency_ms
+        )
+        report.required_columns[strategy.name] = (
+            server.features.required_columns
+        )
+        report.dimension_lookups[strategy.name] = sum(
+            measured.features.cache.stats.lookups
+            for measured in (single, batched)
         )
     return report
 

@@ -20,6 +20,21 @@ columns' codes, and its flush turns the batch's lists into one ``(n,
 k)`` code array; ``predict_batch`` and ``predict_table`` build that
 array directly.
 
+A server reads only what its model reads.  A decision tree under
+``unseen="majority"`` or ``"random"`` is served, from load on, as a copy
+over the features it splits on
+(:meth:`~repro.ml.tree.DecisionTreeClassifier.project`), with the
+encoder built over those features alone: its ``required_columns`` are
+the read fact features plus the FK of each dimension with a read
+feature, and a dimension with none is never looked up or gathered.  A
+JoinAll tree that splits on foreign keys alone (the paper's usual case)
+thus serves like its NoJoin twin.  Predictions and probabilities are the
+full tree's, bit for bit, and a row the full server would reject for a
+column the tree never reads (missing, out of domain, or an FK dangling
+in an unread dimension) is answered.  The artifact on disk is unchanged,
+and every other model, a tree under ``unseen="error"`` (whose seen check
+reads every column) and any wrapper but a tuner are served as loaded.
+
 The server is thread-safe end to end: any number of request threads may
 call the three paths concurrently.  Request counters and latency
 accounting are guarded by a lock, the micro-batcher is the thread-safe
@@ -40,12 +55,13 @@ from __future__ import annotations
 
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.data.encoder import ShardEncoder
 from repro.errors import SchemaError
+from repro.ml.tree import DecisionTreeClassifier
 from repro.obs import MetricsRegistry
 from repro.relational.schema import StarSchema
 from repro.relational.table import Table
@@ -53,6 +69,7 @@ from repro.serving.artifacts import ModelArtifact
 from repro.serving.batcher import MicroBatcher, PendingPrediction
 from repro.serving.factorized import (
     FactorizedScorer,
+    _unwrap,
     supports_factorized_serving,
 )
 
@@ -65,6 +82,32 @@ LATENCY_STAGES = (
     ("predict", "serving.latency.predict_s"),
     ("request", "serving.latency.request_s"),
 )
+
+
+def _served(artifact: ModelArtifact) -> ModelArtifact:
+    """The artifact a server predicts through.
+
+    A decision tree that answers unseen levels (``unseen="majority"`` or
+    ``"random"``) reads a feature only at the splits on it, so it is
+    served as a copy of itself over the features it splits on
+    (:meth:`~repro.ml.tree.DecisionTreeClassifier.project`), whose
+    predictions are the full tree's, bit for bit.  Every other artifact
+    is served as loaded: under ``unseen="error"`` the tree checks every
+    column's level, a feature-selecting wrapper scores a subset of its
+    own, and a wrapper that is not a tuner may read anything.
+    """
+    try:
+        model = _unwrap(artifact.model)
+    except ValueError:  # a feature-selecting wrapper
+        return artifact
+    if not isinstance(model, DecisionTreeClassifier) or model.unseen == "error":
+        return artifact
+    read = [j for j, splits in enumerate(model.split_counts_.values()) if splits]
+    return replace(
+        artifact,
+        model=model.project(read),
+        feature_names=tuple(artifact.feature_names[j] for j in read),
+    )
 
 
 @dataclass(frozen=True)
@@ -176,18 +219,21 @@ class PredictionServer:
         telemetry: bool = True,
     ):
         artifact.check_schema(schema)
-        self.artifact = artifact
+        replayed = tuple(artifact.strategy.feature_names(schema))
+        if replayed != artifact.feature_names:
+            raise SchemaError(
+                f"strategy replay produced features {list(replayed)} but "
+                f"the artifact was trained on {list(artifact.feature_names)}"
+            )
+        self.artifact = _served(artifact)
         self.schema = schema
         self.metrics = MetricsRegistry(enabled=telemetry)
         self.features = ShardEncoder(
-            schema, artifact.strategy, registry=self.metrics
+            schema,
+            artifact.strategy,
+            registry=self.metrics,
+            features=self.artifact.feature_names,
         )
-        if self.features.feature_names != artifact.feature_names:
-            raise SchemaError(
-                f"strategy replay produced features "
-                f"{list(self.features.feature_names)} but the artifact was "
-                f"trained on {list(artifact.feature_names)}"
-            )
         self._scorer = (
             FactorizedScorer(artifact, self.features)
             if supports_factorized_serving(artifact.model)
@@ -234,9 +280,10 @@ class PredictionServer:
         """Predict for pre-encoded rows shaped like the fact table."""
         self._requests.inc()
         started = time.perf_counter()
-        codes = np.stack(
-            [fact_rows.codes(c) for c in self.features.required_columns], axis=1
-        )
+        columns = self.features.required_columns
+        codes = np.empty((len(fact_rows), len(columns)), dtype=np.int64)
+        for j, column in enumerate(columns):
+            codes[:, j] = fact_rows.codes(column)
         results = self._predict_encoded(codes)
         self._rows.inc(len(results))
         self._request_latency.observe(time.perf_counter() - started)

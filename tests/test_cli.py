@@ -368,6 +368,36 @@ class TestCommands:
         assert "predicted=" in out
         assert "accuracy" in out
 
+    @pytest.mark.parametrize(
+        "model, line",
+        [
+            ("dt_gini", "serving reads 2 of 40 features (users_fk, "
+             "businesses_fk); joins no dimension"),
+            ("nn1", "serving reads 40 of 40 features (users_fk, "),
+        ],
+    )
+    def test_predict_says_what_the_server_reads(
+        self, capsys, tmp_path, model, line
+    ):
+        """A JoinAll tree reads the two FKs it splits on and joins
+        nothing; a 1-NN reads every feature and joins both dimensions."""
+        path = tmp_path / "yelp.repro-model"
+        assert main(
+            [
+                "save-model", "yelp", model, "--strategy", "JoinAll",
+                "--scale", "smoke", "--out", str(path),
+            ]
+        ) == 0
+        capsys.readouterr()
+        assert main(["predict", str(path), "--rows", "3"]) == 0
+        (reads,) = [
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("serving reads")
+        ]
+        assert reads.startswith(line)
+        if model == "nn1":
+            assert reads.endswith("; joins users, businesses")
+
     def test_predict_closes_its_server(self, capsys, tmp_path):
         """``predict`` stops the server's deadline flusher before it
         returns, instead of leaving the thread running."""

@@ -228,6 +228,63 @@ class TestPrune:
         assert stump.root_.is_leaf and stump.split_counts_ == {"f": 0}
 
 
+class TestProject:
+    """``project`` keeps a tree's predictions over the columns it reads."""
+
+    def _tree(self, unseen, seed=5):
+        rng = np.random.default_rng(seed)
+        levels = (3, 6, 4, 9, 5)
+        codes = np.stack([rng.integers(0, k - 1, 400) for k in levels], axis=1)
+        y = ((codes[:, 1] % 3 == 0) ^ (codes[:, 3] > 4)).astype(np.int64)
+        y[::11] = 1 - y[::11]
+        X = CategoricalMatrix(codes, levels, [f"f{j}" for j in range(5)])
+        tree = DecisionTreeClassifier(
+            minsplit=10, cp=0.005, unseen=unseen, random_state=0
+        ).fit(X, y)  # splits on f1, f3 and f4
+        # Every level, the last of each feature unseen in training.
+        grid = np.stack([rng.integers(0, k, 300) for k in levels], axis=1)
+        return tree, CategoricalMatrix(grid, levels, X.names)
+
+    @pytest.mark.parametrize("unseen", ["majority", "random", "error"])
+    def test_projected_probabilities_are_the_full_trees(self, unseen):
+        tree, X = self._tree(unseen)
+        if unseen == "error":
+            X = X.take_rows(np.flatnonzero(
+                (X.codes < np.array(X.n_levels) - 1).all(axis=1)
+            ))
+        read = [j for j, n in enumerate(tree.split_counts_.values()) if n]
+        assert 0 < len(read) < X.n_features
+        projected = tree.project(read)
+        assert projected.feature_names_ == tuple(X.names[j] for j in read)
+        assert projected.n_leaves_ == tree.n_leaves_
+        assert projected.depth_ == tree.depth_
+        np.testing.assert_array_equal(
+            projected.predict_proba(X.select_features(read)).view(np.int64),
+            tree.predict_proba(X).view(np.int64),
+        )
+
+    def test_project_leaves_its_source_unchanged(self):
+        tree, X = self._tree("majority")
+        tree.predict(X)
+        before = pickle.dumps(tree)
+        projected = tree.project(range(X.n_features))
+        assert pickle.dumps(tree) == before
+        assert not hasattr(projected, "_flat")
+        assert projected.split_counts_ == tree.split_counts_
+
+    def test_a_projection_must_keep_every_split_feature(self):
+        tree, _ = self._tree("majority")
+        read = [j for j, n in enumerate(tree.split_counts_.values()) if n]
+        with pytest.raises(ValueError, match="splits on"):
+            tree.project(read[1:])
+        with pytest.raises(ValueError, match="distinct positions"):
+            tree.project(read + read[:1])
+        with pytest.raises(ValueError, match="distinct positions"):
+            tree.project(read + [5])
+        with pytest.raises(NotFittedError):
+            DecisionTreeClassifier().project([0])
+
+
 class TestUnseenPolicy:
     def _fit_small(self, unseen):
         # Train with only levels {0,1} of a 3-level domain.

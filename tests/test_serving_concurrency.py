@@ -40,8 +40,10 @@ def artifact(dataset):
 
 @pytest.fixture(scope="module")
 def joinall_artifact(dataset):
+    """A JoinAll 1-NN: it reads every feature, so serving it gathers
+    both dimensions (a JoinAll tree here reads neither)."""
     pipeline = fit_pipeline(
-        dataset, "dt_gini", join_all_strategy(), scale=get_scale("smoke")
+        dataset, "nn1", join_all_strategy(), scale=get_scale("smoke")
     )
     return artifact_from_pipeline(pipeline, dataset.schema)
 
@@ -132,7 +134,12 @@ class TestConcurrentSubmit:
                     results[i] = server.predict_one(rows[i])
 
             _run_clients(4, client)
+            stats = server.stats()
         assert results == expected
+        # 32 single-row batches look up two dimensions each in one
+        # shared cache; a thread misses a cold dimension at most once.
+        assert stats.cache_misses + stats.cache_hits == 64
+        assert stats.cache_misses <= 4 * 2
 
 
 class TestRacingColdCache:

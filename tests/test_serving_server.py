@@ -25,12 +25,16 @@ def dataset():
 
 @pytest.fixture(
     scope="module",
-    params=[join_all_strategy, no_join_strategy],
+    params=[("nn1", join_all_strategy), ("dt_gini", no_join_strategy)],
     ids=["JoinAll", "NoJoin"],
 )
 def artifact(dataset, request):
+    """A JoinAll 1-NN, which reads every feature, so its server gathers
+    both dimensions (a JoinAll tree here splits on the two FKs alone and
+    is served without them), and a NoJoin tree."""
+    model, strategy = request.param
     pipeline = fit_pipeline(
-        dataset, "dt_gini", request.param(), scale=get_scale("smoke")
+        dataset, model, strategy(), scale=get_scale("smoke")
     )
     return artifact_from_pipeline(pipeline, dataset.schema)
 
@@ -87,8 +91,13 @@ class TestPathsAgree:
             ("dt_gini", join_all_strategy),
             ("dt_gini", no_join_strategy),
             ("lr_l1", join_all_strategy),  # a FactorizedScorer model
+            ("nn1", join_all_strategy),  # reads every feature
+            ("nn1", no_join_strategy),
         ],
-        ids=["dt_gini-JoinAll", "dt_gini-NoJoin", "lr_l1-JoinAll"],
+        ids=[
+            "dt_gini-JoinAll", "dt_gini-NoJoin", "lr_l1-JoinAll",
+            "nn1-JoinAll", "nn1-NoJoin",
+        ],
     )
     def test_every_path_serves_the_same_predictions(
         self, others_dataset, model, strategy
@@ -96,7 +105,9 @@ class TestPathsAgree:
         """``submit`` + flush, ``predict_one``, ``predict_batch`` and
         ``predict_table`` predict the same rows alike: rows that carry
         keys no model reads, and a label its ``"Others"`` domain has
-        never seen, served as ``"Others"``."""
+        never seen, served as ``"Others"``.  The trees never split on
+        that column, so their servers do not read it: for them the
+        label is one more key no model reads."""
         dataset, feature = others_dataset
         schema = dataset.schema
         pipeline = fit_pipeline(
@@ -108,6 +119,8 @@ class TestPathsAgree:
         )
         if model == "lr_l1":
             assert server._scorer is not None
+        reads = feature in server.features.required_columns
+        assert reads == (model != "dt_gini")
         indexes = dataset.test[:20]
         rows = [
             {**row, schema.target: "?", "not-a-column": 1}
@@ -281,10 +294,11 @@ class TestGuards:
         self, others_dataset
     ):
         """An unseen label encodes to the ``"Others"`` code on the request
-        path, as ``Domain.encode`` does, instead of raising."""
+        path, as ``Domain.encode`` does, instead of raising.  A 1-NN
+        reads the opened column; the tree does not split on it."""
         others, feature = others_dataset
         pipeline = fit_pipeline(
-            others, "dt_gini", no_join_strategy(), scale=get_scale("smoke")
+            others, "nn1", no_join_strategy(), scale=get_scale("smoke")
         )
         server = PredictionServer(
             artifact_from_pipeline(pipeline, others.schema), others.schema,
@@ -305,8 +319,10 @@ class TestGuards:
         assert handle.result() == server.predict_one(as_others)
 
     def test_joinall_server_populates_cache(self, dataset):
+        """A JoinAll 1-NN reads every feature, so each batch looks both
+        dimensions up; a JoinAll tree here reads neither."""
         pipeline = fit_pipeline(
-            dataset, "dt_gini", join_all_strategy(), scale=get_scale("smoke")
+            dataset, "nn1", join_all_strategy(), scale=get_scale("smoke")
         )
         artifact = artifact_from_pipeline(pipeline, dataset.schema)
         server = PredictionServer(artifact, dataset.schema, max_wait_s=None)
