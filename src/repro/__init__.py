@@ -49,7 +49,7 @@ from repro.errors import (
 )
 from repro.rng import ensure_rng
 
-__version__ = "12.1.0"
+__version__ = "13.0.0"
 
 #: Serving-layer names re-exported lazily so ``import repro`` stays light
 #: (resolving any of them pulls in numpy and the full model substrate).

@@ -23,13 +23,17 @@ group); any other is gathered into per-row code columns.  A batch with
 no blocked dimension is a plain
 :class:`~repro.ml.encoding.CategoricalMatrix`.
 
-Assembly follows one plan, built with the encoder: a batch (or shard)
-is one ``(n, k)`` code table, its fact features first; the per-row
-columns go into one preallocated ``(n, d)`` array, the fact features
-with one slice (or fancy index) of the table and each gathered
-dimension with one gather of its memoised ``(|D|, d_R)`` block by the
-resolved rows.  The per-dimension work does not grow with the number of
-features a dimension keeps.
+Every batch (or shard) is one ``(n, k)`` int64 code table, its columns
+in ``required_columns`` order, the fact features first:
+:meth:`ShardEncoder.encode_requests` builds it from label-valued
+request rows and :meth:`ShardEncoder.code_table` from fact rows, and
+assembly and FK resolution take nothing else.  Assembly follows one
+plan, built with the encoder: the per-row columns go into one
+preallocated ``(n, d)`` array, the fact features with one slice (or
+fancy index) of the table and each gathered dimension with one gather
+of its memoised ``(|D|, d_R)`` block by the resolved rows.  The
+per-dimension work does not grow with the number of features a
+dimension keeps.
 
 Correctness notes: the gather-based assembly is byte-identical to the
 offline ``kfk_join`` + project path (``tests/test_serving_feature_service.py``
@@ -298,14 +302,14 @@ class ShardEncoder:
             len(schema.feature_domain(name)) for name in self.feature_names
         )
         # Each feature is either a fact column (home feature or usable FK)
-        # or a foreign feature gathered through (dimension, fk_column).
-        self._foreign_of: dict[str, tuple[str, str]] = {}
-        for name in joined:
-            fk = schema.constraint(name).fk_column
-            for feature in schema.foreign_features(name):
-                self._foreign_of[feature] = (name, fk)
+        # or a foreign feature of a joined dimension.
+        dimension_of = {
+            feature: name
+            for name in joined
+            for feature in schema.foreign_features(name)
+        }
         self._fact_features = [
-            f for f in self.feature_names if f not in self._foreign_of
+            f for f in self.feature_names if f not in dimension_of
         ]
         for feature in self._fact_features:
             if feature not in schema.fact:
@@ -317,11 +321,10 @@ class ShardEncoder:
         # block's column order).
         self._dimension_features: dict[str, list[str]] = {}
         for feature in self.feature_names:
-            owner = self._foreign_of.get(feature)
-            if owner is not None:
-                self._dimension_features.setdefault(owner[0], []).append(
-                    feature
-                )
+            if feature in dimension_of:
+                self._dimension_features.setdefault(
+                    dimension_of[feature], []
+                ).append(feature)
         self.joined_dimensions: tuple[str, ...] = tuple(
             name
             for name in joined
@@ -347,7 +350,7 @@ class ShardEncoder:
         self._plans = tuple(
             _DimensionPlan(
                 name,
-                needed.index(self._foreign_of[dim_features[0]][1]),
+                needed.index(schema.constraint(name).fk_column),
                 np.array([positions[f] for f in dim_features], dtype=np.int64),
                 schema.dimension(name).n_rows,
             )
@@ -378,8 +381,8 @@ class ShardEncoder:
 
         The same one lookup per required column, the same
         :class:`SchemaError` and the same ``"Others"`` fallback, without
-        a per-row array: a micro-batch flush builds one ``(n, k)`` array
-        from its rows' lists.
+        a per-row array: a micro-batch flush builds one ``(n, k)`` code
+        table from its rows' lists.
         """
         try:
             return [index[row[c]] for c, index in self._code_indexes]
@@ -387,7 +390,7 @@ class ShardEncoder:
             return self.encode_requests([row])[0].tolist()
 
     def encode_requests(self, rows: Sequence[Mapping[str, object]]) -> np.ndarray:
-        """Encode label-valued request rows into one ``(n, k)`` code array.
+        """Encode label-valued request rows into one ``(n, k)`` code table.
 
         Column ``j`` holds the codes of ``required_columns[j]``, one lookup
         per label in its fact domain's index.  A missing column or a label
@@ -414,59 +417,60 @@ class ShardEncoder:
     # ------------------------------------------------------------------
     # Assembly
     # ------------------------------------------------------------------
-    def assemble(
-        self, fact_codes: "Mapping[str, np.ndarray] | np.ndarray"
-    ) -> "CategoricalMatrix | FactorizedMatrix":
-        """Assemble the feature matrix for pre-encoded fact columns.
+    def code_table(self, fact_rows: Table) -> np.ndarray:
+        """The ``(n, k)`` int64 code table of rows shaped like the fact
+        table: column ``j`` holds their codes of ``required_columns[j]``.
 
-        ``fact_codes`` maps each :attr:`required_columns` entry to an
-        ``(n,)`` int code vector, or is the ``(n, k)`` code array
-        :meth:`encode_requests` returns (its columns in
-        :attr:`required_columns` order).  Each joined dimension's FK is
-        resolved to dimension rows once; a foreign key with no dimension
-        row raises :class:`repro.errors.ReferentialIntegrityError`
-        loudly rather than gathering garbage.  :func:`factorize_dimension`
-        then decides, from ``n``, ``|D|`` and ``d_R``, whether the
-        dimension's features are gathered into per-row columns or kept
-        as its ``(|D|, d_R)`` block (memoised, so a blocked dimension
-        costs ``O(n)`` here).  The per-row columns are written into one
-        preallocated array: the fact features with one slice or fancy
-        index of the code table, each gathered dimension with one gather
-        of its block.  With no blocked dimension the result is a
+        The one step from a :class:`~repro.relational.table.Table` to the
+        input :meth:`assemble` and :meth:`dimension_rows` take, as
+        :meth:`encode_requests` is from label-valued request rows.
+        """
+        codes = np.empty(
+            (len(fact_rows), len(self._required_columns)), dtype=np.int64
+        )
+        for j, column in enumerate(self._required_columns):
+            codes[:, j] = fact_rows.codes(column)
+        return codes
+
+    def assemble(self, codes: np.ndarray) -> "CategoricalMatrix | FactorizedMatrix":
+        """Assemble the feature matrix of a batch's ``(n, k)`` code table.
+
+        ``codes`` is what :meth:`encode_requests` or :meth:`code_table`
+        returns: column ``j`` holds the codes of ``required_columns[j]``,
+        the fact features first.  Each joined dimension's FK is resolved
+        to dimension rows once, in plan order; a foreign key with no
+        dimension row raises
+        :class:`repro.errors.ReferentialIntegrityError` loudly rather
+        than gathering garbage, before the one range check of the fact
+        codes.  :func:`factorize_dimension` then decides, from ``n``,
+        ``|D|`` and ``d_R``, whether the dimension's features are
+        gathered into per-row columns or kept as its ``(|D|, d_R)``
+        block (memoised, so a blocked dimension costs ``O(n)`` here).
+        The per-row columns are written into one preallocated array: the
+        fact features with one slice or fancy index of the code table,
+        each gathered dimension with one gather of its block.  With no
+        blocked dimension the result is a
         :class:`~repro.ml.encoding.CategoricalMatrix`, otherwise a
         :class:`~repro.ml.sparse.FactorizedMatrix` with the same column
         layout.
         """
-        codes = self._code_table(fact_codes)
+        codes = self._checked(codes)
         n = codes.shape[0]
-        # One cache lookup, one FK resolution and one layout decision per
-        # dimension per batch, however many of its features are kept.
-        entries, dim_rows, blocked = [], [], []
-        for plan in self._plans:
-            entry = self.cache.get(plan.name)
-            entries.append(entry)
-            dim_rows.append(
-                resolve_dimension_rows(
-                    self.schema,
-                    plan.name,
-                    codes[:, plan.fk_column],
-                    row_of_code=entry.row_of_code,
-                )
-            )
-            blocked.append(
-                factorize_dimension(n, plan.n_rows, len(plan.positions))
-            )
+        lookups = self._lookups(codes)
+        blocked = tuple(
+            factorize_dimension(n, plan.n_rows, len(plan.positions))
+            for plan in self._plans
+        )
         # Caller-supplied fact codes are the one unverified input here: one
         # check per batch before any kernel reads them.
         fact = codes[:, : len(self._fact_features)]
         check_code_ranges(fact, self._fact_levels, self._fact_features)
-        layout = self._layout(tuple(blocked))
+        layout = self._layout(blocked)
         out = np.empty((n, len(layout.positions)), dtype=np.int64)
         out[:, layout.fact] = fact
         for i, columns in layout.gathered:
-            out[:, columns] = self._block(self._plans[i].name, entries[i])[
-                dim_rows[i]
-            ]
+            entry, rows = lookups[i]
+            out[:, columns] = self._block(self._plans[i].name, entry)[rows]
         if not any(blocked):
             # Fact codes were range-checked above and dimension codes
             # come from validated tables, so skip the per-batch scan.
@@ -482,67 +486,62 @@ class ShardEncoder:
                 FactorizedGroup(
                     plan.name, plan.positions, rows, self._block(plan.name, entry)
                 )
-                for plan, entry, rows, block in zip(
-                    self._plans, entries, dim_rows, blocked
+                for plan, (entry, rows), block in zip(
+                    self._plans, lookups, blocked
                 )
                 if block
             ],
         )
 
-    def _code_table(
-        self, fact_codes: "Mapping[str, np.ndarray] | np.ndarray"
-    ) -> np.ndarray:
-        """A batch's ``(n, k)`` code table, columns in
-        :attr:`required_columns` order."""
-        if isinstance(fact_codes, np.ndarray):
-            if fact_codes.ndim != 2 or fact_codes.shape[1] != len(
-                self._required_columns
-            ):
-                raise SchemaError(
-                    f"code array has shape {fact_codes.shape}, expected "
-                    f"(n, {len(self._required_columns)}): one column per "
-                    f"required column"
-                )
-            return fact_codes.astype(np.int64, copy=False)
-        n = None
-        for column, codes in fact_codes.items():
-            codes = np.asarray(codes)
-            if n is None:
-                n = codes.shape[0]
-            elif codes.shape[0] != n:
-                raise SchemaError(
-                    f"ragged request batch: column {column!r} has "
-                    f"{codes.shape[0]} rows, expected {n}"
-                )
-        if n is None:
-            raise ValueError("cannot assemble an empty request batch")
-        if not self._required_columns:
-            return np.empty((n, 0), dtype=np.int64)
-        try:
-            columns = [fact_codes[column] for column in self._required_columns]
-        except KeyError:
-            self._raise_first_missing(fact_codes)
-            raise
-        return np.stack(columns, axis=1).astype(np.int64, copy=False)
+    def dimension_rows(self, codes: np.ndarray) -> dict[str, np.ndarray]:
+        """Each joined dimension's resolved row per fact row, no layout.
 
-    def _raise_first_missing(self, fact_codes: Mapping[str, np.ndarray]) -> None:
-        """Raise what a feature-order walk over ``fact_codes`` meets first.
-
-        A missing fact column, or a dimension whose FK is missing or
-        dangling, in the order of the features: the same error whatever
-        else the batch lacks.
+        The FK-resolution half of :meth:`assemble` on the same ``(n, k)``
+        code table (same shape check, same cache lookups, same
+        :class:`~repro.errors.ReferentialIntegrityError` on dangling
+        keys), for consumers that fold a dimension's features into a
+        per-dimension-row table ahead of time and need nothing per row
+        but the row itself
+        (:class:`~repro.serving.factorized.FactorizedScorer`).
         """
-        resolved = set()
-        for feature in self.feature_names:
-            owner = self._foreign_of.get(feature)
-            if owner is None:
-                if feature not in fact_codes:
-                    raise SchemaError(
-                        f"request batch lacks fact column {feature!r}"
-                    )
-            elif owner[0] not in resolved:
-                resolved.add(owner[0])
-                self._resolve(owner[0], owner[1], fact_codes)
+        return {
+            plan.name: rows
+            for plan, (_, rows) in zip(
+                self._plans, self._lookups(self._checked(codes))
+            )
+        }
+
+    def _checked(self, codes: np.ndarray) -> np.ndarray:
+        """``codes`` as an int64 ``(n, k)`` code table, or a
+        :class:`SchemaError` naming the shape it should have."""
+        codes = np.asarray(codes)
+        if codes.ndim != 2 or codes.shape[1] != len(self._required_columns):
+            raise SchemaError(
+                f"code array has shape {codes.shape}, expected "
+                f"(n, {len(self._required_columns)}): one column per "
+                f"required column"
+            )
+        return codes.astype(np.int64, copy=False)
+
+    def _lookups(
+        self, codes: np.ndarray
+    ) -> list[tuple[_DimensionIndex, np.ndarray]]:
+        """Each plan's cached index and resolved row per fact row, in plan
+        order: one cache lookup and one FK resolution per joined
+        dimension per batch, however many of its features are kept."""
+        lookups = []
+        for plan in self._plans:
+            entry = self.cache.get(plan.name)
+            lookups.append((
+                entry,
+                resolve_dimension_rows(
+                    self.schema,
+                    plan.name,
+                    codes[:, plan.fk_column],
+                    row_of_code=entry.row_of_code,
+                ),
+            ))
+        return lookups
 
     def _layout(self, blocked: tuple[bool, ...]) -> _Layout:
         """The per-row column layout when the plans ``blocked`` flags are
@@ -567,41 +566,6 @@ class ShardEncoder:
                 ),
             )
         return layout
-
-    def _resolve(
-        self, name: str, fk: str, fact_codes: Mapping[str, np.ndarray]
-    ) -> tuple[_DimensionIndex, np.ndarray]:
-        """A joined dimension's cached index and resolved row per fact row."""
-        entry = self.cache.get(name)
-        try:
-            fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
-        except KeyError:
-            raise SchemaError(
-                f"request batch lacks foreign key {fk!r} needed "
-                f"to resolve dimension {name!r}"
-            ) from None
-        return entry, resolve_dimension_rows(
-            self.schema, name, fk_codes, row_of_code=entry.row_of_code
-        )
-
-    def dimension_rows(
-        self, fact_codes: Mapping[str, np.ndarray]
-    ) -> dict[str, np.ndarray]:
-        """Each joined dimension's resolved row per fact row, no layout.
-
-        The FK-resolution half of :meth:`assemble` (same cache lookups,
-        same :class:`~repro.errors.ReferentialIntegrityError` on
-        dangling keys), for consumers that fold a dimension's features
-        into a per-dimension-row table ahead of time and need nothing
-        per row but the row itself
-        (:class:`~repro.serving.factorized.FactorizedScorer`).
-        """
-        return {
-            name: self._resolve(
-                name, self._foreign_of[features[0]][1], fact_codes
-            )[1]
-            for name, features in self._dimension_features.items()
-        }
 
     def dimension_block(self, name: str) -> np.ndarray:
         """A joined dimension's ``(|D|, d_R)`` code block, memoised.
@@ -641,15 +605,7 @@ class ShardEncoder:
         self, fact_rows: Table
     ) -> "CategoricalMatrix | FactorizedMatrix":
         """Assemble features for rows shaped like the fact table."""
-        return self.assemble(
-            {column: fact_rows.codes(column) for column in self.required_columns}
-        )
-
-    def assemble_rows(
-        self, rows: Sequence[Mapping[str, object]]
-    ) -> "CategoricalMatrix | FactorizedMatrix":
-        """Encode label-valued request rows and assemble their features."""
-        return self.assemble(self.encode_requests(rows))
+        return self.assemble(self.code_table(fact_rows))
 
     def encode_shard(
         self, fact_rows: Table

@@ -23,6 +23,7 @@ and ``benchmarks/bench_serving_concurrency.py``.
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
 import time
@@ -121,6 +122,9 @@ def _request_stream(
 
 
 def _measure(fn) -> float:
+    """Seconds ``fn()`` takes, after a full collection: a collection the
+    phases before it made due would otherwise land inside it."""
+    gc.collect()
     started = time.perf_counter()
     fn()
     return time.perf_counter() - started
@@ -350,6 +354,7 @@ def _drive_clients(
     ]
     for thread in threads:
         thread.start()
+    gc.collect()  # as in _measure: no earlier phase's garbage on the clock
     barrier.wait()
     started = time.perf_counter()
     for thread in threads:

@@ -78,17 +78,17 @@ class FactorizedScorer:
         :class:`~repro.ml.naive_bayes.CategoricalNB`.
     features:
         The server's :class:`~repro.data.encoder.ShardEncoder`: supplies
-        the feature layout and each joined dimension's memoised code
-        block.
+        the feature layout, its assembly plan (which code-table columns
+        are fact features, which positions each joined dimension fills)
+        and each joined dimension's memoised code block.
 
     Construction walks every joined dimension's block once; afterwards
-    :meth:`predict_codes` reads only the request's fact codes and each
+    :meth:`predict_codes` reads only the batch's fact columns and each
     dimension's resolved rows — it never touches a block.
     """
 
     def __init__(self, artifact, features):
         model = _unwrap(artifact.model)
-        self.feature_names: tuple[str, ...] = tuple(features.feature_names)
         n_levels = tuple(features.n_levels)
         offsets = np.concatenate(([0], np.cumsum(n_levels))).astype(np.int64)
 
@@ -117,54 +117,46 @@ class FactorizedScorer:
                 f"categorical naive Bayes; artifact model is "
                 f"{type(model).__name__}"
             )
-        fact: list[int] = []
-        dims: dict[str, list[int]] = {}
-        for position, feature in enumerate(self.feature_names):
-            owner = features._foreign_of.get(feature)
-            if owner is None:
-                fact.append(position)
-            else:
-                dims.setdefault(owner[0], []).append(position)
-        self._fact_features = tuple(self.feature_names[p] for p in fact)
-        self._fact_levels = tuple(n_levels[p] for p in fact)
-        self._fact_tables = [tables[p] for p in fact]
+        # The encoder's plan: the fact features are a code table's first
+        # columns, and each joined dimension's plan lists the positions
+        # of its kept features (its block's column order).
+        self._fact_features = tuple(features._fact_features)
+        self._fact_levels = tuple(features._fact_levels)
+        self._fact_tables = [tables[p] for p in features._fact_positions]
         self._dim_contrib: dict[str, np.ndarray] = {}
-        for name, positions in dims.items():
-            block = features.dimension_block(name)
+        for plan in features._plans:
+            block = features.dimension_block(plan.name)
             contrib = np.zeros(
                 block.shape[:1] + np.shape(self._prior), dtype=np.float64
             )
-            for c, position in enumerate(positions):
+            for c, position in enumerate(plan.positions):
                 contrib += tables[position][block[:, c]]
-            self._dim_contrib[name] = contrib
+            self._dim_contrib[plan.name] = contrib
 
     def predict_codes(
-        self,
-        fact_codes: Mapping[str, np.ndarray],
-        dim_rows: Mapping[str, np.ndarray],
+        self, codes: np.ndarray, dim_rows: Mapping[str, np.ndarray]
     ) -> np.ndarray:
-        """Predict label codes for one batch of pre-encoded fact columns.
+        """Predict label codes for one batch's ``(n, k)`` code table.
 
+        ``codes`` is the table the encoder assembles from (columns in
+        ``required_columns`` order, the fact features first), and
         ``dim_rows`` maps each joined dimension to its resolved row per
-        fact row (:meth:`~repro.data.encoder.ShardEncoder.dimension_rows`).
-        One range check over the stacked fact codes, which names the
-        first offending feature in column order; then per fact feature
-        one score-table gather, and per joined dimension one
-        ``contrib[dim_rows]`` gather — the per-dimension work was all
-        done at load.
+        fact row (:meth:`~repro.data.encoder.ShardEncoder.dimension_rows`
+        of the same table).  One range check over the table's fact
+        columns, which names the first offending feature in column
+        order; then per fact feature one score-table gather, and per
+        joined dimension one ``contrib[dim_rows]`` gather — the
+        per-dimension work was all done at load.
         """
-        n = len(next(iter(fact_codes.values())))
-        scores = np.tile(self._prior, (n,) + (1,) * np.ndim(self._prior))
-        if self._fact_tables:
-            # Stacked feature-major, so each feature's min/max and gather
-            # read contiguous memory.
-            codes = np.stack([
-                np.asarray(fact_codes[feature], dtype=np.int64)
-                for feature in self._fact_features
-            ])
-            check_code_ranges(codes.T, self._fact_levels, self._fact_features)
-            for table, feature_codes in zip(self._fact_tables, codes):
-                scores += table[feature_codes]
+        scores = np.tile(
+            self._prior, (codes.shape[0],) + (1,) * np.ndim(self._prior)
+        )
+        # The fact columns copied feature-major once, so each feature's
+        # min/max and gather read contiguous memory.
+        fact = codes[:, : len(self._fact_tables)].T.copy()
+        check_code_ranges(fact.T, self._fact_levels, self._fact_features)
+        for table, feature_codes in zip(self._fact_tables, fact):
+            scores += table[feature_codes]
         for name, contrib in self._dim_contrib.items():
             scores += contrib[dim_rows[name]]
         if self._kind == "linear":

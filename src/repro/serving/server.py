@@ -15,10 +15,13 @@ styles:
 Requests are plain ``{fact column: label}`` mappings — the shape a fact
 row has *before* any join, which is the whole point: under a NoJoin
 artifact the server answers without touching a single dimension table.
-A submitted row is encoded on arrival into a list of its ``k`` required
-columns' codes, and its flush turns the batch's lists into one ``(n,
-k)`` code array; ``predict_batch`` and ``predict_table`` build that
-array directly.
+Every path hands the encoder one ``(n, k)`` int64 code table, its
+columns in ``required_columns`` order: a submitted row is encoded on
+arrival into a list of its ``k`` required columns' codes, and its flush
+turns the batch's lists into one table; ``predict_batch`` builds it
+with :meth:`~repro.data.encoder.ShardEncoder.encode_requests` and
+``predict_table`` with
+:meth:`~repro.data.encoder.ShardEncoder.code_table`.
 
 A server reads only what its model reads.  A decision tree under
 ``unseen="majority"`` or ``"random"`` is served, from load on, as a copy
@@ -47,7 +50,8 @@ Linear and Naive Bayes artifacts are scored through a
 :class:`~repro.serving.factorized.FactorizedScorer` built at load time:
 each joined dimension's features fold into one per-dimension-row score
 table, so a request batch needs only its FK resolution, never the
-per-row feature gather.  Every other model predicts from the
+per-row feature gather, and the scorer reads the fact codes straight
+off the batch's code table.  Every other model predicts from the
 assembled feature matrix.
 """
 
@@ -277,14 +281,12 @@ class PredictionServer:
         return results
 
     def predict_table(self, fact_rows: Table) -> list:
-        """Predict for pre-encoded rows shaped like the fact table."""
+        """Predict for pre-encoded rows shaped like the fact table, through
+        the code table :meth:`~repro.data.encoder.ShardEncoder.code_table`
+        reads off them."""
         self._requests.inc()
         started = time.perf_counter()
-        columns = self.features.required_columns
-        codes = np.empty((len(fact_rows), len(columns)), dtype=np.int64)
-        for j, column in enumerate(columns):
-            codes[:, j] = fact_rows.codes(column)
-        results = self._predict_encoded(codes)
+        results = self._predict_encoded(self.features.code_table(fact_rows))
         self._rows.inc(len(results))
         self._request_latency.observe(time.perf_counter() - started)
         return results
@@ -330,20 +332,19 @@ class PredictionServer:
         return self._predict_encoded(np.array(payloads, dtype=np.int64))
 
     def _predict_encoded(self, encoded: np.ndarray) -> list:
-        """Assemble and predict an ``(n, k)`` code array in one call.
+        """Assemble and predict an ``(n, k)`` code table in one call.
 
         With a :class:`~repro.serving.factorized.FactorizedScorer` the
         assemble stage is only the FK resolution of each joined
-        dimension; otherwise it builds the feature matrix the
-        artifact's model predicts from.
+        dimension, and the scorer reads the table itself; otherwise the
+        stage builds the feature matrix the artifact's model predicts
+        from.
         """
-        if self._scorer is not None:
-            columns = dict(zip(self.features.required_columns, encoded.T))
         started = time.perf_counter()
         if self._scorer is not None:
-            dim_rows = self.features.dimension_rows(columns)
+            dim_rows = self.features.dimension_rows(encoded)
             assembled = time.perf_counter()
-            codes = self._scorer.predict_codes(columns, dim_rows)
+            codes = self._scorer.predict_codes(encoded, dim_rows)
         else:
             X = self.features.assemble(encoded)
             assembled = time.perf_counter()

@@ -488,7 +488,7 @@ def _request_rows(dataset, n, seed=0):
 
 def _gathered_predictions(server, rows) -> list:
     """What the artifact's own predict path answers on gathered rows."""
-    X = server.features.assemble_rows(rows)
+    X = server.features.assemble(server.features.encode_requests(rows))
     assert isinstance(X, CategoricalMatrix)
     artifact = server.artifact
     return artifact.decode_labels(artifact.predict_codes(X))
@@ -605,7 +605,7 @@ class TestFactorizedServing:
         encoder = ShardEncoder(dataset.schema, join_all_strategy())
         scorer = FactorizedScorer(artifact, encoder)
         rows = dataset.schema.fact.select(dataset.test)
-        codes = {column: rows.codes(column) for column in encoder.required_columns}
+        codes = encoder.code_table(rows)
         X_gathered, _ = encoder.encode_shard(rows)
         assert np.array_equal(
             scorer.predict_codes(codes, encoder.dimension_rows(codes)),
@@ -619,19 +619,15 @@ class TestFactorizedServing:
         artifact = _train_served_model(force_layout, dataset)
         encoder = ShardEncoder(dataset.schema, join_all_strategy())
         scorer = FactorizedScorer(artifact, encoder)
-        rows = dataset.schema.fact.select(dataset.test)
-        codes = {
-            column: rows.codes(column).copy()
-            for column in encoder.required_columns
-        }
+        codes = encoder.code_table(dataset.schema.fact.select(dataset.test))
         first, second = scorer._fact_features[:2]
         levels = dict(zip(encoder.feature_names, encoder.n_levels))
-        codes[second][0] = levels[second]
-        codes[first][-1] = -1
+        codes[0, 1] = levels[second]
+        codes[-1, 0] = -1
         dim_rows = encoder.dimension_rows(codes)
         with pytest.raises(SchemaError, match=f"feature '{first}'"):
             scorer.predict_codes(codes, dim_rows)
-        codes[first][-1] = 0
+        codes[-1, 0] = 0
         with pytest.raises(SchemaError, match=f"feature '{second}'"):
             scorer.predict_codes(codes, dim_rows)
 

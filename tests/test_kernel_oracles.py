@@ -41,8 +41,9 @@ pickles, no tolerance):
   same loop on one operand, :func:`one_operand_lipschitz`;
 - :meth:`ShardEncoder.assemble` (one plan: a slice of the code table
   for the fact columns, one block gather per dimension, into one
-  array) against the feature-by-feature :func:`per_feature_assemble`,
-  errors and cache accounting included.
+  array) against the feature-by-feature :func:`per_feature_assemble`
+  over the same codes as a column mapping, errors and cache accounting
+  included.
 """
 
 import pickle
@@ -89,6 +90,7 @@ from repro.relational import (
     StarSchema,
     Table,
 )
+from repro.relational.join import resolve_dimension_rows
 from repro.rng import ensure_rng
 
 
@@ -1227,6 +1229,23 @@ def test_one_operand_lipschitz_equals_the_shard_pass_estimate(force_layout, layo
 # ----------------------------------------------------------------------
 # ShardEncoder.assemble
 # ----------------------------------------------------------------------
+def _resolve(encoder, name, fk, fact_codes):
+    """A joined dimension's cached index and resolved row per fact row,
+    read from a column mapping, as ``ShardEncoder`` resolved one before
+    it took only code tables."""
+    entry = encoder.cache.get(name)
+    try:
+        fk_codes = np.asarray(fact_codes[fk], dtype=np.int64)
+    except KeyError:
+        raise SchemaError(
+            f"request batch lacks foreign key {fk!r} needed "
+            f"to resolve dimension {name!r}"
+        ) from None
+    return entry, resolve_dimension_rows(
+        encoder.schema, name, fk_codes, row_of_code=entry.row_of_code
+    )
+
+
 def per_feature_assemble(encoder: ShardEncoder, fact_codes):
     """Feature-by-feature assembly from a column mapping (the plain
     path): one read, gather and stack entry per feature."""
@@ -1242,10 +1261,16 @@ def per_feature_assemble(encoder: ShardEncoder, fact_codes):
             )
     if n is None:
         raise ValueError("cannot assemble an empty request batch")
+    schema = encoder.schema
+    foreign_of = {
+        feature: (name, schema.constraint(name).fk_column)
+        for name in encoder.strategy.joined_dimensions(schema)
+        for feature in schema.foreign_features(name)
+    }
     entries, dim_rows, blocks = {}, {}, {}
     columns, positions, fact = [], [], []
     for position, feature in enumerate(encoder.feature_names):
-        owner = encoder._foreign_of.get(feature)
+        owner = foreign_of.get(feature)
         if owner is None:
             try:
                 codes = np.asarray(fact_codes[feature], dtype=np.int64)
@@ -1257,8 +1282,8 @@ def per_feature_assemble(encoder: ShardEncoder, fact_codes):
         else:
             name = owner[0]
             if name not in entries:
-                entries[name], dim_rows[name] = encoder._resolve(
-                    name, owner[1], fact_codes
+                entries[name], dim_rows[name] = _resolve(
+                    encoder, name, owner[1], fact_codes
                 )
                 if encoder_module.factorize_dimension(
                     n,
@@ -1325,6 +1350,11 @@ def _raised(call):
     return None
 
 
+def _table(encoder, fact_codes):
+    """The ``(n, k)`` code table of a complete column mapping."""
+    return np.stack([fact_codes[c] for c in encoder.required_columns], axis=1)
+
+
 def _batches(dataset, encoder, sizes):
     fact = dataset.schema.fact
     rows = np.concatenate([dataset.train, dataset.test])
@@ -1351,16 +1381,13 @@ ASSEMBLY_CASES = {
 @pytest.mark.parametrize("case", ASSEMBLY_CASES.values(), ids=ASSEMBLY_CASES.keys())
 def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
     """Matrices, and the cache's hits, misses and builds after every
-    batch, from a mapping and from the code array ``encode_requests``
-    returns, against the per-feature path on its own encoder.  Each
-    batch looks up each joined dimension that keeps a feature once."""
+    batch, from the code table against the per-feature path on its own
+    encoder, fed the same codes as a column mapping.  Each batch looks
+    up each joined dimension that keeps a feature once."""
     name, n_fact, strategy, layout, sizes = case
     dataset = generate_real_world(name, n_fact=n_fact, seed=5)
     oracle_encoder = ShardEncoder(dataset.schema, strategy())
-    encoders = {
-        "mapping": ShardEncoder(dataset.schema, strategy()),
-        "array": ShardEncoder(dataset.schema, strategy()),
-    }
+    encoder = ShardEncoder(dataset.schema, strategy())
     with pytest.MonkeyPatch.context() as patch:
         if layout == "mixed":  # block the airline, gather the airports
             patch.setattr(
@@ -1381,23 +1408,18 @@ def test_assembly_plan_equals_the_per_feature_path(case, force_layout):
         )
         for k, codes in enumerate(_batches(dataset, oracle_encoder, sizes), 1):
             expected = per_feature_assemble(oracle_encoder, codes)
-            table = np.stack(
-                [codes[c] for c in oracle_encoder.required_columns], axis=1
-            )
-            inputs = {"mapping": codes, "array": table}
-            for form, encoder in encoders.items():
-                _assert_same_matrix(encoder.assemble(inputs[form]), expected)
-                stats = encoder.cache.stats
-                assert stats == oracle_encoder.cache.stats
-                assert stats.hits + stats.misses == k * kept
+            _assert_same_matrix(encoder.assemble(_table(encoder, codes)), expected)
+            stats = encoder.cache.stats
+            assert stats == oracle_encoder.cache.stats
+            assert stats.hits + stats.misses == k * kept
 
 
 def _bad_batches(dataset, encoder):
-    """(label, mapping) pairs that each break one rule, or several."""
+    """(label, mapping) pairs, every required column present, that each
+    break one rule, or several."""
     fact = dataset.schema.fact
     good = {c: fact.codes(c)[dataset.test[:20]].copy() for c in encoder.required_columns}
     fact_features = encoder._fact_features
-    fks = [c for c in encoder.required_columns if c not in fact_features]
     dims = list(encoder._dimension_features)
     fk_of = {
         name: dataset.schema.constraint(name).fk_column for name in dims
@@ -1406,15 +1428,8 @@ def _bad_batches(dataset, encoder):
     def changed(**columns):
         return {**good, **columns}
 
-    def without(*names):
-        return {c: v for c, v in good.items() if c not in names}
-
-    yield "ragged", changed(**{encoder.required_columns[-1]: good[encoder.required_columns[-1]][:3]})
-    yield "empty", {}
     if fact_features:
         first = fact_features[0]
-        yield "missing-fact-column", without(fact_features[-1])
-        yield "missing-every-column", {"unrelated": np.zeros(20, dtype=np.int64)}
         bad = good[first].copy()
         bad[-1] = -1
         yield "fact-code-below-range", changed(**{first: bad})
@@ -1428,22 +1443,20 @@ def _bad_batches(dataset, encoder):
         yield f"dangling-{name}", changed(**{fk: bad})
         bad2 = good[fk].copy()
         bad2[:] = -1
+        yield f"negative-fk-{name}", changed(**{fk: bad2})
         if fact_features:
             wrong = good[fact_features[0]].copy()
             wrong[0] = -5
             yield f"dangling-{name}-and-bad-fact-code", changed(
                 **{fk: bad2, fact_features[0]: wrong}
             )
-            yield f"dangling-{name}-and-missing-fact-column", {
-                **without(fact_features[-1]), fk: bad2,
-            }
-    for fk in fks:
-        yield f"missing-fk-{fk}", without(fk)
     if len(dims) > 1:
         first, last = fk_of[dims[0]], fk_of[dims[-1]]
         bad = good[first].copy()
         bad[0] = 10**7
-        yield "dangling-first-and-missing-last-fk", {**without(last), first: bad}
+        bad_last = good[last].copy()
+        bad_last[:] = -1
+        yield "dangling-first-and-last-fk", changed(**{first: bad, last: bad_last})
 
 
 def _dangling_star():
@@ -1486,8 +1499,9 @@ ERROR_CASES = {
 @pytest.mark.parametrize("layout", ["gather", "factorize"])
 @pytest.mark.parametrize("case", ERROR_CASES.values(), ids=ERROR_CASES.keys())
 def test_assembly_errors_equal_the_per_feature_path(case, layout, force_layout, churn_schema):
-    """The same exception type and message for every malformed batch,
-    and the same cache accounting after it."""
+    """The same exception type and message for every malformed code
+    table as for its column mapping on the per-feature path, and the
+    same cache accounting after it."""
     name, strategy = case
     if name in ("churn", "dangling"):
         schema = churn_schema if name == "churn" else _dangling_star()
@@ -1501,7 +1515,7 @@ def test_assembly_errors_equal_the_per_feature_path(case, layout, force_layout, 
     with force_layout(layout):
         for label, batch in _bad_batches(dataset, encoder):
             expected = _raised(lambda: per_feature_assemble(oracle_encoder, batch))
-            got = _raised(lambda: encoder.assemble(batch))
+            got = _raised(lambda: encoder.assemble(_table(encoder, batch)))
             assert got == expected, label
             assert expected is not None, label
             assert encoder.cache.stats == oracle_encoder.cache.stats, label

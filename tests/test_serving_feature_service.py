@@ -73,54 +73,64 @@ class TestAssembly:
         service = ShardEncoder(schema, no_fk_strategy())
         assert service.joined_dimensions == ("D3",)
         assert service.required_columns == ("H",)
-        X = service.assemble({"H": fact.codes("H")})
+        X = service.assemble(service.code_table(fact))
         np.testing.assert_array_equal(X.codes[:, 0], fact.codes("H"))
-        X = service.assemble_rows([{"H": "1"}])
+        X = service.assemble(service.encode_requests([{"H": "1"}]))
         assert X.codes.shape == (1, 1)
-
-    def test_missing_required_column_raises(self, churn_schema):
-        service = ShardEncoder(churn_schema, join_all_strategy())
-        with pytest.raises(SchemaError, match="lacks"):
-            service.assemble({"Gender": np.array([0]), "Age": np.array([1])})
 
     def test_out_of_range_fact_codes_raise(self, churn_schema):
         """assemble() must range-check caller-supplied fact codes; a bad
         code would otherwise wrap through the implicit engine's gathers."""
         service = ShardEncoder(churn_schema, no_join_strategy())
-        bad = {c: np.array([0]) for c in service.required_columns}
-        bad["Gender"] = np.array([-1])
+        bad = np.zeros((1, len(service.required_columns)), dtype=np.int64)
+        bad[0, service.required_columns.index("Gender")] = -1
         with pytest.raises(SchemaError, match="out of range"):
             service.assemble(bad)
 
     def test_code_array_must_have_one_column_per_required_column(
         self, churn_schema
     ):
+        """``assemble`` and ``dimension_rows`` take only an ``(n, k)``
+        code table; a column mapping, a 1-D array or a wrong column
+        count is a SchemaError naming the expected shape, raised before
+        any dimension lookup."""
         service = ShardEncoder(churn_schema, join_all_strategy())
         codes = service.encode_requests(
             [{"Gender": "F", "Age": "old", "Employer": "initech"}]
         )
         assert isinstance(service.assemble(codes), CategoricalMatrix)
-        for bad in (codes[:, :-1], codes[0]):
-            with pytest.raises(SchemaError, match="one column per"):
-                service.assemble(bad)
+        assert list(service.dimension_rows(codes)) == ["Employers"]
+        mapping = dict(zip(service.required_columns, codes.T))
+        for bad in (mapping, codes[0], codes[:, :-1], np.hstack([codes, codes])):
+            for method in (service.assemble, service.dimension_rows):
+                with pytest.raises(
+                    SchemaError, match=r"expected \(n, 3\): one column per"
+                ):
+                    method(bad)
+        assert service.cache.stats.lookups == 2
 
-    def test_ragged_batch_raises(self, churn_schema):
-        service = ShardEncoder(churn_schema, no_join_strategy())
-        with pytest.raises(SchemaError, match="ragged"):
-            service.assemble(
-                {
-                    "Gender": np.array([0, 1]),
-                    "Age": np.array([1]),
-                    "Employer": np.array([0, 1]),
-                }
-            )
+    def test_code_table_is_the_required_columns(self, churn_schema):
+        service = ShardEncoder(churn_schema, no_fk_strategy())
+        fact = churn_schema.fact
+        codes = service.code_table(fact)
+        assert codes.dtype == np.int64 and codes.flags.c_contiguous
+        np.testing.assert_array_equal(
+            codes, np.stack([fact.codes(c) for c in service.required_columns], axis=1)
+        )
+        np.testing.assert_array_equal(
+            service.assemble_table(fact).codes, service.assemble(codes).codes
+        )
+        stump = ShardEncoder(churn_schema, join_all_strategy(), features=())
+        assert stump.code_table(fact).shape == (fact.n_rows, 0)
 
 
 class TestRequestEncoding:
     def test_label_rows_encode_through_fact_domains(self, churn_schema):
         service = ShardEncoder(churn_schema, join_all_strategy())
-        X = service.assemble_rows(
-            [{"Gender": "F", "Age": "old", "Employer": "initech"}]
+        X = service.assemble(
+            service.encode_requests(
+                [{"Gender": "F", "Age": "old", "Employer": "initech"}]
+            )
         )
         j = X.names.index("State")
         # initech is row 2 of Employers, whose State code is 0 ("CA").

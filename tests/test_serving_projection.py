@@ -1,4 +1,4 @@
-"""A served tree reads only the columns it splits on.
+"""A served model answers as the full model over the full features.
 
 ``PredictionServer`` serves a decision tree under ``unseen="majority"``
 or ``"random"`` as a copy re-indexed to the features it splits on
@@ -7,6 +7,9 @@ nothing else.  These tests hold it to the full tree: the same
 predictions and bit-identical probabilities on every emulator, the same
 answer to every row the full server accepts, today's errors for a bad
 read column, and today's serving for every artifact it leaves alone.
+A linear or naive Bayes model is served through the load-time
+``FactorizedScorer``; it is held to the model's own ``predict`` on every
+emulator.
 """
 
 import dataclasses
@@ -23,11 +26,13 @@ from repro.errors import (
     UnseenCategoryError,
 )
 from repro.experiments import fit_pipeline, get_scale
+from repro.ml.naive_bayes import CategoricalNB
 from repro.ml.selection import BackwardSelection
 from repro.ml.tree import DecisionTreeClassifier
-from repro.relational import StarSchema
+from repro.relational import CategoricalColumn, StarSchema, Table
 from repro.relational.join import dimension_row_index
 from repro.serving import PredictionServer, artifact_from_pipeline
+from repro.serving.factorized import FactorizedScorer
 
 from faultkit.faults import FaultInjectingModel
 
@@ -39,9 +44,9 @@ def _dataset(name):
     return generate_real_world(name, n_fact=get_scale("smoke").n_fact, seed=0)
 
 
-def _pipeline(dataset, strategy):
+def _pipeline(dataset, strategy, model_key="dt_gini"):
     return fit_pipeline(
-        dataset, "dt_gini", STRATEGIES[strategy](), scale=get_scale("smoke")
+        dataset, model_key, STRATEGIES[strategy](), scale=get_scale("smoke")
     )
 
 
@@ -51,12 +56,18 @@ def _server(artifact, schema):
     )
 
 
+def _fact_codes(table, columns):
+    """The ``(n, k)`` code table of ``table``'s ``columns``."""
+    return np.stack([table.codes(c) for c in columns], axis=1)
+
+
 def _label_rows(schema, columns, codes):
-    """Label-valued request rows from ``{column: codes}``."""
-    fact = schema.fact
-    labels = {c: fact.domain(c).labels for c in columns}
-    n = len(codes[columns[0]]) if columns else 0
-    return [{c: labels[c][codes[c][i]] for c in columns} for i in range(n)]
+    """Label-valued request rows from a code table over ``columns``."""
+    labels = [schema.fact.domain(c).labels for c in columns]
+    return [
+        {c: labels[j][code] for j, (c, code) in enumerate(zip(columns, row))}
+        for row in codes.tolist()
+    ]
 
 
 def _random_codes(schema, encoder, n, seed):
@@ -70,18 +81,20 @@ def _random_codes(schema, encoder, n, seed):
         )
         for name in encoder.joined_dimensions
     }
-    return {
-        c: (
+    return np.stack(
+        [
             rng.choice(resolvable[c], n) if c in resolvable
             else rng.integers(0, len(schema.fact.domain(c)), n)
-        )
-        for c in encoder.required_columns
-    }
+            for c in encoder.required_columns
+        ],
+        axis=1,
+    )
 
 
 def _full_predictions(dataset, artifact, rows):
     """The artifact's model over the full assembled matrix of ``rows``."""
-    X = ShardEncoder(dataset.schema, artifact.strategy).assemble_rows(rows)
+    full = ShardEncoder(dataset.schema, artifact.strategy)
+    X = full.assemble(full.encode_requests(rows))
     return artifact.decode_labels(
         np.asarray(artifact.model.predict(X), dtype=np.int64)
     )
@@ -120,9 +133,9 @@ def test_served_tree_is_the_full_tree(emulator, strategy):
     )
     assert server.features.joined_dimensions == read_dimensions
 
-    test_codes = {
-        c: schema.fact.codes(c)[dataset.test] for c in full.required_columns
-    }
+    test_codes = _fact_codes(
+        schema.fact.select(dataset.test), full.required_columns
+    )
     for codes in (test_codes, _random_codes(schema, full, 500, seed=11)):
         rows = _label_rows(schema, full.required_columns, codes)
         X = full.assemble(codes)
@@ -143,6 +156,47 @@ def test_served_tree_is_the_full_tree(emulator, strategy):
     assert server.stats().cache_misses == len(read_dimensions)
 
 
+@pytest.mark.parametrize("model_key", ["lr_l1", "nb"])
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_served_scorer_is_the_model(emulator, strategy, model_key):
+    """A served L1 logistic regression (tuned) or categorical naive
+    Bayes scores through the load-time ``FactorizedScorer``; on test
+    rows and on random in-domain rows, ``predict_batch``,
+    ``predict_table`` and ``submit`` equal the model's own ``predict``
+    over the full encoder's assembled matrix."""
+    dataset = emulator
+    schema = dataset.schema
+    pipeline = _pipeline(dataset, strategy, "lr_l1")
+    artifact = artifact_from_pipeline(pipeline, schema)
+    if model_key == "nb":
+        matrices = pipeline.matrices
+        model = CategoricalNB(alpha=1.0).fit(matrices.X_train, matrices.y_train)
+        artifact = dataclasses.replace(artifact, model=model, model_key="nb")
+    full = ShardEncoder(schema, artifact.strategy)
+    server = _server(artifact, schema)
+    assert isinstance(server._scorer, FactorizedScorer)
+    assert server.features.required_columns == full.required_columns
+    columns = full.required_columns
+    test_codes = _fact_codes(schema.fact.select(dataset.test), columns)
+    for codes in (test_codes, _random_codes(schema, full, 500, seed=13)):
+        expected = artifact.decode_labels(
+            np.asarray(artifact.model.predict(full.assemble(codes)), dtype=np.int64)
+        )
+        rows = _label_rows(schema, columns, codes)
+        assert server.predict_batch(rows) == expected
+        table = Table(
+            "requests",
+            [
+                CategoricalColumn(c, schema.fact.domain(c), codes[:, j])
+                for j, c in enumerate(columns)
+            ],
+        )
+        assert server.predict_table(table) == expected
+        handles = [server.submit(row) for row in rows]
+        server.flush()
+        assert [h.result() for h in handles] == expected
+
+
 @pytest.fixture(scope="module")
 def flights():
     """A Flights JoinAll tree, which splits on some home features and
@@ -152,9 +206,9 @@ def flights():
     schema = dataset.schema
     pipeline = _pipeline(dataset, "JoinAll")
     artifact = artifact_from_pipeline(pipeline, schema)
-    full = ShardEncoder(schema, artifact.strategy)
-    codes = {c: schema.fact.codes(c)[dataset.test] for c in full.required_columns}
-    rows = _label_rows(schema, full.required_columns, codes)
+    columns = ShardEncoder(schema, artifact.strategy).required_columns
+    codes = _fact_codes(schema.fact.select(dataset.test), columns)
+    rows = _label_rows(schema, columns, codes)
     return dataset, artifact, rows, pipeline.matrices
 
 
@@ -237,10 +291,8 @@ class TestContract:
             ShardEncoder(live, artifact.strategy).assemble_table(test)
         projected = _server(artifact, live)
         assert projected.predict_table(test) == expected
-        rows = _label_rows(
-            live, server.features.required_columns,
-            {c: test.codes(c) for c in server.features.required_columns},
-        )
+        columns = server.features.required_columns
+        rows = _label_rows(live, columns, _fact_codes(test, columns))
         assert projected.predict_batch(rows) == expected
 
     def test_a_stump_serves_on_every_path(self, flights):
